@@ -11,7 +11,7 @@ everywhere. The gap between the best single member and the pool's oracle
 import numpy as np
 
 from metasel import (ClassifierPool, bagging, generate_p2, oracle_accuracy,
-                     p2_boundaries, scale_minmax, train_perceptron)
+                     p2_boundaries, scale_minmax)
 from metasel.data import Dataset
 
 print(__doc__)
@@ -29,22 +29,20 @@ test = Dataset(scale.apply(test_raw.features), test_raw.labels, 2)
 print(f"\nGenerated {len(train)} training and {len(test)} test samples "
       f"(priors {train.labels.mean():.2f}/{1 - train.labels.mean():.2f}).")
 
-single = train_perceptron(train, seed=3)
+single = bagging(train, 1, bootstrap_frac=1.0, seed=3)  # one member, all data
 labels, _ = single.predict_batch(test.features)
-print(f"A single perceptron reaches {100 * (labels == test.labels).mean():.1f}% "
+print(f"A single perceptron reaches {100 * (labels[0] == test.labels).mean():.1f}% "
       "accuracy - barely better than a coin flip, as expected for one line.")
 
 pool = bagging(train, 5, seed=40)
-member_acc = []
-for member in pool.members:
-    lab, _ = member.predict_batch(test.features)
-    member_acc.append((lab == test.labels).mean())
+labels, _ = pool.predict_batch(test.features)       # one row per member
+member_acc = (labels == test.labels).mean(axis=1)
 print("\nFive bagged perceptrons, individually:")
 print("  " + "  ".join(f"{100 * a:.1f}%" for a in member_acc))
 
 print(f"\nBest member:   {100 * max(member_acc):.1f}%")
 for m in range(1, 6):
-    sub = ClassifierPool(pool.members[:m])
+    sub = ClassifierPool(pool.weights[:m], pool.dist_scale[:m])
     print(f"Oracle with {m} member(s): {100 * oracle_accuracy(sub, test):.2f}%")
 
 print("\nThe oracle of the full pool is nearly perfect: for almost every test"

@@ -10,7 +10,7 @@ competence-weighted voting.
 
 from .data import (Dataset, ScaleParams, SplitSpec, generate_p2, load_csv,
                    p2_boundaries, p2_true_labels, scale_minmax, split_holdout)
-from .pool import ClassifierPool, Perceptron, bagging, train_perceptron
+from .pool import ClassifierPool, bagging
 from .regions import (OutputProfile, ProfileNeighborhood, RegionOfCompetence,
                       dsel_output_profiles, nearest_neighbors, output_profile,
                       profile_neighborhood, region_of)
@@ -18,8 +18,8 @@ from .metafeatures import (FeatureLayout, MetaDataset, MetaFeatureExtractor,
                            MetaFeatureVector, apply_mask, meta_dataset_to_csv,
                            rrc_competence)
 from .metaclassifier import MetaClassifier, MetaTrainConfig, competence, train_meta
-from .bpso import (Archive, BpsoConfig, MaskEvaluator, oracle_competence,
-                   oracle_distance_fitness, optimize, step, transfer_s, transfer_v)
+from .bpso import (Archive, BpsoConfig, MaskEvaluator, oracle_competence, optimize,
+                   step, transfer_s, transfer_v)
 from .engine import (BASELINE_METHODS, ClassifyDiagnostics, DesModel,
                      baseline_predict, baseline_predict_batch, classify,
                      classify_batch, consensus, consensus_keep, oracle_accuracy,

@@ -32,7 +32,6 @@ __all__ = [
     "transfer_v",
     "oracle_competence",
     "MaskEvaluator",
-    "oracle_distance_fitness",
     "step",
     "optimize",
 ]
@@ -51,10 +50,11 @@ def transfer_v(v):
 _TRANSFERS = {"S": transfer_s, "V": transfer_v}
 
 
-def oracle_competence(classifier, x, true_label: int) -> int:
-    """Ideal competence: 1 iff the classifier predicts the true label."""
-    label, _ = classifier.predict(np.atleast_2d(x))
-    return int(label == true_label)
+def oracle_competence(pool, x, true_label: int) -> np.ndarray:
+    """Ideal competence (M,) of every pool member on one sample: 1 iff the
+    member predicts the true label."""
+    labels, _ = pool.predict_batch(np.atleast_2d(x))
+    return (labels[:, 0] == true_label).astype(int)
 
 
 def oracle_distance(estimates, ideal) -> float:
@@ -146,14 +146,6 @@ class MaskEvaluator:
             return np.inf
         delta = model.competence_batch(np.asarray(rows, dtype=float)[:, mask])
         return oracle_distance(delta, labels)
-
-
-def oracle_distance_fitness(mask, train_rows, train_labels, eval_rows, eval_labels,
-                            meta_config: MetaTrainConfig | None = None) -> float:
-    """Fitness of one mask: selector trained on the masked training half,
-    distance to the ideal competences measured on the evaluation rows."""
-    return MaskEvaluator(train_rows, train_labels, meta_config).distance(
-        mask, eval_rows, eval_labels)
 
 
 def init_swarm(dim: int, config: BpsoConfig, rng: np.random.Generator) -> Swarm:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment
-from .data import generate_p2, load_csv
+from .data import generate_p2, load_csv, load_csv_features
 from .engine import classify_batch
 from .metafeatures import FeatureLayout, meta_dataset_to_csv
 
@@ -83,19 +83,6 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def load_csv_features(path) -> np.ndarray:
-    """Feature-only CSV (no label column), optional header row."""
-    import csv as _csv
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in _csv.reader(fh) if r]
-    start = 0
-    try:
-        [float(c) for c in rows[0]]
-    except ValueError:
-        start = 1
-    return np.array([[float(c) for c in row] for row in rows[start:]])
-
-
 def _cmd_benchmark(args) -> int:
     config = _load_config(args)
     report = experiment.run_experiment(config)
@@ -128,13 +115,8 @@ def _cmd_freq_report(args) -> int:
     if layout is None or layout.size != d:
         raise SystemExit("cannot infer (K, Kp) from masks file; pass --k/--kp")
     freq = experiment.frequency_report(bits, layout)
-    out = Path(args.out)
-    names = layout.column_names()
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("bit,name,set,frequency,band\n")
-        for b, f in enumerate(freq.per_bit):
-            fh.write(f"{b},{names[b]},{layout.set_of(b)},{f:.10g},{freq.per_bit_band[b]}\n")
-    print(f"wrote {out}")
+    experiment.write_frequency_csv(freq, args.out)
+    print(f"wrote {Path(args.out)}")
     for name in freq.per_set:
         print(f"  {name:<10} {freq.per_set[name]:.3f}  {freq.per_set_band[name]}")
     return 0

@@ -18,6 +18,7 @@ __all__ = [
     "SplitSpec",
     "ScaleParams",
     "load_csv",
+    "load_csv_features",
     "split_holdout",
     "scale_minmax",
     "generate_p2",
@@ -107,13 +108,13 @@ class ScaleParams:
         return Dataset(self.apply(ds.features), ds.labels, ds.class_count)
 
 
-def load_csv(path, label_column: int = -1) -> Dataset:
-    """Read a comma-separated file into a Dataset.
+def _read_numeric_csv(path, label_column: int | None = None):
+    """Feature matrix and raw label cells (empty without ``label_column``)
+    of a comma-separated file.
 
     An optional header row is auto-detected: if any feature cell of the first
-    row fails to parse as a number, the row is treated as a header. Labels are
-    re-encoded as contiguous integers in first-appearance order and may be
-    arbitrary symbols; feature cells must be numeric.
+    row fails to parse as a number, the row is treated as a header. Every
+    other feature cell must be numeric.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -124,7 +125,7 @@ def load_csv(path, label_column: int = -1) -> Dataset:
     for r, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"{path}: row {r + 1} has {len(row)} columns, expected {width}")
-    label_idx = label_column % width
+    label_idx = None if label_column is None else label_column % width
 
     def is_number(cell):
         try:
@@ -154,7 +155,18 @@ def load_csv(path, label_column: int = -1) -> Dataset:
                     f"{path}: non-numeric feature cell at row {r + 1}, column {j + 1}: {cell!r}"
                 ) from None
         feats.append(vec)
+    return np.array(feats), raw_labels
 
+
+def load_csv(path, label_column: int = -1) -> Dataset:
+    """Read a comma-separated file into a Dataset.
+
+    An optional header row is auto-detected: if any feature cell of the first
+    row fails to parse as a number, the row is treated as a header. Labels are
+    re-encoded as contiguous integers in first-appearance order and may be
+    arbitrary symbols; feature cells must be numeric.
+    """
+    feats, raw_labels = _read_numeric_csv(path, label_column)
     encoding: dict[str, int] = {}
     labels = []
     for sym in raw_labels:
@@ -162,8 +174,13 @@ def load_csv(path, label_column: int = -1) -> Dataset:
             encoding[sym] = len(encoding)
         labels.append(encoding[sym])
     if len(encoding) < 2:
-        raise ValueError(f"{path}: only one class present ({next(iter(encoding))!r})")
-    return Dataset(np.array(feats), np.array(labels), len(encoding))
+        raise ValueError(f"{Path(path)}: only one class present ({next(iter(encoding))!r})")
+    return Dataset(feats, np.array(labels), len(encoding))
+
+
+def load_csv_features(path) -> np.ndarray:
+    """Feature-only CSV (no label column), optional header row."""
+    return _read_numeric_csv(path)[0]
 
 
 def _allocate(counts_exact):
@@ -300,20 +317,19 @@ def generate_p2(n: int, seed: int = 0) -> Dataset:
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    quota = [n - n // 2, n // 2]
-    have = [0, 0]
+    remaining = np.array([n - n // 2, n // 2])
     feats = np.empty((n, 2))
     labels = np.empty(n, dtype=int)
     pos = 0
     while pos < n:
         batch = rng.uniform(0.0, 10.0, size=(max(4 * (n - pos), 64), 2))
         lab = p2_true_labels(batch)
-        for p, l in zip(batch, lab):
-            if have[l] < quota[l]:
-                feats[pos] = p
-                labels[pos] = l
-                have[l] += 1
-                pos += 1
-                if pos == n:
-                    break
+        # keep a candidate while its class, counted up to it in this batch,
+        # still fits that class's remaining quota
+        seen = np.where(lab == 1, np.cumsum(lab), np.cumsum(1 - lab))
+        keep = np.flatnonzero(seen <= remaining[lab])
+        feats[pos:pos + len(keep)] = batch[keep]
+        labels[pos:pos + len(keep)] = lab[keep]
+        remaining -= np.bincount(lab[keep], minlength=2)
+        pos += len(keep)
     return Dataset(feats, labels, 2)

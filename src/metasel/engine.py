@@ -149,11 +149,6 @@ BASELINE_METHODS = ("ola", "lca", "knora_e", "knora_u", "single_best",
                     "static_selection", "majority_vote")
 
 
-def _knn_indices(x, dsel, k):
-    d2 = ((dsel.features - np.asarray(x, dtype=float)) ** 2).sum(axis=1)
-    return np.argsort(d2, kind="stable")[:k]
-
-
 def baseline_predict(method: str, pool: ClassifierPool, dsel: Dataset, x, k: int = 7) -> int:
     """Reference dynamic/static selection methods on the same pool.
 
@@ -208,11 +203,10 @@ def baseline_predict_batch(method: str, pool: ClassifierPool, dsel: Dataset, X, 
         if method == "ola":
             out[j] = pred_q[int(np.argmax(local.mean(axis=1))), j]
         elif method == "lca":
-            scores = np.zeros(M)
-            nbr_true = dsel.labels[nbrs]
-            for i in range(M):
-                same = nbr_true == pred_q[i, j]
-                scores[i] = local[i][same].mean() if same.any() else 0.0
+            same = dsel.labels[nbrs][None, :] == pred_q[:, j, None]     # (M, k)
+            count = same.sum(axis=1)
+            scores = np.divide((local & same).sum(axis=1), count, out=np.zeros(M),
+                               where=count > 0)
             out[j] = pred_q[int(np.argmax(scores)), j]
         elif method == "knora_e":
             chosen = None

@@ -39,6 +39,7 @@ __all__ = [
     "load_model",
     "frequency_report",
     "frequency_band",
+    "write_frequency_csv",
     "write_report_csvs",
     "ModelFormatError",
     "FRAMEWORK_METHOD",
@@ -50,7 +51,7 @@ ALL_METHODS = (FRAMEWORK_METHOD, "ola", "lca", "knora_e", "knora_u",
                "single_best", "static_selection", "majority_vote", "oracle")
 
 MODEL_FORMAT = "metasel.desmodel"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 class ModelFormatError(RuntimeError):
@@ -418,6 +419,16 @@ def _fmt(v) -> str:
     return format(float(v), ".10g")
 
 
+def write_frequency_csv(freq: FrequencyReport, path):
+    """Per-bit selection frequency table: bit, name, criterion family,
+    frequency and band."""
+    names = freq.layout.column_names()
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("bit,name,set,frequency,band\n")
+        for b, f in enumerate(freq.per_bit):
+            fh.write(f"{b},{names[b]},{freq.layout.set_of(b)},{_fmt(f)},{freq.per_bit_band[b]}\n")
+
+
 def write_report_csvs(report: RunReport, out_dir):
     """Emit accuracy.csv, summary.csv, masks.csv, the two frequency tables and
     the optimization trace. Output is byte-stable for identical reports."""
@@ -444,11 +455,7 @@ def write_report_csvs(report: RunReport, out_dir):
             fh.write(str(r) + "," + ",".join(str(int(b)) for b in report.masks[r]) + "\n")
 
     freq = report.frequencies
-    with open(out / "meta_feature_frequency.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("bit,name,set,frequency,band\n")
-        names = report.layout.column_names()
-        for b, f in enumerate(freq.per_bit):
-            fh.write(f"{b},{names[b]},{report.layout.set_of(b)},{_fmt(f)},{freq.per_bit_band[b]}\n")
+    write_frequency_csv(freq, out / "meta_feature_frequency.csv")
     with open(out / "meta_feature_set_frequency.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("set,frequency,band\n")
         for name, f in freq.per_set.items():

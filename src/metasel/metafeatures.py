@@ -38,6 +38,8 @@ __all__ = [
 
 SUPPORT_FLOOR = 1e-12
 SUPPORT_CEIL = 1.0 - 1e-10
+# (member, query, reference) correctness flags the rank criterion holds at once
+_RANK_BLOCK = 1 << 22
 
 SET_NAMES = ("hard", "prob", "overall", "cond", "conf", "amb",
              "log", "prc", "md", "ent", "exp", "kl", "op", "rank", "rank_op")
@@ -217,7 +219,7 @@ class MetaFeatureExtractor:
         feats, metas, _ = self._extract(
             x, None if true_label is None else np.array([true_label]),
             np.asarray([region.indices]), np.asarray([profile_nbh.indices]),
-            None if exclude is None else np.array([exclude]))
+            None if exclude is None else np.array([exclude]), *self.pool.predict_batch(x))
         label = None if true_label is None else int(metas[0, classifier_index])
         return MetaFeatureVector(feats[0, classifier_index], label,
                                  classifier_index, sample_id)
@@ -235,10 +237,10 @@ class MetaFeatureExtractor:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         k, kp = self.layout.k, self.layout.kp
         theta, _ = nearest_neighbors(X, self.dsel.features, k, exclude=self_indices)
-        _, q_supports = self.pool.predict_batch(X)
+        pred_labels, q_supports = self.pool.predict_batch(X)
         profiles = np.transpose(q_supports, (1, 0, 2)).reshape(len(X), -1)
         phi, _ = nearest_neighbors(profiles, self.dsel_profiles, kp, exclude=self_indices)
-        return self._extract(X, y, theta, phi, self_indices)
+        return self._extract(X, y, theta, phi, self_indices, pred_labels, q_supports)
 
     def build_meta_dataset(self, X, y, self_indices=None, sample_ids=None) -> MetaDataset:
         """All (sample, classifier) rows for labeled queries, sample-major."""
@@ -256,74 +258,71 @@ class MetaFeatureExtractor:
 
     # -- internals -----------------------------------------------------------
 
-    def _extract(self, X, y, theta, phi, self_indices):
-        pool, dsel = self.pool, self.dsel
-        M, L = len(pool), pool.class_count
-        k, kp = self.layout.k, self.layout.kp
+    def _extract(self, X, y, theta, phi, self_indices, pred_labels, q_supports):
+        """Feature tensor (Nq, M, D) from the queries' neighborhoods and the
+        pool's labels (M, Nq) and supports (M, Nq, L) for them."""
+        pool, dsel, layout = self.pool, self.dsel, self.layout
+        M = len(pool)
+        k, kp = layout.k, layout.kp
         nq = len(X)
         if theta.shape[1] != k or phi.shape[1] != kp:
             raise ValueError("neighborhood sizes do not match the extractor's K/Kp")
         if self_indices is not None and (np.asarray(self_indices) < 0).any():
             raise ValueError("self_indices must name a reference row for every query")
 
-        pred_labels, q_supports = pool.predict_batch(X)       # (M, Nq), (M, Nq, L)
-        q_dists = pool.boundary_distances(X)                  # (M, Nq)
+        feats = np.empty((nq, M, layout.size))
+        seg = {name: feats[:, :, layout.slice_of(name)] for name in SET_NAMES}
 
-        # full reference ordering for the rank criterion
-        d2 = ((X[:, None, :] - dsel.features[None, :, :]) ** 2).sum(axis=2)
+        # per-neighbor tables (M, N) gathered at each query's neighbors
+        for name, table, nbrs in (("hard", self.dsel_correct, theta), ("prob", self.t_prob, theta),
+                                  ("log", self.t_log, theta), ("prc", self.t_prc, theta),
+                                  ("md", self.t_md, theta), ("ent", self.t_ent, theta),
+                                  ("exp", self.t_exp, theta), ("kl", self.t_kl, theta),
+                                  ("op", self.dsel_correct, phi)):
+            seg[name][...] = table[:, nbrs].transpose(1, 0, 2)
+        seg["overall"][:, :, 0] = seg["hard"].mean(axis=2)
+
+        # conditional accuracy w.r.t. the class each member assigns to x
+        assigned = pred_labels.T                              # (Nq, M)
+        sup_assigned = self._clipped[np.arange(M)[None, :, None], theta[:, None, :],
+                                     assigned[:, :, None]]    # (Nq, M, K)
+        same_class = dsel.labels[theta][:, None, :] == assigned[:, :, None]
+        num = (sup_assigned * same_class).sum(axis=2)
+        den = sup_assigned.sum(axis=2)
+        seg["cond"][:, :, 0] = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+        span = self.conf_max - self.conf_min
+        scaled = (pool.boundary_distances(X).T - self.conf_min) / np.where(span > 0, span, 1.0)
+        seg["conf"][:, :, 0] = np.where(span > 0, np.clip(scaled, 0.0, 1.0), 0.5)
+
+        s_sorted = np.sort(q_supports, axis=2)
+        seg["amb"][:, :, 0] = (s_sorted[:, :, -1] - s_sorted[:, :, -2]).T
+
+        corr_phi = self.dsel_correct[:, phi]                  # (M, Nq, Kp)
+        seg["rank_op"][:, :, 0] = np.where(corr_phi.all(axis=2), kp,
+                                           (~corr_phi).argmax(axis=2)).T
+        seg["rank"][:, :, 0] = self._rank(X, self_indices)
+
+        metas = None if y is None else (assigned == np.asarray(y)[:, None]).astype(int)
+        return feats, metas, pred_labels
+
+    def _rank(self, X, self_indices):
+        """Per (query, member): how many reference rows, in order of distance
+        to the query, the member classifies correctly before its first error."""
+        d2 = ((X[:, None, :] - self.dsel.features[None, :, :]) ** 2).sum(axis=2)
         if self_indices is not None:
             rows = np.flatnonzero(np.asarray(self_indices) >= 0)
             d2[rows, np.asarray(self_indices)[rows]] = np.inf
         full_order = np.argsort(d2, axis=1, kind="stable")
         scan = full_order if self_indices is None else full_order[:, :-1]
-
-        feats = np.zeros((nq, M, self.layout.size))
-        metas = np.zeros((nq, M), dtype=int)
-        neighbor_labels = dsel.labels[theta]                  # (Nq, K)
-
-        for i in range(M):
-            hard = self.dsel_correct[i][theta].astype(float)
-            prob = self.t_prob[i][theta]
-            overall = hard.mean(axis=1)
-
-            # conditional accuracy w.r.t. the class this member assigns to x
-            assigned = pred_labels[i]                         # (Nq,)
-            sup_assigned = np.take_along_axis(
-                self._clipped[i][theta],
-                np.broadcast_to(assigned[:, None, None], (nq, k, 1)), axis=2)[:, :, 0]
-            same_class = neighbor_labels == assigned[:, None]
-            num = (sup_assigned * same_class).sum(axis=1)
-            den = sup_assigned.sum(axis=1)
-            cond = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-
-            span = self.conf_max[i] - self.conf_min[i]
-            if span > 0:
-                conf = np.clip((q_dists[i] - self.conf_min[i]) / span, 0.0, 1.0)
-            else:
-                conf = np.full(nq, 0.5)
-
-            s_sorted = np.sort(q_supports[i], axis=1)
-            amb = s_sorted[:, -1] - s_sorted[:, -2]
-
-            op = self.dsel_correct[i][phi].astype(float)
-
-            corr_scan = self.dsel_correct[i][scan]
-            rank = np.where(corr_scan.all(axis=1), corr_scan.shape[1],
-                            (~corr_scan).argmax(axis=1)).astype(float)
-            corr_phi = self.dsel_correct[i][phi]
-            rank_op = np.where(corr_phi.all(axis=1), kp,
-                               (~corr_phi).argmax(axis=1)).astype(float)
-
-            feats[:, i, :] = np.hstack([
-                hard, prob, overall[:, None], cond[:, None], conf[:, None],
-                amb[:, None], self.t_log[i][theta], self.t_prc[i][theta],
-                self.t_md[i][theta], self.t_ent[i][theta], self.t_exp[i][theta],
-                self.t_kl[i][theta], op, rank[:, None], rank_op[:, None],
-            ])
-            if y is not None:
-                metas[:, i] = (pred_labels[i] == np.asarray(y)).astype(int)
-
-        return feats, (metas if y is not None else None), pred_labels
+        M, width = len(self.pool), scan.shape[1]
+        rank = np.empty((len(X), M))
+        block = max(1, _RANK_BLOCK // (M * width))
+        for lo in range(0, len(X), block):
+            corr = self.dsel_correct[:, scan[lo:lo + block]]  # (M, block, width)
+            rank[lo:lo + block] = np.where(corr.all(axis=2), width,
+                                           (~corr).argmax(axis=2)).T
+        return rank
 
 
 def meta_dataset_to_csv(md: MetaDataset, path):

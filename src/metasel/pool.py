@@ -1,9 +1,13 @@
 """Linear perceptron base classifiers and bootstrap-aggregated pool generation.
 
-Each perceptron keeps one weight row per class (bias included). Training is
-the classic error-driven update; the initial weights describe a random
-hyperplane anchored at a random training point, which keeps pool members
-spread out when training data is not separable.
+A pool of M perceptrons over d features and L classes is one stacked weight
+tensor ``weights`` of shape (M, L, d+1) (one row per class, bias last) plus
+one support scale per member. Every prediction is a single batched matrix
+product over the members.
+
+Training is the classic error-driven update; the initial weights describe a
+random hyperplane anchored at a random training point, which keeps pool
+members spread out when training data is not separable.
 
 Class supports are calibrated so that downstream probabilistic criteria get a
 normalized support vector: for two classes, a logistic squash of the signed
@@ -13,151 +17,132 @@ training margin); for more classes, a softmax over the linear scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 
-__all__ = ["Perceptron", "ClassifierPool", "train_perceptron", "bagging"]
+__all__ = ["ClassifierPool", "bagging"]
 
 SUPPORT_GAIN = 4.0  # logistic steepness for binary support calibration
 
 
+def _boundary_distances(weights, Xb):
+    """Signed perpendicular distances (M, N) of bias-extended samples to each
+    member's decision boundary.
+
+    ``Xb`` is (N, d+1) shared by all members or (M, N, d+1) per member.
+    Two classes: distance to the single separating hyperplane, positive on
+    the class-0 side. More classes: margin between the top two scores,
+    normalized by the corresponding weight-difference norm (non-negative).
+    """
+    s = Xb @ weights.transpose(0, 2, 1)                   # (M, N, L)
+    if weights.shape[1] == 2:
+        u = weights[:, 0, :-1] - weights[:, 1, :-1]       # (M, d)
+        # sqrt of one dot product per member, as np.linalg.norm takes a 1-D
+        # norm (its axis= form sums the squares in another order)
+        norms = np.maximum(np.sqrt((u[:, None, :] @ u[:, :, None])[:, 0]), 1e-300)
+        return (s[:, :, 0] - s[:, :, 1]) / norms
+    order = np.argsort(-s, axis=2, kind="stable")
+    top, second = order[:, :, :1], order[:, :, 1:2]
+    members = np.arange(len(weights))[:, None]
+    diff = weights[members, top[:, :, 0], :-1] - weights[members, second[:, :, 0], :-1]
+    norms = np.maximum(np.linalg.norm(diff, axis=2), 1e-300)
+    return (np.take_along_axis(s, top, 2)[:, :, 0]
+            - np.take_along_axis(s, second, 2)[:, :, 0]) / norms
+
+
 def _with_bias(X):
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return np.hstack([X, np.ones((len(X), 1))])
-
-
-@dataclass
-class Perceptron:
-    """One-vs-all linear classifier with an (L, d+1) weight matrix."""
-
-    weights: np.ndarray
-    dist_scale: float = 1.0
-    trained: bool = False
-
-    @property
-    def class_count(self):
-        return self.weights.shape[0]
-
-    @property
-    def feature_count(self):
-        return self.weights.shape[1] - 1
-
-    def scores(self, X) -> np.ndarray:
-        Xb = _with_bias(X)
-        if Xb.shape[1] != self.weights.shape[1]:
-            raise ValueError(
-                f"expected {self.feature_count} features, got {Xb.shape[1] - 1}"
-            )
-        return Xb @ self.weights.T
-
-    def boundary_distance(self, X) -> np.ndarray:
-        """Signed perpendicular distance to the decision boundary.
-
-        Two classes: distance to the single separating hyperplane, positive on
-        the class-0 side. More classes: margin between the top two scores,
-        normalized by the corresponding weight-difference norm (non-negative).
-        """
-        s = self.scores(X)
-        if self.class_count == 2:
-            u = self.weights[0] - self.weights[1]
-            norm = max(float(np.linalg.norm(u[:-1])), 1e-300)
-            return (s[:, 0] - s[:, 1]) / norm
-        order = np.argsort(-s, axis=1, kind="stable")
-        top, second = order[:, 0], order[:, 1]
-        diff = self.weights[top, :-1] - self.weights[second, :-1]
-        norms = np.maximum(np.linalg.norm(diff, axis=1), 1e-300)
-        return (np.take_along_axis(s, top[:, None], 1)[:, 0]
-                - np.take_along_axis(s, second[:, None], 1)[:, 0]) / norms
-
-    def predict_batch(self, X):
-        """Crisp labels and support vectors for a batch of samples.
-
-        The predicted label is always the argmax of the supports.
-        """
-        s = self.scores(X)
-        if self.class_count == 2:
-            m = self.boundary_distance(X)
-            s0 = 1.0 / (1.0 + np.exp(-SUPPORT_GAIN * m / self.dist_scale))
-            supports = np.stack([s0, 1.0 - s0], axis=1)
-        else:
-            z = s - s.max(axis=1, keepdims=True)
-            e = np.exp(z)
-            supports = e / e.sum(axis=1, keepdims=True)
-        return supports.argmax(axis=1), supports
-
-    def predict(self, x):
-        """Label and support vector for a single sample."""
-        labels, supports = self.predict_batch(np.atleast_2d(x))
-        return int(labels[0]), supports[0]
+    return np.concatenate([X, np.ones(X.shape[:-1] + (1,))], axis=-1)
 
 
 @dataclass
 class ClassifierPool:
-    """Ordered collection of trained perceptrons sharing d and L."""
+    """M one-vs-all linear classifiers sharing d and L.
 
-    members: list = field(default_factory=list)
+    ``weights`` is (M, L, d+1) with the bias in the last column;
+    ``dist_scale`` (M,) scales each member's binary support calibration.
+    """
+
+    weights: np.ndarray
+    dist_scale: np.ndarray
 
     def __post_init__(self):
-        if not self.members:
-            raise ValueError("pool must contain at least one classifier")
-        d = self.members[0].feature_count
-        L = self.members[0].class_count
-        if any(m.feature_count != d or m.class_count != L for m in self.members):
-            raise ValueError("pool members disagree on feature or class count")
+        self.weights = np.asarray(self.weights, dtype=float)
+        self.dist_scale = np.asarray(self.dist_scale, dtype=float)
+        if self.weights.ndim != 3 or len(self.weights) == 0:
+            raise ValueError("pool must contain at least one classifier "
+                             "(weights of shape (M, L, d+1))")
+        if self.dist_scale.shape != (len(self.weights),):
+            raise ValueError(f"dist_scale has shape {self.dist_scale.shape}, "
+                             f"expected ({len(self.weights)},)")
 
     def __len__(self):
-        return len(self.members)
+        return len(self.weights)
 
     @property
     def class_count(self):
-        return self.members[0].class_count
+        return self.weights.shape[1]
 
     @property
     def feature_count(self):
-        return self.members[0].feature_count
+        return self.weights.shape[2] - 1
+
+    def _bias_extended(self, X):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.shape[1] != self.feature_count:
+            raise ValueError(f"expected {self.feature_count} features, got {X.shape[1]}")
+        return _with_bias(X)
+
+    def scores(self, X) -> np.ndarray:
+        """Linear class scores (M, N, L)."""
+        return self._bias_extended(X) @ self.weights.transpose(0, 2, 1)
+
+    def boundary_distances(self, X) -> np.ndarray:
+        """Signed boundary distances (M, N); see ``_boundary_distances``."""
+        return _boundary_distances(self.weights, self._bias_extended(X))
 
     def predict_batch(self, X):
-        """Labels (M, N) and supports (M, N, L) for all members."""
-        labels, supports = [], []
-        for m in self.members:
-            lab, sup = m.predict_batch(X)
-            labels.append(lab)
-            supports.append(sup)
-        return np.stack(labels), np.stack(supports)
+        """Labels (M, N) and supports (M, N, L) for all members.
 
-    def boundary_distances(self, X):
-        return np.stack([m.boundary_distance(X) for m in self.members])
+        Each label is the argmax of its member's supports.
+        """
+        if self.class_count == 2:
+            m = self.boundary_distances(X)
+            s0 = 1.0 / (1.0 + np.exp(-SUPPORT_GAIN * m / self.dist_scale[:, None]))
+            supports = np.stack([s0, 1.0 - s0], axis=2)
+        else:
+            s = self.scores(X)
+            z = s - s.max(axis=2, keepdims=True)
+            e = np.exp(z)
+            supports = e / e.sum(axis=2, keepdims=True)
+        return supports.argmax(axis=2), supports
 
 
-def train_perceptron(ds: Dataset, epochs: int = 50, lr: float = 0.01, seed: int = 0) -> Perceptron:
-    """Train a (multi-class) perceptron with seeded shuffling.
-
-    Initial weights place a random hyperplane through a random training
-    sample; each epoch visits the data in a fresh seeded order and applies the
-    standard update on misclassified samples (add to the true row, subtract
-    from the predicted row). Non-separable data simply yields imperfect
-    weights. With ``epochs=0`` the random initial weights are returned as-is.
-    """
-    rng = np.random.default_rng(seed)
-    X, y, L = ds.features, ds.labels, ds.class_count
-    d = X.shape[1]
-    direction = rng.normal(0.0, 1.0, size=(L, d))
-    anchor = X[rng.integers(0, len(X))]
-    W = np.hstack([direction, -(direction @ anchor)[:, None]])
-    Xb = _with_bias(X)
-    for _ in range(epochs):
-        for i in rng.permutation(len(Xb)):
-            pred = int(np.argmax(W @ Xb[i]))
-            if pred != y[i]:
-                W[y[i]] += lr * Xb[i]
-                W[pred] -= lr * Xb[i]
-    clf = Perceptron(W, trained=True)
-    margins = np.abs(clf.boundary_distance(X))
-    clf.dist_scale = float(max(margins.max(), 1e-12))
-    return clf
+def _member_draws(ds: Dataset, i: int, seed: int, size: int | None, epochs: int,
+                  max_retries: int):
+    """Everything member ``i`` draws from its own seeded streams: bootstrap
+    rows, initial hyperplane, anchor row and one visiting order per epoch."""
+    if size is None:
+        rows = np.arange(len(ds))
+    else:
+        boot_rng = np.random.default_rng([seed, 9157, i])
+        for _ in range(max_retries + 1):
+            rows = boot_rng.integers(0, len(ds), size=size)
+            if len(np.unique(ds.labels[rows])) == ds.class_count:
+                break
+        else:
+            raise ValueError(
+                f"bootstrap for member {i} kept missing a class after {max_retries} retries"
+            )
+    rng = np.random.default_rng(seed + i)
+    direction = rng.normal(0.0, 1.0, size=(ds.class_count, ds.feature_count))
+    anchor = rows[rng.integers(0, len(rows))]
+    orders = np.empty((epochs, len(rows)), dtype=int)
+    for e in range(epochs):
+        orders[e] = rng.permutation(len(rows))
+    return rows, direction, anchor, orders
 
 
 def bagging(ds: Dataset, m: int, bootstrap_frac: float = 0.5, seed: int = 0,
@@ -165,30 +150,39 @@ def bagging(ds: Dataset, m: int, bootstrap_frac: float = 0.5, seed: int = 0,
     """Generate a pool of ``m`` perceptrons on bootstrap replicates.
 
     Member ``i`` trains on a with-replacement sample of
-    ``ceil(bootstrap_frac * N)`` rows with training seed ``seed + i``, so
-    parallel and serial generation would produce identical pools. A bootstrap
-    missing a class entirely is redrawn up to ``max_retries`` times.
-    ``bootstrap_frac >= 1.0`` disables resampling: each member trains on the
-    full data (member 0 then matches ``train_perceptron(ds, ..., seed)``).
+    ``ceil(bootstrap_frac * N)`` rows drawn from ``default_rng([seed, 9157, i])``;
+    a bootstrap missing a class entirely is redrawn up to ``max_retries``
+    times. ``bootstrap_frac >= 1.0`` disables resampling: each member trains
+    on the full data.
+
+    Member ``i`` trains with its own ``default_rng(seed + i)``: the initial
+    weights place a random hyperplane through a random training sample; each
+    epoch visits the member's rows in a fresh order drawn from that stream and
+    applies the standard update on misclassified samples (add to the true
+    row, subtract from the predicted row). Non-separable data simply yields
+    imperfect weights; ``epochs=0`` keeps the random initial weights.
+
+    The draws come first, one member stream at a time (numpy cannot batch
+    across Generators); all members then step in lockstep with batched
+    arithmetic, so the pool equals members trained one by one.
     """
     if m < 1:
         raise ValueError("pool size must be >= 1")
-    n = len(ds)
-    members = []
-    for i in range(m):
-        if bootstrap_frac >= 1.0:
-            sub = ds
-        else:
-            size = int(np.ceil(bootstrap_frac * n))
-            boot_rng = np.random.default_rng([seed, 9157, i])
-            for attempt in range(max_retries + 1):
-                idx = boot_rng.integers(0, n, size=size)
-                if len(np.unique(ds.labels[idx])) == ds.class_count:
-                    break
-            else:
-                raise ValueError(
-                    f"bootstrap for member {i} kept missing a class after {max_retries} retries"
-                )
-            sub = ds.subset(idx)
-        members.append(train_perceptron(sub, epochs=epochs, lr=lr, seed=seed + i))
-    return ClassifierPool(members)
+    size = None if bootstrap_frac >= 1.0 else int(np.ceil(bootstrap_frac * len(ds)))
+    draws = [_member_draws(ds, i, seed, size, epochs, max_retries) for i in range(m)]
+    rows, direction, anchor, orders = (np.stack(a) for a in zip(*draws))
+    X, y = ds.features[rows], ds.labels[rows]              # (m, s, d), (m, s)
+    Xb = _with_bias(X)
+    members = np.arange(m)
+
+    anchor = ds.features[anchor][:, :, None]               # (m, d, 1)
+    W = np.concatenate([direction, -(direction @ anchor)], axis=2)
+    for step in orders.transpose(1, 2, 0).reshape(-1, m):  # one sample per member
+        x = Xb[members, step]                              # (m, d+1)
+        pred = (W @ x[:, :, None])[:, :, 0].argmax(axis=1)
+        truth = y[members, step]
+        wrong = np.flatnonzero(pred != truth)
+        W[wrong, truth[wrong]] += lr * x[wrong]
+        W[wrong, pred[wrong]] -= lr * x[wrong]
+    margins = np.abs(_boundary_distances(W, Xb))
+    return ClassifierPool(W, np.maximum(margins.max(axis=1), 1e-12))

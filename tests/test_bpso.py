@@ -7,7 +7,7 @@ from metasel.bpso import (Archive, BpsoConfig, MaskEvaluator, Particle, Swarm,
                           init_swarm, optimize, oracle_competence,
                           oracle_distance, step, transfer_s, transfer_v)
 from metasel.data import generate_p2, scale_minmax
-from metasel.pool import train_perceptron
+from metasel.pool import bagging
 
 
 def make_rows(n, seed, dim=4):
@@ -42,19 +42,19 @@ class TestTransferFunctions:
 class TestOracleCompetence:
     def test_correct_and_wrong(self):
         train, _ = scale_minmax(generate_p2(100, 0))
-        clf = train_perceptron(train, seed=1)
-        labels, _ = clf.predict_batch(train.features)
+        pool = bagging(train, 1, bootstrap_frac=1.0, seed=1)
+        labels = pool.predict_batch(train.features)[0][0]
         for j in (0, 1, 2, 3):
-            assert oracle_competence(clf, train.features[j], int(labels[j])) == 1
+            assert oracle_competence(pool, train.features[j], int(labels[j])).tolist() == [1]
             wrong = 1 - int(labels[j])
-            assert oracle_competence(clf, train.features[j], wrong) == 0
+            assert oracle_competence(pool, train.features[j], wrong).tolist() == [0]
 
     def test_equals_meta_label_definition(self):
         train, _ = scale_minmax(generate_p2(80, 5))
-        clf = train_perceptron(train, seed=2)
-        labels, _ = clf.predict_batch(train.features)
+        pool = bagging(train, 1, bootstrap_frac=1.0, seed=2)
+        labels = pool.predict_batch(train.features)[0][0]
         direct = (labels == train.labels).astype(int)
-        via_op = np.array([oracle_competence(clf, x, int(t))
+        via_op = np.array([oracle_competence(pool, x, int(t))[0]
                            for x, t in zip(train.features, train.labels)])
         assert np.array_equal(direct, via_op)
 

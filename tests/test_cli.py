@@ -71,6 +71,29 @@ class TestTrainAndClassify:
         rows = pred_csv.read_text().strip().splitlines()[1:]
         assert all(r.split(",")[1] == "" for r in rows)
 
+    def test_classify_features_header_and_bad_cell(self, tmp_path, capsys):
+        cfg = small_config(tmp_path)
+        model_path = tmp_path / "model.bin"
+        main(["train", "--config", str(cfg), "--out", str(model_path)])
+        plain, headed = tmp_path / "plain.csv", tmp_path / "headed.csv"
+        plain.write_text("0.5,0.5\n0.2,0.8\n9.0,1.0\n")
+        headed.write_text("x,y\n" + plain.read_text())
+        outputs = []
+        for data in (plain, headed):
+            pred_csv = tmp_path / f"pred_{data.stem}.csv"
+            assert main(["classify", "--model", str(model_path), "--data", str(data),
+                         "--out", str(pred_csv)]) == 0
+            outputs.append(pred_csv.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].decode().count("\n") == 4
+
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x,y\n0.5,0.5\n0.2,oops\n")
+        rc = main(["classify", "--model", str(model_path), "--data", str(bad),
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc != 0
+        assert "row 3, column 2" in capsys.readouterr().err
+
     def test_bad_model_path_fails(self, tmp_path, capsys):
         feats = tmp_path / "feats.csv"
         feats.write_text("0.5,0.5\n")

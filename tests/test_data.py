@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from metasel.data import (Dataset, ScaleParams, SplitSpec, generate_p2,
                           load_csv, p2_boundaries, p2_true_labels,
@@ -149,7 +150,39 @@ class TestScaleMinmax:
         assert np.abs(twice.features - once.features).max() < 1e-12
 
 
+def reference_generate_p2(n, seed):
+    """The per-candidate acceptance loop generate_p2 must reproduce."""
+    rng = np.random.default_rng(seed)
+    quota = [n - n // 2, n // 2]
+    have = [0, 0]
+    feats = np.empty((n, 2))
+    labels = np.empty(n, dtype=int)
+    pos = 0
+    while pos < n:
+        batch = rng.uniform(0.0, 10.0, size=(max(4 * (n - pos), 64), 2))
+        lab = p2_true_labels(batch)
+        for p, l in zip(batch, lab):
+            if have[l] < quota[l]:
+                feats[pos] = p
+                labels[pos] = l
+                have[l] += 1
+                pos += 1
+                if pos == n:
+                    break
+    return feats, labels
+
+
 class TestGenerateP2:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, seed=0)
+    @example(n=5001, seed=7)
+    def test_matches_acceptance_loop(self, n, seed):
+        ds = generate_p2(n, seed)
+        feats, labels = reference_generate_p2(n, seed)
+        assert np.array_equal(ds.features, feats)
+        assert np.array_equal(ds.labels, labels)
+
     def test_boundary_values_at_x2(self):
         e = p2_boundaries(2.0)
         assert abs(e[0] - (np.sin(2.0) + 5)) < 1e-12

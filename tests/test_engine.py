@@ -289,7 +289,7 @@ class TestOracleAccuracy:
 
     def test_superset_at_least_subset(self):
         pool, _, test = p2_setup(5, m=6)
-        sub = ClassifierPool(pool.members[:3])
+        sub = ClassifierPool(pool.weights[:3], pool.dist_scale[:3])
         assert oracle_accuracy(pool, test) >= oracle_accuracy(sub, test)
 
     def test_dominates_every_method(self):

@@ -247,6 +247,16 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="version"):
             load_model(path)
 
+    def test_previous_version_rejected(self, tmp_path):
+        # version 1 files hold a pool of per-member perceptron objects
+        import pickle
+
+        path = tmp_path / "model.bin"
+        with open(path, "wb") as fh:
+            pickle.dump({"format": "metasel.desmodel", "version": 1, "model": None}, fh)
+        with pytest.raises(ModelFormatError, match="version"):
+            load_model(path)
+
 
 class TestBundledDatasets:
     def test_all_load(self):

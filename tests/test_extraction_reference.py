@@ -9,7 +9,7 @@ import numpy as np
 
 from metasel.data import Dataset, generate_p2, scale_minmax
 from metasel.metafeatures import MetaFeatureExtractor
-from metasel.pool import bagging
+from metasel.pool import ClassifierPool, bagging
 
 FLOOR, CEIL = 1e-12, 1.0 - 1e-10
 
@@ -18,20 +18,26 @@ def clip(v):
     return min(max(v, FLOOR), CEIL)
 
 
+def one_member_pools(pool):
+    return [ClassifierPool(pool.weights[i:i + 1], pool.dist_scale[i:i + 1])
+            for i in range(len(pool))]
+
+
 def naive_pair(pool, dsel, x, true_label, K, Kp, conf_bounds, member_index):
-    member = pool.members[member_index]
+    members = one_member_pools(pool)
+    member = members[member_index]
     L = pool.class_count
 
     def supports_of(point):
         _, s = member.predict_batch(np.atleast_2d(point))
-        return s[0]
+        return s[0, 0]
 
     def label_of(point):
         lab, _ = member.predict_batch(np.atleast_2d(point))
-        return int(lab[0])
+        return int(lab[0, 0])
 
     def signed_distance(point):
-        u = member.weights[0] - member.weights[1]
+        u = member.weights[0, 0] - member.weights[0, 1]
         xb = np.concatenate([point, [1.0]])
         return float(u @ xb) / float(np.linalg.norm(u[:-1]))
 
@@ -42,14 +48,14 @@ def naive_pair(pool, dsel, x, true_label, K, Kp, conf_bounds, member_index):
     all_profiles = []
     for j in range(n):
         prof = []
-        for m in pool.members:
+        for m in members:
             _, s = m.predict_batch(dsel.features[j][None, :])
-            prof.extend(s[0])
+            prof.extend(s[0, 0])
         all_profiles.append(np.array(prof))
     my_prof = []
-    for m in pool.members:
+    for m in members:
         _, s = m.predict_batch(x[None, :])
-        my_prof.extend(s[0])
+        my_prof.extend(s[0, 0])
     my_prof = np.array(my_prof)
     porder = sorted(range(n), key=lambda j: (np.linalg.norm(my_prof - all_profiles[j]), j))
     phi = porder[:Kp]

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from metasel.data import Dataset, generate_p2, scale_minmax
 from metasel.engine import oracle_accuracy
-from metasel.pool import ClassifierPool, Perceptron, bagging, train_perceptron
+from metasel.pool import SUPPORT_GAIN, ClassifierPool, bagging
 
 
 def separable_toy():
@@ -18,74 +21,161 @@ def p2_scaled(n, seed):
     return scaled, params
 
 
+def single(ds, **kwargs):
+    """One perceptron trained on the full data, as a one-member pool."""
+    return bagging(ds, 1, bootstrap_frac=1.0, **kwargs)
+
+
+# -- reference: the pool as independently trained per-member perceptrons -----
+
+def ref_with_bias(X):
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return np.hstack([X, np.ones((len(X), 1))])
+
+
+def ref_boundary_distance(W, X):
+    s = ref_with_bias(X) @ W.T
+    if len(W) == 2:
+        u = W[0] - W[1]
+        norm = max(float(np.linalg.norm(u[:-1])), 1e-300)
+        return (s[:, 0] - s[:, 1]) / norm
+    order = np.argsort(-s, axis=1, kind="stable")
+    top, second = order[:, 0], order[:, 1]
+    diff = W[top, :-1] - W[second, :-1]
+    norms = np.maximum(np.linalg.norm(diff, axis=1), 1e-300)
+    rows = np.arange(len(s))
+    return (s[rows, top] - s[rows, second]) / norms
+
+
+def ref_predict(W, dist_scale, X):
+    s = ref_with_bias(X) @ W.T
+    if len(W) == 2:
+        m = ref_boundary_distance(W, X)
+        s0 = 1.0 / (1.0 + np.exp(-SUPPORT_GAIN * m / dist_scale))
+        supports = np.stack([s0, 1.0 - s0], axis=1)
+    else:
+        z = s - s.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        supports = e / e.sum(axis=1, keepdims=True)
+    return supports.argmax(axis=1), supports
+
+
+def ref_train(ds, epochs, lr, seed):
+    rng = np.random.default_rng(seed)
+    X, y, L = ds.features, ds.labels, ds.class_count
+    direction = rng.normal(0.0, 1.0, size=(L, X.shape[1]))
+    anchor = X[rng.integers(0, len(X))]
+    W = np.hstack([direction, -(direction @ anchor)[:, None]])
+    Xb = ref_with_bias(X)
+    for _ in range(epochs):
+        for i in rng.permutation(len(Xb)):
+            pred = int(np.argmax(W @ Xb[i]))
+            if pred != y[i]:
+                W[y[i]] += lr * Xb[i]
+                W[pred] -= lr * Xb[i]
+    margins = np.abs(ref_boundary_distance(W, X))
+    return W, float(max(margins.max(), 1e-12))
+
+
+def ref_bagging(ds, m, bootstrap_frac, seed, epochs, lr, max_retries):
+    members = []
+    for i in range(m):
+        if bootstrap_frac >= 1.0:
+            sub = ds
+        else:
+            size = int(np.ceil(bootstrap_frac * len(ds)))
+            boot_rng = np.random.default_rng([seed, 9157, i])
+            for _ in range(max_retries + 1):
+                idx = boot_rng.integers(0, len(ds), size=size)
+                if len(np.unique(ds.labels[idx])) == ds.class_count:
+                    break
+            else:
+                raise ValueError(
+                    f"bootstrap for member {i} kept missing a class after {max_retries} retries")
+            sub = ds.subset(idx)
+        members.append(ref_train(sub, epochs, lr, seed + i))
+    return members
+
+
+def random_dataset(seed, n, d, L, minority):
+    """n rows, every class present; ``minority`` puts a single row in the
+    last class so that bootstraps often miss it."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, L - 1 if minority else L, size=n)
+    labels[:L - 1] = np.arange(L - 1)
+    labels[L - 1] = L - 1
+    return Dataset(rng.normal(size=(n, d)), labels, L)
+
+
 class TestTrainPerceptron:
     def test_separable_training_accuracy(self):
         ds = separable_toy()
-        clf = train_perceptron(ds, epochs=100, lr=0.1, seed=0)
-        labels, _ = clf.predict_batch(ds.features)
-        assert (labels == ds.labels).all()
+        pool = single(ds, epochs=100, lr=0.1, seed=0)
+        labels, _ = pool.predict_batch(ds.features)
+        assert (labels[0] == ds.labels).all()
 
     def test_p2_single_member_is_weak(self):
         train, params = p2_scaled(500, 21)
         test = generate_p2(2000, 22)
-        clf = train_perceptron(train, seed=2)
-        labels, _ = clf.predict_batch(params.apply(test.features))
-        acc = (labels == test.labels).mean()
+        pool = single(train, seed=2)
+        labels, _ = pool.predict_batch(params.apply(test.features))
+        acc = (labels[0] == test.labels).mean()
         assert 0.45 <= acc <= 0.60
 
     def test_zero_epochs_still_predicts_valid_labels(self):
         ds = separable_toy()
-        clf = train_perceptron(ds, epochs=0, seed=5)
-        labels, supports = clf.predict_batch(np.random.default_rng(0).normal(size=(50, 2)))
+        pool = single(ds, epochs=0, seed=5)
+        labels, supports = pool.predict_batch(np.random.default_rng(0).normal(size=(50, 2)))
         assert set(np.unique(labels)) <= {0, 1}
-        assert np.allclose(supports.sum(axis=1), 1.0, atol=1e-9)
+        assert np.allclose(supports.sum(axis=2), 1.0, atol=1e-9)
 
     def test_deterministic_given_seed(self):
         ds = separable_toy()
-        a = train_perceptron(ds, seed=3)
-        b = train_perceptron(ds, seed=3)
+        a = single(ds, seed=3)
+        b = single(ds, seed=3)
         assert np.array_equal(a.weights, b.weights)
 
 
 class TestPredict:
     def test_on_hyperplane_supports_are_half(self):
-        W = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])  # boundary x = 0
-        clf = Perceptron(W, dist_scale=1.0, trained=True)
-        label, supports = clf.predict([0.0, 5.0])
-        assert np.allclose(supports, [0.5, 0.5])
-        assert label == 0  # tie goes to the lower index
+        W = np.array([[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]])  # boundary x = 0
+        pool = ClassifierPool(W, dist_scale=np.array([1.0]))
+        labels, supports = pool.predict_batch([0.0, 5.0])
+        assert np.allclose(supports[0, 0], [0.5, 0.5])
+        assert labels[0, 0] == 0  # tie goes to the lower index
 
     def test_supports_sum_to_one(self):
         rng = np.random.default_rng(1)
-        clf = train_perceptron(separable_toy(), seed=1)
-        _, supports = clf.predict_batch(rng.normal(size=(10_000, 2)))
-        assert np.abs(supports.sum(axis=1) - 1.0).max() < 1e-9
+        pool = single(separable_toy(), seed=1)
+        _, supports = pool.predict_batch(rng.normal(size=(10_000, 2)))
+        assert np.abs(supports.sum(axis=2) - 1.0).max() < 1e-9
 
     def test_argmax_matches_crisp_sign_rule(self):
         rng = np.random.default_rng(2)
-        clf = train_perceptron(separable_toy(), seed=7)
+        pool = single(separable_toy(), seed=7)
         X = rng.normal(size=(10_000, 2))
-        labels, supports = clf.predict_batch(X)
-        scores = clf.scores(X)
-        assert np.array_equal(labels, supports.argmax(axis=1))
+        labels, supports = pool.predict_batch(X)
+        scores = pool.scores(X)[0]
+        assert np.array_equal(labels, supports.argmax(axis=2))
         crisp = (scores[:, 1] > scores[:, 0]).astype(int)  # argmax, ties -> 0
-        assert np.array_equal(labels, crisp)
+        assert np.array_equal(labels[0], crisp)
 
     def test_multiclass_softmax_supports(self):
         rng = np.random.default_rng(3)
         feats = np.vstack([rng.normal(c, 0.3, size=(20, 2)) for c in range(3)])
         labels = np.repeat(np.arange(3), 20)
-        clf = train_perceptron(Dataset(feats, labels, 3), epochs=100, lr=0.1, seed=0)
-        pred, supports = clf.predict_batch(feats)
+        pool = single(Dataset(feats, labels, 3), epochs=100, lr=0.1, seed=0)
+        pred, supports = pool.predict_batch(feats)
+        pred, supports = pred[0], supports[0]
         assert supports.shape == (60, 3)
         assert np.abs(supports.sum(axis=1) - 1.0).max() < 1e-9
         assert np.array_equal(pred, supports.argmax(axis=1))
         assert (pred == labels).mean() > 0.9
 
     def test_dimension_mismatch(self):
-        clf = train_perceptron(separable_toy(), seed=0)
+        pool = single(separable_toy(), seed=0)
         with pytest.raises(ValueError, match="features"):
-            clf.predict([1.0, 2.0, 3.0])
+            pool.predict_batch([1.0, 2.0, 3.0])
 
 
 class TestBagging:
@@ -96,20 +186,20 @@ class TestBagging:
         scaled_test = Dataset(params.apply(test.features), test.labels, 2)
         assert oracle_accuracy(pool, scaled_test) >= 0.99
         # five genuinely different boundaries
-        planes = {tuple(np.round(m.weights[0] - m.weights[1], 6)) for m in pool.members}
+        planes = {tuple(np.round(w[0] - w[1], 6)) for w in pool.weights}
         assert len(planes) == 5
 
     def test_degenerate_bagging_equals_plain_training(self):
         ds = separable_toy()
         pool = bagging(ds, 1, bootstrap_frac=1.0, seed=9)
-        direct = train_perceptron(ds, seed=9)
-        assert np.array_equal(pool.members[0].weights, direct.weights)
+        direct, _ = ref_train(ds, epochs=50, lr=0.01, seed=9)
+        assert np.array_equal(pool.weights[0], direct)
 
     def test_seeds_differ(self):
         ds, _ = p2_scaled(200, 5)
         a = bagging(ds, 2, seed=1)
         b = bagging(ds, 2, seed=2)
-        assert not np.array_equal(a.members[0].weights, b.members[0].weights)
+        assert not np.array_equal(a.weights[0], b.weights[0])
 
     def test_members_share_shape(self):
         ds, _ = p2_scaled(100, 6)
@@ -128,7 +218,8 @@ class TestBagging:
         test = generate_p2(1000, 9)
         scaled_test = Dataset(params.apply(test.features), test.labels, 2)
         pool = bagging(train, 8, seed=13)
-        accs = [oracle_accuracy(ClassifierPool(pool.members[:m]), scaled_test)
+        accs = [oracle_accuracy(ClassifierPool(pool.weights[:m], pool.dist_scale[:m]),
+                                scaled_test)
                 for m in range(1, 9)]
         assert all(a <= b + 1e-12 for a, b in zip(accs, accs[1:]))
 
@@ -147,10 +238,56 @@ class TestBagging:
         pool = bagging(ds, 1, bootstrap_frac=0.4, seed=0, max_retries=10)
         assert len(pool) == 1
 
-    def test_mismatched_members_rejected(self):
-        ds, _ = p2_scaled(100, 12)
-        a = train_perceptron(ds, seed=1)
-        b = train_perceptron(Dataset(np.random.default_rng(0).normal(size=(20, 3)),
-                                     np.array([0, 1] * 10), 2), seed=2)
-        with pytest.raises(ValueError, match="disagree"):
-            ClassifierPool([a, b])
+    def test_malformed_arrays_rejected(self):
+        W = np.zeros((3, 2, 3))
+        with pytest.raises(ValueError, match="dist_scale"):
+            ClassifierPool(W, np.ones(2))
+        with pytest.raises(ValueError, match="at least one"):
+            ClassifierPool(np.zeros((0, 2, 3)), np.ones(0))
+
+
+class TestAgainstPerMemberReference:
+    """The stacked pool and lockstep bagging equal, bit for bit, the same
+    members trained and evaluated one at a time."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(3, 25), d=st.integers(1, 4),
+           L=st.sampled_from([2, 3]), m=st.integers(1, 4),
+           frac=st.sampled_from([0.2, 0.5, 1.0, 1.5]), epochs=st.integers(0, 4),
+           lr=st.sampled_from([0.01, 0.3]), max_retries=st.integers(0, 3),
+           minority=st.booleans())
+    # three classes, a bootstrap that needs a retry, then succeeds
+    @example(seed=3, n=12, d=2, L=3, m=3, frac=0.5, epochs=2, lr=0.3, max_retries=3,
+             minority=True)
+    def test_bagging_matches_member_by_member_training(self, seed, n, d, L, m, frac,
+                                                       epochs, lr, max_retries, minority):
+        ds = random_dataset(seed, n, d, L, minority)
+        kwargs = dict(bootstrap_frac=frac, seed=seed, epochs=epochs, lr=lr,
+                      max_retries=max_retries)
+        try:
+            members = ref_bagging(ds, m, **kwargs)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                bagging(ds, m, **kwargs)
+            return
+        pool = bagging(ds, m, **kwargs)
+        assert np.array_equal(pool.weights, np.stack([W for W, _ in members]))
+        assert np.array_equal(pool.dist_scale, [s for _, s in members])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 30), d=st.integers(1, 6),
+           L=st.sampled_from([2, 3]), m=st.integers(1, 5))
+    def test_stacked_outputs_match_per_member_outputs(self, seed, n, d, L, m):
+        rng = np.random.default_rng(seed)
+        pool = ClassifierPool(rng.normal(size=(m, L, d + 1)), rng.uniform(0.1, 3.0, size=m))
+        X = rng.normal(size=(n, d))
+        labels, supports = pool.predict_batch(X)
+        dists = pool.boundary_distances(X)
+        scores = pool.scores(X)
+        for i in range(m):
+            W = pool.weights[i]
+            ref_labels, ref_supports = ref_predict(W, pool.dist_scale[i], X)
+            assert np.array_equal(labels[i], ref_labels)
+            assert np.array_equal(supports[i], ref_supports)
+            assert np.array_equal(dists[i], ref_boundary_distance(W, X))
+            assert np.array_equal(scores[i], ref_with_bias(X) @ W.T)

@@ -90,10 +90,10 @@ class TestOutputProfile:
         assert np.allclose(blocks.sum(axis=1), 1.0, atol=1e-9)
 
     def test_single_member_on_hyperplane(self):
-        from metasel.pool import ClassifierPool, Perceptron
+        from metasel.pool import ClassifierPool
 
-        W = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])  # boundary x = 0
-        pool = ClassifierPool([Perceptron(W, dist_scale=1.0, trained=True)])
+        W = np.array([[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]])  # boundary x = 0
+        pool = ClassifierPool(W, dist_scale=np.array([1.0]))
         prof = output_profile(pool, np.array([0.0, 3.0]))
         assert np.allclose(prof.values, [0.5, 0.5])
 
