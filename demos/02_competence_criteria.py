@@ -42,15 +42,16 @@ nbh = profile_neighborhood(output_profile(pool, x), profiles, kp=5)
 print(f"Most similar output profiles: rows {nbh.indices.tolist()}")
 
 print("\nPer-member criteria (a selection):")
+feats, metas, _ = extractor.extract_batch(x[None, :], [true_label])
 for i in range(len(pool)):
-    v = extractor.extract_one(i, x, region, nbh, true_label=true_label)
-    hard = v.values[layout.slice_of('hard')]
+    v = feats[0, i]
+    hard = v[layout.slice_of('hard')]
     print(f"  member {i}: correct-on-neighbors {hard.astype(int).tolist()} "
-          f"overall {v.values[layout.slice_of('overall')][0]:.2f} "
-          f"conf {v.values[layout.slice_of('conf')][0]:.2f} "
-          f"amb {v.values[layout.slice_of('amb')][0]:.2f} "
-          f"rank {int(v.values[layout.slice_of('rank')][0])} "
-          f"-> competent={v.meta_label}")
+          f"overall {v[layout.slice_of('overall')][0]:.2f} "
+          f"conf {v[layout.slice_of('conf')][0]:.2f} "
+          f"amb {v[layout.slice_of('amb')][0]:.2f} "
+          f"rank {int(v[layout.slice_of('rank')][0])} "
+          f"-> competent={metas[0, i]}")
 
 print("\nNotice how members that classify the neighborhood well carry long"
       "\ncorrectness runs and high local accuracy, and are exactly the ones"

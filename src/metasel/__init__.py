@@ -15,8 +15,7 @@ from .regions import (OutputProfile, ProfileNeighborhood, RegionOfCompetence,
                       dsel_output_profiles, nearest_neighbors, output_profile,
                       profile_neighborhood, region_of)
 from .metafeatures import (FeatureLayout, MetaDataset, MetaFeatureExtractor,
-                           MetaFeatureVector, apply_mask, meta_dataset_to_csv,
-                           rrc_competence)
+                           apply_mask, meta_dataset_to_csv, rrc_competence)
 from .metaclassifier import MetaClassifier, MetaTrainConfig, competence, train_meta
 from .bpso import (Archive, BpsoConfig, MaskEvaluator, oracle_competence, optimize,
                    step, transfer_s, transfer_v)

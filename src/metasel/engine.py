@@ -19,6 +19,7 @@ from .data import Dataset, ScaleParams
 from .metaclassifier import MetaClassifier
 from .metafeatures import MetaFeatureExtractor, apply_mask
 from .pool import ClassifierPool
+from .regions import nearest_neighbors
 
 __all__ = [
     "DesModel",
@@ -55,8 +56,6 @@ class DesModel:
     kp: int = 5
     consensus_threshold: float = 0.7
     selection_threshold: float = 0.5
-    rrc_samples: int = 1000
-    rrc_seed: int = 0
     _extractor: MetaFeatureExtractor | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -69,9 +68,7 @@ class DesModel:
     def extractor(self) -> MetaFeatureExtractor:
         # rebuilt deterministically from the bundle; not serialized
         if self._extractor is None:
-            self._extractor = MetaFeatureExtractor(
-                self.pool, self.dsel, k=self.k, kp=self.kp,
-                rrc_samples=self.rrc_samples, rrc_seed=self.rrc_seed)
+            self._extractor = MetaFeatureExtractor(self.pool, self.dsel, k=self.k, kp=self.kp)
         return self._extractor
 
     def prepare(self, X) -> np.ndarray:
@@ -195,10 +192,9 @@ def baseline_predict_batch(method: str, pool: ClassifierPool, dsel: Dataset, X, 
             out[j] = weighted_majority_vote(pred_q[top, j], np.ones(len(top)), L)
         return out, top
 
-    d2 = ((X[:, None, :] - dsel.features[None, :, :]) ** 2).sum(axis=2)
-    order = np.argsort(d2, axis=1, kind="stable")
+    order, _ = nearest_neighbors(X, dsel.features, k)
     for j in range(len(X)):
-        nbrs = order[j, :k]
+        nbrs = order[j]
         local = correct[:, nbrs]                            # (M, k)
         if method == "ola":
             out[j] = pred_q[int(np.argmax(local.mean(axis=1))), j]

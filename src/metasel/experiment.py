@@ -51,7 +51,7 @@ ALL_METHODS = (FRAMEWORK_METHOD, "ola", "lca", "knora_e", "knora_u",
                "single_best", "static_selection", "majority_vote", "oracle")
 
 MODEL_FORMAT = "metasel.desmodel"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 
 class ModelFormatError(RuntimeError):
@@ -90,7 +90,6 @@ class ExperimentConfig:
     replications: int = 20
     methods: tuple = ALL_METHODS
     reference_method: str = FRAMEWORK_METHOD
-    rrc_samples: int = 1000
     seed: int = 0
 
     def to_json(self) -> str:
@@ -116,7 +115,7 @@ class ExperimentConfig:
         cfg.bpso = BpsoConfig(**raw.get("bpso", {}))
         cfg.meta = MetaTrainConfig(**raw.get("meta", {}))
         for name in ("k", "kp", "consensus_threshold", "selection_threshold",
-                     "replications", "reference_method", "rrc_samples", "seed"):
+                     "replications", "reference_method", "seed"):
             if name in raw:
                 setattr(cfg, name, raw[name])
         if "methods" in raw:
@@ -160,9 +159,7 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
                    seed=_derive_int(*parts, 20),
                    epochs=config.pool.epochs, lr=config.pool.lr)
 
-    rrc_seed = _derive_int(*parts, 50)
-    extractor = MetaFeatureExtractor(pool, dsel_scaled, k=config.k, kp=config.kp,
-                                     rrc_samples=config.rrc_samples, rrc_seed=rrc_seed)
+    extractor = MetaFeatureExtractor(pool, dsel_scaled, k=config.k, kp=config.kp)
 
     # consensus-based sample selection on both meta-data sources
     meta_pool_labels, _ = pool.predict_batch(meta_scaled.features)
@@ -208,8 +205,7 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
     model = DesModel(pool=pool, meta=meta_model, mask=mask, scale=scale,
                      dsel=dsel_scaled, k=config.k, kp=config.kp,
                      consensus_threshold=config.consensus_threshold,
-                     selection_threshold=config.selection_threshold,
-                     rrc_samples=config.rrc_samples, rrc_seed=rrc_seed)
+                     selection_threshold=config.selection_threshold)
     model._extractor = extractor
     info = {
         "meta_dataset": meta_data,

@@ -23,12 +23,10 @@ import numpy as np
 
 from .data import Dataset
 from .pool import ClassifierPool
-from .regions import (RegionOfCompetence, ProfileNeighborhood,
-                      nearest_neighbors)
+from .regions import nearest_neighbors
 
 __all__ = [
     "FeatureLayout",
-    "MetaFeatureVector",
     "MetaDataset",
     "MetaFeatureExtractor",
     "apply_mask",
@@ -40,6 +38,11 @@ SUPPORT_FLOOR = 1e-12
 SUPPORT_CEIL = 1.0 - 1e-10
 # (member, query, reference) correctness flags the rank criterion holds at once
 _RANK_BLOCK = 1 << 22
+# randomized reference classifier: Beta concentration, logit-space grid, and
+# the (pair, class, grid point) values the quadrature holds at once
+_RRC_CONCENTRATION = 10.0
+_RRC_GRID = np.linspace(-20.0, 20.0, 121)
+_RRC_BLOCK = 1 << 14
 
 SET_NAMES = ("hard", "prob", "overall", "cond", "conf", "amb",
              "log", "prc", "md", "ent", "exp", "kl", "op", "rank", "rank_op")
@@ -91,17 +94,6 @@ class FeatureLayout:
 
 
 @dataclass
-class MetaFeatureVector:
-    """Criterion values for one (sample, classifier) pair plus the competent
-    (1) / incompetent (0) meta-label when the sample's true class is known."""
-
-    values: np.ndarray
-    meta_label: int | None
-    classifier_index: int
-    sample_id: int
-
-
-@dataclass
 class MetaDataset:
     """Stacked meta-feature rows, sample-major then classifier-minor."""
 
@@ -129,36 +121,61 @@ def apply_mask(values, mask):
     return values[..., mask]
 
 
-def rrc_competence(supports, correct_class: int, samples: int = 1000, seed: int = 0,
-                   concentration: float = 10.0) -> float:
+def rrc_competence(supports, correct_class):
     """Probability that a randomized classifier whose class supports fluctuate
-    around ``supports`` ranks the correct class first.
+    around ``supports`` ranks the correct class first: each class draws from
+    Beta(10 s, 10 (1 - s)) around its support s, clipped to [1e-6, 1 - 1e-6],
+    and P(c wins) = integral of f_c(t) prod_{j != c} F_j(t) dt.
 
-    Estimated by Monte Carlo: per class a Beta draw with mean equal to the
-    support and a fixed concentration, renormalized; the estimate is the
-    fraction of draws whose argmax hits ``correct_class``. Deterministic given
-    the seed.
+    ``supports`` is (..., L); ``correct_class`` broadcasts against its leading
+    axes, which shape the result (a scalar for one vector). The integral is a
+    quadrature in z = logit(t), where the Beta(a, b) density is
+    g = sigma(z)^a sigma(-z)^b / B(a, b) and g' = g (a - 10 t): each CDF is a
+    cumulative trapezoid with Euler-Maclaurin corrections up to g''' plus the
+    tail masses t0^a / a and (1 - t1)^b / b off the grid, normalised by the
+    total mass; the outer trapezoid gets its g' end correction and both tails.
     """
-    supports = np.asarray(supports, dtype=float)
-    rng = np.random.default_rng(seed)
-    s = np.clip(supports, 1e-6, 1.0 - 1e-6)
-    a = s * concentration
-    b = (1.0 - s) * concentration
-    draws = rng.beta(np.broadcast_to(a, (samples, len(s))),
-                     np.broadcast_to(b, (samples, len(s))))
-    return float((draws.argmax(axis=1) == correct_class).mean())
-
-
-def _rrc_table(supports, true_labels, samples, seed, concentration=10.0):
-    # supports: (N, L); one MC estimate per reference row, shared rng stream
-    rng = np.random.default_rng(seed)
-    n, L = supports.shape
-    s = np.clip(supports, 1e-6, 1.0 - 1e-6)
-    a = s * concentration
-    b = (1.0 - s) * concentration
-    draws = rng.beta(np.broadcast_to(a, (samples, n, L)),
-                     np.broadcast_to(b, (samples, n, L)))
-    return (draws.argmax(axis=2) == true_labels[None, :]).mean(axis=0)
+    s = np.clip(np.asarray(supports, dtype=float), 1e-6, 1.0 - 1e-6)
+    shape, L = s.shape[:-1], s.shape[-1]
+    s = s.reshape(-1, L, 1)
+    c = np.broadcast_to(np.asarray(correct_class, dtype=int), shape).reshape(-1)
+    conc, z = _RRC_CONCENTRATION, _RRC_GRID
+    dz = z[1] - z[0]
+    log_t, log_1mt = -np.logaddexp(0.0, -z), -np.logaddexp(0.0, z)
+    t = np.exp(log_t)
+    # cumulative-trapezoid error -dz^2/12 g' + dz^4/720 g''' is g times a cubic
+    # in u = a - 10 t, with u' = -10 t (1 - t) and u'' = u' (1 - 2 t)
+    du = -conc * t * (1.0 - t)
+    em0 = dz ** 4 / 720 * du * (1.0 - 2.0 * t)
+    em1 = -dz ** 2 / 12 + dz ** 4 / 720 * 3.0 * du
+    em3 = dz ** 4 / 720
+    ends = [0, -1]
+    out = np.empty(len(s))
+    step = max(1, _RRC_BLOCK // (L * len(z)))
+    for start in range(0, len(s), step):
+        a = conc * s[start:start + step]                      # (P, L, 1)
+        b = conc - a
+        rows, cls = np.arange(len(a)), c[start:start + step]
+        g = np.exp(a * log_t + b * log_1mt)                   # (P, L, G)
+        u = a - conc * t
+        em = ((em3 * u * u + em1) * u + em0) * g
+        cdf = dz * (np.cumsum(g, axis=2) - 0.5 * (g + g[:, :, :1])) + em - em[:, :, :1]
+        tail_lo, tail_hi = np.exp(a * log_t[0]) / a, np.exp(b * log_1mt[-1]) / b
+        cdf += tail_lo
+        mass = cdf[:, :, -1:] + tail_hi
+        for arr in (cdf, g, tail_lo, tail_hi):
+            arr /= mass
+        g_c, u_c = g[rows, cls], u[rows, cls]
+        lo_c, hi_c = tail_lo[rows, cls, 0], tail_hi[rows, cls, 0]
+        cdf[rows, cls], g[rows, cls] = 1.0, 0.0
+        others = cdf.prod(axis=1)                             # (P, G), class c left out
+        h = g_c * others
+        # h' = h (u_c + sum_{j != c} g_j / F_j), needed at the grid ends only
+        dh = h[:, ends] * (u_c[:, ends] + (g[:, :, ends] / cdf[:, :, ends]).sum(axis=1))
+        out[start:start + step] = (dz * (h.sum(axis=1) - 0.5 * (h[:, 0] + h[:, -1]))
+                                   - dz ** 2 / 12 * (dh[:, 1] - dh[:, 0])
+                                   + lo_c * others[:, 0] + hi_c * others[:, -1])
+    return out.reshape(shape)[()]
 
 
 class MetaFeatureExtractor:
@@ -169,15 +186,12 @@ class MetaFeatureExtractor:
     boundary distances of all reference samples.
     """
 
-    def __init__(self, pool: ClassifierPool, dsel: Dataset, k: int = 7, kp: int = 5,
-                 rrc_samples: int = 1000, rrc_seed: int = 0):
+    def __init__(self, pool: ClassifierPool, dsel: Dataset, k: int = 7, kp: int = 5):
         if k > len(dsel) or kp > len(dsel):
             raise ValueError("K and Kp cannot exceed the reference set size")
         self.pool = pool
         self.dsel = dsel
         self.layout = FeatureLayout(k, kp)
-        self.rrc_samples = rrc_samples
-        self.rrc_seed = rrc_seed
 
         M, L = len(pool), pool.class_count
         labels, supports = pool.predict_batch(dsel.features)
@@ -199,30 +213,11 @@ class MetaFeatureExtractor:
         slk_safe = np.minimum(slk, SUPPORT_CEIL)
         self.t_exp = 1.0 - 2.0 ** (-((L - 1) * slk_safe / (1.0 - slk_safe)))
         self.t_kl = (clipped * np.log(clipped * L)).sum(axis=2)
-        self.t_prc = np.stack([
-            _rrc_table(supports[i], dsel.labels, rrc_samples, [rrc_seed, i])
-            for i in range(M)
-        ])
+        self.t_prc = rrc_competence(supports, dsel.labels[None, :])
 
         dists = pool.boundary_distances(dsel.features)    # (M, N)
         self.conf_min = dists.min(axis=1)
         self.conf_max = dists.max(axis=1)
-
-    # -- single-pair extraction (the contract surface) ---------------------
-
-    def extract_one(self, classifier_index: int, x, region: RegionOfCompetence,
-                    profile_nbh: ProfileNeighborhood, true_label: int | None = None,
-                    sample_id: int = -1, exclude: int | None = None) -> MetaFeatureVector:
-        """Meta-feature vector of one (classifier, sample) pair given its
-        region of competence and profile neighborhood."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        feats, metas, _ = self._extract(
-            x, None if true_label is None else np.array([true_label]),
-            np.asarray([region.indices]), np.asarray([profile_nbh.indices]),
-            None if exclude is None else np.array([exclude]), *self.pool.predict_batch(x))
-        label = None if true_label is None else int(metas[0, classifier_index])
-        return MetaFeatureVector(feats[0, classifier_index], label,
-                                 classifier_index, sample_id)
 
     # -- batch extraction ---------------------------------------------------
 
@@ -235,12 +230,17 @@ class MetaFeatureExtractor:
         (used when the queries are reference samples themselves).
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        k, kp = self.layout.k, self.layout.kp
-        theta, _ = nearest_neighbors(X, self.dsel.features, k, exclude=self_indices)
+        if self_indices is not None and (np.asarray(self_indices) < 0).any():
+            raise ValueError("self_indices must name a reference row for every query")
+        # every reference row by distance: the region of competence is its
+        # first K, the rank criterion scans all of it
+        width = len(self.dsel) - (0 if self_indices is None else 1)
+        order, _ = nearest_neighbors(X, self.dsel.features, width, exclude=self_indices)
         pred_labels, q_supports = self.pool.predict_batch(X)
         profiles = np.transpose(q_supports, (1, 0, 2)).reshape(len(X), -1)
-        phi, _ = nearest_neighbors(profiles, self.dsel_profiles, kp, exclude=self_indices)
-        return self._extract(X, y, theta, phi, self_indices, pred_labels, q_supports)
+        phi, _ = nearest_neighbors(profiles, self.dsel_profiles, self.layout.kp,
+                                   exclude=self_indices)
+        return self._extract(X, y, order, phi, pred_labels, q_supports)
 
     def build_meta_dataset(self, X, y, self_indices=None, sample_ids=None) -> MetaDataset:
         """All (sample, classifier) rows for labeled queries, sample-major."""
@@ -258,17 +258,15 @@ class MetaFeatureExtractor:
 
     # -- internals -----------------------------------------------------------
 
-    def _extract(self, X, y, theta, phi, self_indices, pred_labels, q_supports):
-        """Feature tensor (Nq, M, D) from the queries' neighborhoods and the
-        pool's labels (M, Nq) and supports (M, Nq, L) for them."""
+    def _extract(self, X, y, order, phi, pred_labels, q_supports):
+        """Feature tensor (Nq, M, D) from the queries' reference rows by
+        distance, their profile neighborhoods and the pool's labels (M, Nq)
+        and supports (M, Nq, L) for them."""
         pool, dsel, layout = self.pool, self.dsel, self.layout
         M = len(pool)
         k, kp = layout.k, layout.kp
         nq = len(X)
-        if theta.shape[1] != k or phi.shape[1] != kp:
-            raise ValueError("neighborhood sizes do not match the extractor's K/Kp")
-        if self_indices is not None and (np.asarray(self_indices) < 0).any():
-            raise ValueError("self_indices must name a reference row for every query")
+        theta = order[:, :k]
 
         feats = np.empty((nq, M, layout.size))
         seg = {name: feats[:, :, layout.slice_of(name)] for name in SET_NAMES}
@@ -301,25 +299,20 @@ class MetaFeatureExtractor:
         corr_phi = self.dsel_correct[:, phi]                  # (M, Nq, Kp)
         seg["rank_op"][:, :, 0] = np.where(corr_phi.all(axis=2), kp,
                                            (~corr_phi).argmax(axis=2)).T
-        seg["rank"][:, :, 0] = self._rank(X, self_indices)
+        seg["rank"][:, :, 0] = self._rank(order)
 
         metas = None if y is None else (assigned == np.asarray(y)[:, None]).astype(int)
         return feats, metas, pred_labels
 
-    def _rank(self, X, self_indices):
-        """Per (query, member): how many reference rows, in order of distance
-        to the query, the member classifies correctly before its first error."""
-        d2 = ((X[:, None, :] - self.dsel.features[None, :, :]) ** 2).sum(axis=2)
-        if self_indices is not None:
-            rows = np.flatnonzero(np.asarray(self_indices) >= 0)
-            d2[rows, np.asarray(self_indices)[rows]] = np.inf
-        full_order = np.argsort(d2, axis=1, kind="stable")
-        scan = full_order if self_indices is None else full_order[:, :-1]
-        M, width = len(self.pool), scan.shape[1]
-        rank = np.empty((len(X), M))
+    def _rank(self, order):
+        """Per (query, member): how many reference rows, in ``order`` of
+        distance to the query, the member classifies correctly before its
+        first error."""
+        (nq, width), M = order.shape, len(self.pool)
+        rank = np.empty((nq, M))
         block = max(1, _RANK_BLOCK // (M * width))
-        for lo in range(0, len(X), block):
-            corr = self.dsel_correct[:, scan[lo:lo + block]]  # (M, block, width)
+        for lo in range(0, nq, block):
+            corr = self.dsel_correct[:, order[lo:lo + block]]  # (M, block, width)
             rank[lo:lo + block] = np.where(corr.all(axis=2), width,
                                            (~corr).argmax(axis=2)).T
         return rank

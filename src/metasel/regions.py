@@ -27,6 +27,9 @@ __all__ = [
     "profile_neighborhood",
 ]
 
+# (query, reference, feature) differences nearest_neighbors holds at once
+_KNN_BLOCK = 1 << 22
+
 
 @dataclass
 class RegionOfCompetence:
@@ -60,7 +63,8 @@ def nearest_neighbors(queries, reference, k, exclude=None):
     Returns (indices, distances), each (Nq, k), sorted by distance with ties
     broken by lower reference index. ``exclude`` may be an array of one
     reference row per query to omit (-1 for none), or a scalar for a single
-    query.
+    query. Queries go through in blocks of at most ``_KNN_BLOCK`` differences,
+    so memory stays bounded; a query's result does not depend on its block.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     reference = np.asarray(reference, dtype=float)
@@ -74,12 +78,19 @@ def nearest_neighbors(queries, reference, k, exclude=None):
     if k < 1 or k > avail:
         raise ValueError(f"k={k} out of range for reference of size {n_ref}"
                          + (" (with self-exclusion)" if excl is not None else ""))
-    d2 = ((queries[:, None, :] - reference[None, :, :]) ** 2).sum(axis=2)
-    if excl is not None:
-        rows = np.flatnonzero(excl >= 0)
-        d2[rows, excl[rows]] = np.inf
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    dist = np.sqrt(np.take_along_axis(d2, order, axis=1))
+    order = np.empty((len(queries), k), dtype=np.intp)
+    dist = np.empty((len(queries), k))
+    step = max(1, _KNN_BLOCK // max(1, reference.size))
+    for lo in range(0, len(queries), step):
+        blk = slice(lo, lo + step)
+        diff = queries[blk, None, :] - reference[None, :, :]
+        d2 = np.square(diff, out=diff).sum(axis=2)
+        del diff                      # freed before the next block is allocated
+        if excl is not None:
+            rows = np.flatnonzero(excl[blk] >= 0)
+            d2[rows, excl[blk][rows]] = np.inf
+        order[blk] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        dist[blk] = np.sqrt(np.take_along_axis(d2, order[blk], axis=1))
     return order, dist
 
 

@@ -63,7 +63,7 @@ def scripted_features(support_rows, labels, query_support, k, kp):
     pool = _TablePool(_TableMember(table))
     dsel = Dataset(np.arange(len(labels), dtype=float).reshape(-1, 1),
                    np.asarray(labels), max(2, int(max(labels)) + 1))
-    ex = MetaFeatureExtractor(pool, dsel, k=k, kp=kp, rrc_samples=100)
+    ex = MetaFeatureExtractor(pool, dsel, k=k, kp=kp)
     feats, _, _ = ex.extract_batch(np.array([[-1.0]]))
     return feats[0, 0], ex.layout
 
@@ -96,7 +96,7 @@ def test_criterion_02_vector_length_identity():
     dsel_raw = generate_p2(120, 2)
     dsel = Dataset(params.apply(dsel_raw.features), dsel_raw.labels, 2)
     pool = bagging(train, 3, seed=4)
-    ex = MetaFeatureExtractor(pool, dsel, k=7, kp=5, rrc_samples=100)
+    ex = MetaFeatureExtractor(pool, dsel, k=7, kp=5)
     feats, _, _ = ex.extract_batch(params.apply(generate_p2(10, 3).features))
     ok = feats.shape[2] == 67 and ex.layout.size == 67
     rng = np.random.default_rng(0)
@@ -106,7 +106,7 @@ def test_criterion_02_vector_length_identity():
         kp = int(rng.integers(1, 40))
         formula_ok &= FeatureLayout(k, kp).size == 8 * k + kp + 6
     for k, kp in ((2, 3), (5, 9)):
-        ex2 = MetaFeatureExtractor(pool, dsel, k=k, kp=kp, rrc_samples=50)
+        ex2 = MetaFeatureExtractor(pool, dsel, k=k, kp=kp)
         f2, _, _ = ex2.extract_batch(params.apply(generate_p2(5, 4).features))
         formula_ok &= f2.shape[2] == 8 * k + kp + 6
     report(2, ok and formula_ok,
@@ -200,13 +200,13 @@ def test_criterion_07_oracle_dominance():
             source=DataSource(kind="p2", p2_sizes=(150, 150, 150, 300)),
             pool=PoolConfig(size=4),
             bpso=BpsoConfig(swarm_size=6, max_generations=10, stall_limit=3, runs=1),
-            replications=2, rrc_samples=200, seed=13),
+            replications=2, seed=13),
         ExperimentConfig(
             source=DataSource(kind="csv", path=str(dataset_path("xor_blobs")),
                               split=SplitSpec()),
             pool=PoolConfig(size=6),
             bpso=BpsoConfig(swarm_size=6, max_generations=10, stall_limit=3, runs=1),
-            replications=2, rrc_samples=200, seed=14),
+            replications=2, seed=14),
     ]
     ok = True
     worst = 1.0

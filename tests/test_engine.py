@@ -62,8 +62,7 @@ def scripted_model(member_tables, deltas, dsel_labels, threshold=0.5):
     kp = min(5, n)
     model = DesModel(pool=pool, meta=ScriptedMeta(deltas),
                      mask=np.ones(8 * k + kp + 6, dtype=bool), scale=None,
-                     dsel=dsel, k=k, kp=kp, selection_threshold=threshold,
-                     rrc_samples=50)
+                     dsel=dsel, k=k, kp=kp, selection_threshold=threshold)
     return model
 
 
@@ -134,7 +133,7 @@ class TestClassify:
         mask = np.ones(67, dtype=bool)
         uniform = MetaClassifier(np.zeros(67), 0.0, np.zeros(67), np.ones(67), 67)
         model = DesModel(pool=pool, meta=uniform, mask=mask, scale=None,
-                         dsel=dsel, selection_threshold=0.0, rrc_samples=50)
+                         dsel=dsel, selection_threshold=0.0)
         ours, _ = classify_batch(model, test.features)
         mv, _ = baseline_predict_batch("majority_vote", pool, dsel, test.features)
         assert np.array_equal(ours, mv)

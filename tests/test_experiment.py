@@ -23,7 +23,6 @@ def small_p2_config(seed=3, replications=1):
         replications=replications,
         methods=(FRAMEWORK_METHOD, "single_best", "majority_vote", "oracle"),
         seed=seed,
-        rrc_samples=200,
     )
 
 
@@ -135,7 +134,7 @@ class TestMulticlassPipeline:
         cfg = ExperimentConfig(
             pool=PoolConfig(size=8),
             bpso=BpsoConfig(swarm_size=8, max_generations=12, stall_limit=3, runs=1),
-            replications=1, rrc_samples=200, seed=2)
+            replications=1, seed=2)
         model, archive, _ = train_des(self.blobs(60, 1), self.blobs(60, 2),
                                       self.blobs(60, 3), cfg, (2, 0))
         test = self.blobs(80, 4)

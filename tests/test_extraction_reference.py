@@ -1,14 +1,13 @@
 """Element-wise cross-check of the vectorized extractor against a naive
 loop-based re-derivation of every criterion family (the randomized-reference
-family is excluded here: it is Monte-Carlo seeded and covered by its own
-statistical oracle elsewhere)."""
+family through one scalar ``rrc_competence`` call per neighbor)."""
 
 import math
 
 import numpy as np
 
 from metasel.data import Dataset, generate_p2, scale_minmax
-from metasel.metafeatures import MetaFeatureExtractor
+from metasel.metafeatures import MetaFeatureExtractor, rrc_competence
 from metasel.pool import ClassifierPool, bagging
 
 FLOOR, CEIL = 1e-12, 1.0 - 1e-10
@@ -81,8 +80,9 @@ def naive_pair(pool, dsel, x, true_label, K, Kp, conf_bounds, member_index):
     s_query = sorted(supports_of(x), reverse=True)
     amb = s_query[0] - s_query[1]
 
-    flog, fmd, fent, fexp, fkl = [], [], [], [], []
+    flog, fprc, fmd, fent, fexp, fkl = [], [], [], [], [], []
     for j in theta:
+        fprc.append(rrc_competence(supports_of(dsel.features[j]), int(dsel.labels[j])))
         s = [clip(v) for v in supports_of(dsel.features[j])]
         slk = s[dsel.labels[j]]
         flog.append(2.0 * slk ** (math.log(2.0) / math.log(L)) - 1.0)
@@ -106,7 +106,7 @@ def naive_pair(pool, dsel, x, true_label, K, Kp, conf_bounds, member_index):
 
     meta_label = 1 if label_of(x) == true_label else 0
     values = (hard + prob + [overall, cond, conf, amb]
-              + flog + [None] * K + fmd + fent + fexp + fkl
+              + flog + fprc + fmd + fent + fexp + fkl
               + op + [float(rank), float(rank_op)])
     return values, meta_label
 
@@ -117,7 +117,7 @@ def test_vectorized_extraction_matches_naive_loops():
     dsel = Dataset(params.apply(dsel_raw.features), dsel_raw.labels, 2)
     pool = bagging(train, 3, seed=21)
     K, Kp = 5, 4
-    ex = MetaFeatureExtractor(pool, dsel, k=K, kp=Kp, rrc_samples=100, rrc_seed=2)
+    ex = MetaFeatureExtractor(pool, dsel, k=K, kp=Kp)
 
     queries_raw = generate_p2(12, 6)
     X = params.apply(queries_raw.features)
@@ -131,8 +131,6 @@ def test_vectorized_extraction_matches_naive_loops():
                                           (dists[i].min(), dists[i].max()), i)
             got = feats[q, i]
             for b, expected in enumerate(want):
-                if expected is None:  # randomized-reference columns
-                    continue
                 assert abs(got[b] - expected) < 1e-10, (
                     f"query {q}, member {i}, bit {b} ({ex.layout.set_of(b)}): "
                     f"{got[b]} != {expected}")

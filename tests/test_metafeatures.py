@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from metasel import metafeatures
 from metasel.data import Dataset, generate_p2, scale_minmax
 from metasel.metafeatures import (FeatureLayout, MetaFeatureExtractor,
                                   apply_mask, meta_dataset_to_csv,
                                   rrc_competence)
 from metasel.pool import bagging
-from metasel.regions import (dsel_output_profiles, output_profile,
-                             profile_neighborhood, region_of)
 
 
 class TableMember:
@@ -57,7 +57,7 @@ def extract_single(member, dsel, query_key, true_label=None, k=None, kp=None):
     pool = TablePool([member])
     k = k or min(7, len(dsel))
     kp = kp or min(5, len(dsel))
-    ex = MetaFeatureExtractor(pool, dsel, k=k, kp=kp, rrc_samples=200, rrc_seed=0)
+    ex = MetaFeatureExtractor(pool, dsel, k=k, kp=kp)
     X = np.array([[float(query_key)]])
     y = None if true_label is None else np.array([true_label])
     feats, metas, _ = ex.extract_batch(X, y)
@@ -207,22 +207,67 @@ class TestAnalyticIdentities:
 
 class TestRrcCompetence:
     def test_uniform_two_class(self):
-        val = rrc_competence([0.5, 0.5], 0, samples=1000, seed=1)
+        val = rrc_competence([0.5, 0.5], 0)
         assert abs(val - 0.5) <= 0.05
 
     def test_near_degenerate(self):
-        assert rrc_competence([1.0 - 1e-9, 1e-9], 0, samples=1000, seed=2) >= 0.95
+        assert rrc_competence([1.0 - 1e-9, 1e-9], 0) >= 0.95
 
     def test_against_quadrature_oracle(self):
         # P(Beta(6,4) > Beta(4,6)) = 0.8265322912 by numerical quadrature,
         # cross-checked with a 2e6-draw Monte Carlo run
-        val = rrc_competence([0.6, 0.4], 0, samples=1000, seed=3)
-        assert abs(val - 0.8265322912) <= 0.02
+        val = rrc_competence([0.6, 0.4], 0)
+        assert abs(val - 0.8265322912) <= 1e-4
 
     def test_deterministic(self):
-        a = rrc_competence([0.7, 0.3], 0, samples=500, seed=9)
-        b = rrc_competence([0.7, 0.3], 0, samples=500, seed=9)
+        a = rrc_competence([0.7, 0.3], 0)
+        b = rrc_competence([0.7, 0.3], 0)
         assert a == b
+
+    @pytest.mark.parametrize("L", [2, 3, 4])
+    def test_uniform_supports_give_one_over_l(self, L):
+        # identical Beta draws per class: every class wins with probability 1/L
+        for c in range(L):
+            assert abs(rrc_competence(np.full(L, 1.0 / L), c) - 1.0 / L) <= 1e-4
+
+    @pytest.mark.parametrize("L", [2, 3, 5])
+    def test_class_probabilities_sum_to_one(self, L):
+        rng = np.random.default_rng(L)
+        supports = np.concatenate([
+            rng.dirichlet(np.full(L, alpha), size=300) for alpha in (0.05, 0.5, 5.0)])
+        eps = np.array([1e-12, 1e-7, 1e-4, 1e-2])[:, None]
+        near_one_hot = np.vstack([(1.0 - (L - 1) * eps) * np.eye(L)[c] + eps * (1 - np.eye(L)[c])
+                                  for c in range(L)])
+        supports = np.vstack([supports, near_one_hot])
+        total = sum(rrc_competence(supports, np.full(len(supports), c)) for c in range(L))
+        assert np.abs(total - 1.0).max() <= 1e-4
+
+    @pytest.mark.parametrize("supports, c", [
+        ([0.5, 0.5], 0), ([0.7, 0.3], 1), ([0.9, 0.1], 0), ([0.2, 0.3, 0.5], 2),
+        ([0.2, 0.3, 0.5], 0), ([0.4, 0.35, 0.25], 1), ([0.1, 0.2, 0.3, 0.4], 3),
+        ([0.97, 0.01, 0.01, 0.01], 0)])
+    def test_against_monte_carlo(self, supports, c):
+        n = 100_000
+        s = np.clip(np.asarray(supports), 1e-6, 1.0 - 1e-6)
+        draws = np.random.default_rng(5).beta(10.0 * s, 10.0 * (1.0 - s), size=(n, len(s)))
+        p_mc = float((draws.argmax(axis=1) == c).mean())
+        p = rrc_competence(supports, c)
+        assert abs(p - p_mc) <= 4.5 * np.sqrt(p * (1.0 - p) / n) + 1e-4
+
+    @settings(max_examples=40, deadline=None)
+    @given(L=st.integers(2, 4), rows=st.integers(1, 40), block=st.integers(1, 2000),
+           seed=st.integers(0, 2**32 - 1))
+    def test_blocked_batch_equals_scalar_calls(self, L, rows, block, seed):
+        rng = np.random.default_rng(seed)
+        supports = rng.dirichlet(np.full(L, 0.5), size=(2, rows))
+        labels = rng.integers(0, L, size=rows)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(metafeatures, "_RRC_BLOCK", block)
+            table = rrc_competence(supports, labels[None, :])
+        assert table.shape == (2, rows)
+        for i in range(2):
+            for j in range(rows):
+                assert table[i, j] == rrc_competence(supports[i, j], labels[j])
 
 
 class TestApplyMask:
@@ -263,8 +308,7 @@ class TestRealPoolExtraction:
         self.dsel = Dataset(params.apply(generate_p2(150, 2).features),
                             generate_p2(150, 2).labels, 2)
         self.pool = bagging(train, 4, seed=6)
-        self.ex = MetaFeatureExtractor(self.pool, self.dsel, k=7, kp=5,
-                                       rrc_samples=300, rrc_seed=3)
+        self.ex = MetaFeatureExtractor(self.pool, self.dsel, k=7, kp=5)
         query_ds = generate_p2(60, 3)
         self.X = params.apply(query_ds.features)
         self.y = query_ds.labels
@@ -303,19 +347,6 @@ class TestRealPoolExtraction:
         labels, _ = self.pool.predict_batch(X)
         # 2500 samples x 4 classifiers = 10k pairs
         assert np.array_equal(metas, (labels == y[None, :]).T.astype(int))
-
-    def test_extract_one_matches_batch(self):
-        feats, metas, _ = self.ex.extract_batch(self.X[:5], self.y[:5])
-        profiles = dsel_output_profiles(self.pool, self.dsel)
-        for j in range(5):
-            region = region_of(self.X[j], self.dsel, k=7)
-            nbh = profile_neighborhood(output_profile(self.pool, self.X[j]),
-                                       profiles, kp=5)
-            for i in range(len(self.pool)):
-                one = self.ex.extract_one(i, self.X[j], region, nbh,
-                                          true_label=int(self.y[j]), sample_id=j)
-                assert np.allclose(one.values, feats[j, i], atol=1e-12)
-                assert one.meta_label == metas[j, i]
 
     def test_self_exclusion_changes_neighborhoods(self):
         idx = np.arange(len(self.dsel))

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from metasel import regions
 from metasel.data import Dataset, generate_p2, scale_minmax
 from metasel.pool import bagging
 from metasel.regions import (dsel_output_profiles, nearest_neighbors,
@@ -145,3 +149,37 @@ class TestBatchNeighbors:
             assert q not in idx[q]
             bf, _ = brute_force_knn(ref[q], ref, 3, exclude=q)
             assert idx[q].tolist() == bf
+
+    @settings(max_examples=60, deadline=None)
+    @given(nq=st.integers(1, 25), nr=st.integers(2, 30), d=st.integers(1, 40),
+           block=st.integers(1, 3000), exclude=st.booleans(), ties=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_blocked_equals_single_block(self, nq, nr, d, block, exclude, ties, seed):
+        rng = np.random.default_rng(seed)
+        points = (rng.integers(0, 3, size=(nr + nq, d)).astype(float) if ties
+                  else rng.uniform(0, 1, size=(nr + nq, d)))
+        ref, queries = points[:nr], points[nr:]
+        excl = rng.integers(-1, nr, size=nq) if exclude else None
+        k = int(rng.integers(1, nr - exclude + 1))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(regions, "_KNN_BLOCK", block)
+            idx, dist = nearest_neighbors(queries, ref, k, exclude=excl)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(regions, "_KNN_BLOCK", nq * nr * d)
+            idx1, dist1 = nearest_neighbors(queries, ref, k, exclude=excl)
+        assert np.array_equal(idx, idx1) and np.array_equal(dist, dist1)
+
+    def test_memory_bounded_by_block_budget(self):
+        rng = np.random.default_rng(9)
+        ref = rng.uniform(0, 1, size=(20_000, 50))
+        queries = rng.uniform(0, 1, size=(24, 50))
+        tracemalloc.start()
+        try:
+            idx, _ = nearest_neighbors(queries, ref, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # all 24 queries at once would hold a 24 x 20000 x 50 difference
+        # tensor, 192 MB; one block stays within the budget of 8-byte values
+        assert peak <= 1.25 * regions._KNN_BLOCK * 8
+        assert idx.shape == (24, 7)
