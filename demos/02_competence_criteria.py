@@ -12,10 +12,8 @@ competence model learns to predict.
 import numpy as np
 
 from metasel import (MetaFeatureExtractor, bagging, generate_p2,
-                     output_profile, profile_neighborhood, region_of,
-                     scale_minmax)
+                     nearest_neighbors, scale_minmax)
 from metasel.data import Dataset
-from metasel.regions import dsel_output_profiles
 
 print(__doc__)
 
@@ -35,11 +33,12 @@ x = scale.apply(query_raw.features)[0]
 true_label = int(query_raw.labels[0])
 print(f"\nQuery point {np.round(x, 3)} with true class {true_label}.")
 
-region = region_of(x, dsel, k=7)
-print(f"Region of competence: reference rows {region.indices.tolist()}")
-profiles = dsel_output_profiles(pool, dsel)
-nbh = profile_neighborhood(output_profile(pool, x), profiles, kp=5)
-print(f"Most similar output profiles: rows {nbh.indices.tolist()}")
+region, _ = nearest_neighbors(x[None, :], dsel.features, k=7)
+print(f"Region of competence: reference rows {region[0].tolist()}")
+# the output profile: every member's support vector, concatenated
+_, supports = pool.predict_batch(x[None, :])
+nbh, _ = nearest_neighbors(supports[:, 0, :].reshape(1, -1), extractor.dsel_profiles, k=5)
+print(f"Most similar output profiles: rows {nbh[0].tolist()}")
 
 print("\nPer-member criteria (a selection):")
 feats, metas, _ = extractor.extract_batch(x[None, :], [true_label])

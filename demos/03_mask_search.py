@@ -42,7 +42,7 @@ rows_o = np.arange(half * len(pool), len(meta_data))
 config = BpsoConfig(swarm_size=15, max_generations=40, stall_limit=5, runs=2, seed=3)
 archive = optimize(meta_data.rows[rows_t], meta_data.labels[rows_t],
                    meta_data.rows[rows_o], meta_data.labels[rows_o],
-                   val_data.rows, val_data.labels, config, collect_trace=True)
+                   val_data.rows, val_data.labels, config)
 
 print(f"\nArchive: {int(archive.mask.sum())}/{archive.mask.size} criteria kept, "
       f"validation distance {archive.validation_fitness:.5f} "

@@ -11,9 +11,7 @@ competence-weighted voting.
 from .data import (Dataset, ScaleParams, SplitSpec, generate_p2, load_csv,
                    p2_boundaries, p2_true_labels, scale_minmax, split_holdout)
 from .pool import ClassifierPool, bagging
-from .regions import (OutputProfile, ProfileNeighborhood, RegionOfCompetence,
-                      dsel_output_profiles, nearest_neighbors, output_profile,
-                      profile_neighborhood, region_of)
+from .regions import nearest_neighbors
 from .metafeatures import (FeatureLayout, MetaDataset, MetaFeatureExtractor,
                            apply_mask, meta_dataset_to_csv, rrc_competence)
 from .metaclassifier import MetaClassifier, MetaTrainConfig, competence, train_meta

@@ -25,7 +25,6 @@ from .metaclassifier import MetaClassifier, MetaTrainConfig, train_meta
 
 __all__ = [
     "BpsoConfig",
-    "Particle",
     "Swarm",
     "Archive",
     "transfer_s",
@@ -89,20 +88,16 @@ class BpsoConfig:
 
 
 @dataclass
-class Particle:
-    position: np.ndarray          # bool mask of length D
-    velocity: np.ndarray
-    best_position: np.ndarray
-    best_fitness: float = np.inf
-    fitness: float = np.inf
-
-
-@dataclass
 class Swarm:
-    particles: list
-    gbest_position: np.ndarray
+    """The whole swarm as arrays: one row per particle, one column per bit."""
+
+    position: np.ndarray          # (P, D) bool masks
+    velocity: np.ndarray          # (P, D)
+    best_position: np.ndarray     # (P, D) personal bests
+    best_fitness: np.ndarray      # (P,)
+    fitness: np.ndarray           # (P,) fitness of the last evaluated positions
+    gbest_position: np.ndarray    # (D,)
     gbest_fitness: float = np.inf
-    generation: int = 0
     rng: np.random.Generator = None
 
 
@@ -149,74 +144,72 @@ class MaskEvaluator:
 
 
 def init_swarm(dim: int, config: BpsoConfig, rng: np.random.Generator) -> Swarm:
-    particles = []
-    for _ in range(config.swarm_size):
-        pos = rng.random(dim) < 0.5
-        particles.append(Particle(position=pos, velocity=np.zeros(dim),
-                                  best_position=pos.copy()))
-    return Swarm(particles=particles, gbest_position=particles[0].position.copy(),
-                 rng=rng)
+    P = config.swarm_size
+    pos = rng.random((P, dim)) < 0.5
+    return Swarm(position=pos, velocity=np.zeros((P, dim)), best_position=pos.copy(),
+                 best_fitness=np.full(P, np.inf), fitness=np.full(P, np.inf),
+                 gbest_position=pos[0].copy(), rng=rng)
 
 
 def step(swarm: Swarm, config: BpsoConfig, fitness_fn) -> bool:
     """One generation: evaluate current positions, update personal and global
     bests on strict improvement, then move every particle.
 
-    Velocities use a fresh uniform random vector per cognitive and social
-    term and are clamped to [-v_max, v_max]. A bit flips when a uniform draw
-    falls below the transfer function of its velocity, otherwise it is kept.
-    Returns True when the global best improved this generation.
+    ``fitness_fn`` is called once per particle, in row order. The global best
+    is the first particle with the lowest fitness, and only replaces the old
+    one when strictly better. Velocities use a fresh uniform random vector per
+    cognitive and social term and are clamped to [-v_max, v_max]. A bit flips
+    when a uniform draw falls below the transfer function of its velocity,
+    otherwise it is kept. The draws come as one (P, 3, D) block per
+    generation: per particle r1, r2, then the flip draws. Returns True when
+    the global best improved this generation.
     """
-    rng = swarm.rng
     transfer = _TRANSFERS[config.transfer]
-    improved = False
-    for part in swarm.particles:
-        part.fitness = fitness_fn(part.position)
-        if part.fitness < part.best_fitness:
-            part.best_fitness = part.fitness
-            part.best_position = part.position.copy()
-        if part.fitness < swarm.gbest_fitness:
-            swarm.gbest_fitness = part.fitness
-            swarm.gbest_position = part.position.copy()
-            improved = True
-    for part in swarm.particles:
-        pos = part.position.astype(float)
-        r1 = rng.random(len(pos))
-        r2 = rng.random(len(pos))
-        part.velocity = (config.inertia * part.velocity
-                         + config.c1 * r1 * (part.best_position.astype(float) - pos)
-                         + config.c2 * r2 * (swarm.gbest_position.astype(float) - pos))
-        np.clip(part.velocity, -config.v_max, config.v_max, out=part.velocity)
-        flip = rng.random(len(pos)) < transfer(part.velocity)
-        part.position = np.where(flip, ~part.position, part.position)
-    swarm.generation += 1
+    pos = swarm.position
+    swarm.fitness = np.array([fitness_fn(row) for row in pos], dtype=float)
+    better = swarm.fitness < swarm.best_fitness
+    swarm.best_fitness = np.where(better, swarm.fitness, swarm.best_fitness)
+    swarm.best_position = np.where(better[:, None], pos, swarm.best_position)
+    lead = int(np.argmin(swarm.fitness))
+    improved = bool(swarm.fitness[lead] < swarm.gbest_fitness)
+    if improved:
+        swarm.gbest_fitness = float(swarm.fitness[lead])
+        swarm.gbest_position = pos[lead].copy()
+
+    r1, r2, draw = np.moveaxis(swarm.rng.random((len(pos), 3, pos.shape[1])), 1, 0)
+    posf = pos.astype(float)
+    velocity = (config.inertia * swarm.velocity
+                + config.c1 * r1 * (swarm.best_position.astype(float) - posf)
+                + config.c2 * r2 * (swarm.gbest_position.astype(float) - posf))
+    swarm.velocity = np.clip(velocity, -config.v_max, config.v_max)
+    swarm.position = pos ^ (draw < transfer(swarm.velocity))
     return improved
 
 
 def optimize(train_rows, train_labels, opt_rows, opt_labels, val_rows, val_labels,
              config: BpsoConfig | None = None,
-             meta_config: MetaTrainConfig | None = None,
-             collect_trace: bool = False, audit: bool = False) -> Archive:
+             meta_config: MetaTrainConfig | None = None) -> Archive:
     """Full mask search with global validation.
 
     Per run: a fresh swarm is initialized with Bernoulli(0.5) bits; each
     generation's fitness on the optimization rows drives the personal/global
     bests, every post-move particle is additionally scored on the validation
-    rows, and the archive keeps the best-validated mask. A run stops when the
-    swarm best fails to improve for ``stall_limit`` consecutive generations or
-    at the generation cap. The archive with the best validation fitness over
-    all runs is returned (ties keep the earlier run).
+    rows, and the archive keeps the best-validated mask (the first particle
+    with the lowest score, on strict improvement). A run stops when the swarm
+    best fails to improve for ``stall_limit`` consecutive generations or at
+    the generation cap. The archive with the best validation fitness over all
+    runs is returned (ties keep the earlier run).
 
-    ``collect_trace`` records per-generation rows (run, generation, gbest
-    fitness, archive validation fitness, mean swarm fitness); ``audit``
-    records every validation fitness ever computed.
+    The returned archive's ``trace`` holds one row per generation of every
+    run (run, generation, gbest fitness, archive validation fitness, mean
+    swarm fitness); its ``audit`` holds every validation fitness computed, in
+    order.
     """
     config = config or BpsoConfig()
     config.validate()
     dim = np.asarray(train_rows).shape[1]
     evaluator = MaskEvaluator(train_rows, train_labels, meta_config)
     fit_opt = lambda mask: evaluator.distance(mask, opt_rows, opt_labels)
-    fit_val = lambda mask: evaluator.distance(mask, val_rows, val_labels)
 
     best = Archive()
     all_trace, all_audit = [], []
@@ -227,18 +220,16 @@ def optimize(train_rows, train_labels, opt_rows, opt_labels, val_rows, val_label
         stall = 0
         for gen in range(1, config.max_generations + 1):
             improved = step(swarm, config, fit_opt)
-            for part in swarm.particles:
-                vf = fit_val(part.position)
-                if audit:
-                    all_audit.append(vf)
-                if vf < archive.validation_fitness:
-                    archive.validation_fitness = vf
-                    archive.mask = part.position.copy()
-                    archive.generation = gen
-            if collect_trace:
-                mean_fit = float(np.mean([p.fitness for p in swarm.particles]))
-                all_trace.append((run, gen, swarm.gbest_fitness,
-                                  archive.validation_fitness, mean_fit))
+            val = np.array([evaluator.distance(row, val_rows, val_labels)
+                            for row in swarm.position], dtype=float)
+            all_audit.extend(val.tolist())
+            lead = int(np.argmin(val))
+            if val[lead] < archive.validation_fitness:
+                archive.validation_fitness = float(val[lead])
+                archive.mask = swarm.position[lead].copy()
+                archive.generation = gen
+            all_trace.append((run, gen, swarm.gbest_fitness, archive.validation_fitness,
+                              float(np.mean(swarm.fitness))))
             stall = 0 if improved else stall + 1
             if stall >= config.stall_limit:
                 break

@@ -102,6 +102,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """Build a config from parsed JSON. Unknown keys inside the ``pool``,
+        ``bpso``, ``meta`` and ``source.split`` sections raise ValueError;
+        unknown top-level keys are ignored."""
         cfg = cls()
         src = raw.get("source", {})
         cfg.source = DataSource(
@@ -109,11 +112,11 @@ class ExperimentConfig:
             p2_sizes=tuple(src.get("p2_sizes", (500, 500, 500, 2000))),
             path=src.get("path"),
             label_column=src.get("label_column", -1),
-            split=SplitSpec(**src.get("split", {})),
+            split=_section(SplitSpec, src.get("split", {}), "source.split"),
         )
-        cfg.pool = PoolConfig(**raw.get("pool", {}))
-        cfg.bpso = BpsoConfig(**raw.get("bpso", {}))
-        cfg.meta = MetaTrainConfig(**raw.get("meta", {}))
+        cfg.pool = _section(PoolConfig, raw.get("pool", {}), "pool")
+        cfg.bpso = _section(BpsoConfig, raw.get("bpso", {}), "bpso")
+        cfg.meta = _section(MetaTrainConfig, raw.get("meta", {}), "meta")
         for name in ("k", "kp", "consensus_threshold", "selection_threshold",
                      "replications", "reference_method", "seed"):
             if name in raw:
@@ -121,6 +124,18 @@ class ExperimentConfig:
         if "methods" in raw:
             cfg.methods = tuple(raw["methods"])
         return cfg
+
+
+def _section(section_cls, values, path: str):
+    """The dataclass ``section_cls`` built from the config section at ``path``;
+    a key the dataclass does not have is named in a ValueError."""
+    if not isinstance(values, dict):
+        raise ValueError(f"config section {path} must be an object")
+    known = {f.name for f in dataclasses.fields(section_cls)}
+    unknown = [f"{path}.{key}" for key in values if key not in known]
+    if unknown:
+        raise ValueError("unknown config key " + ", ".join(unknown))
+    return section_cls(**values)
 
 
 def _derive_int(*parts) -> int:
@@ -191,7 +206,7 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
         archive = optimize(meta_data.rows[rows_t], meta_data.labels[rows_t],
                            meta_data.rows[rows_o], meta_data.labels[rows_o],
                            val_data.rows, val_data.labels,
-                           bpso_cfg, config.meta, collect_trace=True)
+                           bpso_cfg, config.meta)
         mask = archive.mask
     else:
         warnings.warn("too few meta-training samples for mask search; "

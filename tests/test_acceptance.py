@@ -17,7 +17,7 @@ from metasel.experiment import (DataSource, ExperimentConfig, FRAMEWORK_METHOD,
                                 PoolConfig, run_experiment)
 from metasel.metafeatures import FeatureLayout, MetaFeatureExtractor
 from metasel.pool import bagging
-from metasel.regions import profile_neighborhood, region_of
+from metasel.regions import nearest_neighbors
 
 
 def report(criterion, ok, detail=""):
@@ -159,7 +159,7 @@ def test_criterion_05_bpso_exhaustive_equivalence():
         wins += tuple(int(b) for b in arch.mask) == best_bits
     audited = optimize(Xt, yt, Xo, yo, Xv, yv,
                        BpsoConfig(swarm_size=8, max_generations=30, stall_limit=5,
-                                  runs=2, seed=7), audit=True)
+                                  runs=2, seed=7))
     invariant = audited.validation_fitness <= min(audited.audit) + 1e-15
     report(5, wins >= 18 and invariant,
            f"archive matched exhaustive optimum {wins}/20 runs (need >= 18); "
@@ -238,10 +238,11 @@ def test_criterion_08_brute_force_equivalences():
         ds = Dataset(ref, rng.integers(0, 2, n), 2)
         q = rng.uniform(0, 1, size=2)
         k = int(rng.integers(1, n + 1))
-        knn_ok &= region_of(q, ds, k=k).indices.tolist() == brute(q, ref, k)
+        knn_ok &= (nearest_neighbors(q[None, :], ds.features, k)[0][0].tolist()
+                   == brute(q, ref, k))
         profs = rng.uniform(0, 1, size=(n, 6))
         qp = rng.uniform(0, 1, size=6)
-        profile_ok &= (profile_neighborhood(qp, profs, kp=k).indices.tolist()
+        profile_ok &= (nearest_neighbors(qp[None, :], profs, k)[0][0].tolist()
                        == brute(qp, profs, k))
 
     # weighted majority vote

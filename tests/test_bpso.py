@@ -1,9 +1,11 @@
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from metasel.bpso import (Archive, BpsoConfig, MaskEvaluator, Particle, Swarm,
+from metasel.bpso import (_TRANSFERS, Archive, BpsoConfig, MaskEvaluator, Swarm,
                           init_swarm, optimize, oracle_competence,
                           oracle_distance, step, transfer_s, transfer_v)
 from metasel.data import generate_p2, scale_minmax
@@ -85,16 +87,16 @@ class TestOracleDistance:
 
 class TestStep:
     def frozen_swarm(self, dim, velocity, seed=0):
-        pos = np.zeros(dim, dtype=bool)
-        part = Particle(position=pos.copy(), velocity=np.full(dim, velocity),
-                        best_position=pos.copy(), best_fitness=0.0)
-        return Swarm(particles=[part], gbest_position=pos.copy(),
+        pos = np.zeros((1, dim), dtype=bool)
+        return Swarm(position=pos.copy(), velocity=np.full((1, dim), velocity),
+                     best_position=pos.copy(), best_fitness=np.zeros(1),
+                     fitness=np.full(1, np.inf), gbest_position=pos[0].copy(),
                      gbest_fitness=0.0, rng=np.random.default_rng(seed))
 
     def test_zero_velocity_v_shaped_never_flips(self):
         swarm = self.frozen_swarm(500, 0.0)
         step(swarm, BpsoConfig(swarm_size=1, transfer="V"), lambda m: 1.0)
-        assert not swarm.particles[0].position.any()
+        assert not swarm.position[0].any()
 
     def test_flip_frequency_matches_transfer(self):
         # pbest == gbest == position keeps the velocity constant, so the
@@ -103,7 +105,7 @@ class TestStep:
             for v in (-1.5, 0.4, 2.0):
                 swarm = self.frozen_swarm(100_000, v, seed=7)
                 step(swarm, BpsoConfig(swarm_size=1, transfer=transfer), lambda m: 1.0)
-                flipped = swarm.particles[0].position.mean()
+                flipped = swarm.position[0].mean()
                 assert abs(flipped - fn(v)) <= 0.02
 
     def test_pbest_never_increases(self):
@@ -115,7 +117,7 @@ class TestStep:
         history = []
         for _ in range(8):
             step(swarm, BpsoConfig(swarm_size=6), fit)
-            history.append([p.best_fitness for p in swarm.particles])
+            history.append(swarm.best_fitness.copy())
         hist = np.array(history)
         assert (np.diff(hist, axis=0) <= 1e-15).all()
 
@@ -127,8 +129,8 @@ class TestStep:
         swarm = init_swarm(4, cfg, np.random.default_rng(2))
         for _ in range(5):
             step(swarm, cfg, fit)
-        assert swarm.gbest_fitness == swarm.particles[0].best_fitness
-        assert np.array_equal(swarm.gbest_position, swarm.particles[0].best_position)
+        assert swarm.gbest_fitness == swarm.best_fitness[0]
+        assert np.array_equal(swarm.gbest_position, swarm.best_position[0])
 
     def test_velocity_clamped(self):
         X, y = make_rows(50, 7)
@@ -137,8 +139,8 @@ class TestStep:
         swarm = init_swarm(4, cfg, np.random.default_rng(3))
         for _ in range(20):
             step(swarm, cfg, lambda m: ev.distance(m, X, y))
-        for p in swarm.particles:
-            assert (np.abs(p.velocity) <= 6.0).all()
+        assert swarm.velocity.shape == (5, 4)
+        assert (np.abs(swarm.velocity) <= 6.0).all()
 
 
 class TestOptimize:
@@ -170,16 +172,14 @@ class TestOptimize:
 
     def test_archive_not_beaten_by_any_validated_particle(self):
         cfg = BpsoConfig(swarm_size=8, max_generations=30, stall_limit=5, runs=2, seed=5)
-        arch = optimize(self.Xt, self.yt, self.Xo, self.yo, self.Xv, self.yv, cfg,
-                        audit=True)
+        arch = optimize(self.Xt, self.yt, self.Xo, self.yo, self.Xv, self.yv, cfg)
         assert len(arch.audit) > 0
         assert arch.validation_fitness <= min(arch.audit) + 1e-15
 
     def test_archive_beats_final_gbest_on_validation(self):
         ev = MaskEvaluator(self.Xt, self.yt)
         cfg = BpsoConfig(swarm_size=10, max_generations=40, stall_limit=5, runs=1, seed=3)
-        arch = optimize(self.Xt, self.yt, self.Xo, self.yo, self.Xv, self.yv, cfg,
-                        collect_trace=True)
+        arch = optimize(self.Xt, self.yt, self.Xo, self.yo, self.Xv, self.yv, cfg)
         # rebuild the swarm trajectory to recover the final swarm best
         swarm = init_swarm(4, cfg, np.random.default_rng([cfg.seed, 0]))
         for _ in range(len(arch.trace)):
@@ -196,8 +196,7 @@ class TestOptimize:
 
     def test_trace_columns(self):
         cfg = BpsoConfig(swarm_size=5, max_generations=15, stall_limit=5, runs=2, seed=2)
-        arch = optimize(self.Xt, self.yt, self.Xo, self.yo, self.Xv, self.yv, cfg,
-                        collect_trace=True)
+        arch = optimize(self.Xt, self.yt, self.Xo, self.yo, self.Xv, self.yv, cfg)
         runs = {row[0] for row in arch.trace}
         assert runs == {0, 1}
         gens = [row[1] for row in arch.trace if row[0] == 0]
@@ -231,5 +230,112 @@ class TestStallRule:
         X = rng.uniform(0, 1, size=(40, 1))
         y = (X[:, 0] > 0.5).astype(float)
         cfg = BpsoConfig(swarm_size=4, max_generations=50, stall_limit=5, runs=1, seed=4)
-        arch = optimize(X, y, X, y, X, y, cfg, collect_trace=True)
+        arch = optimize(X, y, X, y, X, y, cfg)
         assert len(arch.trace) == cfg.stall_limit + 1
+
+
+# -- the per-particle swarm the array swarm replaced, kept as reference -------
+
+@dataclass
+class RefParticle:
+    position: np.ndarray
+    velocity: np.ndarray
+    best_position: np.ndarray
+    best_fitness: float = np.inf
+    fitness: float = np.inf
+
+
+@dataclass
+class RefSwarm:
+    particles: list
+    gbest_position: np.ndarray
+    gbest_fitness: float = np.inf
+    rng: np.random.Generator = None
+
+
+def ref_init_swarm(dim, config, rng):
+    particles = []
+    for _ in range(config.swarm_size):
+        pos = rng.random(dim) < 0.5
+        particles.append(RefParticle(position=pos, velocity=np.zeros(dim),
+                                     best_position=pos.copy()))
+    return RefSwarm(particles=particles, gbest_position=particles[0].position.copy(),
+                    rng=rng)
+
+
+def ref_step(swarm, config, fitness_fn):
+    rng = swarm.rng
+    transfer = _TRANSFERS[config.transfer]
+    improved = False
+    for part in swarm.particles:
+        part.fitness = fitness_fn(part.position)
+        if part.fitness < part.best_fitness:
+            part.best_fitness = part.fitness
+            part.best_position = part.position.copy()
+        if part.fitness < swarm.gbest_fitness:
+            swarm.gbest_fitness = part.fitness
+            swarm.gbest_position = part.position.copy()
+            improved = True
+    for part in swarm.particles:
+        pos = part.position.astype(float)
+        r1 = rng.random(len(pos))
+        r2 = rng.random(len(pos))
+        part.velocity = (config.inertia * part.velocity
+                         + config.c1 * r1 * (part.best_position.astype(float) - pos)
+                         + config.c2 * r2 * (swarm.gbest_position.astype(float) - pos))
+        np.clip(part.velocity, -config.v_max, config.v_max, out=part.velocity)
+        flip = rng.random(len(pos)) < transfer(part.velocity)
+        part.position = np.where(flip, ~part.position, part.position)
+    return improved
+
+
+def assert_same_swarm(swarm, ref):
+    parts = ref.particles
+    assert np.array_equal(swarm.position, [p.position for p in parts])
+    assert np.array_equal(swarm.velocity, [p.velocity for p in parts])
+    assert np.array_equal(swarm.best_position, [p.best_position for p in parts])
+    assert np.array_equal(swarm.best_fitness, [p.best_fitness for p in parts])
+    assert np.array_equal(swarm.fitness, [p.fitness for p in parts])
+    assert np.array_equal(swarm.gbest_position, ref.gbest_position)
+    assert swarm.gbest_fitness == ref.gbest_fitness
+
+
+class TestAgainstPerParticleReference:
+    @settings(max_examples=80, deadline=None)
+    @given(P=st.integers(1, 8), D=st.integers(1, 12), transfer=st.sampled_from("SV"),
+           v_max=st.sampled_from([0.5, 2.0, 6.0]), seed=st.integers(0, 2**32 - 1),
+           coefs=st.sampled_from([(1.0, 2.0, 2.0), (0.9, 1.7, 1.3)]))
+    def test_bit_equal_over_generations(self, P, D, transfer, v_max, seed, coefs):
+        # next to the defaults, coefficients that are not powers of two, so
+        # every term of the velocity update rounds
+        inertia, c1, c2 = coefs
+        cfg = BpsoConfig(swarm_size=P, transfer=transfer, v_max=v_max,
+                         inertia=inertia, c1=c1, c2=c2)
+        weights = np.random.default_rng([seed, 1]).integers(0, 3, D)
+
+        def recording_fit(calls):
+            def fit(mask):
+                calls.append(mask.tobytes())
+                # few distinct values, so particles tie; empty masks are sentinels
+                return float((weights @ mask) % 3) if mask.any() else np.inf
+            return fit
+
+        calls, ref_calls = [], []
+        swarm = init_swarm(D, cfg, np.random.default_rng(seed))
+        ref = ref_init_swarm(D, cfg, np.random.default_rng(seed))
+        assert np.array_equal(swarm.position, [p.position for p in ref.particles])
+        for _ in range(6):
+            improved = step(swarm, cfg, recording_fit(calls))
+            assert improved == ref_step(ref, cfg, recording_fit(ref_calls))
+            assert_same_swarm(swarm, ref)
+        assert calls == ref_calls       # one call per particle, in row order
+
+    def test_all_empty_masks_keep_first_row_as_gbest(self):
+        # every fitness inf: neither reference nor array swarm may move gbest
+        cfg = BpsoConfig(swarm_size=4)
+        swarm = init_swarm(5, cfg, np.random.default_rng(3))
+        ref = ref_init_swarm(5, cfg, np.random.default_rng(3))
+        for _ in range(3):
+            assert not step(swarm, cfg, lambda m: np.inf)
+            assert not ref_step(ref, cfg, lambda m: np.inf)
+            assert_same_swarm(swarm, ref)

@@ -94,6 +94,14 @@ class TestTrainAndClassify:
         assert rc != 0
         assert "row 3, column 2" in capsys.readouterr().err
 
+    def test_unknown_config_key_is_an_error_line(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, bpso={"swarmsize": 3})
+        rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.bin")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bpso.swarmsize" in err
+        assert not (tmp_path / "m.bin").exists()
+
     def test_bad_model_path_fails(self, tmp_path, capsys):
         feats = tmp_path / "feats.csv"
         feats.write_text("0.5,0.5\n")

@@ -35,6 +35,19 @@ class TestConfig:
         assert again.methods == cfg.methods
         assert again.seed == cfg.seed
 
+    def test_unknown_section_key_named(self):
+        for raw, key in (({"bpso": {"swarmsize": 3}}, "bpso.swarmsize"),
+                         ({"pool": {"size": 3, "sise": 4}}, "pool.sise"),
+                         ({"meta": {"l3": 1.0}}, "meta.l3"),
+                         ({"source": {"split": {"trainfrac": 0.5}}}, "source.split.trainfrac")):
+            with pytest.raises(ValueError, match=key.replace(".", r"\.")):
+                ExperimentConfig.from_dict(raw)
+        with pytest.raises(ValueError, match="section bpso must be an object"):
+            ExperimentConfig.from_dict({"bpso": 3})
+        # unknown top-level keys (rrc_samples from older configs) stay ignored
+        cfg = ExperimentConfig.from_dict({"rrc_samples": 150, "bpso": {"swarm_size": 3}})
+        assert cfg.bpso.swarm_size == 3
+
     def test_defaults_mirror_protocol(self):
         cfg = ExperimentConfig()
         assert cfg.k == 7 and cfg.kp == 5

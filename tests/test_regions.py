@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from metasel import regions
 from metasel.data import Dataset, generate_p2, scale_minmax
+from metasel.metafeatures import MetaFeatureExtractor
 from metasel.pool import bagging
-from metasel.regions import (dsel_output_profiles, nearest_neighbors,
-                             output_profile, profile_neighborhood, region_of)
+from metasel.regions import nearest_neighbors
 
 
 def brute_force_knn(query, reference, k, exclude=None):
@@ -21,6 +21,20 @@ def brute_force_knn(query, reference, k, exclude=None):
     return [i for _, i in scored[:k]], [d for d, _ in scored[:k]]
 
 
+def knn_one(query, reference, k, exclude=None):
+    """Neighbors of a single query: (indices, distances), each (k,)."""
+    excl = None if exclude is None else [exclude]
+    idx, dist = nearest_neighbors(np.atleast_2d(query), reference, k, exclude=excl)
+    return idx[0], dist[0]
+
+
+def profile_of(pool, x):
+    """Output profile of one sample: every member's support vector, in member
+    order, concatenated (length M * L)."""
+    _, supports = pool.predict_batch(np.atleast_2d(x))
+    return supports[:, 0, :].reshape(-1)
+
+
 def small_dsel(n=20, d=2, seed=0):
     rng = np.random.default_rng(seed)
     return Dataset(rng.uniform(0, 1, size=(n, d)), rng.integers(0, 2, n), 2)
@@ -29,40 +43,40 @@ def small_dsel(n=20, d=2, seed=0):
 class TestRegionOf:
     def test_self_match_when_not_excluded(self):
         ds = small_dsel()
-        r = region_of(ds.features[4], ds, k=3)
-        assert r.indices[0] == 4 and r.distances[0] == 0.0
+        idx, dist = knn_one(ds.features[4], ds.features, k=3)
+        assert idx[0] == 4 and dist[0] == 0.0
 
     def test_exclusion_drops_own_row(self):
         ds = small_dsel()
-        r = region_of(ds.features[4], ds, k=3, exclude=4)
-        assert 4 not in r.indices
+        idx, _ = knn_one(ds.features[4], ds.features, k=3, exclude=4)
+        assert 4 not in idx
 
     def test_k_equals_reference_size(self):
         ds = small_dsel(n=8)
-        r = region_of(np.array([0.5, 0.5]), ds, k=8)
-        assert sorted(r.indices.tolist()) == list(range(8))
-        assert (np.diff(r.distances) >= 0).all()
+        idx, dist = knn_one(np.array([0.5, 0.5]), ds.features, k=8)
+        assert sorted(idx.tolist()) == list(range(8))
+        assert (np.diff(dist) >= 0).all()
 
     def test_hand_placed_five_points(self):
         feats = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [3.0, 0.0], [0.1, 0.1]])
         ds = Dataset(feats, np.array([0, 1, 0, 1, 0]), 2)
-        r = region_of(np.array([0.0, 0.0]), ds, k=3)
+        r_idx, r_dist = knn_one(np.array([0.0, 0.0]), ds.features, k=3)
         idx, dist = brute_force_knn(np.array([0.0, 0.0]), feats, 3)
-        assert r.indices.tolist() == idx
-        assert np.allclose(r.distances, dist)
+        assert r_idx.tolist() == idx
+        assert np.allclose(r_dist, dist)
 
     def test_k_too_large(self):
         ds = small_dsel(n=5)
         with pytest.raises(ValueError, match="k="):
-            region_of(ds.features[0], ds, k=6)
+            knn_one(ds.features[0], ds.features, k=6)
         with pytest.raises(ValueError, match="k="):
-            region_of(ds.features[0], ds, k=5, exclude=0)
+            knn_one(ds.features[0], ds.features, k=5, exclude=0)
 
     def test_tie_break_by_lower_index(self):
         feats = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         ds = Dataset(feats, np.array([0, 1, 0, 1]), 2)
-        r = region_of(np.array([0.0, 0.0]), ds, k=4)
-        assert r.indices.tolist() == [0, 1, 2, 3]
+        idx, _ = knn_one(np.array([0.0, 0.0]), ds.features, k=4)
+        assert idx.tolist() == [0, 1, 2, 3]
 
     def test_matches_brute_force_many(self):
         rng = np.random.default_rng(7)
@@ -73,9 +87,9 @@ class TestRegionOf:
             ds = Dataset(ref, rng.integers(0, 2, n), 2)
             q = rng.uniform(0, 1, size=d)
             k = int(rng.integers(1, n + 1))
-            r = region_of(q, ds, k=k)
+            r_idx, _ = knn_one(q, ds.features, k=k)
             idx, _ = brute_force_knn(q, ref, k)
-            assert r.indices.tolist() == idx
+            assert r_idx.tolist() == idx
 
 
 class TestOutputProfile:
@@ -85,12 +99,12 @@ class TestOutputProfile:
         self.pool = bagging(train, 4, seed=5)
 
     def test_length_is_m_times_l(self):
-        prof = output_profile(self.pool, np.array([0.3, 0.7]))
-        assert prof.values.shape == (4 * 2,)
+        prof = profile_of(self.pool, np.array([0.3, 0.7]))
+        assert prof.shape == (4 * 2,)
 
     def test_blocks_sum_to_one(self):
-        prof = output_profile(self.pool, np.array([0.2, 0.9]))
-        blocks = prof.values.reshape(4, 2)
+        prof = profile_of(self.pool, np.array([0.2, 0.9]))
+        blocks = prof.reshape(4, 2)
         assert np.allclose(blocks.sum(axis=1), 1.0, atol=1e-9)
 
     def test_single_member_on_hyperplane(self):
@@ -98,34 +112,33 @@ class TestOutputProfile:
 
         W = np.array([[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]])  # boundary x = 0
         pool = ClassifierPool(W, dist_scale=np.array([1.0]))
-        prof = output_profile(pool, np.array([0.0, 3.0]))
-        assert np.allclose(prof.values, [0.5, 0.5])
+        prof = profile_of(pool, np.array([0.0, 3.0]))
+        assert np.allclose(prof, [0.5, 0.5])
 
     def test_deterministic(self):
-        a = output_profile(self.pool, np.array([0.4, 0.4]))
-        b = output_profile(self.pool, np.array([0.4, 0.4]))
-        assert np.array_equal(a.values, b.values)
+        a = profile_of(self.pool, np.array([0.4, 0.4]))
+        b = profile_of(self.pool, np.array([0.4, 0.4]))
+        assert np.array_equal(a, b)
 
     def test_precomputed_equals_on_demand(self):
-        profs = dsel_output_profiles(self.pool, self.dsel)
+        profs = MetaFeatureExtractor(self.pool, self.dsel).dsel_profiles
         for i in range(len(self.dsel)):
-            assert np.allclose(profs[i],
-                               output_profile(self.pool, self.dsel.features[i]).values)
+            assert np.allclose(profs[i], profile_of(self.pool, self.dsel.features[i]))
 
 
 class TestProfileNeighborhood:
     def test_exhaustive(self):
         profs = np.random.default_rng(1).uniform(0, 1, size=(6, 4))
-        nbh = profile_neighborhood(profs[2], profs, kp=6)
-        assert sorted(nbh.indices.tolist()) == list(range(6))
-        assert nbh.indices[0] == 2 and nbh.distances[0] == 0.0
+        idx, dist = knn_one(profs[2], profs, k=6)
+        assert sorted(idx.tolist()) == list(range(6))
+        assert idx[0] == 2 and dist[0] == 0.0
 
     def test_hand_built_four_profiles(self):
         profs = np.array([[1.0, 0.0], [0.0, 1.0], [0.9, 0.1], [0.5, 0.5]])
         query = np.array([1.0, 0.0])
-        nbh = profile_neighborhood(query, profs, kp=2)
+        nbh, _ = knn_one(query, profs, k=2)
         idx, _ = brute_force_knn(query, profs, 2)
-        assert nbh.indices.tolist() == idx
+        assert nbh.tolist() == idx
 
     def test_matches_brute_force_many(self):
         rng = np.random.default_rng(8)
@@ -135,9 +148,9 @@ class TestProfileNeighborhood:
             profs = rng.uniform(0, 1, size=(n, w))
             q = rng.uniform(0, 1, size=w)
             kp = int(rng.integers(1, n + 1))
-            nbh = profile_neighborhood(q, profs, kp=kp)
+            nbh, _ = knn_one(q, profs, k=kp)
             idx, _ = brute_force_knn(q, profs, kp)
-            assert nbh.indices.tolist() == idx
+            assert nbh.tolist() == idx
 
 
 class TestBatchNeighbors:
