@@ -21,7 +21,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metaclassifier import MetaClassifier, MetaTrainConfig, train_meta
+from .metaclassifier import MetaTrainConfig, standardize_constants, train_meta
+
+# doubles per scoring block: a block of scored rows holds at most this many
+# values, and so does its (rows, masks) buffer of decision values, so nothing
+# scoring allocates grows with the row count. Small blocks also keep small
+# the BLAS packing buffers, which stay resident once touched.
+_SCORE_BLOCK = 2 ** 15
+# row sets whose scores an evaluator keeps: the optimization and the
+# validation rows of a search
+_ROW_SETS = 2
 
 __all__ = [
     "BpsoConfig",
@@ -59,7 +68,8 @@ def oracle_competence(pool, x, true_label: int) -> np.ndarray:
 def oracle_distance(estimates, ideal) -> float:
     """Distance between competence estimates and the ideal 0/1 competences
     over all (sample, classifier) rows: sqrt of the summed squared
-    differences, divided by the row count (normalizer outside the root)."""
+    differences, divided by the row count (normalizer outside the root).
+    ``MaskEvaluator`` computes the same quantity for many masks at once."""
     diff = np.asarray(estimates, dtype=float) - np.asarray(ideal, dtype=float)
     return float(np.sqrt((diff ** 2).sum()) / len(diff))
 
@@ -115,32 +125,106 @@ class Archive:
 
 class MaskEvaluator:
     """Trains one selector per mask (cached) and scores masks by the ideal
-    competence distance on arbitrary row sets."""
+    competence distance on arbitrary row sets.
+
+    The training half is standardized once; a mask's selector trains on the
+    mask's columns of that copy. Each selector is kept only folded into
+    weights over the raw meta-features, ``w' = w / std`` and
+    ``b' = b - mean . w'``, zero outside its mask, so a batch of masks is
+    scored by one product of raw row blocks with the stacked weights and no
+    masked or standardized copy of the scored rows is made.
+
+    A mask's distance on a row set is scored once and then read back. Row
+    sets are told apart by identity (the evaluator holds on to the last
+    ``_ROW_SETS`` of them), so rows must not be changed in place while the
+    evaluator is in use.
+    """
 
     def __init__(self, train_rows, train_labels, meta_config: MetaTrainConfig | None = None):
-        self.train_rows = np.asarray(train_rows, dtype=float)
+        # column-major, like the copies ``rows[:, mask]`` numpy makes: the
+        # column constants and each fit's input are then bit for bit those
+        # of ``train_meta(train_rows[:, mask], ...)``
+        self.train_z = np.array(train_rows, dtype=float, order="F")
         self.train_labels = np.asarray(train_labels, dtype=float)
         self.meta_config = meta_config or MetaTrainConfig()
-        self._models: dict[bytes, MetaClassifier | None] = {}
+        self.mean, self.std = standardize_constants(self.train_z)
+        self.train_z -= self.mean
+        self.train_z /= self.std
+        self._folded: dict[bytes, tuple | None] = {}
+        self._scores: list[tuple] = []     # (rows, labels, {mask key: distance}), newest first
 
-    def model_for(self, mask) -> MetaClassifier | None:
-        mask = np.asarray(mask, dtype=bool)
+    def _fold(self, mask) -> tuple | None:
+        """``(w', b')`` of the mask's selector over raw rows, fitted on first
+        use; None for the empty mask."""
         key = mask.tobytes()
-        if key not in self._models:
-            if not mask.any():
-                self._models[key] = None
-            else:
-                self._models[key] = train_meta(self.train_rows[:, mask],
-                                               self.train_labels, self.meta_config)
-        return self._models[key]
+        if key not in self._folded:
+            folded = None
+            if mask.any():
+                model = train_meta(self.train_z[:, mask], self.train_labels, self.meta_config,
+                                   standardized=(self.mean[mask], self.std[mask]))
+                weights = np.zeros(len(mask))
+                weights[mask] = model.weights / model.feature_std
+                folded = (weights, model.bias - model.feature_mean @ weights[mask])
+            self._folded[key] = folded
+        return self._folded[key]
+
+    def distances(self, masks, rows, labels) -> np.ndarray:
+        """Oracle distance of every row of ``masks`` (P, D) on ``rows``.
+
+        Uncached masks are fitted in row order, then every mask not yet
+        scored on ``rows`` is scored in one pass over them; ``distance`` is
+        still called once per mask and reads its value from that pass.
+        """
+        masks = np.asarray(masks, dtype=bool)
+        self._score(masks, rows, labels)
+        return np.array([self.distance(mask, rows, labels) for mask in masks], dtype=float)
 
     def distance(self, mask, rows, labels) -> float:
         mask = np.asarray(mask, dtype=bool)
-        model = self.model_for(mask)
-        if model is None:
-            return np.inf
-        delta = model.competence_batch(np.asarray(rows, dtype=float)[:, mask])
-        return oracle_distance(delta, labels)
+        return self._score(mask[None], rows, labels)[mask.tobytes()]
+
+    def _score(self, masks, rows, labels) -> dict:
+        """{mask key: distance} on this row set, with every mask of ``masks``
+        in it; empty masks are inf."""
+        scores = next((s for r, y, s in self._scores if r is rows and y is labels), None)
+        if scores is None:
+            scores = {}
+            self._scores = [(rows, labels, scores)] + self._scores[:_ROW_SETS - 1]
+        fresh = {}
+        for mask in masks:
+            key = mask.tobytes()
+            if key in scores or key in fresh:
+                continue
+            folded = self._fold(mask)
+            if folded is None:
+                scores[key] = np.inf
+            else:
+                fresh[key] = folded
+        if not fresh:
+            return scores
+        weights = np.stack([w for w, _ in fresh.values()], axis=1)
+        bias = np.array([b for _, b in fresh.values()])
+        rows = np.asarray(rows, dtype=float)
+        labels = np.asarray(labels)
+        sq = np.zeros(len(fresh))
+        block = max(1, _SCORE_BLOCK // max(rows.shape[1], len(fresh)))
+        out = np.empty((min(block, len(rows)), len(fresh)))
+        for start in range(0, len(rows), block):
+            # in one buffer, the competence 1 / (1 + exp(-clip(z))) and its
+            # squared error against the 0/1 labels of the block
+            chunk = rows[start:start + block]
+            z = np.matmul(chunk, weights, out=out[:len(chunk)])
+            z += bias
+            np.clip(z, -35.0, 35.0, out=z)
+            np.negative(z, out=z)
+            np.exp(z, out=z)
+            z += 1.0
+            np.reciprocal(z, out=z)
+            z -= labels[start:start + block, None]
+            np.square(z, out=z)
+            sq += z.sum(axis=0)
+        scores.update(zip(fresh, (np.sqrt(sq) / len(rows)).tolist()))
+        return scores
 
 
 def init_swarm(dim: int, config: BpsoConfig, rng: np.random.Generator) -> Swarm:
@@ -155,7 +239,8 @@ def step(swarm: Swarm, config: BpsoConfig, fitness_fn) -> bool:
     """One generation: evaluate current positions, update personal and global
     bests on strict improvement, then move every particle.
 
-    ``fitness_fn`` is called once per particle, in row order. The global best
+    ``fitness_fn`` is called once with the (P, D) positions and returns the
+    (P,) fitnesses. The global best
     is the first particle with the lowest fitness, and only replaces the old
     one when strictly better. Velocities use a fresh uniform random vector per
     cognitive and social term and are clamped to [-v_max, v_max]. A bit flips
@@ -166,7 +251,7 @@ def step(swarm: Swarm, config: BpsoConfig, fitness_fn) -> bool:
     """
     transfer = _TRANSFERS[config.transfer]
     pos = swarm.position
-    swarm.fitness = np.array([fitness_fn(row) for row in pos], dtype=float)
+    swarm.fitness = np.array(fitness_fn(pos), dtype=float).reshape(len(pos))
     better = swarm.fitness < swarm.best_fitness
     swarm.best_fitness = np.where(better, swarm.fitness, swarm.best_fitness)
     swarm.best_position = np.where(better[:, None], pos, swarm.best_position)
@@ -209,7 +294,7 @@ def optimize(train_rows, train_labels, opt_rows, opt_labels, val_rows, val_label
     config.validate()
     dim = np.asarray(train_rows).shape[1]
     evaluator = MaskEvaluator(train_rows, train_labels, meta_config)
-    fit_opt = lambda mask: evaluator.distance(mask, opt_rows, opt_labels)
+    fit_opt = lambda masks: evaluator.distances(masks, opt_rows, opt_labels)
 
     best = Archive()
     all_trace, all_audit = [], []
@@ -220,8 +305,7 @@ def optimize(train_rows, train_labels, opt_rows, opt_labels, val_rows, val_label
         stall = 0
         for gen in range(1, config.max_generations + 1):
             improved = step(swarm, config, fit_opt)
-            val = np.array([evaluator.distance(row, val_rows, val_labels)
-                            for row in swarm.position], dtype=float)
+            val = evaluator.distances(swarm.position, val_rows, val_labels)
             all_audit.extend(val.tolist())
             lead = int(np.argmin(val))
             if val[lead] < archive.validation_fitness:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import pickle
+import typing
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -102,40 +103,61 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """Build a config from parsed JSON. Unknown keys inside the ``pool``,
-        ``bpso``, ``meta`` and ``source.split`` sections raise ValueError;
-        unknown top-level keys are ignored."""
+        """Build a config from parsed JSON. A value of the wrong type raises
+        ValueError, and so does an unknown key inside the ``source``,
+        ``pool``, ``bpso`` and ``meta`` sections (``source.split``
+        included); unknown top-level keys are ignored."""
         cfg = cls()
-        src = raw.get("source", {})
-        cfg.source = DataSource(
-            kind=src.get("kind", "p2"),
-            p2_sizes=tuple(src.get("p2_sizes", (500, 500, 500, 2000))),
-            path=src.get("path"),
-            label_column=src.get("label_column", -1),
-            split=_section(SplitSpec, src.get("split", {}), "source.split"),
-        )
+        cfg.source = _section(DataSource, raw.get("source", {}), "source")
         cfg.pool = _section(PoolConfig, raw.get("pool", {}), "pool")
         cfg.bpso = _section(BpsoConfig, raw.get("bpso", {}), "bpso")
         cfg.meta = _section(MetaTrainConfig, raw.get("meta", {}), "meta")
+        hints = typing.get_type_hints(cls)
         for name in ("k", "kp", "consensus_threshold", "selection_threshold",
-                     "replications", "reference_method", "seed"):
+                     "replications", "methods", "reference_method", "seed"):
             if name in raw:
-                setattr(cfg, name, raw[name])
-        if "methods" in raw:
-            cfg.methods = tuple(raw["methods"])
+                setattr(cfg, name, _checked(raw[name], hints[name], name))
         return cfg
 
 
+# accepted JSON value types and their name per field annotation; bool is
+# never a number
+_VALUE_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    str | None: ((str, type(None)), "a string or null"),
+    tuple: ((list, tuple), "a list"),
+}
+
+
 def _section(section_cls, values, path: str):
-    """The dataclass ``section_cls`` built from the config section at ``path``;
-    a key the dataclass does not have is named in a ValueError."""
+    """The dataclass ``section_cls`` built from the config section at ``path``.
+
+    A key the dataclass does not have, or a value that does not match its
+    field's type, is named in a ValueError. A dataclass field is a nested
+    section, and a list becomes a tuple field."""
     if not isinstance(values, dict):
         raise ValueError(f"config section {path} must be an object")
-    known = {f.name for f in dataclasses.fields(section_cls)}
-    unknown = [f"{path}.{key}" for key in values if key not in known]
+    hints = typing.get_type_hints(section_cls)
+    unknown = [f"{path}.{key}" for key in values if key not in hints]
     if unknown:
         raise ValueError("unknown config key " + ", ".join(unknown))
-    return section_cls(**values)
+    kwargs = {}
+    for key, value in values.items():
+        hint, where = hints[key], f"{path}.{key}"
+        kwargs[key] = (_section(hint, value, where) if dataclasses.is_dataclass(hint)
+                       else _checked(value, hint, where))
+    return section_cls(**kwargs)
+
+
+def _checked(value, hint, path: str):
+    """``value`` for a field annotated ``hint``, lists made tuples; a value
+    of the wrong type is named in a ValueError."""
+    allowed, name = _VALUE_TYPES[hint]
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ValueError(f"config key {path} must be {name}, got {value!r}")
+    return tuple(value) if hint is tuple else value
 
 
 def _derive_int(*parts) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["MetaTrainConfig", "MetaClassifier", "train_meta", "competence"]
+__all__ = ["MetaTrainConfig", "MetaClassifier", "train_meta"]
 
 
 @dataclass
@@ -29,7 +29,7 @@ class MetaTrainConfig:
 
 @dataclass
 class MetaClassifier:
-    """Linear competence model; ``competence`` yields sigmoid(w . v~ + b)."""
+    """Linear competence model; ``competence_batch`` yields sigmoid(w . v~ + b)."""
 
     weights: np.ndarray          # (p,) for standardized inputs
     bias: float
@@ -51,16 +51,19 @@ class MetaClassifier:
     def competence_batch(self, rows) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-self.decision(rows)))
 
-    def competence(self, v) -> float:
-        return float(self.competence_batch(np.atleast_2d(v))[0])
 
-
-def train_meta(rows, labels, config: MetaTrainConfig | None = None) -> MetaClassifier:
+def train_meta(rows, labels, config: MetaTrainConfig | None = None,
+               standardized: tuple | None = None) -> MetaClassifier:
     """Fit the competence model on masked meta-feature rows with 0/1 labels.
 
     Needs at least two rows; if only one meta-class is present the model
     degenerates to a constant output at that class's value (flagged and
     warned). The L2 penalty applies to the weights, not the bias.
+
+    ``standardized=(mean, std)`` says that ``rows`` are already standardized
+    with these column constants (std already guarded against zero), so the
+    column reductions are skipped; the returned model stores the constants
+    and scores raw rows as usual.
     """
     config = config or MetaTrainConfig()
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
@@ -71,9 +74,11 @@ def train_meta(rows, labels, config: MetaTrainConfig | None = None) -> MetaClass
         raise ValueError("rows and labels length mismatch")
     p = rows.shape[1]
 
-    mean = rows.mean(axis=0)
-    std = rows.std(axis=0)
-    std = np.where(std > 1e-12, std, 1.0)
+    if standardized is None:
+        mean, std = standardize_constants(rows)
+        Z = (rows - mean) / std
+    else:
+        (mean, std), Z = standardized, rows
 
     classes = np.unique(labels)
     if len(classes) < 2:
@@ -84,7 +89,6 @@ def train_meta(rows, labels, config: MetaTrainConfig | None = None) -> MetaClass
         return MetaClassifier(np.zeros(p), bias, mean, std, p,
                               config=config, degenerate=True)
 
-    Z = (rows - mean) / std
     w = np.zeros(p)
     b = 0.0
     sample_w = np.where(labels == 1.0, config.positive_class_weight, 1.0)
@@ -110,6 +114,7 @@ def train_meta(rows, labels, config: MetaTrainConfig | None = None) -> MetaClass
                           iterations=iterations)
 
 
-def competence(mc: MetaClassifier, v) -> float:
-    """Competence support of one masked meta-feature vector."""
-    return mc.competence(v)
+def standardize_constants(rows):
+    """Column mean and std of ``rows``; a std of 1e-12 or less becomes 1."""
+    std = rows.std(axis=0)
+    return rows.mean(axis=0), np.where(std > 1e-12, std, 1.0)

@@ -1,13 +1,18 @@
 import itertools
+import tracemalloc
+import warnings
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metasel import bpso
 from metasel.bpso import (_TRANSFERS, Archive, BpsoConfig, MaskEvaluator, Swarm,
                           init_swarm, optimize, oracle_competence,
                           oracle_distance, step, transfer_s, transfer_v)
+from metasel.metaclassifier import train_meta
 from metasel.data import generate_p2, scale_minmax
 from metasel.pool import bagging
 
@@ -85,6 +90,116 @@ class TestOracleDistance:
         assert ev.distance(np.zeros(4, dtype=bool), X, y) == np.inf
 
 
+class TestBatchedDistances:
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), D=st.integers(1, 7), P=st.integers(1, 8),
+           n_train=st.integers(2, 40), n_rows=st.integers(1, 60),
+           block=st.integers(1, 25), single_class=st.booleans())
+    def test_equals_per_mask_reference(self, seed, D, P, n_train, n_rows, block, single_class):
+        rng = np.random.default_rng(seed)
+        train = rng.normal(size=(n_train, D)) * rng.uniform(0.1, 10.0, D) + rng.normal(size=D)
+        train[:, rng.random(D) < 0.2] = 1.5           # constant columns hit the std guard
+        labels = (train @ rng.normal(size=D) + rng.normal(size=n_train) > 0).astype(float)
+        if single_class:
+            labels[:] = float(rng.integers(0, 2))
+        rows = rng.normal(size=(n_rows, D)) * 2.0
+        row_labels = rng.integers(0, 2, n_rows).astype(float)
+        # few bits, so masks repeat within the batch; some rows are empty masks
+        masks = rng.random((P, D)) < rng.choice([0.2, 0.5, 0.8])
+        masks[rng.random(P) < 0.2] = False
+
+        ev = MaskEvaluator(train, labels)
+        fitted = []                     # the evaluator's fits, in call order
+
+        def recording_train_meta(*args, **kwargs):
+            fitted.append(train_meta(*args, **kwargs))
+            return fitted[-1]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            # blocks of `block` doubles, so a few rows each: row counts are
+            # rarely a multiple of the block's rows
+            with mock.patch.object(bpso, "_SCORE_BLOCK", block), \
+                    mock.patch.object(bpso, "train_meta", recording_train_meta):
+                got = ev.distances(masks, rows, row_labels)
+                again = ev.distances(masks[::-1], rows, row_labels)
+                alone = [ev.distance(m, rows, row_labels) for m in masks]
+            refs = []
+            for m in masks:
+                if not m.any():
+                    refs.append(np.inf)
+                    continue
+                model = train_meta(train[:, m], labels)
+                refs.append(oracle_distance(model.competence_batch(rows[:, m]), row_labels))
+            # one fit per distinct non-empty mask, in order of first
+            # appearance (the second batch hits the cache for every mask),
+            # and standardizing once leaves every fit bit for bit unchanged
+            distinct = [np.frombuffer(k, dtype=bool)
+                        for k in dict.fromkeys(m.tobytes() for m in masks if m.any())]
+            assert len(fitted) == len(distinct)
+            for fit, m in zip(fitted, distinct):
+                model = train_meta(train[:, m], labels)
+                assert np.array_equal(fit.weights, model.weights) and fit.bias == model.bias
+                assert fit.iterations == model.iterations
+                assert np.array_equal(fit.feature_mean, model.feature_mean)
+                assert np.array_equal(fit.feature_std, model.feature_std)
+        refs = np.array(refs)
+
+        assert got.shape == (P,)
+        assert np.array_equal(np.isinf(got), ~masks.any(axis=1))
+        finite = np.isfinite(refs)
+        assert np.allclose(got[finite], refs[finite], rtol=1e-12, atol=0.0)
+        assert np.array_equal(again, got[::-1])
+        # outside a batch, distance scores its one mask the same way
+        assert np.array_equal(alone, got)
+
+    def test_distance_called_once_per_mask(self):
+        X, y = make_rows(60, 8)
+        ev = MaskEvaluator(X, y)
+        masks = np.array([[1, 0, 1, 0], [0, 0, 0, 0], [1, 0, 1, 0]], dtype=bool)
+        with mock.patch.object(MaskEvaluator, "distance", autospec=True,
+                               side_effect=MaskEvaluator.distance) as spy:
+            got = ev.distances(masks, X, y)
+        assert [call.args[1].tolist() for call in spy.call_args_list] == masks.tolist()
+        assert got[0] == got[2] and got[1] == np.inf
+
+    def test_scored_masks_are_not_scored_again(self):
+        X, y = make_rows(200, 9)
+        ev = MaskEvaluator(X, y)
+        masks = np.array([[1, 0, 1, 1], [0, 1, 1, 0]], dtype=bool)
+        first = ev.distances(masks, X, y)
+        with mock.patch.object(np, "matmul", wraps=np.matmul) as spy:
+            again = ev.distances(masks[::-1], X, y)
+            assert spy.call_count == 0
+            ev.distances(np.array([[1, 0, 1, 1], [1, 1, 1, 1]], dtype=bool), X, y)
+            assert spy.call_count == 1          # one block, the new mask only
+        assert np.array_equal(again, first[::-1])
+
+    def test_scoring_memory_does_not_grow_with_rows(self):
+        # folded weights and row blocks: no masked or standardized copy of the
+        # scored rows, so 10x the rows may not raise the peak by more than
+        # one block of decision values
+        D = 67
+        rng = np.random.default_rng(0)
+        train = rng.random((400, D))
+        ev = MaskEvaluator(train, (train[:, 0] + train[:, 1] > 1.0).astype(float))
+        masks = rng.random((8, D)) < 0.5
+        ev.distances(masks, train, ev.train_labels)     # fit the models first
+
+        def peak(n):
+            rows = rng.random((n, D))
+            labels = (rows[:, 0] > 0.5).astype(float)
+            tracemalloc.start()
+            try:
+                ev.distances(masks, rows, labels)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, big = peak(20_000), peak(200_000)
+        assert big - small <= bpso._SCORE_BLOCK * 8
+
+
 class TestStep:
     def frozen_swarm(self, dim, velocity, seed=0):
         pos = np.zeros((1, dim), dtype=bool)
@@ -95,7 +210,7 @@ class TestStep:
 
     def test_zero_velocity_v_shaped_never_flips(self):
         swarm = self.frozen_swarm(500, 0.0)
-        step(swarm, BpsoConfig(swarm_size=1, transfer="V"), lambda m: 1.0)
+        step(swarm, BpsoConfig(swarm_size=1, transfer="V"), lambda m: np.ones(len(m)))
         assert not swarm.position[0].any()
 
     def test_flip_frequency_matches_transfer(self):
@@ -104,7 +219,8 @@ class TestStep:
         for transfer, fn in (("S", transfer_s), ("V", transfer_v)):
             for v in (-1.5, 0.4, 2.0):
                 swarm = self.frozen_swarm(100_000, v, seed=7)
-                step(swarm, BpsoConfig(swarm_size=1, transfer=transfer), lambda m: 1.0)
+                step(swarm, BpsoConfig(swarm_size=1, transfer=transfer),
+                     lambda m: np.ones(len(m)))
                 flipped = swarm.position[0].mean()
                 assert abs(flipped - fn(v)) <= 0.02
 
@@ -112,7 +228,7 @@ class TestStep:
         rng = np.random.default_rng(4)
         X, y = make_rows(60, 5)
         ev = MaskEvaluator(X, y)
-        fit = lambda m: ev.distance(m, X, y)
+        fit = lambda m: ev.distances(m, X, y)
         swarm = init_swarm(4, BpsoConfig(swarm_size=6), np.random.default_rng(1))
         history = []
         for _ in range(8):
@@ -124,7 +240,7 @@ class TestStep:
     def test_single_particle_gbest_equals_pbest(self):
         X, y = make_rows(50, 6)
         ev = MaskEvaluator(X, y)
-        fit = lambda m: ev.distance(m, X, y)
+        fit = lambda m: ev.distances(m, X, y)
         cfg = BpsoConfig(swarm_size=1)
         swarm = init_swarm(4, cfg, np.random.default_rng(2))
         for _ in range(5):
@@ -138,7 +254,7 @@ class TestStep:
         cfg = BpsoConfig(swarm_size=5, v_max=6.0)
         swarm = init_swarm(4, cfg, np.random.default_rng(3))
         for _ in range(20):
-            step(swarm, cfg, lambda m: ev.distance(m, X, y))
+            step(swarm, cfg, lambda m: ev.distances(m, X, y))
         assert swarm.velocity.shape == (5, 4)
         assert (np.abs(swarm.velocity) <= 6.0).all()
 
@@ -183,7 +299,7 @@ class TestOptimize:
         # rebuild the swarm trajectory to recover the final swarm best
         swarm = init_swarm(4, cfg, np.random.default_rng([cfg.seed, 0]))
         for _ in range(len(arch.trace)):
-            step(swarm, cfg, lambda m: ev.distance(m, self.Xo, self.yo))
+            step(swarm, cfg, lambda m: ev.distances(m, self.Xo, self.yo))
         gbest_val = ev.distance(swarm.gbest_position, self.Xv, self.yv)
         assert arch.validation_fitness <= gbest_val + 1e-15
 
@@ -207,9 +323,9 @@ class TestStallRule:
     def test_constant_fitness_runs_stall_plus_one_generations(self):
         calls = {"n": 0}
 
-        def const_fit(mask):
+        def const_fit(masks):
             calls["n"] += 1
-            return 1.0
+            return np.ones(len(masks))
 
         cfg = BpsoConfig(swarm_size=3, max_generations=100, stall_limit=5, runs=1, seed=0)
         swarm = init_swarm(6, cfg, np.random.default_rng(0))
@@ -222,6 +338,7 @@ class TestStallRule:
             if stall >= cfg.stall_limit:
                 break
         assert generations == cfg.stall_limit + 1
+        assert calls["n"] == generations      # one batch call per generation
 
     def test_optimize_trace_shows_stall_plus_one(self):
         # a constant fitness landscape: single-feature rows make every
@@ -313,22 +430,34 @@ class TestAgainstPerParticleReference:
                          inertia=inertia, c1=c1, c2=c2)
         weights = np.random.default_rng([seed, 1]).integers(0, 3, D)
 
+        def fit(mask):
+            # few distinct values, so particles tie; empty masks are sentinels
+            return float((weights @ mask) % 3) if mask.any() else np.inf
+
         def recording_fit(calls):
-            def fit(mask):
+            def one(mask):
                 calls.append(mask.tobytes())
-                # few distinct values, so particles tie; empty masks are sentinels
-                return float((weights @ mask) % 3) if mask.any() else np.inf
-            return fit
+                return fit(mask)
+            return one
+
+        def recording_batch_fit(calls):
+            def batch(masks):
+                calls.append(masks.shape)
+                calls.extend(mask.tobytes() for mask in masks)
+                return [fit(mask) for mask in masks]
+            return batch
 
         calls, ref_calls = [], []
         swarm = init_swarm(D, cfg, np.random.default_rng(seed))
         ref = ref_init_swarm(D, cfg, np.random.default_rng(seed))
         assert np.array_equal(swarm.position, [p.position for p in ref.particles])
         for _ in range(6):
-            improved = step(swarm, cfg, recording_fit(calls))
+            ref_calls.append((P, D))
+            improved = step(swarm, cfg, recording_batch_fit(calls))
             assert improved == ref_step(ref, cfg, recording_fit(ref_calls))
             assert_same_swarm(swarm, ref)
-        assert calls == ref_calls       # one call per particle, in row order
+        # one (P, D) batch per generation, holding the particles in row order
+        assert calls == ref_calls
 
     def test_all_empty_masks_keep_first_row_as_gbest(self):
         # every fitness inf: neither reference nor array swarm may move gbest
@@ -336,6 +465,6 @@ class TestAgainstPerParticleReference:
         swarm = init_swarm(5, cfg, np.random.default_rng(3))
         ref = ref_init_swarm(5, cfg, np.random.default_rng(3))
         for _ in range(3):
-            assert not step(swarm, cfg, lambda m: np.inf)
+            assert not step(swarm, cfg, lambda m: np.full(len(m), np.inf))
             assert not ref_step(ref, cfg, lambda m: np.inf)
             assert_same_swarm(swarm, ref)

@@ -102,6 +102,22 @@ class TestTrainAndClassify:
         assert err.startswith("error:") and "bpso.swarmsize" in err
         assert not (tmp_path / "m.bin").exists()
 
+    def test_unknown_source_key_is_an_error_line(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, source={"kind": "p2", "p2_size": [60, 60, 60, 60]})
+        rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.bin")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: unknown config key source.p2_size\n"
+        assert not (tmp_path / "m.bin").exists()
+
+    def test_wrong_typed_config_value_is_an_error_line(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, bpso={"swarm_size": "3"})
+        rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.bin")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bpso.swarm_size" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.bin").exists()
+
     def test_bad_model_path_fails(self, tmp_path, capsys):
         feats = tmp_path / "feats.csv"
         feats.write_text("0.5,0.5\n")

@@ -48,6 +48,40 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict({"rrc_samples": 150, "bpso": {"swarm_size": 3}})
         assert cfg.bpso.swarm_size == 3
 
+    def test_unknown_source_key_named(self):
+        with pytest.raises(ValueError, match=r"unknown config key source\.p2_size$"):
+            ExperimentConfig.from_dict({"source": {"kind": "p2", "p2_size": [60, 60, 60, 60]}})
+        with pytest.raises(ValueError, match="section source must be an object"):
+            ExperimentConfig.from_dict({"source": [60, 60]})
+        cfg = ExperimentConfig.from_dict({"source": {"kind": "p2", "p2_sizes": [60, 61, 62, 63],
+                                                     "split": {"seed": 4}}})
+        assert cfg.source.p2_sizes == (60, 61, 62, 63)
+        assert cfg.source.split.seed == 4 and cfg.source.path is None
+
+    def test_wrong_typed_value_named(self):
+        for raw, key in (({"bpso": {"swarm_size": "3"}}, "bpso.swarm_size"),
+                         ({"bpso": {"runs": 2.0}}, "bpso.runs"),
+                         ({"bpso": {"seed": True}}, "bpso.seed"),
+                         ({"bpso": {"transfer": 1}}, "bpso.transfer"),
+                         ({"pool": {"lr": "0.1"}}, "pool.lr"),
+                         ({"meta": {"l2": False}}, "meta.l2"),
+                         ({"source": {"p2_sizes": 500}}, "source.p2_sizes"),
+                         ({"source": {"path": 3}}, "source.path"),
+                         ({"source": {"split": {"seed": 0.5}}}, "source.split.seed"),
+                         ({"k": "7"}, "k"),
+                         ({"selection_threshold": None}, "selection_threshold"),
+                         ({"methods": "ola"}, "methods")):
+            with pytest.raises(ValueError, match=r"config key " + key.replace(".", r"\.") + " must be"):
+                ExperimentConfig.from_dict(raw)
+        # an integer is a number; a null path is allowed
+        cfg = ExperimentConfig.from_dict({"bpso": {"inertia": 1, "v_max": 4.5},
+                                          "source": {"path": None},
+                                          "consensus_threshold": 1, "methods": ["ola"]})
+        assert cfg.bpso.inertia == 1 and cfg.bpso.v_max == 4.5
+        assert cfg.consensus_threshold == 1 and cfg.methods == ("ola",)
+        # unknown top-level keys stay ignored, whatever their type
+        assert ExperimentConfig.from_dict({"rrc_samples": "150"}).bpso.swarm_size == 20
+
     def test_defaults_mirror_protocol(self):
         cfg = ExperimentConfig()
         assert cfg.k == 7 and cfg.kp == 5

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from metasel.metaclassifier import (MetaClassifier, MetaTrainConfig,
-                                    competence, train_meta)
+                                    standardize_constants, train_meta)
 
 
 def separable_rows():
@@ -22,7 +22,7 @@ class TestTrainMeta:
         rows = np.array([[0.3, 0.7]] * 10)
         labels = np.array([0, 1] * 5)
         mc = train_meta(rows, labels)
-        assert abs(mc.competence(rows[0]) - 0.5) <= 0.05
+        assert abs(mc.competence_batch(rows[:1])[0] - 0.5) <= 0.05
 
     def test_deterministic(self):
         rows, labels = separable_rows()
@@ -51,11 +51,32 @@ class TestTrainMeta:
         x = rng.normal(size=(20, 5))
         assert np.abs(a.competence_batch(x) - b.competence_batch(x)).max() < 1e-9
 
+    def test_precomputed_standardization_matches_plain_fit(self):
+        # constants of the full (column-major) matrix, restricted to a mask's
+        # columns, as the mask search uses them; column 4 is constant
+        rng = np.random.default_rng(5)
+        rows = rng.normal(loc=3.0, size=(300, 7)) * np.array([0.5, 2.0, 10.0, 1.0, 1.0, 1e3, 1.0])
+        rows[:, 4] = 2.5
+        labels = (rows[:, 0] - 0.2 * rows[:, 2] + rng.normal(size=300) > 1.4).astype(int)
+        mean, std = standardize_constants(np.asfortranarray(rows))
+        Z = (rows - mean) / std
+        x = rng.normal(loc=3.0, size=(50, 7))
+        for mask in ([1, 1, 1, 1, 1, 1, 1], [1, 0, 1, 0, 1, 0, 0], [0, 0, 0, 0, 1, 1, 0]):
+            m = np.array(mask, dtype=bool)
+            plain = train_meta(rows[:, m], labels)
+            pre = train_meta(Z[:, m], labels, standardized=(mean[m], std[m]))
+            assert pre.iterations == plain.iterations
+            assert np.abs(pre.weights - plain.weights).max() <= 1e-9
+            assert abs(pre.bias - plain.bias) <= 1e-9
+            assert np.array_equal(pre.feature_mean, plain.feature_mean)
+            assert np.array_equal(pre.feature_std, plain.feature_std)
+            assert np.abs(pre.competence_batch(x[:, m]) - plain.competence_batch(x[:, m])).max() <= 1e-9
+
 
 class TestCompetence:
     def test_zero_weight_model_gives_half(self):
         mc = MetaClassifier(np.zeros(3), 0.0, np.zeros(3), np.ones(3), 3)
-        assert competence(mc, [5.0, -2.0, 0.4]) == 0.5
+        assert mc.competence_batch([[5.0, -2.0, 0.4]]).tolist() == [0.5]
 
     def test_output_in_unit_interval(self):
         rows, labels = separable_rows()
@@ -86,7 +107,7 @@ class TestCompetence:
         rows, labels = separable_rows()
         mc = train_meta(rows, labels)
         with pytest.raises(ValueError, match="input features"):
-            mc.competence([1.0, 2.0, 3.0])
+            mc.competence_batch([[1.0, 2.0, 3.0]])
 
     def test_masked_dimension_is_popcount(self):
         rng = np.random.default_rng(3)
