@@ -15,12 +15,11 @@ from .regions import nearest_neighbors
 from .metafeatures import (FeatureLayout, MetaDataset, MetaFeatureExtractor,
                            apply_mask, meta_dataset_to_csv, rrc_competence)
 from .metaclassifier import MetaClassifier, MetaTrainConfig, train_meta
-from .bpso import (Archive, BpsoConfig, MaskEvaluator, oracle_competence, optimize,
-                   step, transfer_s, transfer_v)
+from .bpso import (Archive, BpsoConfig, MaskEvaluator, optimize, step, transfer_s,
+                   transfer_v)
 from .engine import (BASELINE_METHODS, ClassifyDiagnostics, DesModel,
-                     baseline_predict, baseline_predict_batch, classify,
-                     classify_batch, consensus, consensus_keep, oracle_accuracy,
-                     weighted_majority_vote)
+                     baseline_predict_batch, classify, classify_batch,
+                     consensus_keep, oracle_accuracy, weighted_majority_vote)
 from .experiment import (ALL_METHODS, FRAMEWORK_METHOD, DataSource,
                          ExperimentConfig, FrequencyReport, ModelFormatError,
                          PoolConfig, RunReport, frequency_band, frequency_report,

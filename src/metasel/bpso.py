@@ -38,7 +38,6 @@ __all__ = [
     "Archive",
     "transfer_s",
     "transfer_v",
-    "oracle_competence",
     "MaskEvaluator",
     "step",
     "optimize",
@@ -56,13 +55,6 @@ def transfer_v(v):
 
 
 _TRANSFERS = {"S": transfer_s, "V": transfer_v}
-
-
-def oracle_competence(pool, x, true_label: int) -> np.ndarray:
-    """Ideal competence (M,) of every pool member on one sample: 1 iff the
-    member predicts the true label."""
-    labels, _ = pool.predict_batch(np.atleast_2d(x))
-    return (labels[:, 0] == true_label).astype(int)
 
 
 def oracle_distance(estimates, ideal) -> float:

@@ -26,11 +26,9 @@ __all__ = [
     "ClassifyDiagnostics",
     "classify",
     "classify_batch",
-    "consensus",
     "consensus_keep",
     "weighted_majority_vote",
     "BASELINE_METHODS",
-    "baseline_predict",
     "baseline_predict_batch",
     "oracle_accuracy",
 ]
@@ -123,12 +121,6 @@ def classify(model: DesModel, x):
     return int(labels[0]), diags[0]
 
 
-def consensus(pool: ClassifierPool, x, true_label: int) -> float:
-    """Fraction of pool members that predict the true label of ``x``."""
-    labels, _ = pool.predict_batch(np.atleast_2d(x))
-    return float((labels[:, 0] == true_label).mean())
-
-
 def consensus_keep(pool_labels, true_labels, threshold: float):
     """Boolean keep-mask for meta-training sample selection.
 
@@ -146,8 +138,9 @@ BASELINE_METHODS = ("ola", "lca", "knora_e", "knora_u", "single_best",
                     "static_selection", "majority_vote")
 
 
-def baseline_predict(method: str, pool: ClassifierPool, dsel: Dataset, x, k: int = 7) -> int:
-    """Reference dynamic/static selection methods on the same pool.
+def baseline_predict_batch(method: str, pool: ClassifierPool, dsel: Dataset, X, k: int = 7):
+    """Labels (Nq,) of the reference dynamic/static selection methods on the
+    same pool, plus the member(s) a static method chose (else None).
 
     ola: member with the best accuracy over the k nearest reference samples.
     lca: member with the best accuracy among neighbors whose true class equals
@@ -162,11 +155,6 @@ def baseline_predict(method: str, pool: ClassifierPool, dsel: Dataset, x, k: int
 
     All ties break toward the lower index.
     """
-    labels, diags = baseline_predict_batch(method, pool, dsel, np.atleast_2d(x), k)
-    return int(labels[0])
-
-
-def baseline_predict_batch(method: str, pool: ClassifierPool, dsel: Dataset, X, k: int = 7):
     if method not in BASELINE_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {BASELINE_METHODS}")
     if k > len(dsel):

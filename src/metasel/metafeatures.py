@@ -36,8 +36,11 @@ __all__ = [
 
 SUPPORT_FLOOR = 1e-12
 SUPPORT_CEIL = 1.0 - 1e-10
-# (member, query, reference) correctness flags the rank criterion holds at once
-_RANK_BLOCK = 1 << 22
+# (query, member, position) correctness flags one gather of the rank scan
+# reads at once (its index array takes 8 bytes per flag), and the width of
+# the scan's first position chunk
+_RANK_BLOCK = 1 << 19
+_RANK_CHUNK = 8
 # randomized reference classifier: Beta concentration, logit-space grid, and
 # the (pair, class, grid point) values the quadrature holds at once
 _RRC_CONCENTRATION = 10.0
@@ -307,14 +310,28 @@ class MetaFeatureExtractor:
     def _rank(self, order):
         """Per (query, member): how many reference rows, in ``order`` of
         distance to the query, the member classifies correctly before its
-        first error."""
+        first error (the row count ``width`` when it makes none).
+
+        Scans position chunks of growing width (8, 16, 32, ...) for the pairs
+        that have not erred yet, each gather holding at most ``_RANK_BLOCK``
+        flags, so the work follows the ranks rather than ``width``."""
         (nq, width), M = order.shape, len(self.pool)
-        rank = np.empty((nq, M))
-        block = max(1, _RANK_BLOCK // (M * width))
-        for lo in range(0, nq, block):
-            corr = self.dsel_correct[:, order[lo:lo + block]]  # (M, block, width)
-            rank[lo:lo + block] = np.where(corr.all(axis=2), width,
-                                           (~corr).argmax(axis=2)).T
+        wrong = ~self.dsel_correct                            # (M, N)
+        rank = np.full((nq, M), float(width))
+        q_open, m_open = np.divmod(np.arange(nq * M), M)      # pairs not yet erred
+        lo, chunk = 0, _RANK_CHUNK
+        while q_open.size and lo < width:
+            hi = min(lo + chunk, width)
+            piece = max(1, _RANK_BLOCK // (hi - lo))
+            still = np.ones(q_open.size, dtype=bool)
+            for p in range(0, q_open.size, piece):
+                qs, ms = q_open[p:p + piece], m_open[p:p + piece]
+                err = wrong[ms[:, None], order[qs, lo:hi]]    # (pairs, hi - lo)
+                hit = err.any(axis=1)
+                rank[qs[hit], ms[hit]] = lo + err[hit].argmax(axis=1)
+                still[p:p + piece] = ~hit
+            q_open, m_open = q_open[still], m_open[still]
+            lo, chunk = hi, 2 * chunk
         return rank
 
 

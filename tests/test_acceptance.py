@@ -11,8 +11,8 @@ from metasel.bpso import (BpsoConfig, MaskEvaluator, optimize, oracle_distance,
 from metasel.cli import main as cli_main
 from metasel.data import Dataset, SplitSpec, generate_p2, scale_minmax
 from metasel.datasets import BUNDLED, dataset_path
-from metasel.engine import (BASELINE_METHODS, baseline_predict,
-                            baseline_predict_batch, weighted_majority_vote)
+from metasel.engine import (BASELINE_METHODS, baseline_predict_batch,
+                            weighted_majority_vote)
 from metasel.experiment import (DataSource, ExperimentConfig, FRAMEWORK_METHOD,
                                 PoolConfig, run_experiment)
 from metasel.metafeatures import FeatureLayout, MetaFeatureExtractor
@@ -279,7 +279,7 @@ def test_criterion_08_brute_force_equivalences():
         pl_dsel, _ = pool.predict_batch(dsel.features)
         pl_query, _ = pool.predict_batch(x[None, :])
         for method in BASELINE_METHODS:
-            got = baseline_predict(method, pool, dsel, x, k=k)
+            got = int(baseline_predict_batch(method, pool, dsel, x[None, :], k=k)[0][0])
             want = brute_baselines(method, pl_dsel, pl_query[:, 0], labels, nbrs, L)
             base_ok &= got == want
         cases += 1

@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from metasel import bpso
 from metasel.bpso import (_TRANSFERS, Archive, BpsoConfig, MaskEvaluator, Swarm,
-                          init_swarm, optimize, oracle_competence,
+                          init_swarm, optimize,
                           oracle_distance, step, transfer_s, transfer_v)
 from metasel.metaclassifier import train_meta
+from metasel.metafeatures import MetaFeatureExtractor
 from metasel.data import generate_p2, scale_minmax
 from metasel.pool import bagging
 
@@ -46,24 +47,35 @@ class TestTransferFunctions:
         assert (transfer_v(grid) < 1.0).all()
 
 
+def ideal_competence(pool, x, true_label):
+    """Ideal competence (M,) of every member on one sample, from
+    ``predict_batch``: 1 iff the member predicts the true label."""
+    labels, _ = pool.predict_batch(np.atleast_2d(x))
+    return (labels[:, 0] == true_label).astype(int)
+
+
 class TestOracleCompetence:
     def test_correct_and_wrong(self):
         train, _ = scale_minmax(generate_p2(100, 0))
         pool = bagging(train, 1, bootstrap_frac=1.0, seed=1)
         labels = pool.predict_batch(train.features)[0][0]
         for j in (0, 1, 2, 3):
-            assert oracle_competence(pool, train.features[j], int(labels[j])).tolist() == [1]
+            assert ideal_competence(pool, train.features[j], int(labels[j])).tolist() == [1]
             wrong = 1 - int(labels[j])
-            assert oracle_competence(pool, train.features[j], wrong).tolist() == [0]
+            assert ideal_competence(pool, train.features[j], wrong).tolist() == [0]
 
     def test_equals_meta_label_definition(self):
         train, _ = scale_minmax(generate_p2(80, 5))
         pool = bagging(train, 1, bootstrap_frac=1.0, seed=2)
         labels = pool.predict_batch(train.features)[0][0]
         direct = (labels == train.labels).astype(int)
-        via_op = np.array([oracle_competence(pool, x, int(t))[0]
+        via_op = np.array([ideal_competence(pool, x, int(t))[0]
                            for x, t in zip(train.features, train.labels)])
         assert np.array_equal(direct, via_op)
+        # the extractor's meta-labels are the same ideal competences
+        _, metas, _ = MetaFeatureExtractor(pool, train).extract_batch(train.features,
+                                                                      train.labels)
+        assert np.array_equal(metas[:, 0], direct)
 
 
 class TestOracleDistance:

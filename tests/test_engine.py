@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from metasel.data import Dataset, generate_p2, scale_minmax
-from metasel.engine import (BASELINE_METHODS, DesModel, baseline_predict,
-                            baseline_predict_batch, classify, classify_batch,
-                            consensus, consensus_keep, oracle_accuracy,
+from metasel.engine import (BASELINE_METHODS, DesModel, baseline_predict_batch,
+                            classify, classify_batch, consensus_keep, oracle_accuracy,
                             weighted_majority_vote)
 from metasel.metaclassifier import MetaClassifier
 from metasel.pool import ClassifierPool, bagging
@@ -64,6 +63,12 @@ def scripted_model(member_tables, deltas, dsel_labels, threshold=0.5):
                      mask=np.ones(8 * k + kp + 6, dtype=bool), scale=None,
                      dsel=dsel, k=k, kp=kp, selection_threshold=threshold)
     return model
+
+
+def predict_one(method, pool, dsel, x, k=7):
+    """A baseline's label for one sample, through the batch path."""
+    labels, _ = baseline_predict_batch(method, pool, dsel, np.atleast_2d(x), k)
+    return int(labels[0])
 
 
 def p2_setup(seed=0, m=5):
@@ -149,12 +154,17 @@ class TestConsensus:
     def test_all_correct_fraction(self):
         tables = [{0: (0.9, 0.1)}] * 4
         pool = TablePool([TableMember(t) for t in tables])
-        assert consensus(pool, [0.0], 0) == 1.0
+        labels, _ = pool.predict_batch([[0.0]])
+        # dropped at the largest threshold below 1: the consensus is 1.0
+        assert consensus_keep(labels, [0], np.nextafter(1.0, 0.0)).tolist() == [False]
 
     def test_three_of_five(self):
         tables = [{0: (0.9, 0.1)}] * 3 + [{0: (0.1, 0.9)}] * 2
         pool = TablePool([TableMember(t) for t in tables])
-        assert consensus(pool, [0.0], 0) == 0.6
+        labels, _ = pool.predict_batch([[0.0]])
+        # dropped at 0.6 and kept just above it: the consensus is exactly 0.6
+        assert consensus_keep(labels, [0], 0.6).tolist() == [False]
+        assert consensus_keep(labels, [0], np.nextafter(0.6, 1.0)).tolist() == [True]
 
     def test_filter_rule(self):
         labels = np.array([[0, 0, 0], [0, 1, 0], [1, 1, 0]])  # members x samples
@@ -220,7 +230,7 @@ class TestBaselines:
         dsel = Dataset(np.arange(8, dtype=float).reshape(-1, 1),
                        np.array([0, 1, 0, 1, 0, 1, 0, 1]), 2)
         for method in BASELINE_METHODS:
-            assert baseline_predict(method, pool, dsel, [2.0], k=3) == 0
+            assert predict_one(method, pool, dsel, [2.0], k=3) == 0
 
     def test_knora_u_vote_dominance(self):
         # member 0 correct on all three neighbors, others on none
@@ -229,7 +239,7 @@ class TestBaselines:
                   {0: (0.1, 0.9), 1: (0.1, 0.9), 2: (0.1, 0.9), 5: (0.1, 0.9)}]
         pool = TablePool([TableMember(t) for t in tables])
         dsel = Dataset(np.arange(3, dtype=float).reshape(-1, 1), np.array([0, 0, 0]), 2)
-        assert baseline_predict("knora_u", pool, dsel, [5.0], k=3) == 0
+        assert predict_one("knora_u", pool, dsel, [5.0], k=3) == 0
 
     def test_ola_hand_case(self):
         # member 0: correct on neighbors {0, 1}; member 1: correct on {0, 1, 2}
@@ -237,17 +247,17 @@ class TestBaselines:
                   {0: (0.7, 0.3), 1: (0.9, 0.1), 2: (0.6, 0.4), 9: (0.1, 0.9)}]
         pool = TablePool([TableMember(t) for t in tables])
         dsel = Dataset(np.arange(3, dtype=float).reshape(-1, 1), np.array([0, 0, 0]), 2)
-        assert baseline_predict("ola", pool, dsel, [9.0], k=3) == 1
+        assert predict_one("ola", pool, dsel, [9.0], k=3) == 1
 
     def test_k_validated(self):
         pool, dsel, _ = p2_setup(1, m=3)
         with pytest.raises(ValueError, match="k cannot"):
-            baseline_predict("ola", pool, dsel, [0.5, 0.5], k=len(dsel) + 1)
+            predict_one("ola", pool, dsel, [0.5, 0.5], k=len(dsel) + 1)
 
     def test_unknown_method(self):
         pool, dsel, _ = p2_setup(1, m=2)
         with pytest.raises(ValueError, match="unknown method"):
-            baseline_predict("mystery", pool, dsel, [0.5, 0.5])
+            predict_one("mystery", pool, dsel, [0.5, 0.5])
 
     def test_brute_force_equivalence_random_instances(self):
         rng = np.random.default_rng(9)
@@ -272,7 +282,7 @@ class TestBaselines:
             pl_dsel, _ = pool.predict_batch(feats)
             pl_query, _ = pool.predict_batch(x[None, :])
             for method in BASELINE_METHODS:
-                got = baseline_predict(method, pool, dsel, x, k=k)
+                got = predict_one(method, pool, dsel, x, k=k)
                 want = brute_baselines(method, pl_dsel, pl_query[:, 0], labels, nbrs, L)
                 assert got == want, (method, got, want)
             cases += 1

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,6 +64,24 @@ def extract_single(member, dsel, query_key, true_label=None, k=None, kp=None):
     y = None if true_label is None else np.array([true_label])
     feats, metas, _ = ex.extract_batch(X, y)
     return feats[0, 0], ex.layout, (None if metas is None else int(metas[0, 0]))
+
+
+def reference_rank(dsel_correct, order, block=1 << 22):
+    """The full-gather rank: every (member, query, position) correctness flag
+    of a query block at once, then each pair's first error."""
+    (nq, width), M = order.shape, len(dsel_correct)
+    rank = np.empty((nq, M))
+    step = max(1, block // (M * width))
+    for lo in range(0, nq, step):
+        corr = dsel_correct[:, order[lo:lo + step]]
+        rank[lo:lo + step] = np.where(corr.all(axis=2), width, (~corr).argmax(axis=2)).T
+    return rank
+
+
+def scan_rank(dsel_correct, order):
+    """``MetaFeatureExtractor._rank`` on a bare correctness table."""
+    stub = SimpleNamespace(dsel_correct=dsel_correct, pool=range(len(dsel_correct)))
+    return MetaFeatureExtractor._rank(stub, order)
 
 
 class TestLayout:
@@ -203,6 +223,47 @@ class TestAnalyticIdentities:
         op = feats[lay.slice_of("op")]
         assert op.tolist() == [1.0, 1.0, 0.0, 0.0]
         assert feats[lay.slice_of("rank_op")][0] == 2.0
+
+
+class TestRankScan:
+    """The early-exit rank scan against the full gather it replaced."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(m=st.integers(1, 6), n=st.integers(2, 90), nq=st.integers(1, 12),
+           p_wrong=st.sampled_from([0.0, 0.01, 0.05, 0.3, 1.0]), self_excl=st.booleans(),
+           perfect=st.integers(0, 2), block=st.sampled_from([1, 7, 64, 1 << 19]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_full_gather(self, m, n, nq, p_wrong, self_excl, perfect, block, seed):
+        rng = np.random.default_rng(seed)
+        correct = rng.random((m, n)) >= p_wrong
+        correct[:min(perfect, m)] = True          # members that never err
+        if self_excl:                             # width N - 1: own row left out
+            own = rng.integers(0, n, size=nq)
+            order = np.array([rng.permutation(np.delete(np.arange(n), i)) for i in own])
+        else:
+            order = np.array([rng.permutation(n) for _ in range(nq)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metafeatures, "_RANK_BLOCK", block)
+            got = scan_rank(correct, order)
+        want = reference_rank(correct, order)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 24, 25, 70])
+    def test_single_error_at_every_position(self, width):
+        # positions straddle the chunk ends 8, 24, 56
+        order = np.tile(np.arange(width), (width + 1, 1))
+        correct = np.ones((1, width), dtype=bool)
+        for p in range(width + 1):
+            c = correct.copy()
+            c[0, p:p + 1] = False
+            got = scan_rank(c, order[p:p + 1])
+            assert got.tolist() == [[float(p)]]
+            assert got.tolist() == reference_rank(c, order[p:p + 1]).tolist()
+
+    def test_never_errs_and_errs_first(self):
+        correct = np.array([[True] * 30, [False] + [True] * 29, [True] * 29 + [False]])
+        order = np.array([np.arange(30), np.arange(30)[::-1]])
+        assert scan_rank(correct, order).tolist() == [[30.0, 0.0, 29.0], [30.0, 29.0, 0.0]]
 
 
 class TestRrcCompetence:

@@ -21,6 +21,35 @@ def brute_force_knn(query, reference, k, exclude=None):
     return [i for _, i in scored[:k]], [d for d, _ in scored[:k]]
 
 
+def reference_knn(queries, reference, k, exclude=None, block=regions._KNN_BLOCK):
+    """The brute-force block loop: every reference row's squared distance by
+    difference, square and sum, then one stable sort per query."""
+    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    reference = np.asarray(reference, dtype=float)
+    excl = None if exclude is None else np.atleast_1d(np.asarray(exclude, dtype=int))
+    order = np.empty((len(queries), k), dtype=np.intp)
+    dist = np.empty((len(queries), k))
+    step = max(1, block // max(1, reference.size))
+    for lo in range(0, len(queries), step):
+        blk = slice(lo, lo + step)
+        diff = queries[blk, None, :] - reference[None, :, :]
+        d2 = np.square(diff, out=diff).sum(axis=2)
+        del diff
+        if excl is not None:
+            rows = np.flatnonzero(excl[blk] >= 0)
+            d2[rows, excl[blk][rows]] = np.inf
+        order[blk] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        dist[blk] = np.sqrt(np.take_along_axis(d2, order[blk], axis=1))
+    return order, dist
+
+
+def assert_same_as_reference(queries, reference, k, exclude=None):
+    idx, dist = nearest_neighbors(queries, reference, k, exclude=exclude)
+    want_idx, want_dist = reference_knn(queries, reference, k, exclude=exclude)
+    assert np.array_equal(idx, want_idx)
+    assert dist.tobytes() == want_dist.tobytes()
+
+
 def knn_one(query, reference, k, exclude=None):
     """Neighbors of a single query: (indices, distances), each (k,)."""
     excl = None if exclude is None else [exclude]
@@ -196,3 +225,75 @@ class TestBatchNeighbors:
         # tensor, 192 MB; one block stays within the budget of 8-byte values
         assert peak <= 1.25 * regions._KNN_BLOCK * 8
         assert idx.shape == (24, 7)
+
+
+class TestCandidateFilter:
+    """The matrix-product candidate filter must leave every result bit for bit
+    that of sorting all rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(nq=st.integers(1, 12), nr=st.integers(2, 40), d=st.integers(1, 160),
+           kind=st.sampled_from(["uniform", "grid", "duplicates", "offset", "underflow"]),
+           exclude=st.sampled_from(["none", "self", "mixed"]), block=st.integers(1, 400),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_brute_force_for_every_k(self, nq, nr, d, kind, exclude, block, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "grid":          # many exact ties
+            points = rng.integers(0, 3, size=(nr + nq, d)).astype(float)
+        elif kind == "duplicates":  # repeated reference rows, queries among them
+            base = rng.uniform(0, 1, size=(max(1, nr // 3), d))
+            points = base[rng.integers(0, len(base), size=nr + nq)]
+        elif kind == "offset":      # the norm expansion cancels worst far from 0
+            points = 10.0 ** rng.integers(2, 9) + rng.uniform(0, 1, size=(nr + nq, d))
+        elif kind == "underflow":   # squares near the subnormal range
+            points = (10.0 ** -rng.uniform(159, 164)
+                      * rng.integers(-4, 5, size=(nr + nq, d)).astype(float))
+        else:
+            points = rng.uniform(-1, 1, size=(nr + nq, d))
+        ref, queries = points[:nr], points[nr:]
+        excl = None
+        if exclude == "self":
+            queries = ref[rng.integers(0, nr, size=nq)]
+            excl = rng.integers(0, nr, size=nq)
+        elif exclude == "mixed":
+            excl = rng.integers(-1, nr, size=nq)
+        avail = nr - (excl is not None)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(regions, "_KNN_BLOCK", block)
+            for k in range(1, avail + 1):
+                assert_same_as_reference(queries, ref, k, exclude=excl)
+
+    def test_exact_ties_at_the_cutoff_keep_lower_indices(self):
+        ref = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [2.0, 0.0]])
+        idx, dist = nearest_neighbors(np.zeros((1, 2)), ref, 2)
+        assert idx.tolist() == [[0, 1]] and dist.tolist() == [[1.0, 1.0]]
+        assert_same_as_reference(np.zeros((1, 2)), ref, 2)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_tiny_and_huge_magnitudes(self):
+        rng = np.random.default_rng(3)
+        for scale in (1e-160, 1e-300, 1e150, 1e200):
+            ref = scale * rng.uniform(0, 1, size=(30, 4))
+            queries = scale * rng.uniform(0, 1, size=(5, 4))
+            for k in (1, 3, 29):
+                assert_same_as_reference(queries, ref, k)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reference_row(self, value):
+        rng = np.random.default_rng(5)
+        ref = rng.uniform(0, 1, size=(12, 3))
+        ref[4, 1] = value
+        queries = rng.uniform(0, 1, size=(6, 3))
+        for k in (1, 4, 11, 12):
+            assert_same_as_reference(queries, ref, k)
+        assert_same_as_reference(queries, ref, 5, exclude=[4, -1, 0, 4, 11, -1])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_query(self, value):
+        rng = np.random.default_rng(6)
+        ref = rng.uniform(0, 1, size=(10, 3))
+        queries = rng.uniform(0, 1, size=(4, 3))
+        queries[2, 0] = value
+        for k in (1, 3, 9):
+            assert_same_as_reference(queries, ref, k)
+            assert_same_as_reference(queries, ref, k, exclude=[1, -1, 2, 9])
