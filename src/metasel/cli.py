@@ -98,6 +98,8 @@ def _cmd_benchmark(args) -> int:
 
 def _cmd_freq_report(args) -> int:
     lines = Path(args.masks).read_text(encoding="utf-8").strip().splitlines()
+    if len(lines) < 2:
+        raise ValueError(f"{args.masks}: no mask rows")
     header = lines[0].split(",")
     bits = np.array([[int(v) for v in line.split(",")[1:]] for line in lines[1:]],
                     dtype=bool)

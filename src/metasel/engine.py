@@ -11,6 +11,7 @@ the threshold the single most competent member decides (flagged).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,19 +75,28 @@ class DesModel:
         return self.scale.apply(X) if self.scale is not None else X
 
 
-def weighted_majority_vote(labels, weights, class_count: int) -> int:
+def weighted_majority_vote(labels, weights, class_count: int) -> int | np.ndarray:
     """Argmax of per-class summed weights; ties go to the lowest class index.
 
-    If every weight is zero the vote degrades to an unweighted majority so
-    that the winner is always one of the voted labels.
+    ``labels`` and ``weights`` have the same shape ``(..., m)``: each row of
+    the last axis is one vote of m members, and the result has shape ``(...)``
+    (a plain int for a 1-D call). Within a row the weights are added in
+    member order, so a stacked call equals the per-row calls bit for bit. If
+    every weight in a row is zero the row degrades to an unweighted majority,
+    so that the winner is always one of the voted labels.
     """
     labels = np.asarray(labels, dtype=int)
     weights = np.asarray(weights, dtype=float)
-    if weights.sum() <= 0.0:
-        weights = np.ones_like(weights)
-    totals = np.zeros(class_count)
-    np.add.at(totals, labels, weights)
-    return int(np.argmax(totals))
+    if labels.shape != weights.shape:
+        raise ValueError("labels and weights must have the same shape")
+    lead, m = labels.shape[:-1], labels.shape[-1]
+    rows = math.prod(lead)
+    weights = np.where(weights.sum(axis=-1, keepdims=True) <= 0.0, 1.0, weights)
+    totals = np.zeros((rows, class_count))
+    np.add.at(totals, (np.arange(rows)[:, None], labels.reshape(rows, m)),
+              weights.reshape(rows, m))
+    winners = totals.argmax(axis=1).reshape(lead)
+    return int(winners) if labels.ndim == 1 else winners
 
 
 def classify_batch(model: DesModel, X):
@@ -98,20 +108,20 @@ def classify_batch(model: DesModel, X):
     feats, _, pred_labels = model.extractor.extract_batch(Xs)
     masked = apply_mask(feats.reshape(-1, model.extractor.layout.size), model.mask)
     delta = model.meta.competence_batch(masked).reshape(len(Xs), len(model.pool))
-    out = np.empty(len(Xs), dtype=int)
-    diags = []
-    L = model.pool.class_count
-    for j in range(len(Xs)):
-        member_labels = pred_labels[:, j]
-        selected = np.flatnonzero(delta[j] >= model.selection_threshold)
-        fallback = selected.size == 0
-        if fallback:
-            selected = np.array([int(np.argmax(delta[j]))])
-            out[j] = int(member_labels[selected[0]])
-        else:
-            out[j] = weighted_majority_vote(member_labels[selected],
-                                            delta[j][selected], L)
-        diags.append(ClassifyDiagnostics(delta[j], selected, fallback))
+    selected = delta >= model.selection_threshold                   # (Nq, M)
+    # Unselected members vote with weight 0. A row whose weights are all zero
+    # votes unweighted with every member; with competences in [0, 1] that
+    # happens only at threshold 0, where every member is selected, so it is
+    # the selected members' unweighted vote.
+    out = weighted_majority_vote(pred_labels.T, np.where(selected, delta, 0.0),
+                                 model.pool.class_count)
+    fallback = ~selected.any(axis=1)
+    best = delta.argmax(axis=1)
+    rows = np.flatnonzero(fallback)
+    out[rows] = pred_labels[best[rows], rows]
+    diags = [ClassifyDiagnostics(delta[j], np.array([best[j]]) if fallback[j]
+                                 else np.flatnonzero(selected[j]), bool(fallback[j]))
+             for j in range(len(Xs))]
     return out, diags
 
 
@@ -164,49 +174,38 @@ def baseline_predict_batch(method: str, pool: ClassifierPool, dsel: Dataset, X, 
     pred_q, _ = pool.predict_batch(X)                       # (M, Nq)
     dsel_labels, _ = pool.predict_batch(dsel.features)      # (M, N)
     correct = dsel_labels == dsel.labels[None, :]           # (M, N)
-    out = np.empty(len(X), dtype=int)
+    votes = pred_q.T                                        # (Nq, M)
 
     if method == "majority_vote":
-        for j in range(len(X)):
-            out[j] = weighted_majority_vote(pred_q[:, j], np.ones(M), L)
-        return out, None
+        return weighted_majority_vote(votes, np.ones(votes.shape), L), None
     if method == "single_best":
         best = int(np.argmax(correct.mean(axis=1)))
         return pred_q[best].astype(int).copy(), best
     if method == "static_selection":
         acc = correct.mean(axis=1)
         top = np.argsort(-acc, kind="stable")[: int(np.ceil(M / 2))]
-        for j in range(len(X)):
-            out[j] = weighted_majority_vote(pred_q[top, j], np.ones(len(top)), L)
-        return out, top
+        return weighted_majority_vote(votes[:, top], np.ones((len(X), len(top))), L), top
 
-    order, _ = nearest_neighbors(X, dsel.features, k)
-    for j in range(len(X)):
-        nbrs = order[j]
-        local = correct[:, nbrs]                            # (M, k)
-        if method == "ola":
-            out[j] = pred_q[int(np.argmax(local.mean(axis=1))), j]
-        elif method == "lca":
-            same = dsel.labels[nbrs][None, :] == pred_q[:, j, None]     # (M, k)
-            count = same.sum(axis=1)
-            scores = np.divide((local & same).sum(axis=1), count, out=np.zeros(M),
-                               where=count > 0)
-            out[j] = pred_q[int(np.argmax(scores)), j]
-        elif method == "knora_e":
-            chosen = None
-            for kk in range(k, 0, -1):
-                all_ok = correct[:, order[j, :kk]].all(axis=1)
-                if all_ok.any():
-                    chosen = np.flatnonzero(all_ok)
-                    break
-            if chosen is None:
-                out[j] = weighted_majority_vote(pred_q[:, j], np.ones(M), L)
-            else:
-                out[j] = weighted_majority_vote(pred_q[chosen, j], np.ones(len(chosen)), L)
-        elif method == "knora_u":
-            votes = local.sum(axis=1).astype(float)
-            out[j] = weighted_majority_vote(pred_q[:, j], votes, L)
-    return out, None
+    order, _ = nearest_neighbors(X, dsel.features, k)       # (Nq, k)
+    local = correct[:, order]                               # (M, Nq, k)
+    queries = np.arange(len(X))
+    if method == "ola":
+        return pred_q[local.sum(axis=2).argmax(axis=0), queries], None
+    if method == "lca":
+        same = dsel.labels[order][None, :, :] == pred_q[:, :, None]
+        count = same.sum(axis=2)
+        scores = np.divide((local & same).sum(axis=2), count,
+                           out=np.zeros(count.shape), where=count > 0)
+        return pred_q[scores.argmax(axis=0), queries], None
+    if method == "knora_e":
+        # streak[i, j, t]: member i is correct on query j's first t + 1 neighbours
+        streak = np.logical_and.accumulate(local, axis=2)
+        depth = streak.any(axis=0).sum(axis=1)              # (Nq,)
+        # at depth 0 the column holds no True, so the vote falls back to all members
+        chosen = streak[:, queries, np.maximum(depth - 1, 0)].T
+        return weighted_majority_vote(votes, chosen.astype(float), L), None
+    # knora_u
+    return weighted_majority_vote(votes, local.sum(axis=2).T.astype(float), L), None
 
 
 def oracle_accuracy(pool: ClassifierPool, test: Dataset) -> float:

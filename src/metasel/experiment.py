@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine
-from .bpso import BpsoConfig, optimize
+from .bpso import Archive, BpsoConfig, optimize
 from .data import (Dataset, SplitSpec, generate_p2, load_csv, scale_minmax,
                    split_holdout)
 from .engine import DesModel, classify_batch, oracle_accuracy
@@ -233,7 +233,6 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
     else:
         warnings.warn("too few meta-training samples for mask search; "
                       "using the full meta-feature vector", RuntimeWarning)
-        from .bpso import Archive
         mask = np.ones(extractor.layout.size, dtype=bool)
         archive = Archive(mask=mask, validation_fitness=np.inf)
 
@@ -329,20 +328,9 @@ def frequency_report(masks, layout: FeatureLayout) -> FrequencyReport:
 def _mean_ranks(acc_matrix):
     """Average rank per column; rank 1 is the best accuracy, ties share the
     mean of the ranks they straddle."""
-    R, n = acc_matrix.shape
-    ranks = np.zeros_like(acc_matrix, dtype=float)
-    for r in range(R):
-        row = acc_matrix[r]
-        order = np.argsort(-row, kind="stable")
-        pos = 0
-        while pos < n:
-            tied = [order[pos]]
-            while pos + len(tied) < n and row[order[pos + len(tied)]] == row[tied[0]]:
-                tied.append(order[pos + len(tied)])
-            mean_rank = np.mean(np.arange(pos + 1, pos + len(tied) + 1))
-            for j in tied:
-                ranks[r, j] = mean_rank
-            pos += len(tied)
+    others, own = acc_matrix[:, None, :], acc_matrix[:, :, None]
+    # a tie group after g strictly better entries straddles ranks g+1 .. g+t
+    ranks = (others > own).sum(axis=2) + ((others == own).sum(axis=2) + 1) / 2
     return ranks.mean(axis=0), ranks
 
 

@@ -69,10 +69,6 @@ class FeatureLayout:
             start += widths[name]
         self.size = start
 
-    @property
-    def set_count(self):
-        return len(self.segments)
-
     def slice_of(self, name: str) -> slice:
         for seg, start, width in self.segments:
             if seg == name:

@@ -183,3 +183,11 @@ class TestFreqReport:
                    "--out", str(out_csv)])
         assert rc == 0
         assert "black" in out_csv.read_text()
+
+    @pytest.mark.parametrize("text", ["", "replication,hard_1\n"])
+    def test_no_mask_rows_is_an_error_line(self, tmp_path, capsys, text):
+        masks = tmp_path / "masks.csv"
+        masks.write_text(text)
+        rc = main(["freq-report", "--masks", str(masks), "--out", str(tmp_path / "f.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {masks}: no mask rows\n"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metasel.data import Dataset, generate_p2, scale_minmax
 from metasel.engine import (BASELINE_METHODS, DesModel, baseline_predict_batch,
@@ -107,6 +108,22 @@ class TestWeightedMajorityVote:
                 expected = int(np.argmax(totals))
             assert weighted_majority_vote(labels, weights, L) == expected
 
+    @settings(max_examples=150, deadline=None)
+    @given(nq=st.integers(1, 8), m=st.integers(1, 7), L=st.integers(2, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stacked_rows_equal_per_row_calls(self, nq, m, L, seed):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, L, (nq, m))
+        weights = np.round(rng.random((nq, m)), 3)
+        weights[rng.random((nq, m)) < 0.3] = 0.0
+        weights[rng.random(nq) < 0.3] = 0.0          # all-zero rows
+        got = weighted_majority_vote(labels, weights, L)
+        want = [weighted_majority_vote(labels[j], weights[j], L) for j in range(nq)]
+        assert all(type(w) is int for w in want)
+        assert got.tolist() == want
+        stacked = weighted_majority_vote(labels[:, None], weights[:, None], L)
+        assert stacked.tolist() == [[w] for w in want]
+
 
 class TestClassify:
     def test_single_member_pool(self):
@@ -142,6 +159,17 @@ class TestClassify:
         ours, _ = classify_batch(model, test.features)
         mv, _ = baseline_predict_batch("majority_vote", pool, dsel, test.features)
         assert np.array_equal(ours, mv)
+
+    def test_all_zero_competences_at_threshold_zero_are_majority_vote(self):
+        # member i votes (x + i) % 3 at x, so the winner differs across queries
+        tables = [{x: np.eye(3)[(x + i) % 3] * 0.8 + 0.1 for x in range(-1, 9)}
+                  for i in (0, 1, 1, 2)]
+        model = scripted_model(tables, [0.0], [0, 1, 2, 0, 1, 2], threshold=0.0)
+        X = np.arange(6, dtype=float)[:, None]
+        labels, diags = classify_batch(model, X)
+        mv, _ = baseline_predict_batch("majority_vote", model.pool, model.dsel, X, k=model.k)
+        assert labels.tolist() == mv.tolist()
+        assert all(not d.fallback and d.selected.tolist() == [0, 1, 2, 3] for d in diags)
 
     def test_diagnostics_carry_competences(self):
         tables = [{i: (0.9, 0.1) for i in range(-1, 6)}] * 3
@@ -286,6 +314,29 @@ class TestBaselines:
                 want = brute_baselines(method, pl_dsel, pl_query[:, 0], labels, nbrs, L)
                 assert got == want, (method, got, want)
             cases += 1
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 20), m=st.integers(1, 6), L=st.integers(2, 3),
+           nq=st.integers(1, 8), grid=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    def test_query_batches_match_brute_force_per_row(self, n, m, L, nq, grid, seed):
+        # integer grid points give exact squared distances, so tied neighbours
+        # and duplicate queries are common; ties break toward the lower index
+        rng = np.random.default_rng(seed)
+        dsel = Dataset(rng.integers(0, grid, (n, 2)), rng.integers(0, L, n), L)
+        pool = ClassifierPool(rng.normal(size=(m, L, 3)), np.ones(m))
+        X = rng.integers(0, grid, (nq, 2)).astype(float)
+        k = int(rng.integers(1, n + 1))
+        pl_dsel, _ = pool.predict_batch(dsel.features)
+        pl_query, _ = pool.predict_batch(X)
+        for method in BASELINE_METHODS:
+            got, _ = baseline_predict_batch(method, pool, dsel, X, k=k)
+            assert got.shape == (nq,)
+            for j in range(nq):
+                d2 = ((dsel.features - X[j]) ** 2).sum(axis=1)
+                nbrs = np.argsort(d2, kind="stable")[:k].tolist()
+                want = brute_baselines(method, pl_dsel, pl_query[:, j], dsel.labels, nbrs, L)
+                assert got[j] == want, (method, j)
 
 
 class TestOracleAccuracy:

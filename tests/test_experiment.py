@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metasel.bpso import BpsoConfig
 from metasel.data import SplitSpec, generate_p2
@@ -193,6 +194,26 @@ class TestMulticlassPipeline:
         assert set(np.unique(labels)) <= {0, 1, 2}
 
 
+def reference_mean_ranks(acc_matrix):
+    """Per-row tie-group walk over the stable descending order; the reference
+    for ``_mean_ranks``'s closed form."""
+    R, n = acc_matrix.shape
+    ranks = np.zeros_like(acc_matrix, dtype=float)
+    for r in range(R):
+        row = acc_matrix[r]
+        order = np.argsort(-row, kind="stable")
+        pos = 0
+        while pos < n:
+            tied = [order[pos]]
+            while pos + len(tied) < n and row[order[pos + len(tied)]] == row[tied[0]]:
+                tied.append(order[pos + len(tied)])
+            mean_rank = np.mean(np.arange(pos + 1, pos + len(tied) + 1))
+            for j in tied:
+                ranks[r, j] = mean_rank
+            pos += len(tied)
+    return ranks.mean(axis=0), ranks
+
+
 class TestMeanRanks:
     def test_simple_ordering(self):
         acc = np.array([[0.9, 0.8, 0.7]])
@@ -210,6 +231,18 @@ class TestMeanRanks:
             acc = np.round(rng.random((4, 5)), 2)
             avg, ranks = _mean_ranks(acc)
             assert np.allclose(ranks.sum(axis=1), 5 * 6 / 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 6), cols=st.integers(1, 12), levels=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_closed_form_equals_tie_walk(self, rows, cols, levels, seed):
+        # few distinct values per matrix force ties of every size
+        rng = np.random.default_rng(seed)
+        acc = rng.choice(rng.random(levels), size=(rows, cols))
+        avg, ranks = _mean_ranks(acc)
+        want_avg, want_ranks = reference_mean_ranks(acc)
+        assert ranks.tobytes() == want_ranks.tobytes()
+        assert avg.tobytes() == want_avg.tobytes()
 
 
 class TestFrequencyReport:
