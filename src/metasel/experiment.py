@@ -25,7 +25,7 @@ from .data import (Dataset, SplitSpec, generate_p2, load_csv, scale_minmax,
                    split_holdout)
 from .engine import DesModel, classify_batch, oracle_accuracy
 from .metaclassifier import MetaTrainConfig, train_meta
-from .metafeatures import FeatureLayout, MetaDataset, MetaFeatureExtractor, apply_mask
+from .metafeatures import FeatureLayout, MetaFeatureExtractor, apply_mask
 from .pool import bagging
 
 __all__ = [
@@ -164,7 +164,7 @@ def _derive_int(*parts) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _split_meta_samples(meta_ds: MetaDataset, n_samples: int, members: int, rng):
+def _split_meta_samples(n_samples: int, members: int, rng):
     """Sample-level 50/50 halving: all rows of one sample stay together."""
     perm = rng.permutation(n_samples)
     half = n_samples // 2
@@ -223,7 +223,7 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
     M = len(pool)
     if len(meta_idx) >= 2:
         halve_rng = np.random.default_rng([*parts, 30])
-        rows_t, rows_o = _split_meta_samples(meta_data, len(meta_idx), M, halve_rng)
+        rows_t, rows_o = _split_meta_samples(len(meta_idx), M, halve_rng)
         bpso_cfg = dataclasses.replace(config.bpso, seed=_derive_int(*parts, 40))
         archive = optimize(meta_data.rows[rows_t], meta_data.labels[rows_t],
                            meta_data.rows[rows_o], meta_data.labels[rows_o],

@@ -6,6 +6,16 @@ on the model), then fit by Newton iterations on the L2-penalized logistic
 loss. Training is deterministic: weights start at zero and every step is a
 function of the data alone, so row order cannot change the result beyond
 floating-point summation noise.
+
+Precision: the decision ``Z w + b``, the sigmoid, the gradient, the solve,
+the iterate and the stopping test are float64. Only the curvature is float32:
+each step's bordered Hessian is the Gram matrix of ``[Z * root | root]``,
+``root = sqrt(sample weight * p * (1 - p))``, taken by one float32 ``syrk``
+and then widened, with the penalty added to its weight diagonal in float64.
+A less exact Hessian changes only the path of the iterates (an inexact Newton
+method, Dembo, Eisenstat & Steihaug 1982): a step is zero exactly where the
+float64 gradient is, so the fit stops at the same regularized optimum, to
+within the step tolerance, possibly after a different number of iterations.
 """
 
 from __future__ import annotations
@@ -23,7 +33,6 @@ class MetaTrainConfig:
     l2: float = 1e-2
     max_iter: int = 30
     tol: float = 1e-10
-    seed: int = 0
     positive_class_weight: float = 1.0
 
 
@@ -92,20 +101,30 @@ def train_meta(rows, labels, config: MetaTrainConfig | None = None,
     w = np.zeros(p)
     b = 0.0
     sample_w = np.where(labels == 1.0, config.positive_class_weight, 1.0)
+    # the curvature-scaled, bias-bordered design [Z * root | root]: its Gram
+    # matrix is the bordered Hessian without the penalty, one ssyrk per step
+    S = np.empty((len(Z), p + 1), dtype=np.float32, order="F")
+    diag = slice(0, p * (p + 2), p + 2)      # first p diagonal entries, flat
     iterations = 0
     for iterations in range(1, config.max_iter + 1):
-        z = np.clip(Z @ w + b, -35.0, 35.0)
-        prob = 1.0 / (1.0 + np.exp(-z))
+        prob = Z @ w
+        prob += b
+        np.clip(prob, -35.0, 35.0, out=prob)
+        np.negative(prob, out=prob)
+        np.exp(prob, out=prob)
+        prob += 1.0
+        np.reciprocal(prob, out=prob)
         resid = sample_w * (prob - labels)
-        grad_w = Z.T @ resid + config.l2 * w
-        grad_b = resid.sum()
-        curv = np.maximum(sample_w * prob * (1.0 - prob), 1e-9)
-        H = (Z * curv[:, None]).T @ Z + config.l2 * np.eye(p)
-        Hb = np.empty((p + 1, p + 1))
-        Hb[:p, :p] = H
-        Hb[:p, p] = Hb[p, :p] = Z.T @ curv
-        Hb[p, p] = curv.sum()
-        step = np.linalg.solve(Hb, np.concatenate([grad_w, [grad_b]]))
+        grad = np.concatenate([Z.T @ resid + config.l2 * w, [resid.sum()]])
+        # cast Z and root into S, then scale in float32: a float64 product
+        # cast on its way out goes through numpy's buffered casting loop,
+        # which takes longer than both steps together
+        S[:, :p] = Z
+        S[:, p] = np.sqrt(np.maximum(sample_w * prob * (1.0 - prob), 1e-9))
+        S[:, :p] *= S[:, p:]
+        Hb = (S.T @ S).astype(float)
+        Hb.flat[diag] += config.l2
+        step = np.linalg.solve(Hb, grad)
         w -= step[:p]
         b -= step[p]
         if np.abs(step).max() < config.tol:

@@ -12,7 +12,7 @@ from metasel import bpso
 from metasel.bpso import (_TRANSFERS, Archive, BpsoConfig, MaskEvaluator, Swarm,
                           init_swarm, optimize,
                           oracle_distance, step, transfer_s, transfer_v)
-from metasel.metaclassifier import train_meta
+from metasel.metaclassifier import MetaTrainConfig, train_meta
 from metasel.metafeatures import MetaFeatureExtractor
 from metasel.data import generate_p2, scale_minmax
 from metasel.pool import bagging
@@ -106,8 +106,10 @@ class TestBatchedDistances:
     @settings(max_examples=120, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), D=st.integers(1, 7), P=st.integers(1, 8),
            n_train=st.integers(2, 40), n_rows=st.integers(1, 60),
-           block=st.integers(1, 25), single_class=st.booleans())
-    def test_equals_per_mask_reference(self, seed, D, P, n_train, n_rows, block, single_class):
+           block=st.integers(1, 25), single_class=st.booleans(),
+           positive_class_weight=st.sampled_from([1.0, 0.5, 3.0]))
+    def test_equals_per_mask_reference(self, seed, D, P, n_train, n_rows, block, single_class,
+                                       positive_class_weight):
         rng = np.random.default_rng(seed)
         train = rng.normal(size=(n_train, D)) * rng.uniform(0.1, 10.0, D) + rng.normal(size=D)
         train[:, rng.random(D) < 0.2] = 1.5           # constant columns hit the std guard
@@ -120,7 +122,8 @@ class TestBatchedDistances:
         masks = rng.random((P, D)) < rng.choice([0.2, 0.5, 0.8])
         masks[rng.random(P) < 0.2] = False
 
-        ev = MaskEvaluator(train, labels)
+        config = MetaTrainConfig(positive_class_weight=positive_class_weight)
+        ev = MaskEvaluator(train, labels, config)
         fitted = []                     # the evaluator's fits, in call order
 
         def recording_train_meta(*args, **kwargs):
@@ -141,7 +144,7 @@ class TestBatchedDistances:
                 if not m.any():
                     refs.append(np.inf)
                     continue
-                model = train_meta(train[:, m], labels)
+                model = train_meta(train[:, m], labels, config)
                 refs.append(oracle_distance(model.competence_batch(rows[:, m]), row_labels))
             # one fit per distinct non-empty mask, in order of first
             # appearance (the second batch hits the cache for every mask),
@@ -150,7 +153,7 @@ class TestBatchedDistances:
                         for k in dict.fromkeys(m.tobytes() for m in masks if m.any())]
             assert len(fitted) == len(distinct)
             for fit, m in zip(fitted, distinct):
-                model = train_meta(train[:, m], labels)
+                model = train_meta(train[:, m], labels, config)
                 assert np.array_equal(fit.weights, model.weights) and fit.bias == model.bias
                 assert fit.iterations == model.iterations
                 assert np.array_equal(fit.feature_mean, model.feature_mean)

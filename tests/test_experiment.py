@@ -40,6 +40,7 @@ class TestConfig:
         for raw, key in (({"bpso": {"swarmsize": 3}}, "bpso.swarmsize"),
                          ({"pool": {"size": 3, "sise": 4}}, "pool.sise"),
                          ({"meta": {"l3": 1.0}}, "meta.l3"),
+                         ({"meta": {"seed": 1}}, "meta.seed"),
                          ({"source": {"split": {"trainfrac": 0.5}}}, "source.split.trainfrac")):
             with pytest.raises(ValueError, match=key.replace(".", r"\.")):
                 ExperimentConfig.from_dict(raw)

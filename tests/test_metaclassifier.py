@@ -1,8 +1,50 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metasel.metaclassifier import (MetaClassifier, MetaTrainConfig,
                                     standardize_constants, train_meta)
+
+
+def reference_train_meta(rows, labels, config=None):
+    """The Newton fit with its whole Hessian in float64: a gemm over a
+    curvature-scaled copy of Z, bordered by hand. The reference for
+    ``train_meta``, whose float32 curvature may take other steps to the
+    same optimum."""
+    config = config or MetaTrainConfig()
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    labels = np.asarray(labels, dtype=float).reshape(-1)
+    p = rows.shape[1]
+    mean, std = standardize_constants(rows)
+    Z = (rows - mean) / std
+    classes = np.unique(labels)
+    if len(classes) < 2:
+        bias = 35.0 if classes[0] >= 0.5 else -35.0
+        return MetaClassifier(np.zeros(p), bias, mean, std, p, config=config, degenerate=True)
+    w = np.zeros(p)
+    b = 0.0
+    sample_w = np.where(labels == 1.0, config.positive_class_weight, 1.0)
+    iterations = 0
+    for iterations in range(1, config.max_iter + 1):
+        z = np.clip(Z @ w + b, -35.0, 35.0)
+        prob = 1.0 / (1.0 + np.exp(-z))
+        resid = sample_w * (prob - labels)
+        grad_w = Z.T @ resid + config.l2 * w
+        grad_b = resid.sum()
+        curv = np.maximum(sample_w * prob * (1.0 - prob), 1e-9)
+        H = (Z * curv[:, None]).T @ Z + config.l2 * np.eye(p)
+        Hb = np.empty((p + 1, p + 1))
+        Hb[:p, :p] = H
+        Hb[:p, p] = Hb[p, :p] = Z.T @ curv
+        Hb[p, p] = curv.sum()
+        step = np.linalg.solve(Hb, np.concatenate([grad_w, [grad_b]]))
+        w -= step[:p]
+        b -= step[p]
+        if np.abs(step).max() < config.tol:
+            break
+    return MetaClassifier(w, float(b), mean, std, p, config=config, iterations=iterations)
 
 
 def separable_rows():
@@ -26,8 +68,8 @@ class TestTrainMeta:
 
     def test_deterministic(self):
         rows, labels = separable_rows()
-        a = train_meta(rows, labels, MetaTrainConfig(seed=4))
-        b = train_meta(rows, labels, MetaTrainConfig(seed=4))
+        a = train_meta(rows, labels, MetaTrainConfig())
+        b = train_meta(rows, labels, MetaTrainConfig())
         assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
     def test_single_class_degenerates_with_warning(self):
@@ -71,6 +113,38 @@ class TestTrainMeta:
             assert np.array_equal(pre.feature_mean, plain.feature_mean)
             assert np.array_equal(pre.feature_std, plain.feature_std)
             assert np.abs(pre.competence_batch(x[:, m]) - plain.competence_batch(x[:, m])).max() <= 1e-9
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 400), p=st.integers(1, 12),
+           kind=st.sampled_from(["random", "correlated", "near_separable", "constant_columns"]),
+           positive_class_weight=st.sampled_from([1.0, 0.5, 3.0]))
+    def test_float32_curvature_reaches_the_reference_optimum(self, seed, n, p, kind,
+                                                              positive_class_weight):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, p) + rng.normal(size=p)
+        beta = rng.normal(size=p)
+        noise = 1.0
+        if kind == "correlated":
+            # every column a near copy of the first, up to rho = 0.9999
+            rho = rng.choice([0.9, 0.99, 0.9999])
+            rows = rows[:, :1] * rho + np.sqrt(1.0 - rho ** 2) * rows
+        elif kind == "near_separable":
+            noise = 1e-3
+        elif kind == "constant_columns":
+            rows[:, rng.random(p) < 0.5] = 2.5
+        labels = (rows @ beta + noise * rng.normal(size=n) * np.abs(rows @ beta).mean()
+                  > np.median(rows @ beta)).astype(float)
+        if rng.random() < 0.1:
+            labels[:] = labels[0]                     # one meta-class: degenerate
+        config = MetaTrainConfig(positive_class_weight=positive_class_weight)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = train_meta(rows, labels, config)
+        ref = reference_train_meta(rows, labels, config)
+        assert got.degenerate == ref.degenerate
+        assert abs(got.iterations - ref.iterations) <= 3
+        assert np.abs(got.weights - ref.weights).max() <= 1e-8
+        assert abs(got.bias - ref.bias) <= 1e-8
 
 
 class TestCompetence:
