@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metaclassifier import MetaTrainConfig, standardize_constants, train_meta
+from .metaclassifier import MetaTrainConfig, sigmoid, standardize_constants, train_meta
 
 # doubles per scoring block: a block of scored rows holds at most this many
 # values, and so does its (rows, masks) buffer of decision values, so nothing
@@ -120,11 +120,10 @@ class MaskEvaluator:
     competence distance on arbitrary row sets.
 
     The training half is standardized once; a mask's selector trains on the
-    mask's columns of that copy. Each selector is kept only folded into
-    weights over the raw meta-features, ``w' = w / std`` and
-    ``b' = b - mean . w'``, zero outside its mask, so a batch of masks is
-    scored by one product of raw row blocks with the stacked weights and no
-    masked or standardized copy of the scored rows is made.
+    mask's columns of that copy and comes back with weights over the raw
+    meta-features. They are kept zero-padded to every bit, so a batch of
+    masks is scored by one product of raw row blocks with the stacked weights
+    and no masked or standardized copy of the scored rows is made.
 
     A mask's distance on a row set is scored once and then read back. Row
     sets are told apart by identity (the evaluator holds on to the last
@@ -146,8 +145,8 @@ class MaskEvaluator:
         self._scores: list[tuple] = []     # (rows, labels, {mask key: distance}), newest first
 
     def _fold(self, mask) -> tuple | None:
-        """``(w', b')`` of the mask's selector over raw rows, fitted on first
-        use; None for the empty mask."""
+        """``(weights, bias)`` of the mask's selector over raw rows, zero
+        outside the mask, fitted on first use; None for the empty mask."""
         key = mask.tobytes()
         if key not in self._folded:
             folded = None
@@ -155,8 +154,8 @@ class MaskEvaluator:
                 model = train_meta(self.train_z[:, mask], self.train_labels, self.meta_config,
                                    standardized=(self.mean[mask], self.std[mask]))
                 weights = np.zeros(len(mask))
-                weights[mask] = model.weights / model.feature_std
-                folded = (weights, model.bias - model.feature_mean @ weights[mask])
+                weights[mask] = model.weights
+                folded = (weights, model.bias)
             self._folded[key] = folded
         return self._folded[key]
 
@@ -202,16 +201,12 @@ class MaskEvaluator:
         block = max(1, _SCORE_BLOCK // max(rows.shape[1], len(fresh)))
         out = np.empty((min(block, len(rows)), len(fresh)))
         for start in range(0, len(rows), block):
-            # in one buffer, the competence 1 / (1 + exp(-clip(z))) and its
-            # squared error against the 0/1 labels of the block
+            # in one buffer, the competence and its squared error against
+            # the 0/1 labels of the block
             chunk = rows[start:start + block]
             z = np.matmul(chunk, weights, out=out[:len(chunk)])
             z += bias
-            np.clip(z, -35.0, 35.0, out=z)
-            np.negative(z, out=z)
-            np.exp(z, out=z)
-            z += 1.0
-            np.reciprocal(z, out=z)
+            sigmoid(z)
             z -= labels[start:start + block, None]
             np.square(z, out=z)
             sq += z.sum(axis=0)

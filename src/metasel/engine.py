@@ -53,7 +53,6 @@ class DesModel:
     dsel: Dataset
     k: int = 7
     kp: int = 5
-    consensus_threshold: float = 0.7
     selection_threshold: float = 0.5
     _extractor: MetaFeatureExtractor | None = field(default=None, repr=False, compare=False)
 

@@ -52,7 +52,7 @@ ALL_METHODS = (FRAMEWORK_METHOD, "ola", "lca", "knora_e", "knora_u",
                "single_best", "static_selection", "majority_vote", "oracle")
 
 MODEL_FORMAT = "metasel.desmodel"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 
 class ModelFormatError(RuntimeError):
@@ -240,7 +240,6 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
                             config.meta)
     model = DesModel(pool=pool, meta=meta_model, mask=mask, scale=scale,
                      dsel=dsel_scaled, k=config.k, kp=config.kp,
-                     consensus_threshold=config.consensus_threshold,
                      selection_threshold=config.selection_threshold)
     model._extractor = extractor
     info = {

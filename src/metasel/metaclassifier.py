@@ -1,10 +1,11 @@
 """The competence selector: a regularized logistic model mapping a (masked)
 meta-feature vector to a competence support in [0, 1].
 
-Inputs are standardized with constants learned from the training rows (stored
-on the model), then fit by Newton iterations on the L2-penalized logistic
-loss. Training is deterministic: weights start at zero and every step is a
-function of the data alone, so row order cannot change the result beyond
+Inputs are standardized with constants learned from the training rows, then
+fit by Newton iterations on the L2-penalized logistic loss; the returned
+model folds the constants in (``w / std``, ``b - mean . w / std``) and scores
+raw rows. Training is deterministic: weights start at zero and every step is
+a function of the data alone, so row order cannot change the result beyond
 floating-point summation noise.
 
 Precision: the decision ``Z w + b``, the sigmoid, the gradient, the solve,
@@ -21,7 +22,7 @@ within the step tolerance, possibly after a different number of iterations.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,30 +36,44 @@ class MetaTrainConfig:
     tol: float = 1e-10
     positive_class_weight: float = 1.0
 
+    def validate(self):
+        # "not ok" rather than "bad", so that NaN fails too
+        if not self.l2 >= 0:
+            raise ValueError("l2 must be >= 0")
+        if not self.max_iter >= 1:
+            raise ValueError("max_iter must be >= 1")
+        for name in ("tol", "positive_class_weight"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+
 
 @dataclass
 class MetaClassifier:
-    """Linear competence model; ``competence_batch`` yields sigmoid(w . v~ + b)."""
+    """Linear competence model on raw (masked) meta-features: sigmoid(w . v + b)."""
 
-    weights: np.ndarray          # (p,) for standardized inputs
+    weights: np.ndarray
     bias: float
-    feature_mean: np.ndarray
-    feature_std: np.ndarray
-    input_dim: int
-    config: MetaTrainConfig = field(default_factory=MetaTrainConfig)
     iterations: int = 0
     degenerate: bool = False
 
-    def decision(self, rows) -> np.ndarray:
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        if rows.shape[1] != self.input_dim:
-            raise ValueError(
-                f"expected {self.input_dim} input features, got {rows.shape[1]}")
-        z = (rows - self.feature_mean) / self.feature_std
-        return np.clip(z @ self.weights + self.bias, -35.0, 35.0)
+    @property
+    def input_dim(self) -> int:
+        return len(self.weights)
 
     def competence_batch(self, rows) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-self.decision(rows)))
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        if rows.shape[1] != self.input_dim:
+            raise ValueError(f"expected {self.input_dim} input features, got {rows.shape[1]}")
+        return sigmoid(rows @ self.weights + self.bias)
+
+
+def sigmoid(z) -> np.ndarray:
+    """1 / (1 + exp(-clip(z, -35, 35))), in place in the float array ``z``."""
+    np.clip(z, -35.0, 35.0, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.reciprocal(z, out=z)
 
 
 def train_meta(rows, labels, config: MetaTrainConfig | None = None,
@@ -71,10 +86,11 @@ def train_meta(rows, labels, config: MetaTrainConfig | None = None,
 
     ``standardized=(mean, std)`` says that ``rows`` are already standardized
     with these column constants (std already guarded against zero), so the
-    column reductions are skipped; the returned model stores the constants
-    and scores raw rows as usual.
+    column reductions are skipped; the returned model scores raw rows as
+    usual.
     """
     config = config or MetaTrainConfig()
+    config.validate()
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     labels = np.asarray(labels, dtype=float).reshape(-1)
     if len(rows) < 2:
@@ -93,10 +109,8 @@ def train_meta(rows, labels, config: MetaTrainConfig | None = None,
     if len(classes) < 2:
         warnings.warn("meta-training data contains a single meta-class; "
                       "competence model is constant", RuntimeWarning)
-        value = float(classes[0])
-        bias = 35.0 if value >= 0.5 else -35.0
-        return MetaClassifier(np.zeros(p), bias, mean, std, p,
-                              config=config, degenerate=True)
+        return MetaClassifier(np.zeros(p), 35.0 if classes[0] >= 0.5 else -35.0,
+                              degenerate=True)
 
     w = np.zeros(p)
     b = 0.0
@@ -107,13 +121,7 @@ def train_meta(rows, labels, config: MetaTrainConfig | None = None,
     diag = slice(0, p * (p + 2), p + 2)      # first p diagonal entries, flat
     iterations = 0
     for iterations in range(1, config.max_iter + 1):
-        prob = Z @ w
-        prob += b
-        np.clip(prob, -35.0, 35.0, out=prob)
-        np.negative(prob, out=prob)
-        np.exp(prob, out=prob)
-        prob += 1.0
-        np.reciprocal(prob, out=prob)
+        prob = sigmoid(Z @ w + b)
         resid = sample_w * (prob - labels)
         grad = np.concatenate([Z.T @ resid + config.l2 * w, [resid.sum()]])
         # cast Z and root into S, then scale in float32: a float64 product
@@ -129,8 +137,8 @@ def train_meta(rows, labels, config: MetaTrainConfig | None = None,
         b -= step[p]
         if np.abs(step).max() < config.tol:
             break
-    return MetaClassifier(w, float(b), mean, std, p, config=config,
-                          iterations=iterations)
+    weights = w / std
+    return MetaClassifier(weights, float(b - mean @ weights), iterations=iterations)
 
 
 def standardize_constants(rows):

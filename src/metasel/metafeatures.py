@@ -335,10 +335,7 @@ def meta_dataset_to_csv(md: MetaDataset, path):
     """Write a meta-dataset as CSV: one column per meta-feature plus
     meta_label, classifier_index and sample_id."""
     header = md.layout.column_names() + ["meta_label", "classifier_index", "sample_id"]
+    table = np.column_stack([md.rows, md.labels, md.classifier_ids, md.sample_ids])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for r in range(len(md)):
-            cells = [format(v, ".10g") for v in md.rows[r]]
-            cells += [str(int(md.labels[r])), str(int(md.classifier_ids[r])),
-                      str(int(md.sample_ids[r]))]
-            fh.write(",".join(cells) + "\n")
+        np.savetxt(fh, table, fmt=["%.10g"] * md.rows.shape[1] + ["%d"] * 3, delimiter=",")

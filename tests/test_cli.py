@@ -118,6 +118,14 @@ class TestTrainAndClassify:
         assert "Traceback" not in err
         assert not (tmp_path / "m.bin").exists()
 
+    def test_out_of_range_meta_value_is_an_error_line(self, tmp_path, capsys):
+        # zero Newton steps would train a selector that outputs 0.5 everywhere
+        cfg = small_config(tmp_path, meta={"max_iter": 0})
+        rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.bin")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: max_iter must be >= 1\n"
+        assert not (tmp_path / "m.bin").exists()
+
     def test_bad_model_path_fails(self, tmp_path, capsys):
         feats = tmp_path / "feats.csv"
         feats.write_text("0.5,0.5\n")

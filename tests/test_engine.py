@@ -153,7 +153,7 @@ class TestClassify:
     def test_threshold_zero_uniform_delta_is_majority_vote(self):
         pool, dsel, test = p2_setup(3)
         mask = np.ones(67, dtype=bool)
-        uniform = MetaClassifier(np.zeros(67), 0.0, np.zeros(67), np.ones(67), 67)
+        uniform = MetaClassifier(np.zeros(67), 0.0)
         model = DesModel(pool=pool, meta=uniform, mask=mask, scale=None,
                          dsel=dsel, selection_threshold=0.0)
         ours, _ = classify_batch(model, test.features)

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metasel.bpso import BpsoConfig
-from metasel.data import SplitSpec, generate_p2
+from metasel.data import Dataset, ScaleParams, SplitSpec, generate_p2
 from metasel.datasets import BUNDLED, dataset_path
-from metasel.engine import classify_batch
+from metasel.engine import DesModel, classify_batch
 from metasel.experiment import (DataSource, ExperimentConfig, FRAMEWORK_METHOD,
-                                ModelFormatError, PoolConfig, _mean_ranks,
+                                MODEL_VERSION, ModelFormatError, PoolConfig, _mean_ranks,
                                 frequency_band, frequency_report, load_model,
                                 run_experiment, save_model, train_des,
                                 write_report_csvs)
+from metasel.metaclassifier import MetaClassifier
 from metasel.metafeatures import FeatureLayout
+from metasel.pool import ClassifierPool
 
 
 def small_p2_config(seed=3, replications=1):
@@ -328,14 +330,31 @@ class TestPersistence:
             load_model(path)
 
     def test_previous_version_rejected(self, tmp_path):
-        # version 1 files hold a pool of per-member perceptron objects
+        # version 1 files hold a pool of per-member perceptron objects,
+        # version 2 a Monte-Carlo sample count, version 3 a selector over
+        # standardized inputs plus its constants and a consensus threshold
         import pickle
 
         path = tmp_path / "model.bin"
-        with open(path, "wb") as fh:
-            pickle.dump({"format": "metasel.desmodel", "version": 1, "model": None}, fh)
-        with pytest.raises(ModelFormatError, match="version"):
-            load_model(path)
+        for version in (1, 2, 3):
+            with open(path, "wb") as fh:
+                pickle.dump({"format": "metasel.desmodel", "version": version, "model": None}, fh)
+            with pytest.raises(ModelFormatError, match=f"version {version} is incompatible"):
+                load_model(path)
+
+    def test_version_pins_the_pickled_fields(self):
+        # a model file pickles these dataclasses; changing a field changes
+        # the file, so the version and this pin move together
+        pickled = (DesModel, MetaClassifier, ClassifierPool, ScaleParams, Dataset)
+        fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)] for cls in pickled}
+        assert (MODEL_VERSION, fields) == (4, {
+            "DesModel": ["pool", "meta", "mask", "scale", "dsel", "k", "kp",
+                         "selection_threshold", "_extractor"],
+            "MetaClassifier": ["weights", "bias", "iterations", "degenerate"],
+            "ClassifierPool": ["weights", "dist_scale"],
+            "ScaleParams": ["col_min", "col_max"],
+            "Dataset": ["features", "labels", "class_count"],
+        })
 
 
 class TestBundledDatasets:

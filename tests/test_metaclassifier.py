@@ -12,7 +12,8 @@ def reference_train_meta(rows, labels, config=None):
     """The Newton fit with its whole Hessian in float64: a gemm over a
     curvature-scaled copy of Z, bordered by hand. The reference for
     ``train_meta``, whose float32 curvature may take other steps to the
-    same optimum."""
+    same optimum. The returned model is not folded: it scores rows
+    standardized with ``standardize_constants(rows)``."""
     config = config or MetaTrainConfig()
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     labels = np.asarray(labels, dtype=float).reshape(-1)
@@ -22,7 +23,7 @@ def reference_train_meta(rows, labels, config=None):
     classes = np.unique(labels)
     if len(classes) < 2:
         bias = 35.0 if classes[0] >= 0.5 else -35.0
-        return MetaClassifier(np.zeros(p), bias, mean, std, p, config=config, degenerate=True)
+        return MetaClassifier(np.zeros(p), bias, degenerate=True)
     w = np.zeros(p)
     b = 0.0
     sample_w = np.where(labels == 1.0, config.positive_class_weight, 1.0)
@@ -44,7 +45,45 @@ def reference_train_meta(rows, labels, config=None):
         b -= step[p]
         if np.abs(step).max() < config.tol:
             break
-    return MetaClassifier(w, float(b), mean, std, p, config=config, iterations=iterations)
+    return MetaClassifier(w, float(b), iterations=iterations)
+
+
+def standardized_fit(rows, labels, config=None):
+    """``train_meta``'s fit of ``rows`` before the fold, with the column
+    constants: refitting the standardized copy with constants (0, 1) runs
+    the same iterations on the same bits, and its fold divides by 1 and
+    subtracts 0."""
+    mean, std = standardize_constants(rows)
+    Z = (rows - mean) / std
+    p = rows.shape[1]
+    return train_meta(Z, labels, config, standardized=(np.zeros(p), np.ones(p))), mean, std
+
+
+fit_problems = given(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(2, 400), p=st.integers(1, 12),
+    kind=st.sampled_from(["random", "correlated", "near_separable", "constant_columns"]),
+    positive_class_weight=st.sampled_from([1.0, 0.5, 3.0]))
+
+
+def draw_problem(seed, n, p, kind):
+    """Rows and 0/1 labels of one kind of selector-fitting problem."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, p) + rng.normal(size=p)
+    beta = rng.normal(size=p)
+    noise = 1.0
+    if kind == "correlated":
+        # every column a near copy of the first, up to rho = 0.9999
+        rho = rng.choice([0.9, 0.99, 0.9999])
+        rows = rows[:, :1] * rho + np.sqrt(1.0 - rho ** 2) * rows
+    elif kind == "near_separable":
+        noise = 1e-3
+    elif kind == "constant_columns":
+        rows[:, rng.random(p) < 0.5] = 2.5
+    labels = (rows @ beta + noise * rng.normal(size=n) * np.abs(rows @ beta).mean()
+              > np.median(rows @ beta)).astype(float)
+    if rng.random() < 0.1:
+        labels[:] = labels[0]                     # one meta-class: degenerate
+    return rows, labels
 
 
 def separable_rows():
@@ -108,49 +147,47 @@ class TestTrainMeta:
             plain = train_meta(rows[:, m], labels)
             pre = train_meta(Z[:, m], labels, standardized=(mean[m], std[m]))
             assert pre.iterations == plain.iterations
-            assert np.abs(pre.weights - plain.weights).max() <= 1e-9
-            assert abs(pre.bias - plain.bias) <= 1e-9
-            assert np.array_equal(pre.feature_mean, plain.feature_mean)
-            assert np.array_equal(pre.feature_std, plain.feature_std)
+            assert np.array_equal(pre.weights, plain.weights) and pre.bias == plain.bias
             assert np.abs(pre.competence_batch(x[:, m]) - plain.competence_batch(x[:, m])).max() <= 1e-9
 
     @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 400), p=st.integers(1, 12),
-           kind=st.sampled_from(["random", "correlated", "near_separable", "constant_columns"]),
-           positive_class_weight=st.sampled_from([1.0, 0.5, 3.0]))
+    @fit_problems
     def test_float32_curvature_reaches_the_reference_optimum(self, seed, n, p, kind,
                                                               positive_class_weight):
-        rng = np.random.default_rng(seed)
-        rows = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, p) + rng.normal(size=p)
-        beta = rng.normal(size=p)
-        noise = 1.0
-        if kind == "correlated":
-            # every column a near copy of the first, up to rho = 0.9999
-            rho = rng.choice([0.9, 0.99, 0.9999])
-            rows = rows[:, :1] * rho + np.sqrt(1.0 - rho ** 2) * rows
-        elif kind == "near_separable":
-            noise = 1e-3
-        elif kind == "constant_columns":
-            rows[:, rng.random(p) < 0.5] = 2.5
-        labels = (rows @ beta + noise * rng.normal(size=n) * np.abs(rows @ beta).mean()
-                  > np.median(rows @ beta)).astype(float)
-        if rng.random() < 0.1:
-            labels[:] = labels[0]                     # one meta-class: degenerate
+        rows, labels = draw_problem(seed, n, p, kind)
         config = MetaTrainConfig(positive_class_weight=positive_class_weight)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            got = train_meta(rows, labels, config)
+            got, _, _ = standardized_fit(rows, labels, config)
         ref = reference_train_meta(rows, labels, config)
         assert got.degenerate == ref.degenerate
         assert abs(got.iterations - ref.iterations) <= 3
         assert np.abs(got.weights - ref.weights).max() <= 1e-8
         assert abs(got.bias - ref.bias) <= 1e-8
 
+    @pytest.mark.parametrize("field,value", [("l2", -1e-3), ("l2", float("nan")),
+                                             ("max_iter", 0), ("tol", 0.0),
+                                             ("positive_class_weight", 0.0)])
+    def test_out_of_range_config_names_the_field(self, field, value):
+        rows, labels = separable_rows()
+        config = MetaTrainConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            train_meta(rows, labels, config)
+
 
 class TestCompetence:
     def test_zero_weight_model_gives_half(self):
-        mc = MetaClassifier(np.zeros(3), 0.0, np.zeros(3), np.ones(3), 3)
+        mc = MetaClassifier(np.zeros(3), 0.0)
         assert mc.competence_batch([[5.0, -2.0, 0.4]]).tolist() == [0.5]
+
+    def test_decision_clipped_at_35(self):
+        # far decisions saturate at sigmoid(+-35) instead of overflowing exp
+        mc = MetaClassifier(np.array([1.0]), 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mc.competence_batch([[1e4], [-1e4], [35.0]])
+        assert got.tolist() == [1.0 / (1.0 + np.exp(-35.0)), 1.0 / (1.0 + np.exp(35.0)),
+                                1.0 / (1.0 + np.exp(-35.0))]
 
     def test_output_in_unit_interval(self):
         rows, labels = separable_rows()
@@ -160,7 +197,7 @@ class TestCompetence:
         assert delta.min() >= 0.0 and delta.max() <= 1.0
 
     def test_monotone_in_positive_weight(self):
-        mc = MetaClassifier(np.array([2.0, -1.0]), 0.1, np.zeros(2), np.ones(2), 2)
+        mc = MetaClassifier(np.array([2.0, -1.0]), 0.1)
         grid = np.linspace(-3, 3, 50)
         vals = mc.competence_batch(np.stack([grid, np.zeros(50)], axis=1))
         assert (np.diff(vals) >= 0).all()
@@ -182,6 +219,26 @@ class TestCompetence:
         mc = train_meta(rows, labels)
         with pytest.raises(ValueError, match="input features"):
             mc.competence_batch([[1.0, 2.0, 3.0]])
+
+    @settings(max_examples=150, deadline=None)
+    @fit_problems
+    def test_raw_rows_match_the_standardized_selector(self, seed, n, p, kind,
+                                                      positive_class_weight):
+        # the folded model on raw rows against the fit it folds, scoring
+        # standardized rows; on the training rows and on rows up to 3x
+        # further from the column means
+        rows, labels = draw_problem(seed, n, p, kind)
+        config = MetaTrainConfig(positive_class_weight=positive_class_weight)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            model = train_meta(rows, labels, config)
+            fit, mean, std = standardized_fit(rows, labels, config)
+        assert (model.iterations, model.degenerate) == (fit.iterations, fit.degenerate)
+        x = np.concatenate([rows, mean + np.random.default_rng(seed).uniform(-3, 3, rows.shape)
+                            * (rows - mean)])
+        z = np.clip(((x - mean) / std) @ fit.weights + fit.bias, -35.0, 35.0)
+        want = 1.0 / (1.0 + np.exp(-z))
+        assert np.abs(model.competence_batch(x) - want).max() <= 1e-12
 
     def test_masked_dimension_is_popcount(self):
         rng = np.random.default_rng(3)

@@ -84,6 +84,19 @@ def scan_rank(dsel_correct, order):
     return MetaFeatureExtractor._rank(stub, order)
 
 
+def reference_meta_csv(md, path):
+    """The per-row writer ``meta_dataset_to_csv`` replaced; the reference
+    for its bytes."""
+    header = md.layout.column_names() + ["meta_label", "classifier_index", "sample_id"]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for r in range(len(md)):
+            cells = [format(v, ".10g") for v in md.rows[r]]
+            cells += [str(int(md.labels[r])), str(int(md.classifier_ids[r])),
+                      str(int(md.sample_ids[r]))]
+            fh.write(",".join(cells) + "\n")
+
+
 class TestLayout:
     def test_size_formula_for_defaults(self):
         assert FeatureLayout(7, 5).size == 67
@@ -415,6 +428,24 @@ class TestRealPoolExtraction:
         without, _, _ = self.ex.extract_batch(self.dsel.features, self.dsel.labels,
                                               self_indices=idx)
         assert not np.allclose(with_self, without)
+
+    def test_csv_export_bytes_equal_the_per_row_writer(self, tmp_path):
+        # magnitudes from 1e-300 to 1e300 of both signs, plus -0.0, a
+        # subnormal, 1e17 (exact integer beyond 10 digits) and 10-digit ties
+        rng = np.random.default_rng(21)
+        layout = FeatureLayout(7, 5)
+        rows = rng.choice([-1.0, 1.0], (500, layout.size)) * 10.0 ** rng.uniform(
+            -300, 300, (500, layout.size))
+        rows[0, :6] = [-0.0, 5e-324, 1e17, 0.12345678905, 2.5, -123456789012.0]
+        rows[1] = rng.uniform(0, 1, layout.size)
+        sample_ids = rng.integers(0, 10 ** 6, 500)
+        sample_ids[0] = 10 ** 12                  # more digits than %.10g keeps
+        md = metafeatures.MetaDataset(rows, rng.integers(0, 2, 500), sample_ids,
+                                      rng.integers(0, 100, 500), layout)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        meta_dataset_to_csv(md, got)
+        reference_meta_csv(md, want)
+        assert got.read_bytes() == want.read_bytes()
 
     def test_csv_export_round_trips(self, tmp_path):
         md = self.ex.build_meta_dataset(self.X[:8], self.y[:8])
