@@ -8,7 +8,7 @@ accuracy, ranks, win-tie-loss counts and criterion selection frequencies.
 """
 
 from pathlib import Path
-from tempfile import mkdtemp
+from tempfile import TemporaryDirectory
 
 from metasel import BpsoConfig, ExperimentConfig, run_experiment, write_report_csvs
 from metasel.data import SplitSpec
@@ -46,8 +46,9 @@ for name, freq in report.frequencies.per_set.items():
     band = report.frequencies.per_set_band[name]
     print(f"  {name:<8} {freq:4.2f}  [{band}]")
 
-out = Path(mkdtemp(prefix="metasel_report_"))
-write_report_csvs(report, out)
-print(f"\nCSV tables written to {out}:")
-for p in sorted(out.iterdir()):
-    print(f"  {p.name}")
+with TemporaryDirectory(prefix="metasel_report_") as tmp:
+    out = Path(tmp)
+    write_report_csvs(report, out)
+    print(f"\nCSV tables written to {out}:")
+    for p in sorted(out.iterdir()):
+        print(f"  {p.name}")

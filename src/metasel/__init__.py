@@ -14,7 +14,7 @@ from .pool import ClassifierPool, bagging
 from .regions import nearest_neighbors
 from .metafeatures import (FeatureLayout, MetaDataset, MetaFeatureExtractor,
                            apply_mask, meta_dataset_to_csv, rrc_competence)
-from .metaclassifier import MetaClassifier, MetaTrainConfig, train_meta
+from .metaclassifier import MetaClassifier, train_meta
 from .bpso import (Archive, BpsoConfig, MaskEvaluator, optimize, step, transfer_s,
                    transfer_v)
 from .engine import (BASELINE_METHODS, ClassifyDiagnostics, DesModel,

@@ -7,7 +7,9 @@ competences, evaluated on held-out rows::
     d = sqrt(sum_j sum_i (delta_lambda - delta_ideal)^2) / (N * M)
 
 (the normalizer sits outside the root). Lower is better; an empty mask is
-assigned an infinite sentinel so it can never win.
+assigned an infinite sentinel so it can never win. The selector's terms are
+per column, so one fit on the training half gives every mask's selector and
+a search makes that one fit.
 
 Overfitting control follows the global-validation scheme: after every
 position update, each particle is additionally scored on a separate
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metaclassifier import MetaTrainConfig, sigmoid, standardize_constants, train_meta
+from .metaclassifier import sigmoid, train_meta
 
 # doubles per scoring block: a block of scored rows holds at most this many
 # values, and so does its (rows, masks) buffer of decision values, so nothing
@@ -116,14 +118,14 @@ class Archive:
 
 
 class MaskEvaluator:
-    """Trains one selector per mask (cached) and scores masks by the ideal
-    competence distance on arbitrary row sets.
+    """Scores masks by the ideal competence distance on arbitrary row sets.
 
-    The training half is standardized once; a mask's selector trains on the
-    mask's columns of that copy and comes back with weights over the raw
-    meta-features. They are kept zero-padded to every bit, so a batch of
-    masks is scored by one product of raw row blocks with the stacked weights
-    and no masked or standardized copy of the scored rows is made.
+    One selector fit on every column of the training half serves all masks:
+    a mask's selector is that fit ``masked`` to the mask's columns, the
+    selector a fit on those columns alone gives. Its weights are kept at
+    full width, zero outside the mask, so a batch of masks is scored by one
+    product of raw row blocks with the stacked weights; neither the training
+    rows nor a masked copy of the scored rows is kept.
 
     A mask's distance on a row set is scored once and then read back. Row
     sets are told apart by identity (the evaluator holds on to the last
@@ -131,40 +133,16 @@ class MaskEvaluator:
     evaluator is in use.
     """
 
-    def __init__(self, train_rows, train_labels, meta_config: MetaTrainConfig | None = None):
-        # column-major, like the copies ``rows[:, mask]`` numpy makes: the
-        # column constants and each fit's input are then bit for bit those
-        # of ``train_meta(train_rows[:, mask], ...)``
-        self.train_z = np.array(train_rows, dtype=float, order="F")
-        self.train_labels = np.asarray(train_labels, dtype=float)
-        self.meta_config = meta_config or MetaTrainConfig()
-        self.mean, self.std = standardize_constants(self.train_z)
-        self.train_z -= self.mean
-        self.train_z /= self.std
-        self._folded: dict[bytes, tuple | None] = {}
+    def __init__(self, train_rows, train_labels):
+        self.model = train_meta(train_rows, train_labels)
         self._scores: list[tuple] = []     # (rows, labels, {mask key: distance}), newest first
-
-    def _fold(self, mask) -> tuple | None:
-        """``(weights, bias)`` of the mask's selector over raw rows, zero
-        outside the mask, fitted on first use; None for the empty mask."""
-        key = mask.tobytes()
-        if key not in self._folded:
-            folded = None
-            if mask.any():
-                model = train_meta(self.train_z[:, mask], self.train_labels, self.meta_config,
-                                   standardized=(self.mean[mask], self.std[mask]))
-                weights = np.zeros(len(mask))
-                weights[mask] = model.weights
-                folded = (weights, model.bias)
-            self._folded[key] = folded
-        return self._folded[key]
 
     def distances(self, masks, rows, labels) -> np.ndarray:
         """Oracle distance of every row of ``masks`` (P, D) on ``rows``.
 
-        Uncached masks are fitted in row order, then every mask not yet
-        scored on ``rows`` is scored in one pass over them; ``distance`` is
-        still called once per mask and reads its value from that pass.
+        Every mask not yet scored on ``rows`` is scored in one pass over
+        them; ``distance`` is still called once per mask and reads its value
+        from that pass.
         """
         masks = np.asarray(masks, dtype=bool)
         self._score(masks, rows, labels)
@@ -186,15 +164,14 @@ class MaskEvaluator:
             key = mask.tobytes()
             if key in scores or key in fresh:
                 continue
-            folded = self._fold(mask)
-            if folded is None:
-                scores[key] = np.inf
+            if mask.any():
+                fresh[key] = self.model.masked(mask)
             else:
-                fresh[key] = folded
+                scores[key] = np.inf
         if not fresh:
             return scores
-        weights = np.stack([w for w, _ in fresh.values()], axis=1)
-        bias = np.array([b for _, b in fresh.values()])
+        weights = np.stack([m.weights for m in fresh.values()], axis=1)
+        bias = np.array([m.bias for m in fresh.values()])
         rows = np.asarray(rows, dtype=float)
         labels = np.asarray(labels)
         sq = np.zeros(len(fresh))
@@ -259,8 +236,7 @@ def step(swarm: Swarm, config: BpsoConfig, fitness_fn) -> bool:
 
 
 def optimize(train_rows, train_labels, opt_rows, opt_labels, val_rows, val_labels,
-             config: BpsoConfig | None = None,
-             meta_config: MetaTrainConfig | None = None) -> Archive:
+             config: BpsoConfig | None = None) -> Archive:
     """Full mask search with global validation.
 
     Per run: a fresh swarm is initialized with Bernoulli(0.5) bits; each
@@ -280,7 +256,7 @@ def optimize(train_rows, train_labels, opt_rows, opt_labels, val_rows, val_label
     config = config or BpsoConfig()
     config.validate()
     dim = np.asarray(train_rows).shape[1]
-    evaluator = MaskEvaluator(train_rows, train_labels, meta_config)
+    evaluator = MaskEvaluator(train_rows, train_labels)
     fit_opt = lambda masks: evaluator.distances(masks, opt_rows, opt_labels)
 
     best = Archive()

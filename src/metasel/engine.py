@@ -3,8 +3,9 @@
 A trained model bundles the pool, the competence selector, the selected
 meta-feature mask and everything needed to rebuild neighborhoods, so
 classification of a raw sample is self-contained: scale, locate the region of
-competence and profile neighborhood, extract the masked meta-features per
-member, keep members whose competence clears the selection threshold and
+competence and profile neighborhood, extract the meta-features per member,
+score them with the selector (whose weights are zero outside the mask), keep
+members whose competence clears the selection threshold and
 combine them by competence-weighted majority voting. When no member clears
 the threshold the single most competent member decides (flagged).
 """
@@ -18,7 +19,7 @@ import numpy as np
 
 from .data import Dataset, ScaleParams
 from .metaclassifier import MetaClassifier
-from .metafeatures import MetaFeatureExtractor, apply_mask
+from .metafeatures import MetaFeatureExtractor
 from .pool import ClassifierPool
 from .regions import nearest_neighbors
 
@@ -105,8 +106,9 @@ def classify_batch(model: DesModel, X):
     """
     Xs = model.prepare(X)
     feats, _, pred_labels = model.extractor.extract_batch(Xs)
-    masked = apply_mask(feats.reshape(-1, model.extractor.layout.size), model.mask)
-    delta = model.meta.competence_batch(masked).reshape(len(Xs), len(model.pool))
+    # the selector's weights are zero outside the mask: it scores every column
+    delta = model.meta.competence_batch(
+        feats.reshape(-1, model.extractor.layout.size)).reshape(len(Xs), len(model.pool))
     selected = delta >= model.selection_threshold                   # (Nq, M)
     # Unselected members vote with weight 0. A row whose weights are all zero
     # votes unweighted with every member; with competences in [0, 1] that

@@ -24,8 +24,8 @@ from .bpso import Archive, BpsoConfig, optimize
 from .data import (Dataset, SplitSpec, generate_p2, load_csv, scale_minmax,
                    split_holdout)
 from .engine import DesModel, classify_batch, oracle_accuracy
-from .metaclassifier import MetaTrainConfig, train_meta
-from .metafeatures import FeatureLayout, MetaFeatureExtractor, apply_mask
+from .metaclassifier import train_meta
+from .metafeatures import FeatureLayout, MetaFeatureExtractor
 from .pool import bagging
 
 __all__ = [
@@ -52,7 +52,7 @@ ALL_METHODS = (FRAMEWORK_METHOD, "ola", "lca", "knora_e", "knora_u",
                "single_best", "static_selection", "majority_vote", "oracle")
 
 MODEL_FORMAT = "metasel.desmodel"
-MODEL_VERSION = 4
+MODEL_VERSION = 5
 
 
 class ModelFormatError(RuntimeError):
@@ -87,7 +87,6 @@ class ExperimentConfig:
     consensus_threshold: float = 0.7
     selection_threshold: float = 0.5
     bpso: BpsoConfig = field(default_factory=BpsoConfig)
-    meta: MetaTrainConfig = field(default_factory=MetaTrainConfig)
     replications: int = 20
     methods: tuple = ALL_METHODS
     reference_method: str = FRAMEWORK_METHOD
@@ -103,21 +102,43 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """Build a config from parsed JSON. A value of the wrong type raises
-        ValueError, and so does an unknown key inside the ``source``,
-        ``pool``, ``bpso`` and ``meta`` sections (``source.split``
-        included); unknown top-level keys are ignored."""
+        """Build a config from parsed JSON and ``validate`` it. A value of the
+        wrong type or out of range raises ValueError, and so does an unknown
+        key inside the ``source``, ``pool`` and ``bpso`` sections
+        (``source.split`` included); unknown top-level keys are ignored."""
         cfg = cls()
         cfg.source = _section(DataSource, raw.get("source", {}), "source")
         cfg.pool = _section(PoolConfig, raw.get("pool", {}), "pool")
         cfg.bpso = _section(BpsoConfig, raw.get("bpso", {}), "bpso")
-        cfg.meta = _section(MetaTrainConfig, raw.get("meta", {}), "meta")
         hints = typing.get_type_hints(cls)
         for name in ("k", "kp", "consensus_threshold", "selection_threshold",
                      "replications", "methods", "reference_method", "seed"):
             if name in raw:
                 setattr(cfg, name, _checked(raw[name], hints[name], name))
+        cfg.validate()
         return cfg
+
+    def validate(self):
+        """Range-check every value, so a bad config fails before any work."""
+        # "not ok" rather than "bad", so that NaN fails too
+        checks = (
+            ("k", self.k >= 1, ">= 1"),
+            ("kp", self.kp >= 1, ">= 1"),
+            ("consensus_threshold", 0 <= self.consensus_threshold <= 1, "in [0, 1]"),
+            ("selection_threshold", 0 <= self.selection_threshold < 1, "in [0, 1)"),
+            ("replications", self.replications >= 1, ">= 1"),
+            ("pool.size", self.pool.size >= 1, ">= 1"),
+            ("pool.bootstrap_frac", 0 < self.pool.bootstrap_frac <= 1, "in (0, 1]"),
+            ("pool.epochs", self.pool.epochs >= 1, ">= 1"),
+            ("pool.lr", self.pool.lr > 0, "> 0"),
+            ("source.p2_sizes", len(self.source.p2_sizes) == 4
+             and all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
+                     for n in self.source.p2_sizes), "four integers >= 1"),
+        )
+        for name, ok, rule in checks:
+            if not ok:
+                raise ValueError(f"config key {name} must be {rule}")
+        self.bpso.validate()
 
 
 # accepted JSON value types and their name per field annotation; bool is
@@ -181,7 +202,7 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
     Pipeline: fit scaling on the train split; bag the pool; build meta-data
     for the consensus-filtered meta-training and reference samples; search for
     the meta-feature mask with global validation; train the final selector on
-    the full masked meta-training data.
+    the full meta-training data, masked (full width, zero outside the mask).
 
     Returns (model, archive, info) where ``info`` carries the meta-dataset and
     bookkeeping counters.
@@ -227,8 +248,7 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
         bpso_cfg = dataclasses.replace(config.bpso, seed=_derive_int(*parts, 40))
         archive = optimize(meta_data.rows[rows_t], meta_data.labels[rows_t],
                            meta_data.rows[rows_o], meta_data.labels[rows_o],
-                           val_data.rows, val_data.labels,
-                           bpso_cfg, config.meta)
+                           val_data.rows, val_data.labels, bpso_cfg)
         mask = archive.mask
     else:
         warnings.warn("too few meta-training samples for mask search; "
@@ -236,8 +256,7 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
         mask = np.ones(extractor.layout.size, dtype=bool)
         archive = Archive(mask=mask, validation_fitness=np.inf)
 
-    meta_model = train_meta(apply_mask(meta_data.rows, mask), meta_data.labels,
-                            config.meta)
+    meta_model = train_meta(meta_data.rows, meta_data.labels).masked(mask)
     model = DesModel(pool=pool, meta=meta_model, mask=mask, scale=scale,
                      dsel=dsel_scaled, k=config.k, kp=config.kp,
                      selection_threshold=config.selection_threshold)
@@ -356,8 +375,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     score every requested method on the test split. Deterministic given the
     configuration.
     """
-    if config.replications < 1:
-        raise ValueError("need at least one replication")
+    config.validate()
     methods = tuple(config.methods)
     acc = np.zeros((config.replications, len(methods)))
     masks = []

@@ -1,22 +1,20 @@
-"""The competence selector: a regularized logistic model mapping a (masked)
-meta-feature vector to a competence support in [0, 1].
+"""The competence selector: a pooled-variance Gaussian naive-Bayes model
+mapping a meta-feature vector to a competence support in [0, 1].
 
-Inputs are standardized with constants learned from the training rows, then
-fit by Newton iterations on the L2-penalized logistic loss; the returned
-model folds the constants in (``w / std``, ``b - mean . w / std``) and scores
-raw rows. Training is deterministic: weights start at zero and every step is
-a function of the data alone, so row order cannot change the result beyond
-floating-point summation noise.
+Per meta-feature j the fit takes the class means ``mu1``, ``mu0`` of the 0/1
+meta-labels and the pooled within-class variance ``s2``. Two Gaussians that
+share a variance have a linear log-likelihood ratio, so the model is
 
-Precision: the decision ``Z w + b``, the sigmoid, the gradient, the solve,
-the iterate and the stopping test are float64. Only the curvature is float32:
-each step's bordered Hessian is the Gram matrix of ``[Z * root | root]``,
-``root = sqrt(sample weight * p * (1 - p))``, taken by one float32 ``syrk``
-and then widened, with the penalty added to its weight diagonal in float64.
-A less exact Hessian changes only the path of the iterates (an inexact Newton
-method, Dembo, Eisenstat & Steihaug 1982): a step is zero exactly where the
-float64 gradient is, so the fit stops at the same regularized optimum, to
-within the step tolerance, possibly after a different number of iterations.
+    w_j = (mu1 - mu0) / s2,   c_j = -w_j (mu1 + mu0) / 2,
+    competence(v) = sigmoid(sum_j w_j v_j + log(n1 / n0) + sum_j c_j)
+
+No term of column j depends on another column, so the selector that a fit on
+a subset of the columns gives is the full fit's weights and offsets on that
+subset (``MetaClassifier.masked``): one fit serves every mask of a search.
+The fit is closed-form and needs no standardization (the ratio is invariant
+to rescaling a column). META-DES.H (Cruz, Sabourin & Cavalcanti, IJCNN 2015)
+compares meta-classifiers for this role, and later META-DES work reports
+naive Bayes.
 """
 
 from __future__ import annotations
@@ -26,33 +24,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MetaTrainConfig", "MetaClassifier", "train_meta"]
+__all__ = ["MetaClassifier", "train_meta"]
 
-
-@dataclass
-class MetaTrainConfig:
-    l2: float = 1e-2
-    max_iter: int = 30
-    tol: float = 1e-10
-    positive_class_weight: float = 1.0
-
-    def validate(self):
-        # "not ok" rather than "bad", so that NaN fails too
-        if not self.l2 >= 0:
-            raise ValueError("l2 must be >= 0")
-        if not self.max_iter >= 1:
-            raise ValueError("max_iter must be >= 1")
-        for name in ("tol", "positive_class_weight"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+# a column's pooled variance is at least this fraction of its total variance
+_VAR_FLOOR = 1e-9
 
 
 @dataclass
 class MetaClassifier:
-    """Linear competence model on raw (masked) meta-features: sigmoid(w . v + b)."""
+    """Linear competence model on raw meta-features: sigmoid(w . v + b).
+
+    A fit also keeps its per-column offsets ``c`` and its log prior odds,
+    with ``b = prior + sum(c)`` over the columns in use. ``iterations`` is 0
+    for the closed-form fit.
+    """
 
     weights: np.ndarray
     bias: float
+    offsets: np.ndarray | None = None
+    prior: float = 0.0
     iterations: int = 0
     degenerate: bool = False
 
@@ -66,6 +56,17 @@ class MetaClassifier:
             raise ValueError(f"expected {self.input_dim} input features, got {rows.shape[1]}")
         return sigmoid(rows @ self.weights + self.bias)
 
+    def masked(self, mask) -> "MetaClassifier":
+        """The selector a fit on the ``mask`` columns alone gives, kept at
+        full width with zero weights and offsets outside the mask."""
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != self.weights.shape:
+            raise ValueError(f"mask of length {mask.size} for {self.input_dim} features")
+        return MetaClassifier(np.where(mask, self.weights, 0.0),
+                              float(self.prior + self.offsets[mask].sum()),
+                              np.where(mask, self.offsets, 0.0), self.prior,
+                              degenerate=self.degenerate)
+
 
 def sigmoid(z) -> np.ndarray:
     """1 / (1 + exp(-clip(z, -35, 35))), in place in the float array ``z``."""
@@ -76,72 +77,48 @@ def sigmoid(z) -> np.ndarray:
     return np.reciprocal(z, out=z)
 
 
-def train_meta(rows, labels, config: MetaTrainConfig | None = None,
-               standardized: tuple | None = None) -> MetaClassifier:
-    """Fit the competence model on masked meta-feature rows with 0/1 labels.
+def train_meta(rows, labels) -> MetaClassifier:
+    """Fit the competence model on meta-feature rows with 0/1 labels.
 
     Needs at least two rows; if only one meta-class is present the model
     degenerates to a constant output at that class's value (flagged and
-    warned). The L2 penalty applies to the weights, not the bias.
-
-    ``standardized=(mean, std)`` says that ``rows`` are already standardized
-    with these column constants (std already guarded against zero), so the
-    column reductions are skipped; the returned model scores raw rows as
-    usual.
+    warned). A column whose values are all equal gets weight 0.
     """
-    config = config or MetaTrainConfig()
-    config.validate()
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    labels = np.asarray(labels, dtype=float).reshape(-1)
+    labels = np.ascontiguousarray(labels, dtype=float).reshape(-1)
     if len(rows) < 2:
         raise ValueError("need at least two training rows")
     if len(rows) != len(labels):
         raise ValueError("rows and labels length mismatch")
-    p = rows.shape[1]
-
-    if standardized is None:
-        mean, std = standardize_constants(rows)
-        Z = (rows - mean) / std
-    else:
-        (mean, std), Z = standardized, rows
-
-    classes = np.unique(labels)
-    if len(classes) < 2:
+    n, p = rows.shape
+    n1 = labels.sum()
+    n0 = n - n1
+    if n1 == 0 or n0 == 0:
         warnings.warn("meta-training data contains a single meta-class; "
                       "competence model is constant", RuntimeWarning)
-        return MetaClassifier(np.zeros(p), 35.0 if classes[0] >= 0.5 else -35.0,
-                              degenerate=True)
+        bias = 35.0 if n1 else -35.0
+        return MetaClassifier(np.zeros(p), bias, np.zeros(p), bias, degenerate=True)
 
-    w = np.zeros(p)
-    b = 0.0
-    sample_w = np.where(labels == 1.0, config.positive_class_weight, 1.0)
-    # the curvature-scaled, bias-bordered design [Z * root | root]: its Gram
-    # matrix is the bordered Hessian without the penalty, one ssyrk per step
-    S = np.empty((len(Z), p + 1), dtype=np.float32, order="F")
-    diag = slice(0, p * (p + 2), p + 2)      # first p diagonal entries, flat
-    iterations = 0
-    for iterations in range(1, config.max_iter + 1):
-        prob = sigmoid(Z @ w + b)
-        resid = sample_w * (prob - labels)
-        grad = np.concatenate([Z.T @ resid + config.l2 * w, [resid.sum()]])
-        # cast Z and root into S, then scale in float32: a float64 product
-        # cast on its way out goes through numpy's buffered casting loop,
-        # which takes longer than both steps together
-        S[:, :p] = Z
-        S[:, p] = np.sqrt(np.maximum(sample_w * prob * (1.0 - prob), 1e-9))
-        S[:, :p] *= S[:, p:]
-        Hb = (S.T @ S).astype(float)
-        Hb.flat[diag] += config.l2
-        step = np.linalg.solve(Hb, grad)
-        w -= step[:p]
-        b -= step[p]
-        if np.abs(step).max() < config.tol:
-            break
-    weights = w / std
-    return MetaClassifier(weights, float(b - mean @ weights), iterations=iterations)
-
-
-def standardize_constants(rows):
-    """Column mean and std of ``rows``; a std of 1e-12 or less becomes 1."""
-    std = rows.std(axis=0)
-    return rows.mean(axis=0), np.where(std > 1e-12, std, 1.0)
+    others = 1.0 - labels
+    diff, mid, within = np.empty(p), np.empty(p), np.empty(p)
+    scratch = np.empty(n)
+    for j in range(p):
+        # one contiguous column at a time, shifted by its first value so that
+        # a constant column is exactly zero. No temporary grows with the
+        # width, and with numpy's own sums (no BLAS) a column's statistics
+        # are bit for bit the same whatever columns come with it and however
+        # rows is laid out.
+        x = rows[:, j] - rows[0, j]
+        mu1 = np.multiply(labels, x, out=scratch).sum() / n1
+        mu0 = np.multiply(others, x, out=scratch).sum() / n0
+        diff[j], mid[j] = mu1 - mu0, rows[0, j] + (mu1 + mu0) / 2
+        x -= mu0                                  # minus the row's class mean
+        x -= np.multiply(labels, diff[j], out=scratch)
+        within[j] = np.square(x, out=x).sum() / n
+    total = within + (n1 / n) * (n0 / n) * diff * diff
+    var = np.maximum(within, _VAR_FLOOR * total)
+    # total == 0 only for a column whose values are all equal: weight 0
+    weights = np.divide(diff, var, out=np.zeros(p), where=total > 0)
+    offsets = -weights * mid
+    prior = float(np.log(n1 / n0))
+    return MetaClassifier(weights, float(prior + offsets.sum()), offsets, prior)

@@ -12,7 +12,7 @@ from metasel import bpso
 from metasel.bpso import (_TRANSFERS, Archive, BpsoConfig, MaskEvaluator, Swarm,
                           init_swarm, optimize,
                           oracle_distance, step, transfer_s, transfer_v)
-from metasel.metaclassifier import MetaTrainConfig, train_meta
+from metasel.metaclassifier import train_meta
 from metasel.metafeatures import MetaFeatureExtractor
 from metasel.data import generate_p2, scale_minmax
 from metasel.pool import bagging
@@ -106,13 +106,11 @@ class TestBatchedDistances:
     @settings(max_examples=120, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), D=st.integers(1, 7), P=st.integers(1, 8),
            n_train=st.integers(2, 40), n_rows=st.integers(1, 60),
-           block=st.integers(1, 25), single_class=st.booleans(),
-           positive_class_weight=st.sampled_from([1.0, 0.5, 3.0]))
-    def test_equals_per_mask_reference(self, seed, D, P, n_train, n_rows, block, single_class,
-                                       positive_class_weight):
+           block=st.integers(1, 25), single_class=st.booleans())
+    def test_equals_per_mask_reference(self, seed, D, P, n_train, n_rows, block, single_class):
         rng = np.random.default_rng(seed)
         train = rng.normal(size=(n_train, D)) * rng.uniform(0.1, 10.0, D) + rng.normal(size=D)
-        train[:, rng.random(D) < 0.2] = 1.5           # constant columns hit the std guard
+        train[:, rng.random(D) < 0.2] = 1.5           # constant columns get weight 0
         labels = (train @ rng.normal(size=D) + rng.normal(size=n_train) > 0).astype(float)
         if single_class:
             labels[:] = float(rng.integers(0, 2))
@@ -122,9 +120,7 @@ class TestBatchedDistances:
         masks = rng.random((P, D)) < rng.choice([0.2, 0.5, 0.8])
         masks[rng.random(P) < 0.2] = False
 
-        config = MetaTrainConfig(positive_class_weight=positive_class_weight)
-        ev = MaskEvaluator(train, labels, config)
-        fitted = []                     # the evaluator's fits, in call order
+        fitted = []                     # the evaluator's fits
 
         def recording_train_meta(*args, **kwargs):
             fitted.append(train_meta(*args, **kwargs))
@@ -132,10 +128,11 @@ class TestBatchedDistances:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
+            with mock.patch.object(bpso, "train_meta", recording_train_meta):
+                ev = MaskEvaluator(train, labels)
             # blocks of `block` doubles, so a few rows each: row counts are
             # rarely a multiple of the block's rows
-            with mock.patch.object(bpso, "_SCORE_BLOCK", block), \
-                    mock.patch.object(bpso, "train_meta", recording_train_meta):
+            with mock.patch.object(bpso, "_SCORE_BLOCK", block):
                 got = ev.distances(masks, rows, row_labels)
                 again = ev.distances(masks[::-1], rows, row_labels)
                 alone = [ev.distance(m, rows, row_labels) for m in masks]
@@ -144,18 +141,16 @@ class TestBatchedDistances:
                 if not m.any():
                     refs.append(np.inf)
                     continue
-                model = train_meta(train[:, m], labels, config)
+                model = train_meta(train[:, m], labels)
                 refs.append(oracle_distance(model.competence_batch(rows[:, m]), row_labels))
-            # one fit per distinct non-empty mask, in order of first
-            # appearance (the second batch hits the cache for every mask),
-            # and standardizing once leaves every fit bit for bit unchanged
-            distinct = [np.frombuffer(k, dtype=bool)
-                        for k in dict.fromkeys(m.tobytes() for m in masks if m.any())]
-            assert len(fitted) == len(distinct)
-            for fit, m in zip(fitted, distinct):
-                model = train_meta(train[:, m], labels, config)
-                assert np.array_equal(fit.weights, model.weights) and fit.bias == model.bias
-                assert fit.iterations == model.iterations
+                # the evaluator's fold is the fit on the mask's columns,
+                # weights bit for bit
+                folded = ev.model.masked(m)
+                assert np.array_equal(folded.weights[m], model.weights)
+                assert not folded.weights[~m].any()
+                assert abs(folded.bias - model.bias) <= 1e-12
+        # one fit for the whole search, on every column
+        assert len(fitted) == 1 and fitted[0].input_dim == D
         refs = np.array(refs)
 
         assert got.shape == (P,)
@@ -189,15 +184,14 @@ class TestBatchedDistances:
         assert np.array_equal(again, first[::-1])
 
     def test_scoring_memory_does_not_grow_with_rows(self):
-        # folded weights and row blocks: no masked or standardized copy of the
-        # scored rows, so 10x the rows may not raise the peak by more than
-        # one block of decision values
+        # full-width weights and row blocks: no masked copy of the scored
+        # rows, so 10x the rows may not raise the peak by more than one block
+        # of decision values
         D = 67
         rng = np.random.default_rng(0)
         train = rng.random((400, D))
         ev = MaskEvaluator(train, (train[:, 0] + train[:, 1] > 1.0).astype(float))
         masks = rng.random((8, D)) < 0.5
-        ev.distances(masks, train, ev.train_labels)     # fit the models first
 
         def peak(n):
             rows = rng.random((n, D))

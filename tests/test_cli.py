@@ -118,12 +118,18 @@ class TestTrainAndClassify:
         assert "Traceback" not in err
         assert not (tmp_path / "m.bin").exists()
 
-    def test_out_of_range_meta_value_is_an_error_line(self, tmp_path, capsys):
-        # zero Newton steps would train a selector that outputs 0.5 everywhere
-        cfg = small_config(tmp_path, meta={"max_iter": 0})
+    @pytest.mark.parametrize("override,message", [
+        ({"k": -3}, "k must be >= 1"),
+        ({"pool": {"size": 3, "epochs": 0}}, "pool.epochs must be >= 1"),
+        ({"consensus_threshold": 1.5}, "consensus_threshold must be in [0, 1]"),
+        ({"pool": {"size": 3, "bootstrap_frac": 0.0}}, "pool.bootstrap_frac must be in (0, 1]"),
+    ], ids=["k", "epochs", "consensus_threshold", "bootstrap_frac"])
+    def test_out_of_range_config_value_is_an_error_line(self, tmp_path, capsys, override, message):
+        # each used to fail only after bagging, or not at all
+        cfg = small_config(tmp_path, **override)
         rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.bin")])
         assert rc == 1
-        assert capsys.readouterr().err == "error: max_iter must be >= 1\n"
+        assert capsys.readouterr().err == f"error: config key {message}\n"
         assert not (tmp_path / "m.bin").exists()
 
     def test_bad_model_path_fails(self, tmp_path, capsys):

@@ -20,8 +20,11 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    env["TMPDIR"] = str(tmp_path)           # demo 04 writes its report to a temp dir
+    temp = tmp_path / "temp"                # demo 04 writes its report to a temp dir
+    temp.mkdir()
+    env["TMPDIR"] = str(temp)
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    assert not any(temp.iterdir())          # and removes it

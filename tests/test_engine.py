@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,8 @@ from metasel.data import Dataset, generate_p2, scale_minmax
 from metasel.engine import (BASELINE_METHODS, DesModel, baseline_predict_batch,
                             classify, classify_batch, consensus_keep, oracle_accuracy,
                             weighted_majority_vote)
-from metasel.metaclassifier import MetaClassifier
+from metasel.metaclassifier import MetaClassifier, train_meta
+from metasel.metafeatures import MetaFeatureExtractor, apply_mask
 from metasel.pool import ClassifierPool, bagging
 
 
@@ -176,6 +179,59 @@ class TestClassify:
         model = scripted_model(tables, [0.9, 0.6, 0.55], [0, 1, 0, 1, 0, 1])
         _, diag = classify(model, [2.0])
         assert np.allclose(diag.competences, [0.9, 0.6, 0.55])
+
+
+@functools.lru_cache(maxsize=1)
+def p2_meta_rows():
+    """A small P2 pool, its reference set and test split, and the
+    meta-training rows and labels of 150 further samples."""
+    pool, dsel, test = p2_setup(4, m=6)
+    meta_raw = generate_p2(150, 7)
+    _, params = scale_minmax(generate_p2(300, 4))
+    extractor = MetaFeatureExtractor(pool, dsel)
+    meta = extractor.build_meta_dataset(params.apply(meta_raw.features), meta_raw.labels)
+    return pool, dsel, test, meta.rows, meta.labels
+
+
+class MaskedRowsMeta:
+    """The masked-copy path: a selector fitted on the mask's columns alone,
+    scoring the mask's columns of each row."""
+
+    def __init__(self, model, mask):
+        self.model, self.mask = model, mask
+
+    def competence_batch(self, rows):
+        return self.model.competence_batch(apply_mask(rows, self.mask))
+
+
+class TestFullWidthSelector:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           threshold=st.sampled_from([0.0, 0.3, 0.5, 0.7, 0.95]))
+    def test_equals_scoring_masked_rows(self, seed, threshold):
+        pool, dsel, test, rows, labels = p2_meta_rows()
+        rng = np.random.default_rng(seed)
+        mask = rng.random(rows.shape[1]) < rng.uniform(0.05, 0.9)
+        mask[rng.integers(len(mask))] = True
+        full = DesModel(pool=pool, meta=train_meta(rows, labels).masked(mask), mask=mask,
+                        scale=None, dsel=dsel, selection_threshold=threshold)
+        masked = DesModel(pool=pool, meta=MaskedRowsMeta(train_meta(apply_mask(rows, mask), labels), mask),
+                          mask=mask, scale=None, dsel=dsel, selection_threshold=threshold,
+                          _extractor=full.extractor)
+        got, got_diags = classify_batch(full, test.features)
+        want, want_diags = classify_batch(masked, test.features)
+        assert np.array_equal(got, want)
+        # the two decisions sum the same terms and bias in other orders, so
+        # they differ by at most twice the summation error bound
+        # (p + 1) eps (|b| + sum|w_j x_j|), the competences by a quarter of
+        # that (the sigmoid's slope)
+        feats, _, _ = full.extractor.extract_batch(test.features)
+        terms = np.abs(feats[:, :, mask] * full.meta.weights[mask]).sum(axis=2)
+        bound = 0.5 * (mask.sum() + 1) * np.finfo(float).eps * (abs(full.meta.bias) + terms)
+        for g, w, b in zip(got_diags, want_diags, bound):
+            assert g.fallback == w.fallback
+            assert np.array_equal(g.selected, w.selected)
+            assert (np.abs(g.competences - w.competences) <= b).all()
 
 
 class TestConsensus:

@@ -41,15 +41,15 @@ class TestConfig:
     def test_unknown_section_key_named(self):
         for raw, key in (({"bpso": {"swarmsize": 3}}, "bpso.swarmsize"),
                          ({"pool": {"size": 3, "sise": 4}}, "pool.sise"),
-                         ({"meta": {"l3": 1.0}}, "meta.l3"),
-                         ({"meta": {"seed": 1}}, "meta.seed"),
                          ({"source": {"split": {"trainfrac": 0.5}}}, "source.split.trainfrac")):
             with pytest.raises(ValueError, match=key.replace(".", r"\.")):
                 ExperimentConfig.from_dict(raw)
         with pytest.raises(ValueError, match="section bpso must be an object"):
             ExperimentConfig.from_dict({"bpso": 3})
-        # unknown top-level keys (rrc_samples from older configs) stay ignored
-        cfg = ExperimentConfig.from_dict({"rrc_samples": 150, "bpso": {"swarm_size": 3}})
+        # unknown top-level keys (rrc_samples and the selector's meta section
+        # from older configs) stay ignored
+        cfg = ExperimentConfig.from_dict({"rrc_samples": 150, "meta": {"l2": "x", "max_iter": 0},
+                                          "bpso": {"swarm_size": 3}})
         assert cfg.bpso.swarm_size == 3
 
     def test_unknown_source_key_named(self):
@@ -68,7 +68,6 @@ class TestConfig:
                          ({"bpso": {"seed": True}}, "bpso.seed"),
                          ({"bpso": {"transfer": 1}}, "bpso.transfer"),
                          ({"pool": {"lr": "0.1"}}, "pool.lr"),
-                         ({"meta": {"l2": False}}, "meta.l2"),
                          ({"source": {"p2_sizes": 500}}, "source.p2_sizes"),
                          ({"source": {"path": 3}}, "source.path"),
                          ({"source": {"split": {"seed": 0.5}}}, "source.split.seed"),
@@ -85,6 +84,35 @@ class TestConfig:
         assert cfg.consensus_threshold == 1 and cfg.methods == ("ola",)
         # unknown top-level keys stay ignored, whatever their type
         assert ExperimentConfig.from_dict({"rrc_samples": "150"}).bpso.swarm_size == 20
+
+    @pytest.mark.parametrize("raw,key", [
+        ({"k": 0}, "k"), ({"kp": -1}, "kp"),
+        ({"consensus_threshold": 1.5}, "consensus_threshold"),
+        ({"consensus_threshold": -0.1}, "consensus_threshold"),
+        ({"selection_threshold": 1.0}, "selection_threshold"),
+        ({"replications": 0}, "replications"),
+        ({"pool": {"size": 0}}, "pool.size"),
+        ({"pool": {"bootstrap_frac": 0.0}}, "pool.bootstrap_frac"),
+        ({"pool": {"bootstrap_frac": 1.5}}, "pool.bootstrap_frac"),
+        ({"pool": {"epochs": 0}}, "pool.epochs"),
+        ({"pool": {"lr": 0.0}}, "pool.lr"),
+        ({"source": {"p2_sizes": [60, 60, 60]}}, "source.p2_sizes"),
+        ({"source": {"p2_sizes": [60, 0, 60, 60]}}, "source.p2_sizes"),
+        ({"source": {"p2_sizes": [60, 60.5, 60, 60]}}, "source.p2_sizes"),
+        ({"bpso": {"runs": 0}}, "runs"),
+    ])
+    def test_out_of_range_value_named(self, raw, key):
+        with pytest.raises(ValueError, match=key.replace(".", r"\.") + " must be"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_range_limits_accepted(self):
+        cfg = ExperimentConfig.from_dict({
+            "k": 1, "kp": 1, "consensus_threshold": 1, "selection_threshold": 0,
+            "replications": 1, "pool": {"size": 1, "bootstrap_frac": 1, "epochs": 1, "lr": 1e-9},
+            "source": {"p2_sizes": [1, 1, 1, 1]}})
+        assert cfg.consensus_threshold == 1 and cfg.pool.bootstrap_frac == 1
+        with pytest.raises(ValueError, match="consensus_threshold"):
+            ExperimentConfig.from_dict({"consensus_threshold": float("nan")})
 
     def test_defaults_mirror_protocol(self):
         cfg = ExperimentConfig()
@@ -110,7 +138,9 @@ class TestTrainDes:
         assert model.mask.sum() >= 1
         assert archive.validation_fitness < np.inf
         assert info["kept_meta_samples"] >= 1
-        assert model.meta.input_dim == int(model.mask.sum())
+        # the selector scores every meta-feature, with zero weight off the mask
+        assert model.meta.input_dim == model.mask.size
+        assert not model.meta.weights[~model.mask].any()
 
     def test_deterministic(self):
         cfg = small_p2_config()
@@ -332,11 +362,12 @@ class TestPersistence:
     def test_previous_version_rejected(self, tmp_path):
         # version 1 files hold a pool of per-member perceptron objects,
         # version 2 a Monte-Carlo sample count, version 3 a selector over
-        # standardized inputs plus its constants and a consensus threshold
+        # standardized inputs plus its constants and a consensus threshold,
+        # version 4 a logistic selector over the mask's columns alone
         import pickle
 
         path = tmp_path / "model.bin"
-        for version in (1, 2, 3):
+        for version in (1, 2, 3, 4):
             with open(path, "wb") as fh:
                 pickle.dump({"format": "metasel.desmodel", "version": version, "model": None}, fh)
             with pytest.raises(ModelFormatError, match=f"version {version} is incompatible"):
@@ -347,10 +378,11 @@ class TestPersistence:
         # the file, so the version and this pin move together
         pickled = (DesModel, MetaClassifier, ClassifierPool, ScaleParams, Dataset)
         fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)] for cls in pickled}
-        assert (MODEL_VERSION, fields) == (4, {
+        assert (MODEL_VERSION, fields) == (5, {
             "DesModel": ["pool", "meta", "mask", "scale", "dsel", "k", "kp",
                          "selection_threshold", "_extractor"],
-            "MetaClassifier": ["weights", "bias", "iterations", "degenerate"],
+            "MetaClassifier": ["weights", "bias", "offsets", "prior", "iterations",
+                               "degenerate"],
             "ClassifierPool": ["weights", "dist_scale"],
             "ScaleParams": ["col_min", "col_max"],
             "Dataset": ["features", "labels", "class_count"],

@@ -1,68 +1,36 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metasel.metaclassifier import (MetaClassifier, MetaTrainConfig,
-                                    standardize_constants, train_meta)
+from metasel.metaclassifier import MetaClassifier, train_meta
 
 
-def reference_train_meta(rows, labels, config=None):
-    """The Newton fit with its whole Hessian in float64: a gemm over a
-    curvature-scaled copy of Z, bordered by hand. The reference for
-    ``train_meta``, whose float32 curvature may take other steps to the
-    same optimum. The returned model is not folded: it scores rows
-    standardized with ``standardize_constants(rows)``."""
-    config = config or MetaTrainConfig()
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    labels = np.asarray(labels, dtype=float).reshape(-1)
-    p = rows.shape[1]
-    mean, std = standardize_constants(rows)
-    Z = (rows - mean) / std
-    classes = np.unique(labels)
-    if len(classes) < 2:
-        bias = 35.0 if classes[0] >= 0.5 else -35.0
-        return MetaClassifier(np.zeros(p), bias, degenerate=True)
-    w = np.zeros(p)
-    b = 0.0
-    sample_w = np.where(labels == 1.0, config.positive_class_weight, 1.0)
-    iterations = 0
-    for iterations in range(1, config.max_iter + 1):
-        z = np.clip(Z @ w + b, -35.0, 35.0)
-        prob = 1.0 / (1.0 + np.exp(-z))
-        resid = sample_w * (prob - labels)
-        grad_w = Z.T @ resid + config.l2 * w
-        grad_b = resid.sum()
-        curv = np.maximum(sample_w * prob * (1.0 - prob), 1e-9)
-        H = (Z * curv[:, None]).T @ Z + config.l2 * np.eye(p)
-        Hb = np.empty((p + 1, p + 1))
-        Hb[:p, :p] = H
-        Hb[:p, p] = Hb[p, :p] = Z.T @ curv
-        Hb[p, p] = curv.sum()
-        step = np.linalg.solve(Hb, np.concatenate([grad_w, [grad_b]]))
-        w -= step[:p]
-        b -= step[p]
-        if np.abs(step).max() < config.tol:
-            break
-    return MetaClassifier(w, float(b), iterations=iterations)
+def pooled_gaussian_llr(rows, labels, x):
+    """The reference decision: per column, the log-likelihood ratio of two
+    Gaussians with the class means and one pooled within-class variance
+    (floored at 1e-9 of the column's total variance), summed over the
+    columns, plus the log prior odds. A constant column adds nothing."""
+    pos = labels == 1.0
+    n1, n0 = pos.sum(), (~pos).sum()
+    mu1, mu0 = rows[pos].mean(axis=0), rows[~pos].mean(axis=0)
+    within = ((rows - np.where(pos[:, None], mu1, mu0)) ** 2).mean(axis=0)
+    var = np.maximum(within, 1e-9 * rows.var(axis=0))
+    constant = (rows == rows[0]).all(axis=0)
+    var[constant] = 1.0
 
+    def log_density(mu):
+        return -0.5 * np.log(2.0 * np.pi * var) - (x - mu) ** 2 / (2.0 * var)
 
-def standardized_fit(rows, labels, config=None):
-    """``train_meta``'s fit of ``rows`` before the fold, with the column
-    constants: refitting the standardized copy with constants (0, 1) runs
-    the same iterations on the same bits, and its fold divides by 1 and
-    subtracts 0."""
-    mean, std = standardize_constants(rows)
-    Z = (rows - mean) / std
-    p = rows.shape[1]
-    return train_meta(Z, labels, config, standardized=(np.zeros(p), np.ones(p))), mean, std
+    terms = np.where(constant, 0.0, log_density(mu1) - log_density(mu0))
+    return terms.sum(axis=1) + np.log(n1 / n0), np.abs(terms).sum(axis=1)
 
 
 fit_problems = given(
     seed=st.integers(0, 2**32 - 1), n=st.integers(2, 400), p=st.integers(1, 12),
-    kind=st.sampled_from(["random", "correlated", "near_separable", "constant_columns"]),
-    positive_class_weight=st.sampled_from([1.0, 0.5, 3.0]))
+    kind=st.sampled_from(["random", "correlated", "near_separable", "constant_columns"]))
 
 
 def draw_problem(seed, n, p, kind):
@@ -107,8 +75,8 @@ class TestTrainMeta:
 
     def test_deterministic(self):
         rows, labels = separable_rows()
-        a = train_meta(rows, labels, MetaTrainConfig())
-        b = train_meta(rows, labels, MetaTrainConfig())
+        a = train_meta(rows, labels)
+        b = train_meta(rows, labels)
         assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
     def test_single_class_degenerates_with_warning(self):
@@ -117,6 +85,12 @@ class TestTrainMeta:
             mc = train_meta(rows, np.ones(3))
         assert mc.degenerate
         assert mc.competence_batch(rows).min() > 0.99
+        # the decision sits at the clip, +35 or -35, whatever the rows
+        for label, bias in ((1.0, 35.0), (0.0, -35.0)):
+            with pytest.warns(RuntimeWarning, match="single meta-class"):
+                mc = train_meta(rows, np.full(3, label))
+            assert (mc.bias, mc.prior) == (bias, bias) and not mc.weights.any()
+            assert mc.masked(np.array([True])).bias == bias
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError, match="two"):
@@ -132,47 +106,61 @@ class TestTrainMeta:
         x = rng.normal(size=(20, 5))
         assert np.abs(a.competence_batch(x) - b.competence_batch(x)).max() < 1e-9
 
-    def test_precomputed_standardization_matches_plain_fit(self):
-        # constants of the full (column-major) matrix, restricted to a mask's
-        # columns, as the mask search uses them; column 4 is constant
-        rng = np.random.default_rng(5)
-        rows = rng.normal(loc=3.0, size=(300, 7)) * np.array([0.5, 2.0, 10.0, 1.0, 1.0, 1e3, 1.0])
-        rows[:, 4] = 2.5
-        labels = (rows[:, 0] - 0.2 * rows[:, 2] + rng.normal(size=300) > 1.4).astype(int)
-        mean, std = standardize_constants(np.asfortranarray(rows))
-        Z = (rows - mean) / std
-        x = rng.normal(loc=3.0, size=(50, 7))
-        for mask in ([1, 1, 1, 1, 1, 1, 1], [1, 0, 1, 0, 1, 0, 0], [0, 0, 0, 0, 1, 1, 0]):
-            m = np.array(mask, dtype=bool)
-            plain = train_meta(rows[:, m], labels)
-            pre = train_meta(Z[:, m], labels, standardized=(mean[m], std[m]))
-            assert pre.iterations == plain.iterations
-            assert np.array_equal(pre.weights, plain.weights) and pre.bias == plain.bias
-            assert np.abs(pre.competence_batch(x[:, m]) - plain.competence_batch(x[:, m])).max() <= 1e-9
-
     @settings(max_examples=150, deadline=None)
-    @fit_problems
-    def test_float32_curvature_reaches_the_reference_optimum(self, seed, n, p, kind,
-                                                              positive_class_weight):
-        rows, labels = draw_problem(seed, n, p, kind)
-        config = MetaTrainConfig(positive_class_weight=positive_class_weight)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            got, _, _ = standardized_fit(rows, labels, config)
-        ref = reference_train_meta(rows, labels, config)
-        assert got.degenerate == ref.degenerate
-        assert abs(got.iterations - ref.iterations) <= 3
-        assert np.abs(got.weights - ref.weights).max() <= 1e-8
-        assert abs(got.bias - ref.bias) <= 1e-8
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300), p=st.integers(1, 67),
+           fortran=st.booleans(), special=st.booleans())
+    def test_fold_equals_a_fit_on_the_masked_columns(self, seed, n, p, fortran, special):
+        # the full fit masked to a mask's columns, as the mask search uses
+        # it, against a fit on those columns alone, in either memory layout
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(loc=3.0, size=(n, p)) * rng.uniform(0.01, 100.0, p)
+        labels = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(float)
+        labels[:2] = (0.0, 1.0)
+        if special:
+            rows[:, rng.random(p) < 0.3] = 0.1               # constant columns
+            flags = rng.random(p) < 0.3
+            rows[:, flags] = rng.random((n, flags.sum())) < 0.5   # 0/1 columns
+        full = train_meta(np.asfortranarray(rows) if fortran else rows, labels)
+        for _ in range(5):
+            mask = rng.random(p) < rng.uniform(0.05, 1.0)
+            mask[rng.integers(p)] = True
+            folded = full.masked(mask)
+            plain = train_meta(rows[:, mask], labels)
+            assert np.array_equal(folded.weights[mask], plain.weights)
+            assert np.array_equal(folded.offsets[mask], plain.offsets)
+            assert not folded.weights[~mask].any() and not folded.offsets[~mask].any()
+            assert abs(folded.bias - plain.bias) <= 1e-12
+            assert folded.input_dim == p
+        assert train_meta(rows, labels).masked(np.ones(p, dtype=bool)).bias == full.bias
 
-    @pytest.mark.parametrize("field,value", [("l2", -1e-3), ("l2", float("nan")),
-                                             ("max_iter", 0), ("tol", 0.0),
-                                             ("positive_class_weight", 0.0)])
-    def test_out_of_range_config_names_the_field(self, field, value):
+    def test_mask_length_checked(self):
         rows, labels = separable_rows()
-        config = MetaTrainConfig(**{field: value})
-        with pytest.raises(ValueError, match=field):
-            train_meta(rows, labels, config)
+        with pytest.raises(ValueError, match="mask of length 3"):
+            train_meta(rows, labels).masked(np.ones(3, dtype=bool))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 200), p=st.integers(1, 10),
+           value=st.sampled_from([0.0, 0.1, 2.5, -7.3, 1e6]))
+    def test_variance_floor_keeps_outputs_finite(self, seed, n, p, value):
+        # constant columns and 0/1 columns, some of them splitting the two
+        # classes exactly: zero within-class variance
+        rng = np.random.default_rng(seed)
+        labels = (rng.random(n) < 0.5).astype(float)
+        labels[:2] = (0.0, 1.0)
+        kind = rng.integers(0, 3, p)
+        rows = np.where(kind == 0, value,
+                        np.where(kind == 1, labels[:, None],
+                                 rng.random((n, p)) < 0.5)).astype(float)
+        mc = train_meta(rows, labels)
+        assert np.isfinite(mc.weights).all() and np.isfinite(mc.bias)
+        assert not mc.weights[kind == 0].any()
+        probe = np.concatenate([rows, rng.random((50, p)) < 0.5,
+                                rng.normal(scale=1e3, size=(50, p))])
+        delta = mc.competence_batch(probe)
+        assert np.isfinite(delta).all() and delta.min() >= 0.0 and delta.max() <= 1.0
+        if (kind == 1).any():
+            # a column equal to the label decides every training row
+            assert np.array_equal(mc.competence_batch(rows) >= 0.5, labels == 1.0)
 
 
 class TestCompetence:
@@ -203,16 +191,24 @@ class TestCompetence:
         assert (np.diff(vals) >= 0).all()
 
     def test_threshold_reproduces_training_accuracy(self):
+        # rows drawn from the model itself: independent Gaussians with one
+        # shared variance per column and equal priors, whose Bayes accuracy
+        # is Phi(Mahalanobis distance / 2) = 0.93
         rng = np.random.default_rng(2)
-        rows = rng.normal(size=(200, 4))
-        labels = (rows @ np.array([1.0, -0.5, 0.2, 0.0]) + 0.1 * rng.normal(size=200) > 0).astype(int)
+        n, scale = 4000, np.array([0.5, 2.0, 10.0, 1.0])
+        labels = (np.arange(n) % 2).astype(float)
+        shift = np.array([1.0, -0.6, 0.5, 0.0])
+        shift *= 2 * 1.4758 / np.linalg.norm(shift)
+        rows = (rng.normal(size=(n, 4)) + labels[:, None] * shift) * scale
+        bayes = 0.5 * (1.0 + math.erf(np.linalg.norm(shift) / 2 / math.sqrt(2.0)))
         mc = train_meta(rows, labels)
         delta = mc.competence_batch(rows)
         acc_from_delta = ((delta >= 0.5).astype(int) == labels).mean()
         # independent recount: refit and rescore
         acc_again = ((train_meta(rows, labels).competence_batch(rows) >= 0.5).astype(int) == labels).mean()
         assert acc_from_delta == acc_again
-        assert acc_from_delta > 0.9
+        assert abs(bayes - 0.93) < 1e-4
+        assert abs(acc_from_delta - bayes) <= 0.015
 
     def test_dimension_mismatch(self):
         rows, labels = separable_rows()
@@ -222,23 +218,20 @@ class TestCompetence:
 
     @settings(max_examples=150, deadline=None)
     @fit_problems
-    def test_raw_rows_match_the_standardized_selector(self, seed, n, p, kind,
-                                                      positive_class_weight):
-        # the folded model on raw rows against the fit it folds, scoring
-        # standardized rows; on the training rows and on rows up to 3x
-        # further from the column means
+    def test_decision_is_the_pooled_gaussian_log_likelihood_ratio(self, seed, n, p, kind):
+        # on the training rows and on rows up to 3x further from the column
+        # means
         rows, labels = draw_problem(seed, n, p, kind)
-        config = MetaTrainConfig(positive_class_weight=positive_class_weight)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            model = train_meta(rows, labels, config)
-            fit, mean, std = standardized_fit(rows, labels, config)
-        assert (model.iterations, model.degenerate) == (fit.iterations, fit.degenerate)
+        if len(np.unique(labels)) < 2:
+            return
+        model = train_meta(rows, labels)
+        assert (model.iterations, model.degenerate) == (0, False)
+        mean = rows.mean(axis=0)
         x = np.concatenate([rows, mean + np.random.default_rng(seed).uniform(-3, 3, rows.shape)
                             * (rows - mean)])
-        z = np.clip(((x - mean) / std) @ fit.weights + fit.bias, -35.0, 35.0)
-        want = 1.0 / (1.0 + np.exp(-z))
-        assert np.abs(model.competence_batch(x) - want).max() <= 1e-12
+        want, size = pooled_gaussian_llr(rows, labels, x)
+        got = x @ model.weights + model.bias
+        assert np.abs(got - want).max() <= 1e-9 * (1.0 + size.max())
 
     def test_masked_dimension_is_popcount(self):
         rng = np.random.default_rng(3)
