@@ -40,8 +40,8 @@ def _cmd_gen_p2(args) -> int:
     ds = generate_p2(args.n, args.seed)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("x,y,label\n")
-        for row, lab in zip(ds.features, ds.labels):
-            fh.write(f"{row[0]:.10g},{row[1]:.10g},{int(lab)}\n")
+        np.savetxt(fh, np.column_stack([ds.features, ds.labels]),
+                   fmt=["%.10g", "%.10g", "%d"], delimiter=",")
     print(f"wrote {len(ds)} samples to {args.out}")
     return 0
 

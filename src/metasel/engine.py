@@ -65,7 +65,8 @@ class DesModel:
 
     @property
     def extractor(self) -> MetaFeatureExtractor:
-        # rebuilt deterministically from the bundle; not serialized
+        # built from the bundle on first use; a loaded model already has one
+        # made with the file's stored RRC table
         if self._extractor is None:
             self._extractor = MetaFeatureExtractor(self.pool, self.dsel, k=self.k, kp=self.kp)
         return self._extractor

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import pickle
+import struct
 import typing
 import warnings
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,12 +22,12 @@ import numpy as np
 
 from . import engine
 from .bpso import Archive, BpsoConfig, optimize
-from .data import (Dataset, SplitSpec, generate_p2, load_csv, scale_minmax,
-                   split_holdout)
+from .data import (Dataset, ScaleParams, SplitSpec, generate_p2, load_csv,
+                   scale_minmax, split_holdout)
 from .engine import DesModel, classify_batch, oracle_accuracy
-from .metaclassifier import train_meta
+from .metaclassifier import MetaClassifier, train_meta
 from .metafeatures import FeatureLayout, MetaFeatureExtractor
-from .pool import bagging
+from .pool import ClassifierPool, bagging
 
 __all__ = [
     "PoolConfig",
@@ -52,7 +53,16 @@ ALL_METHODS = (FRAMEWORK_METHOD, "ola", "lca", "knora_e", "knora_u",
                "single_best", "static_selection", "majority_vote", "oracle")
 
 MODEL_FORMAT = "metasel.desmodel"
-MODEL_VERSION = 5
+MODEL_VERSION = 6
+# a model file's JSON header: each key and the JSON type of its value
+MODEL_HEADER = {"format": str, "version": int, "k": int, "kp": int,
+                "selection_threshold": float, "class_count": int, "bias": float,
+                "prior": float, "iterations": int, "degenerate": bool, "scale": bool}
+# the arrays a model file holds besides ``header``; the scale arrays only
+# when the model has a scale
+MODEL_ARRAYS = ("pool_weights", "pool_dist_scale", "selector_weights",
+                "selector_offsets", "mask", "dsel_features", "dsel_labels", "t_prc")
+SCALE_ARRAYS = ("scale_col_min", "scale_col_max")
 
 
 class ModelFormatError(RuntimeError):
@@ -207,6 +217,7 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
     Returns (model, archive, info) where ``info`` carries the meta-dataset and
     bookkeeping counters.
     """
+    config.validate()
     parts = tuple(base_seed_parts)
     train_scaled, scale = scale_minmax(train)
     meta_scaled = scale.apply_dataset(meta_train)
@@ -426,29 +437,110 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 # -- persistence -------------------------------------------------------------
 
 def save_model(model: DesModel, path):
-    """Write a versioned single-file model bundle."""
-    payload = dataclasses.replace(model, _extractor=None)
-    blob = {"format": MODEL_FORMAT, "version": MODEL_VERSION, "model": payload}
+    """Write the model as one uncompressed ``.npz`` file of named arrays plus
+    a ``header`` array of UTF-8 JSON; nothing in it is pickled. The file
+    carries the extractor's RRC table, so a loaded model does not rebuild
+    it. A selector without offsets is stored with zero offsets."""
+    meta = model.meta
+    header = {"format": MODEL_FORMAT, "version": MODEL_VERSION,
+              "k": int(model.k), "kp": int(model.kp),
+              "selection_threshold": float(model.selection_threshold),
+              "class_count": int(model.dsel.class_count), "bias": float(meta.bias),
+              "prior": float(meta.prior), "iterations": int(meta.iterations),
+              "degenerate": bool(meta.degenerate), "scale": model.scale is not None}
+    arrays = {
+        "header": np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
+        "pool_weights": model.pool.weights,
+        "pool_dist_scale": model.pool.dist_scale,
+        "selector_weights": meta.weights,
+        "selector_offsets": (np.zeros_like(meta.weights) if meta.offsets is None
+                             else meta.offsets),
+        "mask": model.mask,
+        "dsel_features": model.dsel.features,
+        "dsel_labels": model.dsel.labels,
+        "t_prc": model.extractor.t_prc,
+    }
+    if model.scale is not None:
+        arrays["scale_col_min"] = model.scale.col_min
+        arrays["scale_col_max"] = model.scale.col_max
+    # through a handle: given a path, np.savez appends ".npz" to a name
+    # without that suffix
     with open(path, "wb") as fh:
-        pickle.dump(blob, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        np.savez(fh, **arrays)
+
+
+# what np.load, zipfile and the model's constructors raise on a damaged file
+_UNREADABLE = (OSError, EOFError, ValueError, KeyError, TypeError, IndexError,
+               RuntimeError, NotImplementedError, OverflowError, MemoryError,
+               zipfile.BadZipFile, struct.error)
 
 
 def load_model(path) -> DesModel:
-    """Read a model bundle; corruption and version mismatches raise
-    ModelFormatError without producing a partial model."""
-    try:
-        with open(path, "rb") as fh:
-            blob = pickle.load(fh)
-    except (pickle.UnpicklingError, EOFError, AttributeError, ImportError,
-            IndexError, ValueError) as exc:
-        raise ModelFormatError(f"{path}: not a readable model file ({exc})") from exc
-    if not isinstance(blob, dict) or blob.get("format") != MODEL_FORMAT:
+    """Read a model file written by ``save_model``, with ``allow_pickle=False``.
+
+    Every object is rebuilt through its constructor, so their checks run on
+    the stored values, and the extractor takes the stored RRC table. A
+    damaged file, another format or version, and a pickled file of version
+    5 or earlier (recognised by its first byte, never unpickled) raise
+    ModelFormatError without producing a partial model.
+    """
+    with open(path, "rb") as fh:
+        if fh.read(1) == b"\x80":
+            raise ModelFormatError(
+                f"{path}: a pickled model file of version 5 or earlier; model "
+                f"version {MODEL_VERSION} files hold no pickles, retrain the model")
+        fh.seek(0)
+        try:
+            return _read_model(fh, path)
+        except ModelFormatError:
+            raise
+        except _UNREADABLE as exc:
+            raise ModelFormatError(f"{path}: not a readable model file ({exc})") from exc
+
+
+def _read_model(fh, path) -> DesModel:
+    npz = np.load(fh, allow_pickle=False)
+    if not isinstance(npz, np.lib.npyio.NpzFile):
         raise ModelFormatError(f"{path}: not a {MODEL_FORMAT} file")
-    if blob.get("version") != MODEL_VERSION:
-        raise ModelFormatError(
-            f"{path}: model version {blob.get('version')} is incompatible "
-            f"with supported version {MODEL_VERSION}")
-    return blob["model"]
+    with npz:
+        header = json.loads(npz["header"].tobytes().decode("utf-8"))
+        if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT:
+            raise ModelFormatError(f"{path}: not a {MODEL_FORMAT} file")
+        if header.get("version") != MODEL_VERSION:
+            raise ModelFormatError(
+                f"{path}: model version {header.get('version')!r} is incompatible "
+                f"with supported version {MODEL_VERSION}")
+        for key, kind in MODEL_HEADER.items():
+            value = header.get(key)
+            # bool is an int to isinstance, and an int is a float in JSON
+            allowed = (int, float) if kind is float else kind
+            if isinstance(value, bool) is not (kind is bool) or not isinstance(value, allowed):
+                raise ModelFormatError(f"{path}: header {key} must be a JSON {kind.__name__}")
+        names = MODEL_ARRAYS + (SCALE_ARRAYS if header["scale"] else ())
+        expected = sorted(names + ("header",))
+        if sorted(npz.files) != expected:
+            raise ModelFormatError(f"{path}: holds arrays {sorted(npz.files)}, "
+                                   f"expected {expected}")
+        a = {name: npz[name] for name in names}
+    pool = ClassifierPool(a["pool_weights"], a["pool_dist_scale"])
+    meta = MetaClassifier(a["selector_weights"], header["bias"], a["selector_offsets"],
+                          header["prior"], header["iterations"], header["degenerate"])
+    scale = (ScaleParams(a["scale_col_min"], a["scale_col_max"]) if header["scale"]
+             else None)
+    dsel = Dataset(a["dsel_features"], a["dsel_labels"], header["class_count"])
+    k, kp = header["k"], header["kp"]
+    extractor = MetaFeatureExtractor(pool, dsel, k=k, kp=kp, t_prc=a["t_prc"])
+    model = DesModel(pool=pool, meta=meta, mask=a["mask"], scale=scale, dsel=dsel,
+                     k=k, kp=kp, selection_threshold=header["selection_threshold"],
+                     _extractor=extractor)
+    width = extractor.layout.size
+    if not model.mask.shape == meta.weights.shape == meta.offsets.shape == (width,):
+        raise ModelFormatError(f"{path}: mask and selector must have the layout's "
+                               f"{width} columns")
+    if scale is not None and not (
+            scale.col_min.shape == scale.col_max.shape == (dsel.feature_count,)):
+        raise ModelFormatError(f"{path}: scale must have {dsel.feature_count} columns")
+    return model
 
 
 # -- CSV emission ------------------------------------------------------------

@@ -182,12 +182,23 @@ class MetaFeatureExtractor:
 
     Builds the per-(classifier, reference-row) criterion tables once; the
     min-max bounds for the confidence criterion are taken over the signed
-    boundary distances of all reference samples.
+    boundary distances of all reference samples. ``t_prc``, when given, is
+    the (M, N) randomized-reference table ``rrc_competence`` would compute
+    (a saved model carries it); it must be finite and lie in [0, 1].
     """
 
-    def __init__(self, pool: ClassifierPool, dsel: Dataset, k: int = 7, kp: int = 5):
+    def __init__(self, pool: ClassifierPool, dsel: Dataset, k: int = 7, kp: int = 5,
+                 t_prc=None):
         if k > len(dsel) or kp > len(dsel):
             raise ValueError("K and Kp cannot exceed the reference set size")
+        if t_prc is not None:
+            t_prc = np.asarray(t_prc, dtype=float)
+            if t_prc.shape != (len(pool), len(dsel)):
+                raise ValueError(f"RRC table has shape {t_prc.shape}, "
+                                 f"expected {(len(pool), len(dsel))}")
+            # NaN fails both comparisons
+            if not ((t_prc >= 0.0) & (t_prc <= 1.0)).all():
+                raise ValueError("RRC table values must lie in [0, 1]")
         self.pool = pool
         self.dsel = dsel
         self.layout = FeatureLayout(k, kp)
@@ -212,7 +223,8 @@ class MetaFeatureExtractor:
         slk_safe = np.minimum(slk, SUPPORT_CEIL)
         self.t_exp = 1.0 - 2.0 ** (-((L - 1) * slk_safe / (1.0 - slk_safe)))
         self.t_kl = (clipped * np.log(clipped * L)).sum(axis=2)
-        self.t_prc = rrc_competence(supports, dsel.labels[None, :])
+        self.t_prc = (rrc_competence(supports, dsel.labels[None, :]) if t_prc is None
+                      else t_prc)
 
         dists = pool.boundary_distances(dsel.features)    # (M, N)
         self.conf_min = dists.min(axis=1)

@@ -1,10 +1,12 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metasel.cli import main
-from metasel.data import load_csv
+from metasel.data import generate_p2, load_csv
 
 
 def small_config(tmp_path, **overrides):
@@ -35,6 +37,18 @@ class TestGenP2:
         main(["gen-p2", "--n", "50", "--seed", "9", "--out", str(a)])
         main(["gen-p2", "--n", "50", "--seed", "9", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_per_row_writer(self, tmp_path_factory, n, seed):
+        out = tmp_path_factory.mktemp("gen") / "p2.csv"
+        assert main(["gen-p2", "--n", str(n), "--seed", str(seed), "--out", str(out)]) == 0
+        # the per-row writer gen-p2 used before its single np.savetxt call
+        ds = generate_p2(n, seed)
+        expected = "x,y,label\n" + "".join(
+            f"{row[0]:.10g},{row[1]:.10g},{int(lab)}\n"
+            for row, lab in zip(ds.features, ds.labels))
+        assert out.read_bytes() == expected.encode("utf-8")
 
 
 class TestTrainAndClassify:
@@ -131,6 +145,21 @@ class TestTrainAndClassify:
         assert rc == 1
         assert capsys.readouterr().err == f"error: config key {message}\n"
         assert not (tmp_path / "m.bin").exists()
+
+    def test_pickled_model_file_is_an_error_line(self, tmp_path, capsys):
+        # a version-5 file was a pickle; it is refused without being loaded
+        model_path = tmp_path / "model.bin"
+        with open(model_path, "wb") as fh:
+            pickle.dump({"format": "metasel.desmodel", "version": 5, "model": None}, fh)
+        feats = tmp_path / "feats.csv"
+        feats.write_text("0.5,0.5\n")
+        out = tmp_path / "pred.csv"
+        rc = main(["classify", "--model", str(model_path), "--data", str(feats),
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "version" in err[0]
+        assert not out.exists()
 
     def test_bad_model_path_fails(self, tmp_path, capsys):
         feats = tmp_path / "feats.csv"

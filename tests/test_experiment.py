@@ -1,4 +1,7 @@
 import dataclasses
+import json
+import os
+import pickle
 
 import numpy as np
 import pytest
@@ -9,12 +12,13 @@ from metasel.data import Dataset, ScaleParams, SplitSpec, generate_p2
 from metasel.datasets import BUNDLED, dataset_path
 from metasel.engine import DesModel, classify_batch
 from metasel.experiment import (DataSource, ExperimentConfig, FRAMEWORK_METHOD,
-                                MODEL_VERSION, ModelFormatError, PoolConfig, _mean_ranks,
+                                MODEL_ARRAYS, MODEL_HEADER, MODEL_VERSION, SCALE_ARRAYS,
+                                ModelFormatError, PoolConfig, _mean_ranks,
                                 frequency_band, frequency_report, load_model,
                                 run_experiment, save_model, train_des,
                                 write_report_csvs)
 from metasel.metaclassifier import MetaClassifier
-from metasel.metafeatures import FeatureLayout
+from metasel.metafeatures import FeatureLayout, MetaFeatureExtractor
 from metasel.pool import ClassifierPool
 
 
@@ -149,6 +153,15 @@ class TestTrainDes:
         b, _, _ = train_des(*args, cfg, (cfg.seed, 0))
         assert np.array_equal(a.mask, b.mask)
         assert np.array_equal(a.meta.weights, b.meta.weights)
+
+    def test_config_validated_before_bagging(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("metasel.experiment.bagging",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match="config key k must be >= 1"):
+            train_des(generate_p2(100, 1), generate_p2(100, 2), generate_p2(100, 3),
+                      ExperimentConfig(k=-3, pool=PoolConfig(size=5)))
+        assert calls == []
 
 
 class TestRunExperiment:
@@ -318,75 +331,233 @@ class TestFrequencyReport:
             frequency_report(np.ones((1, 10), dtype=bool), FeatureLayout(1, 1))
 
 
+def stored(path):
+    """A model file's arrays, read without pickle, and its decoded header."""
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    return arrays, json.loads(arrays.pop("header").tobytes().decode("utf-8"))
+
+
+def write_stored(path, arrays, header):
+    with open(path, "wb") as fh:
+        np.savez(fh, header=np.frombuffer(json.dumps(header).encode("utf-8"), np.uint8),
+                 **arrays)
+
+
+class PickledOnLoad:
+    """Unpickling this makes the directory ``marker``: proof of a pickle.load."""
+
+    def __init__(self, marker):
+        self.marker = marker
+
+    def __reduce__(self):
+        return os.mkdir, (str(self.marker),)
+
+
+def write_pickled_model(path, version, marker):
+    """A model file as versions 1-5 wrote it: a pickled dict."""
+    with open(path, "wb") as fh:
+        pickle.dump({"format": "metasel.desmodel", "version": version,
+                     "model": PickledOnLoad(marker)}, fh, protocol=pickle.HIGHEST_PROTOCOL)
+
+
 class TestPersistence:
-    def build_model(self):
+    @pytest.fixture(scope="class")
+    def trained(self):
         cfg = small_p2_config()
         return train_des(generate_p2(150, 1), generate_p2(150, 2),
                          generate_p2(150, 3), cfg, (3, 0))[0]
 
-    def test_round_trip_identical_predictions(self, tmp_path):
-        model = self.build_model()
+    @pytest.fixture(scope="class")
+    def model_bytes(self, trained, tmp_path_factory):
+        path = tmp_path_factory.mktemp("model") / "model.bin"
+        save_model(trained, path)
+        return path.read_bytes()
+
+    def test_round_trip_identical_predictions(self, trained, tmp_path):
         path = tmp_path / "model.bin"
-        save_model(model, path)
+        save_model(trained, path)
         again = load_model(path)
         X = generate_p2(200, 9).features
-        a, _ = classify_batch(model, X)
+        a, _ = classify_batch(trained, X)
         b, _ = classify_batch(again, X)
         assert np.array_equal(a, b)
 
-    def test_corrupted_file(self, tmp_path):
+    def test_loaded_model_equals_the_trained_one(self, trained, tmp_path):
         path = tmp_path / "model.bin"
-        model = self.build_model()
-        save_model(model, path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) // 2])
+        save_model(trained, path)
+        again = load_model(path)
+        # the stored RRC table is the one a fresh extractor computes
+        fresh = MetaFeatureExtractor(trained.pool, trained.dsel, k=trained.k, kp=trained.kp)
+        assert again.extractor.t_prc.tobytes() == fresh.t_prc.tobytes()
+        for a, b in ((again.pool.weights, trained.pool.weights),
+                     (again.pool.dist_scale, trained.pool.dist_scale),
+                     (again.meta.weights, trained.meta.weights),
+                     (again.meta.offsets, trained.meta.offsets),
+                     (again.mask, trained.mask),
+                     (again.scale.col_min, trained.scale.col_min),
+                     (again.scale.col_max, trained.scale.col_max),
+                     (again.dsel.features, trained.dsel.features),
+                     (again.dsel.labels, trained.dsel.labels)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for name in ("bias", "prior", "iterations", "degenerate"):
+            assert getattr(again.meta, name) == getattr(trained.meta, name)
+        assert (again.k, again.kp, again.selection_threshold, again.dsel.class_count) == \
+            (trained.k, trained.kp, trained.selection_threshold, trained.dsel.class_count)
+        X = generate_p2(300, 9).features
+        labels_a, diags_a = classify_batch(trained, X)
+        labels_b, diags_b = classify_batch(again, X)
+        assert np.array_equal(labels_a, labels_b)
+        for da, db in zip(diags_a, diags_b):
+            assert da.competences.tobytes() == db.competences.tobytes()
+            assert np.array_equal(da.selected, db.selected) and da.fallback == db.fallback
+
+    def test_corrupted_file(self, model_bytes, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(model_bytes[: len(model_bytes) // 2])
         with pytest.raises(ModelFormatError):
             load_model(path)
 
     def test_not_a_model_file(self, tmp_path):
         path = tmp_path / "junk.bin"
-        path.write_bytes(b"not a pickle at all")
-        with pytest.raises(ModelFormatError):
-            load_model(path)
-
-    def test_version_mismatch(self, tmp_path):
-        import pickle
-
-        path = tmp_path / "model.bin"
-        with open(path, "wb") as fh:
-            pickle.dump({"format": "metasel.desmodel", "version": 999,
-                         "model": None}, fh)
-        with pytest.raises(ModelFormatError, match="version"):
-            load_model(path)
-
-    def test_previous_version_rejected(self, tmp_path):
-        # version 1 files hold a pool of per-member perceptron objects,
-        # version 2 a Monte-Carlo sample count, version 3 a selector over
-        # standardized inputs plus its constants and a consensus threshold,
-        # version 4 a logistic selector over the mask's columns alone
-        import pickle
-
-        path = tmp_path / "model.bin"
-        for version in (1, 2, 3, 4):
-            with open(path, "wb") as fh:
-                pickle.dump({"format": "metasel.desmodel", "version": version, "model": None}, fh)
-            with pytest.raises(ModelFormatError, match=f"version {version} is incompatible"):
+        for junk in (b"not a pickle at all", b""):
+            path.write_bytes(junk)
+            with pytest.raises(ModelFormatError):
                 load_model(path)
 
-    def test_version_pins_the_pickled_fields(self):
-        # a model file pickles these dataclasses; changing a field changes
-        # the file, so the version and this pin move together
-        pickled = (DesModel, MetaClassifier, ClassifierPool, ScaleParams, Dataset)
-        fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)] for cls in pickled}
-        assert (MODEL_VERSION, fields) == (5, {
-            "DesModel": ["pool", "meta", "mask", "scale", "dsel", "k", "kp",
-                         "selection_threshold", "_extractor"],
-            "MetaClassifier": ["weights", "bias", "offsets", "prior", "iterations",
-                               "degenerate"],
-            "ClassifierPool": ["weights", "dist_scale"],
-            "ScaleParams": ["col_min", "col_max"],
-            "Dataset": ["features", "labels", "class_count"],
-        })
+    def test_version_mismatch(self, model_bytes, tmp_path):
+        (tmp_path / "ok.bin").write_bytes(model_bytes)
+        arrays, header = stored(tmp_path / "ok.bin")
+        path = tmp_path / "model.bin"
+        for version in (5, 7, "6", None):
+            write_stored(path, arrays, {**header, "version": version})
+            with pytest.raises(ModelFormatError, match=f"model version {version!r} "
+                                                       "is incompatible"):
+                load_model(path)
+
+    def test_previous_version_rejected(self, tmp_path):
+        # versions 1-5 pickled the model objects; such a file is refused by
+        # its first byte and never unpickled, so its payload cannot run
+        path, marker = tmp_path / "model.bin", tmp_path / "unpickled"
+        for version in (1, 2, 3, 4, 5):
+            write_pickled_model(path, version, marker)
+            with pytest.raises(ModelFormatError, match="version 5 or earlier"):
+                load_model(path)
+        assert not marker.exists()
+        pickle.loads(pickle.dumps(PickledOnLoad(marker)))   # the payload does run
+        assert marker.is_dir()
+
+    @pytest.mark.parametrize("damage,message", [
+        (lambda a, h: a.pop("t_prc"), "holds arrays"),
+        (lambda a, h: a.pop("scale_col_min"), "holds arrays"),
+        (lambda a, h: a.update(extra=np.zeros(1)), "holds arrays"),
+        (lambda a, h: h.pop("bias"), "header bias"),
+        (lambda a, h: h.update(k=7.0), "header k"),
+        (lambda a, h: h.update(k=True), "header k"),
+        (lambda a, h: h.update(degenerate=0), "header degenerate"),
+        (lambda a, h: h.update(format="other"), "not a metasel.desmodel file"),
+        (lambda a, h: a.update(t_prc=a["t_prc"][:, 1:]), "RRC table has shape"),
+        (lambda a, h: a.update(t_prc=a["t_prc"].T), "RRC table has shape"),
+        (lambda a, h: a["t_prc"].__setitem__((0, 0), np.nan), r"RRC table values must lie in \[0, 1\]"),
+        (lambda a, h: a["t_prc"].__setitem__((1, 2), 1.0 + 1e-12), r"\[0, 1\]"),
+        (lambda a, h: a["t_prc"].__setitem__((1, 2), -1e-300), r"\[0, 1\]"),
+        (lambda a, h: a.update(mask=a["mask"][1:]), "layout's"),
+        (lambda a, h: a.update(selector_offsets=a["selector_offsets"][1:]), "layout's"),
+        (lambda a, h: a.update(scale_col_max=a["scale_col_max"][:1]), "scale must have"),
+        (lambda a, h: a.update(pool_dist_scale=a["pool_dist_scale"][1:]), "dist_scale"),
+        (lambda a, h: a.update(dsel_labels=a["dsel_labels"] + 5), "labels out of range"),
+        (lambda a, h: a.update(dsel_features=a["dsel_features"][:, :1]), "not a readable"),
+        (lambda a, h: h.update(k=10_000), "cannot exceed"),
+        (lambda a, h: h.update(selection_threshold=1.0), "selection threshold"),
+    ])
+    def test_crafted_file_refused(self, model_bytes, tmp_path, damage, message):
+        (tmp_path / "ok.bin").write_bytes(model_bytes)
+        arrays, header = stored(tmp_path / "ok.bin")
+        damage(arrays, header)
+        path = tmp_path / "model.bin"
+        write_stored(path, arrays, header)
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
+    def test_other_containers_refused(self, tmp_path):
+        path = tmp_path / "model.bin"
+        for value in (np.zeros(3), np.array(["x"])):
+            with open(path, "wb") as fh:
+                np.save(fh, value)
+            with pytest.raises(ModelFormatError, match="not a metasel.desmodel file"):
+                load_model(path)
+        for header in (b"[1, 2]", b"\xff{", b"{"):
+            with open(path, "wb") as fh:
+                np.savez(fh, header=np.frombuffer(header, np.uint8))
+            with pytest.raises(ModelFormatError):
+                load_model(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_damaged_bytes_raise_only_model_format_error(self, model_bytes,
+                                                         tmp_path_factory, data):
+        """Truncated at any offset, any single bit flipped or random bytes:
+        ModelFormatError and no other exception. A flip in a field of the
+        zip container that guards no stored byte (a timestamp, a version
+        number, a local copy of what the central directory records) leaves
+        every array and the header as saved: such a file loads, and it must
+        load the same model."""
+        kind = data.draw(st.sampled_from(["truncate", "flip", "random"]))
+        if kind == "truncate":
+            damaged = model_bytes[:data.draw(st.integers(0, len(model_bytes) - 1))]
+        elif kind == "flip":
+            bit = data.draw(st.integers(0, 8 * len(model_bytes) - 1))
+            damaged = bytearray(model_bytes)
+            damaged[bit // 8] ^= 1 << (bit % 8)
+            damaged = bytes(damaged)
+        else:
+            damaged = data.draw(st.binary(max_size=2 * len(model_bytes)))
+        path = tmp_path_factory.mktemp("damaged") / "model.bin"
+        path.write_bytes(damaged)
+        try:
+            model = load_model(path)
+        except ModelFormatError:
+            return
+        ok = path.with_name("ok.bin")
+        ok.write_bytes(model_bytes)
+        arrays, header = stored(ok)
+        save_model(model, path)
+        again, again_header = stored(path)
+        assert again_header == header
+        assert arrays.keys() == again.keys()
+        for name, value in arrays.items():
+            assert value.dtype == again[name].dtype and value.tobytes() == again[name].tobytes()
+
+    def test_version_pins_the_stored_arrays(self, model_bytes, tmp_path):
+        # changing what a model file holds changes the file, so the version
+        # and this pin move together
+        path = tmp_path / "model.bin"
+        path.write_bytes(model_bytes)
+        arrays, header = stored(path)
+        assert (MODEL_VERSION, sorted(arrays), sorted(header)) == (6, sorted([
+            "pool_weights", "pool_dist_scale", "selector_weights", "selector_offsets",
+            "mask", "scale_col_min", "scale_col_max", "dsel_features", "dsel_labels",
+            "t_prc"]), sorted([
+            "format", "version", "k", "kp", "selection_threshold", "class_count",
+            "bias", "prior", "iterations", "degenerate", "scale"]))
+        assert set(arrays) == set(MODEL_ARRAYS + SCALE_ARRAYS)
+        assert set(header) == set(MODEL_HEADER)
+        assert path.read_bytes()[:4] == b"PK\x03\x04"
+        assert arrays["t_prc"].shape == arrays["pool_weights"].shape[:1] + \
+            arrays["dsel_labels"].shape
+
+    def test_model_without_scale(self, trained, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(dataclasses.replace(trained, scale=None), path)
+        arrays, header = stored(path)
+        assert header["scale"] is False and not set(SCALE_ARRAYS) & set(arrays)
+        assert load_model(path).scale is None
+
+    def test_path_without_suffix_is_written_as_given(self, trained, tmp_path):
+        path = tmp_path / "model"
+        save_model(trained, path)
+        assert path.exists() and not path.with_suffix(".npz").exists()
+        assert load_model(path).mask.tobytes() == trained.mask.tobytes()
 
 
 class TestBundledDatasets:

@@ -458,3 +458,25 @@ class TestRealPoolExtraction:
         # numeric round trip of the first row
         cells = np.array([float(c) for c in lines[1].split(",")[:67]])
         assert np.allclose(cells, md.rows[0], atol=1e-8)
+
+    def test_given_rrc_table_is_used_and_not_recomputed(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("the RRC table was recomputed")
+
+        monkeypatch.setattr(metafeatures, "rrc_competence", no_quadrature)
+        again = MetaFeatureExtractor(self.pool, self.dsel, k=7, kp=5, t_prc=self.ex.t_prc)
+        assert again.t_prc.tobytes() == self.ex.t_prc.tobytes()
+        a, _, _ = self.ex.extract_batch(self.X, self.y)
+        b, _, _ = again.extract_batch(self.X, self.y)
+        assert a.tobytes() == b.tobytes()
+
+    def test_given_rrc_table_checked(self):
+        table = self.ex.t_prc
+        for bad in (table[:, 1:], table.T, table[None]):
+            with pytest.raises(ValueError, match="RRC table has shape"):
+                MetaFeatureExtractor(self.pool, self.dsel, t_prc=bad)
+        for value in (np.nan, np.inf, -1e-300, 1.0 + 1e-12):
+            bad = table.copy()
+            bad[1, 2] = value
+            with pytest.raises(ValueError, match=r"RRC table values must lie in \[0, 1\]"):
+                MetaFeatureExtractor(self.pool, self.dsel, t_prc=bad)
