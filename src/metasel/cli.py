@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment
-from .data import generate_p2, load_csv, load_csv_features
+from .data import (NoDataRowsError, _read_numeric_csv, generate_p2, load_csv,
+                   load_csv_features)
 from .engine import classify_batch
 from .metafeatures import FeatureLayout, meta_dataset_to_csv
 
@@ -97,25 +98,34 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_freq_report(args) -> int:
-    lines = Path(args.masks).read_text(encoding="utf-8").strip().splitlines()
-    if len(lines) < 2:
-        raise ValueError(f"{args.masks}: no mask rows")
-    header = lines[0].split(",")
-    bits = np.array([[int(v) for v in line.split(",")[1:]] for line in lines[1:]],
-                    dtype=bool)
+    try:
+        cells, _, header = _read_numeric_csv(args.masks)
+    except NoDataRowsError:
+        raise ValueError(f"{args.masks}: no mask rows") from None
+    bits = cells[:, 1:]                                   # column 0 numbers the run
+    bad = np.argwhere((bits != 0) & (bits != 1))
+    if len(bad):
+        r, c = bad[0]
+        raise ValueError(f"{args.masks}: mask cells must be 0 or 1, got {bits[r, c]:g} "
+                         f"at row {r + 1 + (header is not None)}, column {c + 2}")
+    bits = bits.astype(bool)
     d = bits.shape[1]
-    layout = None
     if args.k and args.kp:
         layout = FeatureLayout(args.k, args.kp)
+        if layout.size != d:
+            raise ValueError(f"{args.masks}: holds {d} mask columns, but --k {args.k} "
+                             f"--kp {args.kp} give {layout.size}")
     else:
         # recover (K, Kp) from D = 8K + Kp + 6 by scanning plausible K
+        layout, names = None, None if header is None else header[1:]
         for k in range(1, d):
             kp = d - 8 * k - 6
-            if kp >= 1 and FeatureLayout(k, kp).column_names() == header[1:]:
+            if kp >= 1 and FeatureLayout(k, kp).column_names() == names:
                 layout = FeatureLayout(k, kp)
                 break
-    if layout is None or layout.size != d:
-        raise SystemExit("cannot infer (K, Kp) from masks file; pass --k/--kp")
+        if layout is None:
+            raise ValueError(f"{args.masks}: cannot infer (K, Kp) from the header; "
+                             "pass --k/--kp")
     freq = experiment.frequency_report(bits, layout)
     experiment.write_frequency_csv(freq, args.out)
     print(f"wrote {Path(args.out)}")

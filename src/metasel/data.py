@@ -108,19 +108,24 @@ class ScaleParams:
         return Dataset(self.apply(ds.features), ds.labels, ds.class_count)
 
 
+class NoDataRowsError(ValueError):
+    """A CSV file that is empty or holds only a header row."""
+
+
 def _read_numeric_csv(path, label_column: int | None = None):
-    """Feature matrix and raw label cells (empty without ``label_column``)
-    of a comma-separated file.
+    """Feature matrix, raw label cells (empty without ``label_column``) and
+    header row (None when absent) of a comma-separated file.
 
     An optional header row is auto-detected: if any feature cell of the first
     row fails to parse as a number, the row is treated as a header. Every
-    other feature cell must be numeric.
+    other feature cell must be numeric. A file with no data rows raises
+    ``NoDataRowsError``.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
-        raise ValueError(f"{path}: file is empty")
+        raise NoDataRowsError(f"{path}: file is empty")
     width = len(rows[0])
     for r, row in enumerate(rows):
         if len(row) != width:
@@ -139,7 +144,7 @@ def _read_numeric_csv(path, label_column: int | None = None):
     if any(not is_number(c) for c in first_features):
         start = 1
     if start >= len(rows):
-        raise ValueError(f"{path}: no data rows")
+        raise NoDataRowsError(f"{path}: no data rows")
 
     feats, raw_labels = [], []
     for r in range(start, len(rows)):
@@ -155,7 +160,7 @@ def _read_numeric_csv(path, label_column: int | None = None):
                     f"{path}: non-numeric feature cell at row {r + 1}, column {j + 1}: {cell!r}"
                 ) from None
         feats.append(vec)
-    return np.array(feats), raw_labels
+    return np.array(feats), raw_labels, (rows[0] if start else None)
 
 
 def load_csv(path, label_column: int = -1) -> Dataset:
@@ -166,7 +171,7 @@ def load_csv(path, label_column: int = -1) -> Dataset:
     re-encoded as contiguous integers in first-appearance order and may be
     arbitrary symbols; feature cells must be numeric.
     """
-    feats, raw_labels = _read_numeric_csv(path, label_column)
+    feats, raw_labels, _ = _read_numeric_csv(path, label_column)
     encoding: dict[str, int] = {}
     labels = []
     for sym in raw_labels:

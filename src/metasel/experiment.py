@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import struct
+import tokenize
 import typing
 import warnings
 import zipfile
@@ -469,10 +470,12 @@ def save_model(model: DesModel, path):
         np.savez(fh, **arrays)
 
 
-# what np.load, zipfile and the model's constructors raise on a damaged file
+# what np.load, zipfile and the model's constructors raise on a damaged file;
+# np.load parses each array's header with tokenize and ast, whose errors it
+# does not always wrap in ValueError
 _UNREADABLE = (OSError, EOFError, ValueError, KeyError, TypeError, IndexError,
                RuntimeError, NotImplementedError, OverflowError, MemoryError,
-               zipfile.BadZipFile, struct.error)
+               SyntaxError, tokenize.TokenError, zipfile.BadZipFile, struct.error)
 
 
 def load_model(path) -> DesModel:

@@ -7,7 +7,11 @@ product over the members.
 
 Training is the classic error-driven update; the initial weights describe a
 random hyperplane anchored at a random training point, which keeps pool
-members spread out when training data is not separable.
+members spread out when training data is not separable. All members train
+in lockstep: each step scores one sample per member with one stacked matrix
+product and applies every member's update as one dense tensor operation
+whose coefficients are -1, 0 or +1, so the pool equals, byte for byte,
+members trained one at a time (see ``bagging``).
 
 Class supports are calibrated so that downstream probabilistic criteria get a
 normalized support vector: for two classes, a logistic squash of the signed
@@ -77,6 +81,10 @@ class ClassifierPool:
         if self.dist_scale.shape != (len(self.weights),):
             raise ValueError(f"dist_scale has shape {self.dist_scale.shape}, "
                              f"expected ({len(self.weights)},)")
+        if not np.isfinite(self.weights).all():
+            raise ValueError("pool weights must be finite")
+        if not (np.isfinite(self.dist_scale) & (self.dist_scale > 0)).all():
+            raise ValueError("dist_scale values must be finite and > 0")
 
     def __len__(self):
         return len(self.weights)
@@ -139,9 +147,10 @@ def _member_draws(ds: Dataset, i: int, seed: int, size: int | None, epochs: int,
     rng = np.random.default_rng(seed + i)
     direction = rng.normal(0.0, 1.0, size=(ds.class_count, ds.feature_count))
     anchor = rows[rng.integers(0, len(rows))]
-    orders = np.empty((epochs, len(rows)), dtype=int)
-    for e in range(epochs):
-        orders[e] = rng.permutation(len(rows))
+    # row by row this draws what ``rng.permutation(len(rows))`` once per
+    # epoch would, and leaves the stream in the same state
+    orders = rng.permuted(np.broadcast_to(np.arange(len(rows)), (epochs, len(rows))).copy(),
+                          axis=1)
     return rows, direction, anchor, orders
 
 
@@ -153,36 +162,59 @@ def bagging(ds: Dataset, m: int, bootstrap_frac: float = 0.5, seed: int = 0,
     ``ceil(bootstrap_frac * N)`` rows drawn from ``default_rng([seed, 9157, i])``;
     a bootstrap missing a class entirely is redrawn up to ``max_retries``
     times. ``bootstrap_frac >= 1.0`` disables resampling: each member trains
-    on the full data.
+    on the full data. ``epochs`` must be >= 0, ``lr`` and ``bootstrap_frac``
+    finite and > 0.
 
     Member ``i`` trains with its own ``default_rng(seed + i)``: the initial
     weights place a random hyperplane through a random training sample; each
     epoch visits the member's rows in a fresh order drawn from that stream and
-    applies the standard update on misclassified samples (add to the true
-    row, subtract from the predicted row). Non-separable data simply yields
-    imperfect weights; ``epochs=0`` keeps the random initial weights.
+    applies the standard update on misclassified samples (add ``lr * x`` to
+    the true row, subtract it from the predicted row). Non-separable data
+    simply yields imperfect weights; ``epochs=0`` keeps the random initial
+    weights.
 
     The draws come first, one member stream at a time (numpy cannot batch
-    across Generators); all members then step in lockstep with batched
-    arithmetic, so the pool equals members trained one by one.
+    across Generators). Then all members step in lockstep, one epoch's
+    samples gathered at a time. A step scores each member's sample with one
+    stacked matrix product and subtracts ``(onehot(pred) - onehot(truth)) *
+    lr * x`` from the whole weight tensor. This dense update is exact, so the
+    pool equals members trained one by one, byte for byte:
+
+    - a coefficient of -1 or +1 times ``lr * x`` is exact, and ``W - (-v)``
+      is ``W + v`` in IEEE arithmetic, so a wrong step's two rows get the
+      sums the scattered update gives;
+    - every other row, and every row of a correct step, has coefficient +0
+      and subtracts ``+0 * lr * x``. That is ``W - (+0) = W`` where ``x``
+      has its sign bit clear, and ``W - (-0)``, which only turns a -0.0
+      weight into +0.0, where it is set. A -0.0 weight can only be an
+      initial one (a sum is -0.0 only of two -0.0 terms): the bias, whose
+      input is 1, or a direction drawn as exactly -0.0.
     """
     if m < 1:
         raise ValueError("pool size must be >= 1")
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if not (np.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and > 0, got {lr}")
+    if not (np.isfinite(bootstrap_frac) and bootstrap_frac > 0):
+        raise ValueError(f"bootstrap_frac must be finite and > 0, got {bootstrap_frac}")
     size = None if bootstrap_frac >= 1.0 else int(np.ceil(bootstrap_frac * len(ds)))
     draws = [_member_draws(ds, i, seed, size, epochs, max_retries) for i in range(m)]
     rows, direction, anchor, orders = (np.stack(a) for a in zip(*draws))
-    X, y = ds.features[rows], ds.labels[rows]              # (m, s, d), (m, s)
-    Xb = _with_bias(X)
+    Xb = _with_bias(ds.features[rows])                     # (m, s, d+1)
     members = np.arange(m)
+    # (L, L, 1): row c is class c's one-hot column
+    onehot = np.eye(ds.class_count)[:, :, None]
+    truth = onehot[ds.labels[rows]]                        # (m, s, L, 1)
 
     anchor = ds.features[anchor][:, :, None]               # (m, d, 1)
     W = np.concatenate([direction, -(direction @ anchor)], axis=2)
-    for step in orders.transpose(1, 2, 0).reshape(-1, m):  # one sample per member
-        x = Xb[members, step]                              # (m, d+1)
-        pred = (W @ x[:, :, None])[:, :, 0].argmax(axis=1)
-        truth = y[members, step]
-        wrong = np.flatnonzero(pred != truth)
-        W[wrong, truth[wrong]] += lr * x[wrong]
-        W[wrong, pred[wrong]] -= lr * x[wrong]
+    for e in range(epochs):
+        visit = orders[:, e, :].T                          # (s, m): one sample per member
+        xs = Xb[members, visit]                            # (s, m, d+1)
+        steps = zip(xs[:, :, :, None], (lr * xs)[:, :, None, :], truth[members, visit])
+        for x, lx, t in steps:
+            pred = (W @ x)[:, :, 0].argmax(axis=1)
+            W -= (onehot.take(pred, axis=0) - t) * lx
     margins = np.abs(_boundary_distances(W, Xb))
     return ClassifierPool(W, np.maximum(margins.max(axis=1), 1e-12))

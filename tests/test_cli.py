@@ -234,3 +234,41 @@ class TestFreqReport:
         rc = main(["freq-report", "--masks", str(masks), "--out", str(tmp_path / "f.csv")])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {masks}: no mask rows\n"
+
+    @staticmethod
+    def masks_text(rows):
+        from metasel.metafeatures import FeatureLayout
+
+        names = FeatureLayout(2, 3).column_names()
+        return "replication," + ",".join(names) + "\n" + "".join(
+            f"{i}," + ",".join(row) + "\n" for i, row in enumerate(rows))
+
+    @pytest.mark.parametrize("rows,args,message", [
+        ([["1"] * 25, ["0"] * 24 + ["2"]],  [],
+         "mask cells must be 0 or 1, got 2 at row 3, column 26"),
+        ([["1"] * 25, ["0.5"] * 25], [], "mask cells must be 0 or 1, got 0.5 at row 3"),
+        ([["1"] * 25, ["1"] * 24], [], "row 3 has 25 columns, expected 26"),
+        ([["1"] * 25], ["--k", "3", "--kp", "3"], "holds 25 mask columns, but --k 3 --kp 3"),
+    ])
+    def test_malformed_masks_are_an_error_line(self, tmp_path, capsys, rows, args,
+                                                message):
+        masks = tmp_path / "masks.csv"
+        masks.write_text(self.masks_text(rows))
+        out = tmp_path / "f.csv"
+        rc = main(["freq-report", "--masks", str(masks), "--out", str(out), *args])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {masks}: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "replication,a,b,c\n0,1,0,1\n",                   # names of no layout
+        "0,1,0,1\n1,0,0,1\n",                             # no header
+    ])
+    def test_uninferable_layout_is_an_error_line(self, tmp_path, capsys, text):
+        masks = tmp_path / "masks.csv"
+        masks.write_text(text)
+        rc = main(["freq-report", "--masks", str(masks), "--out", str(tmp_path / "f.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {masks}: cannot infer (K, Kp) from the header; pass --k/--kp\n")

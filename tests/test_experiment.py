@@ -465,6 +465,10 @@ class TestPersistence:
         (lambda a, h: a.update(selector_offsets=a["selector_offsets"][1:]), "layout's"),
         (lambda a, h: a.update(scale_col_max=a["scale_col_max"][:1]), "scale must have"),
         (lambda a, h: a.update(pool_dist_scale=a["pool_dist_scale"][1:]), "dist_scale"),
+        (lambda a, h: a["pool_weights"].__setitem__((0, 1, 2), np.nan), "pool weights must be finite"),
+        (lambda a, h: a["pool_weights"].__setitem__((1, 0, 0), -np.inf), "pool weights must be finite"),
+        (lambda a, h: a["pool_dist_scale"].__setitem__(0, 0.0), "dist_scale values must be finite and > 0"),
+        (lambda a, h: a["pool_dist_scale"].__setitem__(1, np.nan), "dist_scale values must be finite and > 0"),
         (lambda a, h: a.update(dsel_labels=a["dsel_labels"] + 5), "labels out of range"),
         (lambda a, h: a.update(dsel_features=a["dsel_features"][:, :1]), "not a readable"),
         (lambda a, h: h.update(k=10_000), "cannot exceed"),
@@ -527,6 +531,26 @@ class TestPersistence:
         assert arrays.keys() == again.keys()
         for name, value in arrays.items():
             assert value.dtype == again[name].dtype and value.tobytes() == again[name].tobytes()
+
+    def test_damaged_array_headers_raise_only_model_format_error(self, model_bytes, tmp_path):
+        # np.load parses each array's header with tokenize and ast: a flipped
+        # bracket raised tokenize.TokenError, a flipped dtype character
+        # SyntaxError, through load_model
+        path = tmp_path / "model.bin"
+        start = model_bytes.find(b"\x93NUMPY")
+        while start >= 0:
+            header = model_bytes[start:model_bytes.index(b"\n", start)]
+            for offset in (header.index(b"{"), header.index(b"("),
+                           header.index(b"'descr': '") + 10):
+                for bit in range(8):
+                    damaged = bytearray(model_bytes)
+                    damaged[start + offset] ^= 1 << bit
+                    path.write_bytes(damaged)
+                    try:
+                        load_model(path)
+                    except ModelFormatError:
+                        pass
+            start = model_bytes.find(b"\x93NUMPY", start + 1)
 
     def test_version_pins_the_stored_arrays(self, model_bytes, tmp_path):
         # changing what a model file holds changes the file, so the version

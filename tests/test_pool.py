@@ -77,24 +77,54 @@ def ref_train(ds, epochs, lr, seed):
     return W, float(max(margins.max(), 1e-12))
 
 
+def ref_bootstrap_rows(ds, i, bootstrap_frac, seed, max_retries):
+    if bootstrap_frac >= 1.0:
+        return np.arange(len(ds))
+    size = int(np.ceil(bootstrap_frac * len(ds)))
+    boot_rng = np.random.default_rng([seed, 9157, i])
+    for _ in range(max_retries + 1):
+        idx = boot_rng.integers(0, len(ds), size=size)
+        if len(np.unique(ds.labels[idx])) == ds.class_count:
+            return idx
+    raise ValueError(f"bootstrap for member {i} kept missing a class after {max_retries} retries")
+
+
 def ref_bagging(ds, m, bootstrap_frac, seed, epochs, lr, max_retries):
-    members = []
+    return [ref_train(ds.subset(ref_bootstrap_rows(ds, i, bootstrap_frac, seed, max_retries)),
+                      epochs, lr, seed + i)
+            for i in range(m)]
+
+
+def ref_lockstep_bagging(ds, m, bootstrap_frac=0.5, seed=0, epochs=50, lr=0.01,
+                         max_retries=10):
+    """Bagging as the stacked lockstep loop with a scattered update: draws by
+    one ``rng.permutation`` per epoch, then each step gathers one sample per
+    member and updates only the rows of members that got it wrong."""
+    draws = []
     for i in range(m):
-        if bootstrap_frac >= 1.0:
-            sub = ds
-        else:
-            size = int(np.ceil(bootstrap_frac * len(ds)))
-            boot_rng = np.random.default_rng([seed, 9157, i])
-            for _ in range(max_retries + 1):
-                idx = boot_rng.integers(0, len(ds), size=size)
-                if len(np.unique(ds.labels[idx])) == ds.class_count:
-                    break
-            else:
-                raise ValueError(
-                    f"bootstrap for member {i} kept missing a class after {max_retries} retries")
-            sub = ds.subset(idx)
-        members.append(ref_train(sub, epochs, lr, seed + i))
-    return members
+        rows = ref_bootstrap_rows(ds, i, bootstrap_frac, seed, max_retries)
+        rng = np.random.default_rng(seed + i)
+        direction = rng.normal(0.0, 1.0, size=(ds.class_count, ds.feature_count))
+        anchor = rows[rng.integers(0, len(rows))]
+        orders = np.empty((epochs, len(rows)), dtype=int)
+        for e in range(epochs):
+            orders[e] = rng.permutation(len(rows))
+        draws.append((rows, direction, anchor, orders))
+    rows, direction, anchor, orders = (np.stack(a) for a in zip(*draws))
+    X, y = ds.features[rows], ds.labels[rows]
+    Xb = np.concatenate([X, np.ones(X.shape[:-1] + (1,))], axis=-1)
+    members = np.arange(m)
+    anchor = ds.features[anchor][:, :, None]
+    W = np.concatenate([direction, -(direction @ anchor)], axis=2)
+    for step in orders.transpose(1, 2, 0).reshape(-1, m):
+        x = Xb[members, step]
+        pred = (W @ x[:, :, None])[:, :, 0].argmax(axis=1)
+        truth = y[members, step]
+        wrong = np.flatnonzero(pred != truth)
+        W[wrong, truth[wrong]] += lr * x[wrong]
+        W[wrong, pred[wrong]] -= lr * x[wrong]
+    margins = np.abs(np.stack([ref_boundary_distance(W[i], X[i]) for i in range(m)]))
+    return W, np.maximum(margins.max(axis=1), 1e-12)
 
 
 def random_dataset(seed, n, d, L, minority):
@@ -244,6 +274,84 @@ class TestBagging:
             ClassifierPool(W, np.ones(2))
         with pytest.raises(ValueError, match="at least one"):
             ClassifierPool(np.zeros((0, 2, 3)), np.ones(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        W = np.zeros((2, 2, 3))
+        W[1, 0, 2] = bad
+        with pytest.raises(ValueError, match="weights must be finite"):
+            ClassifierPool(W, np.ones(2))
+        with pytest.raises(ValueError, match="weights must be finite"):
+            ClassifierPool(np.full((1, 2, 3), np.nan), [0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -0.0, -1.0])
+    def test_bad_dist_scale_rejected(self, bad):
+        with pytest.raises(ValueError, match="dist_scale values must be finite and > 0"):
+            ClassifierPool(np.zeros((2, 2, 3)), [1.0, bad])
+
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(epochs=-1), "epochs"),
+        (dict(lr=np.inf), "lr"),
+        (dict(lr=np.nan), "lr"),
+        (dict(lr=0.0), "lr"),
+        (dict(lr=-0.5), "lr"),
+        (dict(bootstrap_frac=0.0), "bootstrap_frac"),
+        (dict(bootstrap_frac=-0.5), "bootstrap_frac"),
+        (dict(bootstrap_frac=np.nan), "bootstrap_frac"),
+        (dict(bootstrap_frac=np.inf), "bootstrap_frac"),
+    ])
+    def test_bad_arguments_name_the_argument(self, kwargs, name):
+        ds, _ = p2_scaled(50, 12)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            bagging(ds, 2, seed=0, **kwargs)
+
+
+class TestAgainstLockstepReference:
+    """The dense update over one gathered epoch at a time leaves every pool
+    byte as the scattered update of the lockstep loop does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(4, 25), d=st.integers(1, 4),
+           L=st.sampled_from([2, 3, 4]), m=st.integers(1, 12),
+           frac=st.sampled_from([0.2, 0.5, 1.0, 1.5]), epochs=st.integers(0, 4),
+           lr=st.sampled_from([0.01, 0.3]), max_retries=st.integers(0, 3),
+           minority=st.booleans())
+    def test_bytes_equal_the_lockstep_loop(self, seed, n, d, L, m, frac, epochs, lr,
+                                           max_retries, minority):
+        ds = random_dataset(seed, n, d, L, minority)
+        kwargs = dict(bootstrap_frac=frac, seed=seed, epochs=epochs, lr=lr,
+                      max_retries=max_retries)
+        try:
+            W, dist_scale = ref_lockstep_bagging(ds, m, **kwargs)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                bagging(ds, m, **kwargs)
+            return
+        pool = bagging(ds, m, **kwargs)
+        assert pool.weights.tobytes() == W.tobytes()
+        assert pool.dist_scale.tobytes() == dist_scale.tobytes()
+
+    def test_p2_at_the_papers_size(self):
+        train, _ = p2_scaled(500, 1)
+        pool = bagging(train, 100, seed=1)
+        W, dist_scale = ref_lockstep_bagging(train, 100, seed=1)
+        assert pool.weights.tobytes() == W.tobytes()
+        assert pool.dist_scale.tobytes() == dist_scale.tobytes()
+
+    def test_negative_zero_weight_survives_correct_steps(self):
+        # an anchor at the origin can give a -0.0 bias; a row that no wrong
+        # step touches keeps it, so the dense update must not turn it to +0.0
+        feats = np.array([[0.0, 0.0], [0.0, 1.0], [3.0, 3.0], [3.0, 4.0],
+                          [6.0, 0.0], [6.0, 1.0]])
+        ds = Dataset(feats, np.array([0, 0, 1, 1, 2, 2]), 3)
+        negative_zeros = 0
+        for seed in range(400):
+            W, _ = ref_lockstep_bagging(ds, 1, bootstrap_frac=1.0, seed=seed, epochs=2)
+            if ((W == 0) & np.signbit(W)).any():
+                negative_zeros += 1
+                pool = bagging(ds, 1, bootstrap_frac=1.0, seed=seed, epochs=2)
+                assert pool.weights.tobytes() == W.tobytes()
+        assert negative_zeros > 0
 
 
 class TestAgainstPerMemberReference:
