@@ -3,11 +3,12 @@
 A trained model bundles the pool, the competence selector, the selected
 meta-feature mask and everything needed to rebuild neighborhoods, so
 classification of a raw sample is self-contained: scale, locate the region of
-competence and profile neighborhood, extract the meta-features per member,
-score them with the selector (whose weights are zero outside the mask), keep
-members whose competence clears the selection threshold and
-combine them by competence-weighted majority voting. When no member clears
-the threshold the single most competent member decides (flagged).
+competence and profile neighborhood, extract the mask's meta-features per
+member, score them with the selector (whose weights are zero outside the
+mask), one block of samples at a time, keep members whose competence clears
+the selection threshold and combine them by competence-weighted majority
+voting. When no member clears the threshold the single most competent member
+decides (flagged).
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from .metaclassifier import MetaClassifier
 from .metafeatures import MetaFeatureExtractor
 from .pool import ClassifierPool
 from .regions import nearest_neighbors
+
+# (sample, member, meta-feature) values one classify_batch block holds
+_CLASSIFY_BLOCK = 1 << 21
 
 __all__ = [
     "DesModel",
@@ -72,7 +76,14 @@ class DesModel:
         return self._extractor
 
     def prepare(self, X) -> np.ndarray:
+        """Raw samples (Nq, d), or one sample (d,), scaled as the reference
+        set was; a wrong width or a non-finite value is a ValueError."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        d = self.dsel.feature_count
+        if X.ndim != 2 or X.shape[1] != d:
+            raise ValueError(f"expected {d} features per sample, got {X.shape[-1]}")
+        if not np.isfinite(X).all():
+            raise ValueError("features contain non-finite values")
         return self.scale.apply(X) if self.scale is not None else X
 
 
@@ -103,13 +114,24 @@ def weighted_majority_vote(labels, weights, class_count: int) -> int | np.ndarra
 def classify_batch(model: DesModel, X):
     """Hybrid dynamic selection + weighted voting for a batch of raw samples.
 
-    Returns (labels, diagnostics list).
+    Returns (labels, diagnostics list). The samples are extracted and scored
+    one block at a time, each block's arrays held to about
+    ``_CLASSIFY_BLOCK`` elements, so memory does not grow with the batch.
     """
     Xs = model.prepare(X)
-    feats, _, pred_labels = model.extractor.extract_batch(Xs)
-    # the selector's weights are zero outside the mask: it scores every column
-    delta = model.meta.competence_batch(
-        feats.reshape(-1, model.extractor.layout.size)).reshape(len(Xs), len(model.pool))
+    ex = model.extractor
+    M, D = len(model.pool), ex.layout.size
+    # per sample: its (M, D) features, and the rank's reference rows by
+    # distance with their distances (up to N each)
+    step = max(1, _CLASSIFY_BLOCK // (M * D + 2 * len(model.dsel)))
+    delta = np.empty((len(Xs), M))
+    pred_labels = np.empty((M, len(Xs)), dtype=int)
+    for lo in range(0, len(Xs), step):
+        blk = slice(lo, lo + step)
+        # only the mask's columns are filled; the selector's weights are
+        # zero outside it, so it scores the full-width block
+        feats, _, pred_labels[:, blk] = ex.extract_batch(Xs[blk], mask=model.mask)
+        delta[blk] = model.meta.competence_batch(feats.reshape(-1, D)).reshape(-1, M)
     selected = delta >= model.selection_threshold                   # (Nq, M)
     # Unselected members vote with weight 0. A row whose weights are all zero
     # votes unweighted with every member; with competences in [0, 1] that

@@ -9,7 +9,8 @@ Layout (D = K*8 + Kp + 6 scalars per pair)::
 
 Per-neighbor criteria depend only on (classifier, reference row), so they are
 precomputed once per reference set as (M, N) tables; extraction then reduces
-to gathers along neighbor indices. Supports are clamped to
+to gathers along neighbor indices. A mask limits extraction to the families
+and neighbor positions it selects (the other columns read 0.0). Supports are clamped to
 [1e-12, 1 - 1e-10] inside logarithm and ratio expressions, keeping the
 analytic identities (zero entropy for one-hot supports, zero divergence for
 uniform ones) accurate to well below 1e-9.
@@ -41,6 +42,9 @@ SUPPORT_CEIL = 1.0 - 1e-10
 # the scan's first position chunk
 _RANK_BLOCK = 1 << 19
 _RANK_CHUNK = 8
+# reference rows by distance the rank scan first asks for per query; a query
+# with a pair still open past them asks again at twice the width
+_RANK_WIDTH = 128
 # randomized reference classifier: Beta concentration, logit-space grid, and
 # the (pair, class, grid point) values the quadrature holds at once
 _RRC_CONCENTRATION = 10.0
@@ -49,6 +53,10 @@ _RRC_BLOCK = 1 << 14
 
 SET_NAMES = ("hard", "prob", "overall", "cond", "conf", "amb",
              "log", "prc", "md", "ent", "exp", "kl", "op", "rank", "rank_op")
+# families gathered at the region of competence from a per-(member,
+# reference row) table, and the extractor attribute holding it
+_REGION_TABLES = {"hard": "dsel_correct", "prob": "t_prob", "log": "t_log", "prc": "t_prc",
+                  "md": "t_md", "ent": "t_ent", "exp": "t_exp", "kl": "t_kl"}
 
 
 class FeatureLayout:
@@ -232,26 +240,92 @@ class MetaFeatureExtractor:
 
     # -- batch extraction ---------------------------------------------------
 
-    def extract_batch(self, X, y=None, self_indices=None):
+    def extract_batch(self, X, y=None, self_indices=None, mask=None):
         """Vectorized extraction for a batch of queries.
 
         Returns ``(features, meta_labels, pred_labels)`` with shapes
         (Nq, M, D), (Nq, M) and (M, Nq). ``self_indices`` gives, per query,
         its own row in the reference set to exclude from every neighborhood
-        (used when the queries are reference samples themselves).
+        (used when the queries are reference samples themselves). ``mask``
+        (D,) selects the columns to compute (default: all of them); the
+        others are 0.0, and neither a family nor a neighborhood that no
+        selected column reads is computed.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self_indices is not None and (np.asarray(self_indices) < 0).any():
-            raise ValueError("self_indices must name a reference row for every query")
-        # every reference row by distance: the region of competence is its
-        # first K, the rank criterion scans all of it
-        width = len(self.dsel) - (0 if self_indices is None else 1)
-        order, _ = nearest_neighbors(X, self.dsel.features, width, exclude=self_indices)
+        layout, dsel = self.layout, self.dsel
+        k, kp = layout.k, layout.kp
+        if mask is None:
+            mask = np.ones(layout.size, dtype=bool)
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (layout.size,):
+            raise ValueError(f"mask of shape {mask.shape} for {layout.size} features")
+        if self_indices is not None:
+            self_indices = np.atleast_1d(np.asarray(self_indices, dtype=int))
+            if (self_indices < 0).any():
+                raise ValueError("self_indices must name a reference row for every query")
+        # selected positions within each family, and their feature columns:
+        # a slice when they are contiguous (a strided copy, twice as fast as
+        # an index array's scatter)
+        cols, dest = {}, {}
+        for name, start, _ in layout.segments:
+            at = np.flatnonzero(mask[layout.slice_of(name)])
+            if at.size:
+                cols[name] = at
+                dest[name] = (slice(start + at[0], start + at[-1] + 1)
+                              if at[-1] - at[0] + 1 == at.size else start + at)
+        used = cols.keys()
+
         pred_labels, q_supports = self.pool.predict_batch(X)
-        profiles = np.transpose(q_supports, (1, 0, 2)).reshape(len(X), -1)
-        phi, _ = nearest_neighbors(profiles, self.dsel_profiles, self.layout.kp,
-                                   exclude=self_indices)
-        return self._extract(X, y, order, phi, pred_labels, q_supports)
+        M, nq = pred_labels.shape
+        assigned = pred_labels.T                              # (Nq, M)
+        feats = np.zeros((nq, M, layout.size))
+
+        def put(name, values):
+            # values (Nq, M) for a scalar family, (Nq, M, c) for its selected positions
+            feats[:, :, dest[name]] = values[:, :, None] if values.ndim == 2 else values
+
+        if used & {*_REGION_TABLES, "overall", "cond", "rank"}:
+            # the region of competence is the first K rows by distance; the
+            # rank scan starts from a wider exact prefix of the same order
+            avail = len(dsel) - (self_indices is not None)
+            width = min(max(k, _RANK_WIDTH), avail) if "rank" in used else k
+            order, _ = nearest_neighbors(X, dsel.features, width, exclude=self_indices)
+            theta = order[:, :k]
+            for name, table in _REGION_TABLES.items():
+                if name in used:
+                    put(name, getattr(self, table)[:, theta[:, cols[name]]].transpose(1, 0, 2))
+            if "overall" in used:
+                put("overall", self.dsel_correct[:, theta].mean(axis=2).T)
+            if "cond" in used:
+                # conditional accuracy w.r.t. the class each member assigns to x
+                sup_assigned = self._clipped[np.arange(M)[None, :, None], theta[:, None, :],
+                                             assigned[:, :, None]]    # (Nq, M, K)
+                same_class = dsel.labels[theta][:, None, :] == assigned[:, :, None]
+                num = (sup_assigned * same_class).sum(axis=2)
+                den = sup_assigned.sum(axis=2)
+                put("cond", np.divide(num, den, out=np.zeros_like(num), where=den > 0))
+            if "rank" in used:
+                put("rank", self._rank(X, self_indices, order))
+
+        if "conf" in used:
+            span = self.conf_max - self.conf_min
+            scaled = (self.pool.boundary_distances(X).T - self.conf_min) / np.where(span > 0, span, 1.0)
+            put("conf", np.where(span > 0, np.clip(scaled, 0.0, 1.0), 0.5))
+        if "amb" in used:
+            s_sorted = np.sort(q_supports, axis=2)
+            put("amb", (s_sorted[:, :, -1] - s_sorted[:, :, -2]).T)
+        if used & {"op", "rank_op"}:
+            profiles = np.transpose(q_supports, (1, 0, 2)).reshape(nq, -1)
+            phi, _ = nearest_neighbors(profiles, self.dsel_profiles, kp, exclude=self_indices)
+            corr_phi = self.dsel_correct[:, phi]              # (M, Nq, Kp)
+            if "op" in used:
+                put("op", corr_phi[:, :, cols["op"]].transpose(1, 0, 2))
+            if "rank_op" in used:
+                put("rank_op", np.where(corr_phi.all(axis=2), kp,
+                                        (~corr_phi).argmax(axis=2)).T)
+
+        metas = None if y is None else (assigned == np.asarray(y)[:, None]).astype(int)
+        return feats, metas, pred_labels
 
     def build_meta_dataset(self, X, y, self_indices=None, sample_ids=None) -> MetaDataset:
         """All (sample, classifier) rows for labeled queries, sample-major."""
@@ -269,78 +343,49 @@ class MetaFeatureExtractor:
 
     # -- internals -----------------------------------------------------------
 
-    def _extract(self, X, y, order, phi, pred_labels, q_supports):
-        """Feature tensor (Nq, M, D) from the queries' reference rows by
-        distance, their profile neighborhoods and the pool's labels (M, Nq)
-        and supports (M, Nq, L) for them."""
-        pool, dsel, layout = self.pool, self.dsel, self.layout
-        M = len(pool)
-        k, kp = layout.k, layout.kp
-        nq = len(X)
-        theta = order[:, :k]
+    def _rank(self, X, exclude, order):
+        """Per (query, member): how many reference rows, in order of distance
+        to the query, the member classifies correctly before its first error
+        (the available row count, N or N - 1 with ``exclude``, when it makes
+        none).
 
-        feats = np.empty((nq, M, layout.size))
-        seg = {name: feats[:, :, layout.slice_of(name)] for name in SET_NAMES}
-
-        # per-neighbor tables (M, N) gathered at each query's neighbors
-        for name, table, nbrs in (("hard", self.dsel_correct, theta), ("prob", self.t_prob, theta),
-                                  ("log", self.t_log, theta), ("prc", self.t_prc, theta),
-                                  ("md", self.t_md, theta), ("ent", self.t_ent, theta),
-                                  ("exp", self.t_exp, theta), ("kl", self.t_kl, theta),
-                                  ("op", self.dsel_correct, phi)):
-            seg[name][...] = table[:, nbrs].transpose(1, 0, 2)
-        seg["overall"][:, :, 0] = seg["hard"].mean(axis=2)
-
-        # conditional accuracy w.r.t. the class each member assigns to x
-        assigned = pred_labels.T                              # (Nq, M)
-        sup_assigned = self._clipped[np.arange(M)[None, :, None], theta[:, None, :],
-                                     assigned[:, :, None]]    # (Nq, M, K)
-        same_class = dsel.labels[theta][:, None, :] == assigned[:, :, None]
-        num = (sup_assigned * same_class).sum(axis=2)
-        den = sup_assigned.sum(axis=2)
-        seg["cond"][:, :, 0] = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-
-        span = self.conf_max - self.conf_min
-        scaled = (pool.boundary_distances(X).T - self.conf_min) / np.where(span > 0, span, 1.0)
-        seg["conf"][:, :, 0] = np.where(span > 0, np.clip(scaled, 0.0, 1.0), 0.5)
-
-        s_sorted = np.sort(q_supports, axis=2)
-        seg["amb"][:, :, 0] = (s_sorted[:, :, -1] - s_sorted[:, :, -2]).T
-
-        corr_phi = self.dsel_correct[:, phi]                  # (M, Nq, Kp)
-        seg["rank_op"][:, :, 0] = np.where(corr_phi.all(axis=2), kp,
-                                           (~corr_phi).argmax(axis=2)).T
-        seg["rank"][:, :, 0] = self._rank(order)
-
-        metas = None if y is None else (assigned == np.asarray(y)[:, None]).astype(int)
-        return feats, metas, pred_labels
-
-    def _rank(self, order):
-        """Per (query, member): how many reference rows, in ``order`` of
-        distance to the query, the member classifies correctly before its
-        first error (the row count ``width`` when it makes none).
-
-        Scans position chunks of growing width (8, 16, 32, ...) for the pairs
-        that have not erred yet, each gather holding at most ``_RANK_BLOCK``
-        flags, so the work follows the ranks rather than ``width``."""
-        (nq, width), M = order.shape, len(self.pool)
+        ``order`` holds an exact prefix of each query's rows by distance.
+        Position chunks of growing width (8, 16, 32, ...) are scanned for the
+        pairs that have not erred yet, each gather holding at most
+        ``_RANK_BLOCK`` flags. When the prefix runs out, only the queries
+        with a pair still open are searched again at twice the width
+        (``nearest_neighbors`` returns the rows of a full sort on any
+        prefix), and the scan goes on where it stopped, so the work follows
+        the ranks rather than N. A member that errs on no reference row gets
+        the row count at once."""
+        nq, M = len(X), len(self.pool)
+        avail = len(self.dsel) - (exclude is not None)
         wrong = ~self.dsel_correct                            # (M, N)
-        rank = np.full((nq, M), float(width))
-        q_open, m_open = np.divmod(np.arange(nq * M), M)      # pairs not yet erred
+        rank = np.full((nq, M), float(avail))
+        erring = np.flatnonzero(wrong.any(axis=1))
+        # open pairs: query, member and the query's row in ``order``
+        q_open, m_open = np.repeat(np.arange(nq), erring.size), np.tile(erring, nq)
+        rows = q_open
         lo, chunk = 0, _RANK_CHUNK
-        while q_open.size and lo < width:
-            hi = min(lo + chunk, width)
-            piece = max(1, _RANK_BLOCK // (hi - lo))
-            still = np.ones(q_open.size, dtype=bool)
-            for p in range(0, q_open.size, piece):
-                qs, ms = q_open[p:p + piece], m_open[p:p + piece]
-                err = wrong[ms[:, None], order[qs, lo:hi]]    # (pairs, hi - lo)
-                hit = err.any(axis=1)
-                rank[qs[hit], ms[hit]] = lo + err[hit].argmax(axis=1)
-                still[p:p + piece] = ~hit
-            q_open, m_open = q_open[still], m_open[still]
-            lo, chunk = hi, 2 * chunk
-        return rank
+        while True:
+            width = order.shape[1]
+            while q_open.size and lo < width:
+                hi = min(lo + chunk, width)
+                piece = max(1, _RANK_BLOCK // (hi - lo))
+                still = np.ones(q_open.size, dtype=bool)
+                for p in range(0, q_open.size, piece):
+                    qs, ms = q_open[p:p + piece], m_open[p:p + piece]
+                    err = wrong[ms[:, None], order[rows[p:p + piece], lo:hi]]  # (pairs, hi - lo)
+                    hit = err.any(axis=1)
+                    rank[qs[hit], ms[hit]] = lo + err[hit].argmax(axis=1)
+                    still[p:p + piece] = ~hit
+                q_open, m_open, rows = q_open[still], m_open[still], rows[still]
+                lo, chunk = hi, 2 * chunk
+            if not q_open.size or width == avail:
+                return rank
+            queries, rows = np.unique(q_open, return_inverse=True)
+            order, _ = nearest_neighbors(X[queries], self.dsel.features, min(2 * width, avail),
+                                         exclude=None if exclude is None else exclude[queries])
 
 
 def meta_dataset_to_csv(md: MetaDataset, path):

@@ -108,6 +108,23 @@ class TestTrainAndClassify:
         assert rc != 0
         assert "row 3, column 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("0.5,0.5,0.5\n0.2,0.8,0.1\n", "expected 2 features per sample, got 3"),
+        ("0.5,0.5\nnan,0.5\n", "features contain non-finite values"),
+        ("0.5,inf\n", "features contain non-finite values"),
+    ])
+    def test_unlabellable_samples_are_an_error_line(self, tmp_path, capsys, text, message):
+        cfg = small_config(tmp_path)
+        model_path = tmp_path / "model.bin"
+        main(["train", "--config", str(cfg), "--out", str(model_path)])
+        feats = tmp_path / "feats.csv"
+        feats.write_text(text)
+        capsys.readouterr()
+        rc = main(["classify", "--model", str(model_path), "--data", str(feats),
+                   "--out", str(tmp_path / "pred.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error:") and message in err
+
     def test_unknown_config_key_is_an_error_line(self, tmp_path, capsys):
         cfg = small_config(tmp_path, bpso={"swarmsize": 3})
         rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.bin")])

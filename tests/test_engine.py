@@ -1,14 +1,17 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metasel import engine
 from metasel.data import Dataset, generate_p2, scale_minmax
 from metasel.engine import (BASELINE_METHODS, DesModel, baseline_predict_batch,
                             classify, classify_batch, consensus_keep, oracle_accuracy,
                             weighted_majority_vote)
 from metasel.metaclassifier import MetaClassifier, train_meta
+from metasel.experiment import evaluate_methods
 from metasel.metafeatures import MetaFeatureExtractor, apply_mask
 from metasel.pool import ClassifierPool, bagging
 
@@ -179,6 +182,93 @@ class TestClassify:
         model = scripted_model(tables, [0.9, 0.6, 0.55], [0, 1, 0, 1, 0, 1])
         _, diag = classify(model, [2.0])
         assert np.allclose(diag.competences, [0.9, 0.6, 0.55])
+
+    def test_empty_batch(self):
+        pool, dsel, _ = p2_setup(3, m=4)
+        model = DesModel(pool=pool, meta=MetaClassifier(np.zeros(67), 0.0),
+                         mask=np.ones(67, dtype=bool), scale=None, dsel=dsel)
+        labels, diags = classify_batch(model, np.empty((0, 2)))
+        assert labels.shape == (0,) and labels.dtype.kind == "i"
+        assert diags == []
+
+
+class TestPrepare:
+    """Every classification entry point scales its samples through
+    ``DesModel.prepare``, which refuses samples the model cannot label."""
+
+    def model(self):
+        pool, dsel, test = p2_setup(3, m=4)
+        _, scale = scale_minmax(generate_p2(300, 3))
+        return DesModel(pool=pool, meta=MetaClassifier(np.zeros(67), 0.0),
+                        mask=np.ones(67, dtype=bool), scale=scale, dsel=dsel), test
+
+    @pytest.mark.parametrize("X", [[[0.1, 0.2, 0.3]], [0.1, 0.2, 0.3], np.zeros((4, 3))])
+    def test_wrong_width_names_both_counts(self, X):
+        model, test = self.model()
+        for call in (classify_batch, classify):
+            with pytest.raises(ValueError, match="expected 2 features per sample, got 3"):
+                call(model, X)
+        wide = Dataset(np.zeros((4, 3)), np.zeros(4, dtype=int), 2)
+        with pytest.raises(ValueError, match="expected 2 features per sample, got 3"):
+            evaluate_methods(model, wide, ["meta_des_oracle", "ola"], k=7)
+        with pytest.raises(ValueError, match="expected 2 features per sample, got 1"):
+            classify_batch(model, [[0.5], [0.5]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_refused(self, bad):
+        model, test = self.model()
+        X = test.features[:5].copy()
+        X[3, 0] = bad
+        with pytest.raises(ValueError, match="features contain non-finite values"):
+            classify_batch(model, X)
+        with pytest.raises(ValueError, match="features contain non-finite values"):
+            classify(model, [bad, 0.5])
+
+
+class TestQueryBlocks:
+    @settings(max_examples=25, deadline=None)
+    @given(per_block=st.integers(1, 450), seed=st.integers(0, 2**32 - 1),
+           threshold=st.sampled_from([0.0, 0.5, 0.7]))
+    def test_block_size_changes_no_decision(self, per_block, seed, threshold):
+        pool, dsel, test, rows, labels = p2_meta_rows()
+        rng = np.random.default_rng(seed)
+        mask = rng.random(rows.shape[1]) < rng.uniform(0.05, 0.9)
+        mask[rng.integers(len(mask))] = True
+        model = DesModel(pool=pool, meta=train_meta(rows, labels).masked(mask), mask=mask,
+                         scale=None, dsel=dsel, selection_threshold=threshold)
+        per_sample = len(pool) * 67 + 2 * len(dsel)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_CLASSIFY_BLOCK", len(test) * per_sample)   # one block
+            want, want_diags = classify_batch(model, test.features)
+            mp.setattr(engine, "_CLASSIFY_BLOCK", per_block * per_sample)
+            got, got_diags = classify_batch(model, test.features)
+        assert np.array_equal(got, want)
+        for g, w in zip(got_diags, want_diags, strict=True):
+            assert g.fallback == w.fallback
+            assert np.array_equal(g.selected, w.selected)
+
+    def test_peak_memory_does_not_grow_with_the_batch(self):
+        # N = 5 000 reference rows, pool 10, every column (the rank too):
+        # one k = N neighbour list of the whole batch alone is 16 bytes per
+        # query and reference row, 32 MB at 500 queries and 320 MB at 4 000
+        train, params = scale_minmax(generate_p2(300, 31))
+        ref = generate_p2(5000, 32)
+        model = DesModel(pool=bagging(train, 10, seed=33),
+                         meta=MetaClassifier(np.random.default_rng(34).normal(size=67), 0.0),
+                         mask=np.ones(67, dtype=bool), scale=None,
+                         dsel=Dataset(params.apply(ref.features), ref.labels, 2))
+        X = params.apply(generate_p2(4000, 35).features)
+        classify_batch(model, X[:1])           # builds the extractor's tables
+        peaks = []
+        for nq in (500, 4000):
+            tracemalloc.start()
+            try:
+                classify_batch(model, X[:nq])
+                peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
+        assert peaks[1] < 48.0, peaks
 
 
 @functools.lru_cache(maxsize=1)

@@ -9,7 +9,8 @@ from metasel.data import Dataset, generate_p2, scale_minmax
 from metasel.metafeatures import (FeatureLayout, MetaFeatureExtractor,
                                   apply_mask, meta_dataset_to_csv,
                                   rrc_competence)
-from metasel.pool import bagging
+from metasel.pool import ClassifierPool, bagging
+from metasel.regions import nearest_neighbors
 
 
 class TableMember:
@@ -78,10 +79,56 @@ def reference_rank(dsel_correct, order, block=1 << 22):
     return rank
 
 
-def scan_rank(dsel_correct, order):
-    """``MetaFeatureExtractor._rank`` on a bare correctness table."""
-    stub = SimpleNamespace(dsel_correct=dsel_correct, pool=range(len(dsel_correct)))
-    return MetaFeatureExtractor._rank(stub, order)
+def scan_rank(dsel_correct, order, excluded=False):
+    """``MetaFeatureExtractor._rank`` on a bare correctness table, given each
+    query's whole order: every reference row, or every row but its own when
+    ``excluded`` (so the scan never asks for a wider prefix)."""
+    (m, n), nq = dsel_correct.shape, len(order)
+    stub = SimpleNamespace(dsel_correct=dsel_correct, pool=range(m), dsel=range(n))
+    exclude = np.zeros(nq, dtype=int) if excluded else None
+    return MetaFeatureExtractor._rank(stub, np.empty((nq, 0)), exclude, order)
+
+
+def full_order_extract(ex, X, y=None, self_indices=None):
+    """The extraction ``extract_batch`` replaced: every reference row of each
+    query sorted by distance (one k = N neighbour call), every column
+    computed, and the rank by the full gather."""
+    dsel, layout = ex.dsel, ex.layout
+    k, kp = layout.k, layout.kp
+    width = len(dsel) - (0 if self_indices is None else 1)
+    order, _ = nearest_neighbors(X, dsel.features, width, exclude=self_indices)
+    pred_labels, q_supports = ex.pool.predict_batch(X)
+    profiles = np.transpose(q_supports, (1, 0, 2)).reshape(len(X), -1)
+    phi, _ = nearest_neighbors(profiles, ex.dsel_profiles, kp, exclude=self_indices)
+    M, nq = pred_labels.shape
+    theta = order[:, :k]
+    feats = np.empty((nq, M, layout.size))
+    seg = {name: feats[:, :, layout.slice_of(name)] for name in metafeatures.SET_NAMES}
+    for name, table, nbrs in (("hard", ex.dsel_correct, theta), ("prob", ex.t_prob, theta),
+                              ("log", ex.t_log, theta), ("prc", ex.t_prc, theta),
+                              ("md", ex.t_md, theta), ("ent", ex.t_ent, theta),
+                              ("exp", ex.t_exp, theta), ("kl", ex.t_kl, theta),
+                              ("op", ex.dsel_correct, phi)):
+        seg[name][...] = table[:, nbrs].transpose(1, 0, 2)
+    seg["overall"][:, :, 0] = seg["hard"].mean(axis=2)
+    assigned = pred_labels.T
+    sup_assigned = ex._clipped[np.arange(M)[None, :, None], theta[:, None, :],
+                               assigned[:, :, None]]
+    same_class = dsel.labels[theta][:, None, :] == assigned[:, :, None]
+    num = (sup_assigned * same_class).sum(axis=2)
+    den = sup_assigned.sum(axis=2)
+    seg["cond"][:, :, 0] = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    span = ex.conf_max - ex.conf_min
+    scaled = (ex.pool.boundary_distances(X).T - ex.conf_min) / np.where(span > 0, span, 1.0)
+    seg["conf"][:, :, 0] = np.where(span > 0, np.clip(scaled, 0.0, 1.0), 0.5)
+    s_sorted = np.sort(q_supports, axis=2)
+    seg["amb"][:, :, 0] = (s_sorted[:, :, -1] - s_sorted[:, :, -2]).T
+    corr_phi = ex.dsel_correct[:, phi]
+    seg["rank_op"][:, :, 0] = np.where(corr_phi.all(axis=2), kp,
+                                       (~corr_phi).argmax(axis=2)).T
+    seg["rank"][:, :, 0] = reference_rank(ex.dsel_correct, order)
+    metas = None if y is None else (assigned == np.asarray(y)[:, None]).astype(int)
+    return feats, metas, pred_labels
 
 
 def reference_meta_csv(md, path):
@@ -257,7 +304,7 @@ class TestRankScan:
             order = np.array([rng.permutation(n) for _ in range(nq)])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metafeatures, "_RANK_BLOCK", block)
-            got = scan_rank(correct, order)
+            got = scan_rank(correct, order, excluded=self_excl)
         want = reference_rank(correct, order)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -277,6 +324,104 @@ class TestRankScan:
         correct = np.array([[True] * 30, [False] + [True] * 29, [True] * 29 + [False]])
         order = np.array([np.arange(30), np.arange(30)[::-1]])
         assert scan_rank(correct, order).tolist() == [[30.0, 0.0, 29.0], [30.0, 29.0, 0.0]]
+
+
+def draw_mask(layout, kind, rng):
+    """A random mask of one kind: any bits, one family's positions, the
+    rank bit alone, every bit or none."""
+    mask = np.zeros(layout.size, dtype=bool)
+    if kind == "random":
+        mask = rng.random(layout.size) < rng.uniform(0.05, 0.95)
+    elif kind == "family":
+        _, start, width = layout.segments[rng.integers(len(layout.segments))]
+        mask[start:start + width] = rng.random(width) < 0.6
+        mask[start + rng.integers(width)] = True
+    elif kind == "rank":
+        mask[layout.slice_of("rank")] = True
+    elif kind == "all":
+        mask[:] = True
+    return mask
+
+
+class TestMaskedExtraction:
+    """``extract_batch`` with a mask against the zeroed full extraction, and
+    the full extraction against the k = N path it replaced."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(6, 70), m=st.integers(1, 5), L=st.integers(2, 3),
+           d=st.integers(1, 3), k=st.integers(1, 5), kp=st.integers(1, 5),
+           distinct=st.integers(1, 70), perfect=st.integers(0, 2),
+           self_excl=st.booleans(), nq=st.integers(1, 12),
+           kind=st.sampled_from(["random", "family", "rank", "all", "none"]),
+           prefix=st.sampled_from([1, 2, 5, 128]), seed=st.integers(0, 2**32 - 1))
+    def test_equals_zeroed_full_extraction(self, n, m, L, d, k, kp, distinct, perfect,
+                                           self_excl, nq, kind, prefix, seed):
+        rng = np.random.default_rng(seed)
+        k, kp = min(k, n - 1), min(kp, n - 1)
+        # few distinct rows: many reference rows tie in distance
+        base = np.round(rng.normal(size=(min(distinct, n), d)), 1)
+        features = base[rng.integers(0, len(base), size=n)]
+        pool = ClassifierPool(rng.normal(size=(m, L, d + 1)), rng.uniform(0.5, 2.0, size=m))
+        labels = rng.integers(0, L, size=n)
+        if perfect:
+            # labelled by member 0's own predictions: it errs on no row
+            labels = pool.predict_batch(features)[0][0]
+        ex = MetaFeatureExtractor(pool, Dataset(features, labels, L), k=k, kp=kp)
+        mask = draw_mask(ex.layout, kind, rng)
+        if self_excl:
+            self_indices = rng.integers(0, n, size=nq)
+            X = features[self_indices]
+        else:
+            self_indices = None
+            X = np.where(rng.random((nq, 1)) < 0.5, features[rng.integers(0, n, size=nq)],
+                         np.round(rng.normal(size=(nq, d)), 1))
+        y = rng.integers(0, L, size=nq)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metafeatures, "_RANK_WIDTH", prefix)
+            full, metas, pred = ex.extract_batch(X, y, self_indices=self_indices)
+            got, got_metas, got_pred = ex.extract_batch(X, y, self_indices=self_indices,
+                                                        mask=mask)
+        want = full.copy()
+        want[:, :, ~mask] = 0.0
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(got_metas, metas) and np.array_equal(got_pred, pred)
+        ref, ref_metas, ref_pred = full_order_extract(ex, X, y, self_indices)
+        assert full.tobytes() == ref.tobytes()
+        assert np.array_equal(metas, ref_metas) and np.array_equal(pred, ref_pred)
+
+    def test_rank_widens_past_the_first_prefix(self, monkeypatch):
+        # one member errs only on the farthest row, the other on no row: the
+        # first needs every prefix up to N, the second none
+        n = 40
+        features = np.arange(n, dtype=float).reshape(-1, 1)
+        correct = np.ones((2, n), dtype=bool)
+        correct[0, -1] = False
+        ex = SimpleNamespace(dsel_correct=correct, pool=range(2),
+                             dsel=Dataset(features, np.zeros(n, dtype=int), 2))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return nearest_neighbors(*args, **kwargs)
+
+        monkeypatch.setattr(metafeatures, "nearest_neighbors", counting)
+        X = np.array([[-1.0], [41.0]])
+        order, _ = nearest_neighbors(X, features, 4)
+        rank = MetaFeatureExtractor._rank(ex, X, None, order)
+        assert rank.tolist() == [[39.0, 40.0], [0.0, 40.0]]
+        # query 1 meets row 39 first; query 0 asks for 8, 16, 32 and 40 rows
+        assert calls == [8, 16, 32, 40]
+        # row 0 asking without its own row: every wider prefix leaves it out too
+        own = np.array([0])
+        order, _ = nearest_neighbors(features[:1], features, 4, exclude=own)
+        rank = MetaFeatureExtractor._rank(ex, features[:1], own, order)
+        assert rank.tolist() == [[38.0, 39.0]]
+
+    def test_mask_shape_checked(self):
+        pool = ClassifierPool(np.ones((1, 2, 2)), np.ones(1))
+        ex = MetaFeatureExtractor(pool, line_dsel([0, 1, 0, 1, 0, 1, 0]), k=3, kp=3)
+        with pytest.raises(ValueError, match="mask of shape"):
+            ex.extract_batch(np.zeros((1, 1)), mask=np.ones(5, dtype=bool))
 
 
 class TestRrcCompetence:
