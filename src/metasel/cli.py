@@ -34,6 +34,7 @@ def _load_config(args) -> experiment.ExperimentConfig:
         config.seed = args.seed
     if getattr(args, "methods", None):
         config.methods = tuple(args.methods.split(","))
+    config.validate()
     return config
 
 

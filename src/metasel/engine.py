@@ -3,12 +3,13 @@
 A trained model bundles the pool, the competence selector, the selected
 meta-feature mask and everything needed to rebuild neighborhoods, so
 classification of a raw sample is self-contained: scale, locate the region of
-competence and profile neighborhood, extract the mask's meta-features per
-member, score them with the selector (whose weights are zero outside the
-mask), one block of samples at a time, keep members whose competence clears
-the selection threshold and combine them by competence-weighted majority
-voting. When no member clears the threshold the single most competent member
-decides (flagged).
+competence and profile neighborhood, and score each member with the linear
+selector, one block of samples at a time. The extractor adds each selected
+family's weighted share to the members' decisions as it gathers it, so no
+meta-feature vector is materialised. Members whose competence clears the
+selection threshold are combined by competence-weighted majority voting. When
+no member clears the threshold the single most competent member decides
+(flagged).
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, ScaleParams
-from .metaclassifier import MetaClassifier
+from .metaclassifier import MetaClassifier, sigmoid
 from .metafeatures import MetaFeatureExtractor
 from .pool import ClassifierPool
 from .regions import nearest_neighbors
 
-# (sample, member, meta-feature) values one classify_batch block holds
+# (sample, member, meta-feature) values a classify_batch block is sized by
 _CLASSIFY_BLOCK = 1 << 21
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "consensus_keep",
     "weighted_majority_vote",
     "BASELINE_METHODS",
+    "NEIGHBORHOOD_METHODS",
     "baseline_predict_batch",
     "oracle_accuracy",
 ]
@@ -115,37 +117,49 @@ def classify_batch(model: DesModel, X):
     """Hybrid dynamic selection + weighted voting for a batch of raw samples.
 
     Returns (labels, diagnostics list). The samples are extracted and scored
-    one block at a time, each block's arrays held to about
-    ``_CLASSIFY_BLOCK`` elements, so memory does not grow with the batch.
+    one block at a time, each block sized as if it held ``_CLASSIFY_BLOCK``
+    elements of features and rank lists, so memory does not grow with the
+    batch. A block's competences are ``sigmoid(decision + bias)``, where the
+    extractor sums the selector's weighted meta-features over the mask
+    family by family; they equal scoring the full-width feature block up to
+    summation order.
     """
     Xs = model.prepare(X)
     ex = model.extractor
     M, D = len(model.pool), ex.layout.size
-    # per sample: its (M, D) features, and the rank's reference rows by
-    # distance with their distances (up to N each)
+    # per sample: at most M*D gathered meta-feature values, and the rank's
+    # reference rows by distance with their distances (up to N each)
     step = max(1, _CLASSIFY_BLOCK // (M * D + 2 * len(model.dsel)))
     delta = np.empty((len(Xs), M))
     pred_labels = np.empty((M, len(Xs)), dtype=int)
     for lo in range(0, len(Xs), step):
         blk = slice(lo, lo + step)
-        # only the mask's columns are filled; the selector's weights are
-        # zero outside it, so it scores the full-width block
-        feats, _, pred_labels[:, blk] = ex.extract_batch(Xs[blk], mask=model.mask)
-        delta[blk] = model.meta.competence_batch(feats.reshape(-1, D)).reshape(-1, M)
-    selected = delta >= model.selection_threshold                   # (Nq, M)
+        decision, _, pred_labels[:, blk] = ex.extract_batch(Xs[blk], mask=model.mask,
+                                                            weights=model.meta.weights)
+        decision += model.meta.bias
+        delta[blk] = sigmoid(decision)
+    return _select_and_vote(delta, pred_labels, model.selection_threshold,
+                            model.pool.class_count)
+
+
+def _select_and_vote(delta, pred_labels, threshold: float, class_count: int):
+    """``classify_batch``'s decision from competences ``delta`` (Nq, M) and
+    member labels ``pred_labels`` (M, Nq): the members at or above
+    ``threshold`` vote weighted by competence, else the most competent member
+    decides (flagged). Returns (labels, diagnostics list)."""
+    selected = delta >= threshold                                   # (Nq, M)
     # Unselected members vote with weight 0. A row whose weights are all zero
     # votes unweighted with every member; with competences in [0, 1] that
     # happens only at threshold 0, where every member is selected, so it is
     # the selected members' unweighted vote.
-    out = weighted_majority_vote(pred_labels.T, np.where(selected, delta, 0.0),
-                                 model.pool.class_count)
+    out = weighted_majority_vote(pred_labels.T, np.where(selected, delta, 0.0), class_count)
     fallback = ~selected.any(axis=1)
     best = delta.argmax(axis=1)
     rows = np.flatnonzero(fallback)
     out[rows] = pred_labels[best[rows], rows]
     diags = [ClassifyDiagnostics(delta[j], np.array([best[j]]) if fallback[j]
                                  else np.flatnonzero(selected[j]), bool(fallback[j]))
-             for j in range(len(Xs))]
+             for j in range(len(delta))]
     return out, diags
 
 
@@ -170,11 +184,19 @@ def consensus_keep(pool_labels, true_labels, threshold: float):
 
 BASELINE_METHODS = ("ola", "lca", "knora_e", "knora_u", "single_best",
                     "static_selection", "majority_vote")
+# the baselines that read each query's k nearest reference rows
+NEIGHBORHOOD_METHODS = ("ola", "lca", "knora_e", "knora_u")
 
 
-def baseline_predict_batch(method: str, pool: ClassifierPool, dsel: Dataset, X, k: int = 7):
+def baseline_predict_batch(method: str, pool: ClassifierPool, dsel: Dataset, X, k: int = 7,
+                           *, dsel_pred_labels=None, neighbors=None):
     """Labels (Nq,) of the reference dynamic/static selection methods on the
     same pool, plus the member(s) a static method chose (else None).
+
+    ``dsel_pred_labels`` (M, N), the pool's labels on the reference set, and
+    ``neighbors`` (Nq, k), the first index array ``nearest_neighbors(X,
+    dsel.features, k)`` returns, may be passed in when several methods are
+    scored on the same queries; each is computed here when it is not given.
 
     ola: member with the best accuracy over the k nearest reference samples.
     lca: member with the best accuracy among neighbors whose true class equals
@@ -196,8 +218,12 @@ def baseline_predict_batch(method: str, pool: ClassifierPool, dsel: Dataset, X, 
     X = np.atleast_2d(np.asarray(X, dtype=float))
     M, L = len(pool), pool.class_count
     pred_q, _ = pool.predict_batch(X)                       # (M, Nq)
-    dsel_labels, _ = pool.predict_batch(dsel.features)      # (M, N)
-    correct = dsel_labels == dsel.labels[None, :]           # (M, N)
+    if dsel_pred_labels is None:
+        dsel_pred_labels, _ = pool.predict_batch(dsel.features)
+    elif np.shape(dsel_pred_labels) != (M, len(dsel)):
+        raise ValueError(f"dsel_pred_labels of shape {np.shape(dsel_pred_labels)}, "
+                         f"expected {(M, len(dsel))}")
+    correct = dsel_pred_labels == dsel.labels[None, :]      # (M, N)
     votes = pred_q.T                                        # (Nq, M)
 
     if method == "majority_vote":
@@ -210,7 +236,11 @@ def baseline_predict_batch(method: str, pool: ClassifierPool, dsel: Dataset, X, 
         top = np.argsort(-acc, kind="stable")[: int(np.ceil(M / 2))]
         return weighted_majority_vote(votes[:, top], np.ones((len(X), len(top))), L), top
 
-    order, _ = nearest_neighbors(X, dsel.features, k)       # (Nq, k)
+    if neighbors is None:
+        neighbors, _ = nearest_neighbors(X, dsel.features, k)
+    elif np.shape(neighbors) != (len(X), k):
+        raise ValueError(f"neighbors of shape {np.shape(neighbors)}, expected {(len(X), k)}")
+    order = np.asarray(neighbors)                           # (Nq, k)
     local = correct[:, order]                               # (M, Nq, k)
     queries = np.arange(len(X))
     if method == "ola":

@@ -29,6 +29,7 @@ from .engine import DesModel, classify_batch, oracle_accuracy
 from .metaclassifier import MetaClassifier, train_meta
 from .metafeatures import FeatureLayout, MetaFeatureExtractor
 from .pool import ClassifierPool, bagging
+from .regions import nearest_neighbors
 
 __all__ = [
     "PoolConfig",
@@ -149,6 +150,18 @@ class ExperimentConfig:
         for name, ok, rule in checks:
             if not ok:
                 raise ValueError(f"config key {name} must be {rule}")
+        known = ", ".join(ALL_METHODS)
+        if not self.methods:
+            raise ValueError(f"config key methods is empty; expected one of {known}")
+        for j, method in enumerate(self.methods):
+            if method not in ALL_METHODS:
+                raise ValueError(f"config key methods: unknown method {method!r}; "
+                                 f"expected one of {known}")
+            if method in self.methods[:j]:
+                raise ValueError(f"config key methods names {method!r} twice")
+        if self.reference_method not in ALL_METHODS:
+            raise ValueError(f"config key reference_method: unknown method "
+                             f"{self.reference_method!r}; expected one of {known}")
         self.bpso.validate()
 
 
@@ -299,9 +312,17 @@ def _load_splits(config: ExperimentConfig, replication: int):
 
 
 def evaluate_methods(model: DesModel, test: Dataset, methods, k: int):
-    """Accuracy of each requested method on the raw test split."""
+    """Accuracy of each requested method on the raw test split.
+
+    The baselines share the pool's labels on the reference set (the
+    extractor's) and one k-nearest-neighbour search of the test split."""
     X = model.prepare(test.features)
     test_scaled = Dataset(X, test.labels, test.class_count)
+    shared = {}
+    if any(m in engine.BASELINE_METHODS for m in methods):
+        shared["dsel_pred_labels"] = model.extractor.dsel_pred_labels
+    if any(m in engine.NEIGHBORHOOD_METHODS for m in methods) and k <= len(model.dsel):
+        shared["neighbors"], _ = nearest_neighbors(X, model.dsel.features, k)
     accuracies = {}
     for method in methods:
         if method == FRAMEWORK_METHOD:
@@ -311,7 +332,7 @@ def evaluate_methods(model: DesModel, test: Dataset, methods, k: int):
             accuracies[method] = oracle_accuracy(model.pool, test_scaled)
         else:
             pred, _ = engine.baseline_predict_batch(method, model.pool, model.dsel,
-                                                    X, k=k)
+                                                    X, k=k, **shared)
             accuracies[method] = float((pred == test.labels).mean())
     return accuracies
 

@@ -10,10 +10,13 @@ Layout (D = K*8 + Kp + 6 scalars per pair)::
 Per-neighbor criteria depend only on (classifier, reference row), so they are
 precomputed once per reference set as (M, N) tables; extraction then reduces
 to gathers along neighbor indices. A mask limits extraction to the families
-and neighbor positions it selects (the other columns read 0.0). Supports are clamped to
-[1e-12, 1 - 1e-10] inside logarithm and ratio expressions, keeping the
-analytic identities (zero entropy for one-hot supports, zero divergence for
-uniform ones) accurate to well below 1e-9.
+and neighbor positions it selects (the other columns read 0.0). Given a
+linear selector's weights, extraction returns each pair's weighted sum over
+the mask's columns instead of the vectors, built family by family from the
+same gathers, so no (queries, members, D) block is allocated. Supports are
+clamped to [1e-12, 1 - 1e-10] inside logarithm and ratio expressions, keeping
+the analytic identities (zero entropy for one-hot supports, zero divergence
+for uniform ones) accurate to well below 1e-9.
 """
 
 from __future__ import annotations
@@ -240,7 +243,7 @@ class MetaFeatureExtractor:
 
     # -- batch extraction ---------------------------------------------------
 
-    def extract_batch(self, X, y=None, self_indices=None, mask=None):
+    def extract_batch(self, X, y=None, self_indices=None, mask=None, weights=None):
         """Vectorized extraction for a batch of queries.
 
         Returns ``(features, meta_labels, pred_labels)`` with shapes
@@ -250,6 +253,13 @@ class MetaFeatureExtractor:
         (D,) selects the columns to compute (default: all of them); the
         others are 0.0, and neither a family nor a neighborhood that no
         selected column reads is computed.
+
+        With ``weights`` (D,), ``features`` is instead the (Nq, M) sum over
+        the mask's columns of ``weights[j] * v[j]``, the decision of a linear
+        selector without its bias. Each family adds its share as it is
+        gathered (a K-wide family contracted in its (M, Nq, c) gather order,
+        a scalar family as one scaled add), so the sum equals
+        ``features @ weights`` of the tensor up to summation order.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         layout, dsel = self.layout, self.dsel
@@ -259,6 +269,10 @@ class MetaFeatureExtractor:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (layout.size,):
             raise ValueError(f"mask of shape {mask.shape} for {layout.size} features")
+        if weights is not None:
+            weights = np.asarray(weights, dtype=float)
+            if weights.shape != (layout.size,):
+                raise ValueError(f"weights of shape {weights.shape} for {layout.size} features")
         if self_indices is not None:
             self_indices = np.atleast_1d(np.asarray(self_indices, dtype=int))
             if (self_indices < 0).any():
@@ -267,8 +281,8 @@ class MetaFeatureExtractor:
         # a slice when they are contiguous (a strided copy, twice as fast as
         # an index array's scatter)
         cols, dest = {}, {}
-        for name, start, _ in layout.segments:
-            at = np.flatnonzero(mask[layout.slice_of(name)])
+        for name, start, width in layout.segments:
+            at = np.flatnonzero(mask[start:start + width])
             if at.size:
                 cols[name] = at
                 dest[name] = (slice(start + at[0], start + at[-1] + 1)
@@ -278,11 +292,25 @@ class MetaFeatureExtractor:
         pred_labels, q_supports = self.pool.predict_batch(X)
         M, nq = pred_labels.shape
         assigned = pred_labels.T                              # (Nq, M)
-        feats = np.zeros((nq, M, layout.size))
 
-        def put(name, values):
-            # values (Nq, M) for a scalar family, (Nq, M, c) for its selected positions
-            feats[:, :, dest[name]] = values[:, :, None] if values.ndim == 2 else values
+        # values: (Nq, M) for a scalar family, (M, Nq, c) for the selected
+        # positions of a K-wide family
+        if weights is None:
+            out = np.zeros((nq, M, layout.size))
+
+            def put(name, values):
+                out[:, :, dest[name]] = (values[:, :, None] if values.ndim == 2
+                                         else values.transpose(1, 0, 2))
+        else:
+            out = np.zeros((nq, M))
+
+            def put(name, values):
+                w = weights[dest[name]]
+                # a gather lays its (M, Nq, c) values out member-fastest: as
+                # (Nq, c, M) stacks they are contracted in place, where a
+                # reshape would copy them
+                share = w[0] * values if values.ndim == 2 else w @ values.transpose(1, 2, 0)
+                np.add(out, share, out=out)
 
         if used & {*_REGION_TABLES, "overall", "cond", "rank"}:
             # the region of competence is the first K rows by distance; the
@@ -293,7 +321,7 @@ class MetaFeatureExtractor:
             theta = order[:, :k]
             for name, table in _REGION_TABLES.items():
                 if name in used:
-                    put(name, getattr(self, table)[:, theta[:, cols[name]]].transpose(1, 0, 2))
+                    put(name, getattr(self, table)[:, theta[:, cols[name]]])
             if "overall" in used:
                 put("overall", self.dsel_correct[:, theta].mean(axis=2).T)
             if "cond" in used:
@@ -319,13 +347,13 @@ class MetaFeatureExtractor:
             phi, _ = nearest_neighbors(profiles, self.dsel_profiles, kp, exclude=self_indices)
             corr_phi = self.dsel_correct[:, phi]              # (M, Nq, Kp)
             if "op" in used:
-                put("op", corr_phi[:, :, cols["op"]].transpose(1, 0, 2))
+                put("op", corr_phi[:, :, cols["op"]])
             if "rank_op" in used:
                 put("rank_op", np.where(corr_phi.all(axis=2), kp,
                                         (~corr_phi).argmax(axis=2)).T)
 
         metas = None if y is None else (assigned == np.asarray(y)[:, None]).astype(int)
-        return feats, metas, pred_labels
+        return out, metas, pred_labels
 
     def build_meta_dataset(self, X, y, self_indices=None, sample_ids=None) -> MetaDataset:
         """All (sample, classifier) rows for labeled queries, sample-major."""

@@ -200,6 +200,30 @@ class TestBenchmark:
         for method in ("meta_des_oracle", "single_best", "oracle"):
             assert method in body
 
+    @pytest.mark.parametrize("args,overrides,message", [
+        (["--methods", "ola,nope"], {}, "unknown method 'nope'"),
+        (["--methods", "ola,lca,ola"], {}, "names 'ola' twice"),
+        ([], {"methods": []}, "methods is empty"),
+        ([], {"reference_method": "bogus"}, "unknown method 'bogus'"),
+    ], ids=["unknown", "repeated", "empty", "reference"])
+    def test_bad_method_names_are_an_error_line_before_any_work(self, tmp_path, capsys,
+                                                                 monkeypatch, args,
+                                                                 overrides, message):
+        calls = []
+        monkeypatch.setattr("metasel.experiment.bagging",
+                            lambda *a, **kw: calls.append(a))
+        out_dir = tmp_path / "report"
+        rc = main(["benchmark", "--config", str(small_config(tmp_path, **overrides)),
+                   "--out-dir", str(out_dir), *args])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1 and len(err) == 1 and err[0].startswith("error: ")
+        assert message in err[0]
+        if "twice" not in message:
+            # the message lists every known method, the framework's and the oracle
+            assert "expected one of meta_des_oracle, ola," in err[0]
+            assert err[0].endswith("majority_vote, oracle")
+        assert calls == [] and not out_dir.exists()
+
     def test_byte_identical_over_reruns(self, tmp_path):
         cfg = small_config(tmp_path)
         a, b = tmp_path / "ra", tmp_path / "rb"

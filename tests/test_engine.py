@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metasel import engine
+from metasel import engine, experiment
+from metasel.bpso import BpsoConfig
 from metasel.data import Dataset, generate_p2, scale_minmax
 from metasel.engine import (BASELINE_METHODS, DesModel, baseline_predict_batch,
                             classify, classify_batch, consensus_keep, oracle_accuracy,
@@ -14,6 +15,7 @@ from metasel.metaclassifier import MetaClassifier, train_meta
 from metasel.experiment import evaluate_methods
 from metasel.metafeatures import MetaFeatureExtractor, apply_mask
 from metasel.pool import ClassifierPool, bagging
+from metasel.regions import nearest_neighbors
 
 
 class TableMember:
@@ -46,30 +48,18 @@ class TablePool:
         return np.stack([m.boundary_distance(X) for m in self.members])
 
 
-class ScriptedMeta:
-    """Competence stub: hands back a fixed per-classifier value cycle."""
-
-    def __init__(self, deltas):
-        self.deltas = np.asarray(deltas, dtype=float)
-        self.input_dim = None
-
-    def competence_batch(self, rows):
-        reps = int(np.ceil(len(rows) / len(self.deltas)))
-        return np.tile(self.deltas, reps)[: len(rows)]
+def scripted_classify(member_tables, deltas, X, threshold=0.5):
+    """``classify_batch``'s step after the competences, for a scripted pool
+    whose members hand back a fixed per-classifier competence cycle."""
+    pool = TablePool([TableMember(t) for t in member_tables])
+    pred_labels, _ = pool.predict_batch(np.atleast_2d(X))
+    delta = np.resize(np.asarray(deltas, dtype=float), pred_labels.T.shape)
+    return engine._select_and_vote(delta, pred_labels, threshold, pool.class_count)
 
 
-def scripted_model(member_tables, deltas, dsel_labels, threshold=0.5):
-    members = [TableMember(t) for t in member_tables]
-    pool = TablePool(members)
-    n = len(dsel_labels)
-    dsel = Dataset(np.arange(n, dtype=float).reshape(-1, 1),
-                   np.asarray(dsel_labels), max(2, int(max(dsel_labels)) + 1))
-    k = min(7, n)
-    kp = min(5, n)
-    model = DesModel(pool=pool, meta=ScriptedMeta(deltas),
-                     mask=np.ones(8 * k + kp + 6, dtype=bool), scale=None,
-                     dsel=dsel, k=k, kp=kp, selection_threshold=threshold)
-    return model
+def scripted_classify_one(member_tables, deltas, x, threshold=0.5):
+    labels, diags = scripted_classify(member_tables, deltas, np.atleast_2d(x), threshold)
+    return int(labels[0]), diags[0]
 
 
 def predict_one(method, pool, dsel, x, k=7):
@@ -134,16 +124,14 @@ class TestWeightedMajorityVote:
 class TestClassify:
     def test_single_member_pool(self):
         tables = [{i: (0.9, 0.1) for i in range(-1, 6)}]
-        model = scripted_model(tables, [0.8], [0, 1, 0, 1, 0, 1])
-        label, diag = classify(model, [2.0])
+        label, diag = scripted_classify_one(tables, [0.8], [2.0])
         assert label == 0 and not diag.fallback
         assert diag.selected.tolist() == [0]
 
     def test_fallback_to_max_delta(self):
         tables = [{i: (0.9, 0.1) for i in range(-1, 6)},
                   {i: (0.2, 0.8) for i in range(-1, 6)}]
-        model = scripted_model(tables, [0.3, 0.4], [0, 1, 0, 1, 0, 1])
-        label, diag = classify(model, [2.0])
+        label, diag = scripted_classify_one(tables, [0.3, 0.4], [2.0])
         assert diag.fallback
         assert label == 1  # member 1 has the larger competence
 
@@ -151,8 +139,7 @@ class TestClassify:
         tables = [{i: (0.9, 0.1) for i in range(-1, 6)},   # votes class 0
                   {i: (0.1, 0.9) for i in range(-1, 6)},   # votes class 1
                   {i: (0.2, 0.8) for i in range(-1, 6)}]   # votes class 1
-        model = scripted_model(tables, [0.9, 0.6, 0.55], [0, 1, 0, 1, 0, 1])
-        label, diag = classify(model, [2.0])
+        label, diag = scripted_classify_one(tables, [0.9, 0.6, 0.55], [2.0])
         assert label == 1  # 0.6 + 0.55 outweighs 0.9
         assert diag.selected.tolist() == [0, 1, 2]
 
@@ -170,17 +157,17 @@ class TestClassify:
         # member i votes (x + i) % 3 at x, so the winner differs across queries
         tables = [{x: np.eye(3)[(x + i) % 3] * 0.8 + 0.1 for x in range(-1, 9)}
                   for i in (0, 1, 1, 2)]
-        model = scripted_model(tables, [0.0], [0, 1, 2, 0, 1, 2], threshold=0.0)
         X = np.arange(6, dtype=float)[:, None]
-        labels, diags = classify_batch(model, X)
-        mv, _ = baseline_predict_batch("majority_vote", model.pool, model.dsel, X, k=model.k)
+        labels, diags = scripted_classify(tables, [0.0], X, threshold=0.0)
+        pool = TablePool([TableMember(t) for t in tables])
+        dsel = Dataset(X, np.array([0, 1, 2, 0, 1, 2]), 3)
+        mv, _ = baseline_predict_batch("majority_vote", pool, dsel, X, k=6)
         assert labels.tolist() == mv.tolist()
         assert all(not d.fallback and d.selected.tolist() == [0, 1, 2, 3] for d in diags)
 
     def test_diagnostics_carry_competences(self):
         tables = [{i: (0.9, 0.1) for i in range(-1, 6)}] * 3
-        model = scripted_model(tables, [0.9, 0.6, 0.55], [0, 1, 0, 1, 0, 1])
-        _, diag = classify(model, [2.0])
+        _, diag = scripted_classify_one(tables, [0.9, 0.6, 0.55], [2.0])
         assert np.allclose(diag.competences, [0.9, 0.6, 0.55])
 
     def test_empty_batch(self):
@@ -283,17 +270,6 @@ def p2_meta_rows():
     return pool, dsel, test, meta.rows, meta.labels
 
 
-class MaskedRowsMeta:
-    """The masked-copy path: a selector fitted on the mask's columns alone,
-    scoring the mask's columns of each row."""
-
-    def __init__(self, model, mask):
-        self.model, self.mask = model, mask
-
-    def competence_batch(self, rows):
-        return self.model.competence_batch(apply_mask(rows, self.mask))
-
-
 class TestFullWidthSelector:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -305,23 +281,48 @@ class TestFullWidthSelector:
         mask[rng.integers(len(mask))] = True
         full = DesModel(pool=pool, meta=train_meta(rows, labels).masked(mask), mask=mask,
                         scale=None, dsel=dsel, selection_threshold=threshold)
-        masked = DesModel(pool=pool, meta=MaskedRowsMeta(train_meta(apply_mask(rows, mask), labels), mask),
-                          mask=mask, scale=None, dsel=dsel, selection_threshold=threshold,
-                          _extractor=full.extractor)
         got, got_diags = classify_batch(full, test.features)
-        want, want_diags = classify_batch(masked, test.features)
+        # the masked-copy path: a selector fitted on the mask's columns alone,
+        # scoring the mask's columns of each row
+        feats, _, pred_labels = full.extractor.extract_batch(test.features)
+        delta = (train_meta(apply_mask(rows, mask), labels)
+                 .competence_batch(apply_mask(feats.reshape(-1, len(mask)), mask))
+                 .reshape(len(test), len(pool)))
+        want, want_diags = engine._select_and_vote(delta, pred_labels, threshold,
+                                                   pool.class_count)
         assert np.array_equal(got, want)
         # the two decisions sum the same terms and bias in other orders, so
         # they differ by at most twice the summation error bound
         # (p + 1) eps (|b| + sum|w_j x_j|), the competences by a quarter of
         # that (the sigmoid's slope)
-        feats, _, _ = full.extractor.extract_batch(test.features)
         terms = np.abs(feats[:, :, mask] * full.meta.weights[mask]).sum(axis=2)
         bound = 0.5 * (mask.sum() + 1) * np.finfo(float).eps * (abs(full.meta.bias) + terms)
         for g, w, b in zip(got_diags, want_diags, bound):
             assert g.fallback == w.fallback
             assert np.array_equal(g.selected, w.selected)
             assert (np.abs(g.competences - w.competences) <= b).all()
+
+
+class TestFamilyScoring:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_p2_pool_100_decisions_equal_the_tensor_path(self, seed):
+        # P2 at the paper's sizes, pool 100, a mask from a one-generation search
+        config = experiment.ExperimentConfig(
+            pool=experiment.PoolConfig(size=100),
+            bpso=BpsoConfig(runs=1, swarm_size=4, max_generations=1, stall_limit=1))
+        train, meta, dsel, test = [generate_p2(n, [seed, stage]) for stage, n
+                                   in enumerate((500, 500, 500, 2000), start=1)]
+        model, _, _ = experiment.train_des(train, meta, dsel, config, base_seed_parts=(seed,))
+        got, got_diags = classify_batch(model, test.features)
+        feats, _, pred_labels = model.extractor.extract_batch(model.prepare(test.features),
+                                                              mask=model.mask)
+        delta = model.meta.competence_batch(feats.reshape(-1, len(model.mask)))
+        want, want_diags = engine._select_and_vote(delta.reshape(len(test), -1), pred_labels,
+                                                   model.selection_threshold, 2)
+        assert np.array_equal(got, want)
+        for g, w in zip(got_diags, want_diags, strict=True):
+            assert g.fallback == w.fallback
+            assert np.array_equal(g.selected, w.selected)
 
 
 class TestConsensus:
@@ -483,6 +484,57 @@ class TestBaselines:
                 nbrs = np.argsort(d2, kind="stable")[:k].tolist()
                 want = brute_baselines(method, pl_dsel, pl_query[:, j], dsel.labels, nbrs, L)
                 assert got[j] == want, (method, j)
+
+
+class TestSharedBaselineInputs:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 20), m=st.integers(1, 6), L=st.integers(2, 3),
+           nq=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_given_inputs_change_no_label_or_choice(self, n, m, L, nq, seed):
+        rng = np.random.default_rng(seed)
+        dsel = Dataset(rng.integers(0, 3, (n, 2)).astype(float), rng.integers(0, L, n), L)
+        pool = ClassifierPool(rng.normal(size=(m, L, 3)), np.ones(m))
+        X = rng.integers(0, 3, (nq, 2)).astype(float)
+        k = int(rng.integers(1, n + 1))
+        dsel_pred_labels, _ = pool.predict_batch(dsel.features)
+        neighbors, _ = nearest_neighbors(X, dsel.features, k)
+        for method in BASELINE_METHODS:
+            want, want_choice = baseline_predict_batch(method, pool, dsel, X, k=k)
+            got, got_choice = baseline_predict_batch(method, pool, dsel, X, k=k,
+                                                     dsel_pred_labels=dsel_pred_labels,
+                                                     neighbors=neighbors)
+            assert np.array_equal(got, want), method
+            assert np.array_equal(np.asarray(got_choice), np.asarray(want_choice)), method
+
+    def test_shapes_checked(self):
+        pool, dsel, test = p2_setup(2, m=3)
+        with pytest.raises(ValueError, match="dsel_pred_labels of shape"):
+            baseline_predict_batch("ola", pool, dsel, test.features,
+                                   dsel_pred_labels=np.zeros((2, len(dsel)), dtype=int))
+        with pytest.raises(ValueError, match="neighbors of shape"):
+            baseline_predict_batch("ola", pool, dsel, test.features, k=3,
+                                   neighbors=np.zeros((len(test), 4), dtype=int))
+
+    def test_evaluation_searches_and_labels_the_reference_set_once(self, monkeypatch):
+        pool, dsel, test = p2_setup(2, m=4)
+        model = DesModel(pool=pool, meta=MetaClassifier(np.zeros(67), 0.0),
+                         mask=np.ones(67, dtype=bool), scale=None, dsel=dsel)
+        model.extractor                               # tables built before counting
+        want = {m: float((baseline_predict_batch(m, pool, dsel, test.features)[0]
+                          == test.labels).mean()) for m in BASELINE_METHODS}
+        searches, labelled = [], []
+        monkeypatch.setattr("metasel.experiment.nearest_neighbors",
+                            lambda *a, **kw: searches.append(a[2]) or nearest_neighbors(*a, **kw))
+        monkeypatch.setattr("metasel.engine.nearest_neighbors",
+                            lambda *a, **kw: pytest.fail("a baseline searched again"))
+        original = ClassifierPool.predict_batch
+        monkeypatch.setattr(ClassifierPool, "predict_batch",
+                            lambda self, X: labelled.append(len(X)) or original(self, X))
+        got = evaluate_methods(model, test, BASELINE_METHODS, k=7)
+        assert got == want
+        assert searches == [7]
+        # one labelling of the test split per method, none of the reference set
+        assert labelled == [len(test)] * len(BASELINE_METHODS)
 
 
 class TestOracleAccuracy:

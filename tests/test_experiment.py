@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,28 @@ class TestConfig:
         with pytest.raises(ValueError, match=key.replace(".", r"\.") + " must be"):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("raw,message", [
+        ({"methods": []}, "methods is empty; expected one of meta_des_oracle, ola"),
+        ({"methods": ["ola", "nope"]}, "unknown method 'nope'; expected one of meta_des_oracle, "),
+        ({"methods": ["ola", "lca", "ola"]}, "methods names 'ola' twice"),
+        ({"reference_method": "bogus"}, "unknown method 'bogus'; expected one of meta_des_oracle, "),
+    ], ids=["empty", "unknown", "repeated", "reference"])
+    def test_method_names_checked(self, raw, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig.from_dict(raw)
+        cfg = ExperimentConfig()
+        for key, value in raw.items():
+            setattr(cfg, key, tuple(value) if key == "methods" else value)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cfg.validate()
+
+    def test_known_methods_accepted(self):
+        cfg = ExperimentConfig.from_dict({"methods": ["oracle", "ola"],
+                                          "reference_method": "ola"})
+        assert cfg.methods == ("oracle", "ola") and cfg.reference_method == "ola"
+        # the reference need not be among the methods (no win-tie-loss then)
+        assert ExperimentConfig.from_dict({"methods": ["ola"]}).reference_method == FRAMEWORK_METHOD
+
     def test_range_limits_accepted(self):
         cfg = ExperimentConfig.from_dict({
             "k": 1, "kp": 1, "consensus_threshold": 1, "selection_threshold": 0,
@@ -174,12 +197,15 @@ class TestRunExperiment:
         assert report.masks.shape[1] == 67
 
     def test_identical_methods_tie(self):
+        # a method may be named once, so the tie is checked on a copied column
         cfg = small_p2_config()
         cfg.methods = (FRAMEWORK_METHOD, "single_best", "single_best")
-        report = run_experiment(cfg)
-        col = report.methods.index("single_best")
-        assert report.accuracies[0, 1] == report.accuracies[0, 2]
-        assert report.avg_rank["single_best"] == report.avg_rank["single_best"]
+        with pytest.raises(ValueError, match="names 'single_best' twice"):
+            run_experiment(cfg)
+        cfg.methods = (FRAMEWORK_METHOD, "single_best")
+        acc = run_experiment(cfg).accuracies
+        avg, ranks = _mean_ranks(np.column_stack([acc, acc[:, 1]]))
+        assert avg[1] == avg[2] and np.array_equal(ranks[:, 1], ranks[:, 2])
 
     def test_rank_identity(self):
         report = run_experiment(small_p2_config(replications=2))

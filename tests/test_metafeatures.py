@@ -389,6 +389,40 @@ class TestMaskedExtraction:
         assert full.tobytes() == ref.tobytes()
         assert np.array_equal(metas, ref_metas) and np.array_equal(pred, ref_pred)
 
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(6, 70), m=st.integers(1, 5), L=st.integers(2, 3),
+           d=st.integers(1, 3), k=st.integers(1, 5), kp=st.integers(1, 5),
+           distinct=st.integers(1, 70), self_excl=st.booleans(), nq=st.integers(1, 12),
+           kind=st.sampled_from(["random", "family", "rank", "all", "none"]),
+           prefix=st.sampled_from([1, 2, 5, 128]), seed=st.integers(0, 2**32 - 1))
+    def test_weighted_sum_equals_tensor_product(self, n, m, L, d, k, kp, distinct,
+                                                self_excl, nq, kind, prefix, seed):
+        rng = np.random.default_rng(seed)
+        k, kp = min(k, n - 1), min(kp, n - 1)
+        base = np.round(rng.normal(size=(min(distinct, n), d)), 1)
+        features = base[rng.integers(0, len(base), size=n)]
+        pool = ClassifierPool(rng.normal(size=(m, L, d + 1)), rng.uniform(0.5, 2.0, size=m))
+        ex = MetaFeatureExtractor(pool, Dataset(features, rng.integers(0, L, size=n), L),
+                                  k=k, kp=kp)
+        mask = draw_mask(ex.layout, kind, rng)
+        # weights of mixed sign and scale, some exactly zero
+        weights = rng.normal(size=ex.layout.size) * 10.0 ** rng.integers(-3, 4, ex.layout.size)
+        weights[rng.random(ex.layout.size) < 0.1] = 0.0
+        self_indices = rng.integers(0, n, size=nq) if self_excl else None
+        X = features[self_indices] if self_excl else np.round(rng.normal(size=(nq, d)), 1)
+        y = rng.integers(0, L, size=nq)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metafeatures, "_RANK_WIDTH", prefix)
+            feats, metas, pred = ex.extract_batch(X, y, self_indices=self_indices, mask=mask)
+            got, got_metas, got_pred = ex.extract_batch(X, y, self_indices=self_indices,
+                                                        mask=mask, weights=weights)
+        assert got.shape == (nq, m)
+        assert np.array_equal(got_pred, pred) and np.array_equal(got_metas, metas)
+        # both sums hold the same p products in other orders
+        bound = ((mask.sum() + 1) * np.finfo(float).eps
+                 * np.abs(feats * weights).sum(axis=2))
+        assert (np.abs(got - feats @ weights) <= bound).all()
+
     def test_rank_widens_past_the_first_prefix(self, monkeypatch):
         # one member errs only on the farthest row, the other on no row: the
         # first needs every prefix up to N, the second none
@@ -422,6 +456,8 @@ class TestMaskedExtraction:
         ex = MetaFeatureExtractor(pool, line_dsel([0, 1, 0, 1, 0, 1, 0]), k=3, kp=3)
         with pytest.raises(ValueError, match="mask of shape"):
             ex.extract_batch(np.zeros((1, 1)), mask=np.ones(5, dtype=bool))
+        with pytest.raises(ValueError, match="weights of shape"):
+            ex.extract_batch(np.zeros((1, 1)), weights=np.ones(5))
 
 
 class TestRrcCompetence:
