@@ -9,18 +9,23 @@ Layout (D = K*8 + Kp + 6 scalars per pair)::
 
 Per-neighbor criteria depend only on (classifier, reference row), so they are
 precomputed once per reference set as (M, N) tables; extraction then reduces
-to gathers along neighbor indices. A mask limits extraction to the families
-and neighbor positions it selects (the other columns read 0.0). Given a
-linear selector's weights, extraction returns each pair's weighted sum over
-the mask's columns instead of the vectors, built family by family from the
-same gathers, so no (queries, members, D) block is allocated. Supports are
-clamped to [1e-12, 1 - 1e-10] inside logarithm and ratio expressions, keeping
-the analytic identities (zero entropy for one-hot supports, zero divergence
-for uniform ones) accurate to well below 1e-9.
+to gathers along neighbor indices. The randomized-reference table (``prc``)
+takes a quadrature per pair for more than two classes; a two-class support
+vector is read as (s_c, 1 - s_c), and its value is looked up in an
+interpolant of that quadrature in logit(s_c), built once per process. A mask
+limits extraction to the families and neighbor positions it selects (the
+other columns read 0.0). Given a linear selector's weights, extraction
+returns each pair's weighted sum over the mask's columns instead of the
+vectors, built family by family from the same gathers, so no (queries,
+members, D) block is allocated. Supports are clamped to [1e-12, 1 - 1e-10]
+inside logarithm and ratio expressions, keeping the analytic identities
+(zero entropy for one-hot supports, zero divergence for uniform ones)
+accurate to well below 1e-9.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,11 +53,15 @@ _RANK_CHUNK = 8
 # reference rows by distance the rank scan first asks for per query; a query
 # with a pair still open past them asks again at twice the width
 _RANK_WIDTH = 128
-# randomized reference classifier: Beta concentration, logit-space grid, and
-# the (pair, class, grid point) values the quadrature holds at once
+# randomized reference classifier: support clip, Beta concentration,
+# logit-space grid, the (pair, class, grid point) values the quadrature (and
+# the pairs the two-class interpolant) holds at once, and the interpolant's
+# node count
+_RRC_CLIP = 1e-6
 _RRC_CONCENTRATION = 10.0
 _RRC_GRID = np.linspace(-20.0, 20.0, 121)
 _RRC_BLOCK = 1 << 14
+_RRC_NODES = 4097
 
 SET_NAMES = ("hard", "prob", "overall", "cond", "conf", "amb",
              "log", "prc", "md", "ent", "exp", "kl", "op", "rank", "rank_op")
@@ -138,17 +147,80 @@ def rrc_competence(supports, correct_class):
     and P(c wins) = integral of f_c(t) prod_{j != c} F_j(t) dt.
 
     ``supports`` is (..., L); ``correct_class`` broadcasts against its leading
-    axes, which shape the result (a scalar for one vector). The integral is a
+    axes, which shape the result (a scalar for one vector). A class outside
+    [0, L) is a ValueError.
+
+    A two-class vector is read as (s_c, 1 - s_c), as ``ClassifierPool``
+    produces it: only the correct class's support s_c is read, and the value
+    is a cubic Hermite interpolant in logit(s_c) whose ``_RRC_NODES`` nodes
+    ``_rrc_quadrature`` computes once per process (within 1e-9 of it on the
+    whole clip range). A NaN s_c gives NaN. With more classes every vector
+    is one quadrature.
+    """
+    s = np.asarray(supports, dtype=float)
+    shape, L = s.shape[:-1], s.shape[-1]
+    c = np.broadcast_to(np.asarray(correct_class, dtype=int), shape)
+    if ((c < 0) | (c >= L)).any():
+        raise ValueError(f"correct class outside [0, {L})")
+    if L != 2:
+        return _rrc_quadrature(s.reshape(-1, L), c.reshape(-1)).reshape(shape)[()]
+    out = np.where(c == 0, s[..., 0], s[..., 1])
+    lo, step, coef = _rrc_table()
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _RRC_BLOCK):
+        u = np.clip(flat[start:start + _RRC_BLOCK], _RRC_CLIP, 1.0 - _RRC_CLIP)
+        u /= 1.0 - u
+        np.log(u, out=u)
+        u -= lo
+        u /= step
+        np.clip(u, 0.0, _RRC_NODES - 1.0, out=u)
+        i = np.minimum(np.floor(u), _RRC_NODES - 2.0)
+        u -= i
+        # a NaN support keeps t = u NaN, so the interval it reads is moot
+        v = coef[:, np.nan_to_num(i, copy=False).astype(np.intp)]
+        acc = v[3]
+        for j in (2, 1, 0):
+            acc *= u
+            acc += v[j]
+        flat[start:start + _RRC_BLOCK] = acc
+    return out[()]
+
+
+@functools.cache
+def _rrc_table():
+    """The two-class interpolant of ``rrc_competence``: the first node's
+    logit, the node spacing and the (4, nodes - 1) cubic coefficients of
+    each interval in t = (x - node) / spacing, built on first use. Node i
+    sits at x_i = logit(1e-6) + i * spacing, up to logit(1 - 1e-6); its
+    value is the quadrature's at (sigmoid(x_i), 1 - sigmoid(x_i)), and its
+    slope per node comes from fourth-order differences of the values
+    (central inside, one-sided at the two end nodes of each side)."""
+    lo = np.log(_RRC_CLIP / (1.0 - _RRC_CLIP))
+    hi = np.log((1.0 - _RRC_CLIP) / _RRC_CLIP)
+    step = (hi - lo) / (_RRC_NODES - 1)
+    s = 1.0 / (1.0 + np.exp(-(lo + step * np.arange(_RRC_NODES))))
+    f = _rrc_quadrature(np.stack([s, 1.0 - s], axis=1), np.zeros(_RRC_NODES, dtype=int))
+    ends = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, -6.0, 1.0]]) / 12.0
+    m = np.empty_like(f)
+    m[2:-2] = (f[:-4] - f[4:] + 8.0 * (f[3:-1] - f[1:-3])) / 12.0
+    m[:2] = ends @ f[:5]
+    m[:-3:-1] = -(ends @ f[:-6:-1])
+    df = np.diff(f)
+    coef = np.stack([f[:-1], m[:-1], 3.0 * df - 2.0 * m[:-1] - m[1:], m[:-1] + m[1:] - 2.0 * df])
+    coef.setflags(write=False)       # shared by every caller in the process
+    return lo, step, coef
+
+
+def _rrc_quadrature(s, c):
+    """``rrc_competence`` of (P, L) supports and their (P,) classes by
     quadrature in z = logit(t), where the Beta(a, b) density is
     g = sigma(z)^a sigma(-z)^b / B(a, b) and g' = g (a - 10 t): each CDF is a
     cumulative trapezoid with Euler-Maclaurin corrections up to g''' plus the
     tail masses t0^a / a and (1 - t1)^b / b off the grid, normalised by the
     total mass; the outer trapezoid gets its g' end correction and both tails.
     """
-    s = np.clip(np.asarray(supports, dtype=float), 1e-6, 1.0 - 1e-6)
-    shape, L = s.shape[:-1], s.shape[-1]
-    s = s.reshape(-1, L, 1)
-    c = np.broadcast_to(np.asarray(correct_class, dtype=int), shape).reshape(-1)
+    s = np.clip(s, _RRC_CLIP, 1.0 - _RRC_CLIP)[:, :, None]
+    L = s.shape[1]
     conc, z = _RRC_CONCENTRATION, _RRC_GRID
     dz = z[1] - z[0]
     log_t, log_1mt = -np.logaddexp(0.0, -z), -np.logaddexp(0.0, z)
@@ -185,7 +257,7 @@ def rrc_competence(supports, correct_class):
         out[start:start + step] = (dz * (h.sum(axis=1) - 0.5 * (h[:, 0] + h[:, -1]))
                                    - dz ** 2 / 12 * (dh[:, 1] - dh[:, 0])
                                    + lo_c * others[:, 0] + hi_c * others[:, -1])
-    return out.reshape(shape)[()]
+    return out
 
 
 class MetaFeatureExtractor:
@@ -217,12 +289,13 @@ class MetaFeatureExtractor:
         M, L = len(pool), pool.class_count
         labels, supports = pool.predict_batch(dsel.features)
         self.dsel_pred_labels = labels                    # (M, N)
-        self.dsel_supports = supports                     # (M, N, L)
         self.dsel_correct = labels == dsel.labels[None, :]
         self.dsel_profiles = np.transpose(supports, (1, 0, 2)).reshape(len(dsel), -1)
 
-        clipped = np.clip(supports, SUPPORT_FLOOR, SUPPORT_CEIL)
-        self._clipped = clipped
+        self.t_prc = (rrc_competence(supports, dsel.labels[None, :]) if t_prc is None
+                      else t_prc)
+        # the tables below read the supports clipped, so they are clipped in place
+        clipped = self._clipped = np.clip(supports, SUPPORT_FLOOR, SUPPORT_CEIL, out=supports)
         true_idx = dsel.labels[None, :, None]
         slk = np.take_along_axis(clipped, np.broadcast_to(true_idx, (M, len(dsel), 1)), axis=2)[:, :, 0]
         self.t_prob = slk
@@ -234,8 +307,6 @@ class MetaFeatureExtractor:
         slk_safe = np.minimum(slk, SUPPORT_CEIL)
         self.t_exp = 1.0 - 2.0 ** (-((L - 1) * slk_safe / (1.0 - slk_safe)))
         self.t_kl = (clipped * np.log(clipped * L)).sum(axis=2)
-        self.t_prc = (rrc_competence(supports, dsel.labels[None, :]) if t_prc is None
-                      else t_prc)
 
         dists = pool.boundary_distances(dsel.features)    # (M, N)
         self.conf_min = dists.min(axis=1)
@@ -275,7 +346,7 @@ class MetaFeatureExtractor:
                 raise ValueError(f"weights of shape {weights.shape} for {layout.size} features")
         if self_indices is not None:
             self_indices = np.atleast_1d(np.asarray(self_indices, dtype=int))
-            if (self_indices < 0).any():
+            if ((self_indices < 0) | (self_indices >= len(dsel))).any():
                 raise ValueError("self_indices must name a reference row for every query")
         # selected positions within each family, and their feature columns:
         # a slice when they are contiguous (a strided copy, twice as fast as

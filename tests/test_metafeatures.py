@@ -459,6 +459,17 @@ class TestMaskedExtraction:
         with pytest.raises(ValueError, match="weights of shape"):
             ex.extract_batch(np.zeros((1, 1)), weights=np.ones(5))
 
+    @pytest.mark.parametrize("own", [[-1], [7], [0, 150]])
+    def test_self_indices_outside_the_reference_set_rejected(self, own):
+        pool = ClassifierPool(np.ones((1, 2, 2)), np.ones(1))
+        ex = MetaFeatureExtractor(pool, line_dsel([0, 1, 0, 1, 0, 1, 0]), k=3, kp=3)
+        X = np.zeros((len(own), 1))
+        with pytest.raises(ValueError, match="self_indices must name a reference row"):
+            ex.extract_batch(X, self_indices=own)
+        last = np.full(len(own), 6)
+        feats, _, _ = ex.extract_batch(X, self_indices=last)
+        assert feats.shape == (len(own), 1, ex.layout.size)
+
 
 class TestRrcCompetence:
     def test_uniform_two_class(self):
@@ -523,6 +534,103 @@ class TestRrcCompetence:
         for i in range(2):
             for j in range(rows):
                 assert table[i, j] == rrc_competence(supports[i, j], labels[j])
+
+
+def _node_support(i, frac):
+    """Support whose logit lies ``frac`` node spacings past node ``i`` of the
+    two-class RRC interpolant."""
+    lo, step, _ = metafeatures._rrc_table()
+    return float(1.0 / (1.0 + np.exp(-(lo + (i + frac) * step))))
+
+
+_CLIP = metafeatures._RRC_CLIP
+_LAST_NODE = metafeatures._RRC_NODES - 1
+# exact 0 and 1, subnormals, and the clip ends with their neighbouring doubles
+_EDGE_SUPPORTS = [0.0, 1.0, 5e-324, 2.0 ** -1040, 1e-300, _CLIP, 1.0 - _CLIP,
+                  *(float(np.nextafter(v, to)) for v in (_CLIP, 1.0 - _CLIP) for to in (0.0, 1.0)),
+                  float(np.nextafter(1.0, 0.0))]
+_two_class_support = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from(_EDGE_SUPPORTS),
+    # within two node spacings of the first and the last node
+    st.builds(_node_support, st.just(0), st.floats(-0.5, 2.0)),
+    st.builds(_node_support, st.just(_LAST_NODE), st.floats(-2.0, 0.5)))
+
+
+class TestTwoClassRrcTable:
+    """The two-class ``rrc_competence`` reads an interpolant built from
+    ``_rrc_quadrature``; these tests hold it to the quadrature."""
+
+    @staticmethod
+    def assert_near_quadrature(s):
+        pairs = np.stack([s, 1.0 - s], axis=1)
+        # (s_c, 1 - s_c) in both class orders
+        for supports, c in ((pairs, 0), (pairs[:, ::-1], 1)):
+            want = metafeatures._rrc_quadrature(supports, np.full(len(s), c))
+            got = rrc_competence(supports, c)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-9
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_two_class_support, min_size=1, max_size=30))
+    def test_table_matches_the_quadrature(self, values):
+        self.assert_near_quadrature(np.array(values))
+
+    def test_table_matches_the_quadrature_between_every_node(self):
+        # the middle of every interval, where a cubic Hermite interpolant
+        # strays furthest from its nodes, and one more fraction of each
+        lo, step, _ = metafeatures._rrc_table()
+        at = np.arange(_LAST_NODE) + np.array([0.5, np.random.default_rng(3).random()])[:, None]
+        self.assert_near_quadrature(1.0 / (1.0 + np.exp(-(lo + at.ravel() * step))))
+
+    def test_table_is_built_once(self, monkeypatch):
+        table = metafeatures._rrc_table()
+        assert table is metafeatures._rrc_table()
+        assert table[2].shape == (4, _LAST_NODE)
+
+        def no_quadrature(*args):
+            raise AssertionError("the two-class path ran the quadrature")
+
+        monkeypatch.setattr(metafeatures, "_rrc_quadrature", no_quadrature)
+        assert 0.0 < rrc_competence(np.array([[0.3, 0.7], [0.9, 0.1]]), [1, 0]).min() < 1.0
+
+    def test_values_stay_in_the_unit_interval(self):
+        s = np.linspace(0.0, 1.0, 100_001)
+        v = rrc_competence(np.stack([s, 1.0 - s], axis=1), 0)
+        assert v.min() >= 0.0 and v.max() <= 1.0
+        assert v[0] < 1e-15 and v[-1] > 1.0 - 1e-15
+
+    @pytest.mark.parametrize("supports, c", [
+        ([np.nan, 0.5], 0), ([0.5, np.nan], 1), ([np.nan, np.nan], 1),
+        ([np.nan, 0.2, 0.8], 0), ([0.2, np.nan, 0.3, 0.5], 1)])
+    def test_nan_support_gives_nan(self, supports, c):
+        assert np.isnan(rrc_competence(supports, c))
+        # alone in a batch: the other rows keep their values
+        batch = np.array([supports, np.eye(len(supports))[c] * 0.6 + 0.1])
+        got = rrc_competence(batch, c)
+        assert np.isnan(got[0]) and got[1] == rrc_competence(batch[1], c)
+
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_class_outside_range_rejected(self, L):
+        for bad in (-1, -L - 1, L, L + 4):
+            with pytest.raises(ValueError, match=rf"correct class outside \[0, {L}\)"):
+                rrc_competence(np.full(L, 1.0 / L), bad)
+            labels = np.zeros(4, dtype=int)
+            labels[2] = bad
+            with pytest.raises(ValueError, match="correct class outside"):
+                rrc_competence(np.full((4, L), 1.0 / L), labels)
+
+    @pytest.mark.parametrize("supports, c, value", [
+        ([0.2, 0.3, 0.5], 2, "0x1.98b61f482b895p-1"),
+        ([0.2, 0.3, 0.5], 0, "0x1.7c6ad0b1628a7p-5"),
+        ([0.4, 0.35, 0.25], 1, "0x1.64ab9a9ad0d72p-2"),
+        ([1e-9, 0.5, 0.5], 0, "0x1.3c0a240bb4fbcp-28"),
+        ([0.1, 0.2, 0.3, 0.4], 3, "0x1.3f132000c2ccbp-1"),
+        ([0.97, 0.01, 0.01, 0.01], 0, "0x1.fffffe26fd0b3p-1"),
+        ([0.25, 0.25, 0.25, 0.25], 1, "0x1.ffffe25c3e47dp-3")])
+    def test_more_classes_keep_the_quadrature_bytes(self, supports, c, value):
+        # values of the quadrature before the two-class table was added
+        assert float(rrc_competence(supports, c)).hex() == value
 
 
 class TestApplyMask:
