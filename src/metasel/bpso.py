@@ -125,7 +125,8 @@ class MaskEvaluator:
     selector a fit on those columns alone gives. Its weights are kept at
     full width, zero outside the mask, so a batch of masks is scored by one
     product of raw row blocks with the stacked weights; neither the training
-    rows nor a masked copy of the scored rows is kept.
+    rows nor a masked copy of the scored rows is kept, and no per-mask
+    selector object is built.
 
     A mask's distance on a row set is scored once and then read back. Row
     sets are told apart by identity (the evaluator holds on to the last
@@ -136,6 +137,9 @@ class MaskEvaluator:
     def __init__(self, train_rows, train_labels):
         self.model = train_meta(train_rows, train_labels)
         self._scores: list[tuple] = []     # (rows, labels, {mask key: distance}), newest first
+        # {mask key: bias} of the masks the last pass scored: a search's
+        # validation pass scores the masks its next optimization pass scores
+        self._biases: dict = {}
 
     def distances(self, masks, rows, labels) -> np.ndarray:
         """Oracle distance of every row of ``masks`` (P, D) on ``rows``.
@@ -145,33 +149,47 @@ class MaskEvaluator:
         from that pass.
         """
         masks = np.asarray(masks, dtype=bool)
-        self._score(masks, rows, labels)
+        self._score(masks, self._row_scores(rows, labels), rows, labels)
         return np.array([self.distance(mask, rows, labels) for mask in masks], dtype=float)
 
     def distance(self, mask, rows, labels) -> float:
         mask = np.asarray(mask, dtype=bool)
-        return self._score(mask[None], rows, labels)[mask.tobytes()]
+        scores = self._row_scores(rows, labels)
+        key = mask.tobytes()
+        if key not in scores:
+            self._score(mask[None], scores, rows, labels)
+        return scores[key]
 
-    def _score(self, masks, rows, labels) -> dict:
-        """{mask key: distance} on this row set, with every mask of ``masks``
-        in it; empty masks are inf."""
+    def _row_scores(self, rows, labels) -> dict:
+        """{mask key: distance} kept for this row set."""
         scores = next((s for r, y, s in self._scores if r is rows and y is labels), None)
         if scores is None:
             scores = {}
             self._scores = [(rows, labels, scores)] + self._scores[:_ROW_SETS - 1]
+        return scores
+
+    def _score(self, masks, scores, rows, labels):
+        """Put every mask of ``masks`` that ``scores`` lacks into it, scored
+        on ``rows`` in one pass; empty masks are inf."""
         fresh = {}
-        for mask in masks:
+        for mask, used in zip(masks, masks.any(axis=1)):
             key = mask.tobytes()
             if key in scores or key in fresh:
                 continue
-            if mask.any():
-                fresh[key] = self.model.masked(mask)
+            if used:
+                fresh[key] = mask
             else:
                 scores[key] = np.inf
         if not fresh:
-            return scores
-        weights = np.stack([m.weights for m in fresh.values()], axis=1)
-        bias = np.array([m.bias for m in fresh.values()])
+            return
+        model, held = self.model, self._biases
+        # each bias as ``MetaClassifier.masked`` sums it
+        self._biases = {key: held[key] if key in held
+                        else float(model.prior + model.offsets[mask].sum())
+                        for key, mask in fresh.items()}
+        bias = np.array(list(self._biases.values()))
+        # (D, masks), C-contiguous: the product's bits depend on the layout
+        weights = np.where(np.stack(list(fresh.values()), axis=1), model.weights[:, None], 0.0)
         rows = np.asarray(rows, dtype=float)
         labels = np.asarray(labels)
         sq = np.zeros(len(fresh))
@@ -188,7 +206,6 @@ class MaskEvaluator:
             np.square(z, out=z)
             sq += z.sum(axis=0)
         scores.update(zip(fresh, (np.sqrt(sq) / len(rows)).tolist()))
-        return scores
 
 
 def init_swarm(dim: int, config: BpsoConfig, rng: np.random.Generator) -> Swarm:

@@ -67,6 +67,12 @@ MODEL_ARRAYS = ("pool_weights", "pool_dist_scale", "selector_weights",
 SCALE_ARRAYS = ("scale_col_min", "scale_col_max")
 
 
+# visiting-order entries (members x epochs x bootstrap rows) that one
+# ``bagging`` call of ``run_experiment`` holds for a group of replications;
+# a replication over it is bagged alone
+_BAG_BLOCK = 1 << 21
+
+
 class ModelFormatError(RuntimeError):
     pass
 
@@ -220,7 +226,7 @@ def _split_meta_samples(n_samples: int, members: int, rng):
 
 
 def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
-              config: ExperimentConfig, base_seed_parts=(0,)):
+              config: ExperimentConfig, base_seed_parts=(0,), pool=None):
     """Train one complete selection model.
 
     Pipeline: fit scaling on the train split; bag the pool; build meta-data
@@ -228,19 +234,27 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
     the meta-feature mask with global validation; train the final selector on
     the full meta-training data, masked (full width, zero outside the mask).
 
+    ``pool``, when given, takes the place of the bagged one; it should be the
+    pool that bagging the scaled train split gives (``run_experiment`` bags
+    several replications' pools at once). A pool whose width or class count
+    differs from the train split's raises ValueError.
+
     Returns (model, archive, info) where ``info`` carries the meta-dataset and
     bookkeeping counters.
     """
     config.validate()
+    if pool is not None and (pool.feature_count, pool.class_count) != (
+            train.feature_count, train.class_count):
+        raise ValueError(f"pool of {pool.feature_count} features and {pool.class_count} "
+                         f"classes for a train split of {train.feature_count} features "
+                         f"and {train.class_count} classes")
     parts = tuple(base_seed_parts)
     train_scaled, scale = scale_minmax(train)
     meta_scaled = scale.apply_dataset(meta_train)
     dsel_scaled = scale.apply_dataset(dsel)
 
-    pool = bagging(train_scaled, config.pool.size,
-                   bootstrap_frac=config.pool.bootstrap_frac,
-                   seed=_derive_int(*parts, 20),
-                   epochs=config.pool.epochs, lr=config.pool.lr)
+    if pool is None:
+        pool = _bag([train_scaled], config.pool, [_derive_int(*parts, 20)])[0]
 
     extractor = MetaFeatureExtractor(pool, dsel_scaled, k=config.k, kp=config.kp)
 
@@ -295,7 +309,47 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
     return model, archive, info
 
 
-def _load_splits(config: ExperimentConfig, replication: int):
+def _bag(trains_scaled, pool_config: PoolConfig, seeds) -> list:
+    """The pools of ``train_des`` for scaled train splits of one shape, one
+    seed each, trained in one lockstep."""
+    return bagging(trains_scaled, pool_config.size, bootstrap_frac=pool_config.bootstrap_frac,
+                   seed=seeds, epochs=pool_config.epochs, lr=pool_config.lr)
+
+
+def _replications(config: ExperimentConfig):
+    """(replication, splits, pool) of every replication in order; each pool
+    is the one ``train_des`` would bag from the replication's train split.
+
+    Replications go in groups of consecutive ones, as many as hold at most
+    ``_BAG_BLOCK`` visiting-order entries together (at least one: a
+    replication never splits across groups). A group's splits are loaded,
+    a CSV source read once per run, and its pools train in one lockstep;
+    the splits of a source share one shape."""
+    pc = config.pool
+    source = _read_source(config)
+    start = 0
+    while start < config.replications:
+        splits = [_load_splits(config, start, source)]
+        n = len(splits[0][0])
+        rows = n if pc.bootstrap_frac >= 1.0 else int(np.ceil(pc.bootstrap_frac * n))
+        stop = min(config.replications,
+                   start + max(1, _BAG_BLOCK // (pc.size * pc.epochs * rows)))
+        splits += [_load_splits(config, r, source) for r in range(start + 1, stop)]
+        pools = _bag([scale_minmax(train)[0] for train, _, _, _ in splits], pc,
+                     [_derive_int(config.seed, r, 20) for r in range(start, stop)])
+        yield from zip(range(start, stop), splits, pools)
+        start = stop
+
+
+def _read_source(config: ExperimentConfig) -> Dataset | None:
+    """The dataset a CSV source holds; None for a generated source."""
+    src = config.source
+    return load_csv(src.path, src.label_column) if src.kind == "csv" else None
+
+
+def _load_splits(config: ExperimentConfig, replication: int, source: Dataset | None = None):
+    """(train, meta_train, dsel, test) of one replication. A CSV source's
+    file is read unless its dataset is given as ``source``."""
     src = config.source
     parts = (config.seed, replication)
     if src.kind == "p2":
@@ -305,7 +359,7 @@ def _load_splits(config: ExperimentConfig, replication: int):
                 generate_p2(n_dsel, [*parts, 13]),
                 generate_p2(n_test, [*parts, 14]))
     if src.kind == "csv":
-        ds = load_csv(src.path, src.label_column)
+        ds = source if source is not None else _read_source(config)
         spec = dataclasses.replace(src.split, seed=_derive_int(*parts, 10))
         return split_holdout(ds, spec)
     raise ValueError(f"unknown data source kind {src.kind!r}")
@@ -403,9 +457,12 @@ class RunReport:
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Run the full replicated protocol and aggregate a report.
 
-    Per replication: split (or generate) the data, train a model (pool,
-    meta-data with consensus filtering, mask search, final selector), then
-    score every requested method on the test split. Deterministic given the
+    Replications go in groups (see ``_replications``): a group's data is
+    split (or generated), a CSV source read once per run, and its pools are
+    bagged in one lockstep, each byte-equal to the pool ``train_des`` would
+    bag. Then per replication: train a model on its pool (meta-data with
+    consensus filtering, mask search, final selector) and score every
+    requested method on the test split. Deterministic given the
     configuration.
     """
     config.validate()
@@ -413,10 +470,12 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     acc = np.zeros((config.replications, len(methods)))
     masks = []
     traces = []
-    for r in range(config.replications):
-        train, meta_train, dsel, test = _load_splits(config, r)
-        model, archive, _ = train_des(train, meta_train, dsel, config,
-                                      base_seed_parts=(config.seed, r))
+    for r, (train, meta_train, dsel, test), pool in _replications(config):
+        # train_des's info is dropped at once: its meta-datasets, kept
+        # alive through the next replication's train_des, add their size
+        # to that call's peak memory
+        model, archive = train_des(train, meta_train, dsel, config,
+                                   base_seed_parts=(config.seed, r), pool=pool)[:2]
         result = evaluate_methods(model, test, methods, config.k)
         for j, m in enumerate(methods):
             acc[r, j] = result[m]

@@ -11,7 +11,8 @@ members spread out when training data is not separable. All members train
 in lockstep: each step scores one sample per member with one stacked matrix
 product and applies every member's update as one dense tensor operation
 whose coefficients are -1, 0 or +1, so the pool equals, byte for byte,
-members trained one at a time (see ``bagging``).
+members trained one at a time (see ``bagging``). The pools of several
+datasets of one shape can train in one such lockstep.
 
 Class supports are calibrated so that downstream probabilistic criteria get a
 normalized support vector: for two classes, a logistic squash of the signed
@@ -21,6 +22,7 @@ training margin); for more classes, a softmax over the linear scores.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,8 +156,9 @@ def _member_draws(ds: Dataset, i: int, seed: int, size: int | None, epochs: int,
     return rows, direction, anchor, orders
 
 
-def bagging(ds: Dataset, m: int, bootstrap_frac: float = 0.5, seed: int = 0,
-            epochs: int = 50, lr: float = 0.01, max_retries: int = 10) -> ClassifierPool:
+def bagging(ds: Dataset | Sequence[Dataset], m: int, bootstrap_frac: float = 0.5,
+            seed: int | Sequence[int] = 0, epochs: int = 50, lr: float = 0.01,
+            max_retries: int = 10) -> ClassifierPool | list[ClassifierPool]:
     """Generate a pool of ``m`` perceptrons on bootstrap replicates.
 
     Member ``i`` trains on a with-replacement sample of
@@ -164,6 +167,13 @@ def bagging(ds: Dataset, m: int, bootstrap_frac: float = 0.5, seed: int = 0,
     times. ``bootstrap_frac >= 1.0`` disables resampling: each member trains
     on the full data. ``epochs`` must be >= 0, ``lr`` and ``bootstrap_frac``
     finite and > 0.
+
+    ``ds`` may also be a sequence of datasets that share length, width and
+    class count, with ``seed`` a sequence of one seed each. All their members
+    then train in one lockstep, and the result is a list of one pool per
+    dataset, each byte-equal to ``bagging(ds[r], m, seed=seed[r], ...)``.
+    Datasets that differ in shape, or a seed count that differs from the
+    dataset count, raise ValueError.
 
     Member ``i`` trains with its own ``default_rng(seed + i)``: the initial
     weights place a random hyperplane through a random training sample; each
@@ -176,9 +186,10 @@ def bagging(ds: Dataset, m: int, bootstrap_frac: float = 0.5, seed: int = 0,
     The draws come first, one member stream at a time (numpy cannot batch
     across Generators). Then all members step in lockstep, one epoch's
     samples gathered at a time. A step scores each member's sample with one
-    stacked matrix product and subtracts ``(onehot(pred) - onehot(truth)) *
-    lr * x`` from the whole weight tensor. This dense update is exact, so the
-    pool equals members trained one by one, byte for byte:
+    stacked matrix product, whose member products do not depend on the
+    stack's height, and subtracts ``(onehot(pred) - onehot(truth)) * lr * x``
+    from the whole weight tensor. This dense update is exact, so the pool
+    equals members trained one by one, byte for byte:
 
     - a coefficient of -1 or +1 times ``lr * x`` is exact, and ``W - (-v)``
       is ``W + v`` in IEEE arithmetic, so a wrong step's two rows get the
@@ -189,7 +200,12 @@ def bagging(ds: Dataset, m: int, bootstrap_frac: float = 0.5, seed: int = 0,
       weight into +0.0, where it is set. A -0.0 weight can only be an
       initial one (a sum is -0.0 only of two -0.0 terms): the bias, whose
       input is 1, or a direction drawn as exactly -0.0.
+
+    The visiting orders take ``m * epochs * ceil(bootstrap_frac * N)``
+    integers per dataset, all held at once.
     """
+    many = not isinstance(ds, Dataset)
+    datasets, seeds = (list(ds), list(seed)) if many else ([ds], [seed])
     if m < 1:
         raise ValueError("pool size must be >= 1")
     if epochs < 0:
@@ -198,23 +214,38 @@ def bagging(ds: Dataset, m: int, bootstrap_frac: float = 0.5, seed: int = 0,
         raise ValueError(f"lr must be finite and > 0, got {lr}")
     if not (np.isfinite(bootstrap_frac) and bootstrap_frac > 0):
         raise ValueError(f"bootstrap_frac must be finite and > 0, got {bootstrap_frac}")
-    size = None if bootstrap_frac >= 1.0 else int(np.ceil(bootstrap_frac * len(ds)))
-    draws = [_member_draws(ds, i, seed, size, epochs, max_retries) for i in range(m)]
+    if not datasets or len(seeds) != len(datasets):
+        raise ValueError(f"need one seed per dataset, got {len(seeds)} seeds "
+                         f"for {len(datasets)} datasets")
+    shapes = {(len(d), d.feature_count, d.class_count) for d in datasets}
+    if len(shapes) > 1:
+        raise ValueError(f"datasets must share length, width and class count, got "
+                         f"(length, width, classes) {sorted(shapes)}")
+    first = datasets[0]
+    size = None if bootstrap_frac >= 1.0 else int(np.ceil(bootstrap_frac * len(first)))
+    draws = [_member_draws(d, i, s, size, epochs, max_retries)
+             for d, s in zip(datasets, seeds) for i in range(m)]
     rows, direction, anchor, orders = (np.stack(a) for a in zip(*draws))
-    Xb = _with_bias(ds.features[rows])                     # (m, s, d+1)
-    members = np.arange(m)
+    owner = np.repeat(np.arange(len(datasets)), m)         # member j's dataset
+    features = np.stack([d.features for d in datasets])    # (R, N, d)
+    labels = np.stack([d.labels for d in datasets])        # (R, N)
+    Xb = _with_bias(features[owner[:, None], rows])        # (R*m, s, d+1)
+    members = np.arange(len(rows))
     # (L, L, 1): row c is class c's one-hot column
-    onehot = np.eye(ds.class_count)[:, :, None]
-    truth = onehot[ds.labels[rows]]                        # (m, s, L, 1)
+    onehot = np.eye(first.class_count)[:, :, None]
+    truth = onehot[labels[owner[:, None], rows]]           # (R*m, s, L, 1)
 
-    anchor = ds.features[anchor][:, :, None]               # (m, d, 1)
+    anchor = features[owner, anchor][:, :, None]           # (R*m, d, 1)
     W = np.concatenate([direction, -(direction @ anchor)], axis=2)
     for e in range(epochs):
-        visit = orders[:, e, :].T                          # (s, m): one sample per member
-        xs = Xb[members, visit]                            # (s, m, d+1)
+        visit = orders[:, e, :].T                          # (s, R*m): one sample per member
+        xs = Xb[members, visit]                            # (s, R*m, d+1)
         steps = zip(xs[:, :, :, None], (lr * xs)[:, :, None, :], truth[members, visit])
         for x, lx, t in steps:
             pred = (W @ x)[:, :, 0].argmax(axis=1)
             W -= (onehot.take(pred, axis=0) - t) * lx
     margins = np.abs(_boundary_distances(W, Xb))
-    return ClassifierPool(W, np.maximum(margins.max(axis=1), 1e-12))
+    dist_scale = np.maximum(margins.max(axis=1), 1e-12)
+    pools = [ClassifierPool(w, s) for w, s in zip(np.split(W, len(datasets)),
+                                                  np.split(dist_scale, len(datasets)))]
+    return pools if many else pools[0]

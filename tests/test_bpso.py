@@ -102,6 +102,22 @@ class TestOracleDistance:
         assert ev.distance(np.zeros(4, dtype=bool), X, y) == np.inf
 
 
+def stacked_reference(model, masks, rows, labels):
+    """Distances of distinct non-empty ``masks`` scored together, with the
+    per-mask selectors of ``model.masked`` stacked as the weights and the
+    same row blocks as ``MaskEvaluator``."""
+    selectors = [model.masked(mask) for mask in masks]
+    weights = np.stack([sel.weights for sel in selectors], axis=1)
+    bias = np.array([sel.bias for sel in selectors])
+    block = max(1, bpso._SCORE_BLOCK // max(rows.shape[1], len(masks)))
+    sq = np.zeros(len(masks))
+    for start in range(0, len(rows), block):
+        z = rows[start:start + block] @ weights + bias
+        z = (1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))) - labels[start:start + block, None]
+        sq += (z * z).sum(axis=0)
+    return np.sqrt(sq) / len(rows)
+
+
 class TestBatchedDistances:
     @settings(max_examples=120, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), D=st.integers(1, 7), P=st.integers(1, 8),
@@ -160,6 +176,27 @@ class TestBatchedDistances:
         assert np.array_equal(again, got[::-1])
         # outside a batch, distance scores its one mask the same way
         assert np.array_equal(alone, got)
+
+    def test_bits_equal_the_stacked_selectors(self):
+        # meta-feature width and swarm size of a search, rows over several
+        # blocks: the scores are the bits of one product with the stacked
+        # weights of ``masked`` selectors (kept here as the reference),
+        # biases reused from the pass before included
+        D, P = 67, 20
+        rng = np.random.default_rng(17)
+        train = rng.random((600, D)) * rng.uniform(0.1, 5.0, D)
+        score = train[:, :3].sum(axis=1)
+        ev = MaskEvaluator(train, (score > np.median(score)).astype(float))
+        assert not ev.model.degenerate and ev.model.weights.all()
+        first = rng.random((P, D)) < 0.5
+        # half the first pass's masks, half new ones, as a next pass scores
+        second = np.concatenate([first[::2], rng.random((P // 2, D)) < 0.5])
+        for masks in (first, second):
+            rows = rng.random((1_000, D)) * 3.0
+            labels = (rng.random(1_000) < 0.6).astype(float)
+            assert 1_000 > 2 * (bpso._SCORE_BLOCK // D)        # three blocks
+            got = ev.distances(masks, rows, labels)
+            assert np.array_equal(got, stacked_reference(ev.model, masks, rows, labels))
 
     def test_distance_called_once_per_mask(self):
         X, y = make_rows(60, 8)

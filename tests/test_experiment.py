@@ -3,13 +3,15 @@ import json
 import os
 import pickle
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metasel import experiment
 from metasel.bpso import BpsoConfig
-from metasel.data import Dataset, ScaleParams, SplitSpec, generate_p2
+from metasel.data import Dataset, ScaleParams, SplitSpec, generate_p2, scale_minmax
 from metasel.datasets import BUNDLED, dataset_path
 from metasel.engine import DesModel, classify_batch
 from metasel.experiment import (DataSource, ExperimentConfig, FRAMEWORK_METHOD,
@@ -20,7 +22,7 @@ from metasel.experiment import (DataSource, ExperimentConfig, FRAMEWORK_METHOD,
                                 write_report_csvs)
 from metasel.metaclassifier import MetaClassifier
 from metasel.metafeatures import FeatureLayout, MetaFeatureExtractor
-from metasel.pool import ClassifierPool
+from metasel.pool import ClassifierPool, bagging
 
 
 def small_p2_config(seed=3, replications=1):
@@ -185,6 +187,67 @@ class TestTrainDes:
             train_des(generate_p2(100, 1), generate_p2(100, 2), generate_p2(100, 3),
                       ExperimentConfig(k=-3, pool=PoolConfig(size=5)))
         assert calls == []
+
+    def test_given_pool_is_the_bagged_one(self):
+        cfg = small_p2_config()
+        train, meta, dsel = generate_p2(150, 1), generate_p2(150, 2), generate_p2(150, 3)
+        a, archive_a, _ = train_des(train, meta, dsel, cfg, (cfg.seed, 0))
+        pool = bagging(scale_minmax(train)[0], cfg.pool.size,
+                       seed=experiment._derive_int(cfg.seed, 0, 20))
+        with mock.patch.object(experiment, "bagging", side_effect=AssertionError):
+            b, archive_b, _ = train_des(train, meta, dsel, cfg, (cfg.seed, 0), pool=pool)
+        assert b.pool is pool
+        assert a.pool.weights.tobytes() == pool.weights.tobytes()
+        assert np.array_equal(a.mask, b.mask) and archive_a.trace == archive_b.trace
+
+    def test_pool_of_another_shape_rejected(self):
+        cfg = small_p2_config()
+        train, meta, dsel = generate_p2(60, 1), generate_p2(60, 2), generate_p2(60, 3)
+        rng = np.random.default_rng(0)
+        for L, d in ((3, 2), (2, 3)):
+            pool = ClassifierPool(rng.normal(size=(4, L, d + 1)), np.ones(4))
+            with pytest.raises(ValueError, match="pool of .* for a train split"):
+                train_des(train, meta, dsel, cfg, (cfg.seed, 0), pool=pool)
+
+
+def run_counted(cfg, block=None):
+    """run_experiment's report with the bagging and CSV-reading calls it made,
+    under the group bound ``block`` (the module's own when None)."""
+    bag = mock.Mock(side_effect=experiment.bagging)
+    read = mock.Mock(side_effect=experiment.load_csv)
+    with mock.patch.multiple(experiment, bagging=bag, load_csv=read), \
+            mock.patch.object(experiment, "_BAG_BLOCK",
+                              experiment._BAG_BLOCK if block is None else block):
+        report = run_experiment(cfg)
+    return report, bag.call_count, read.call_count
+
+
+class TestReplicationGroups:
+    """Pools of consecutive replications train in one lockstep; the report
+    is bit for bit the one replications bagged one at a time give."""
+
+    @pytest.mark.parametrize("source", ["p2", "csv"])
+    def test_one_lockstep_equals_one_replication_per_group(self, source):
+        cfg = small_p2_config(seed=5, replications=3)
+        if source == "csv":
+            cfg.source = DataSource(kind="csv", path=str(dataset_path("xor_blobs")),
+                                    label_column=-1, split=SplitSpec())
+            cfg.pool = PoolConfig(size=3)
+        grouped, grouped_bags, grouped_reads = run_counted(cfg)
+        alone, alone_bags, alone_reads = run_counted(cfg, block=0)
+        assert (grouped_bags, alone_bags) == (1, 3)
+        # the CSV is read once per run, not once per replication
+        assert grouped_reads == alone_reads == (source == "csv")
+        assert grouped.accuracies.tobytes() == alone.accuracies.tobytes()
+        assert np.array_equal(grouped.masks, alone.masks)
+        assert repr(grouped.traces) == repr(alone.traces)
+
+    def test_group_bound_counts_visiting_orders(self):
+        # 4 members x 50 epochs x 75 bootstrap rows = 15 000 entries each
+        cfg = small_p2_config(replications=5)
+        assert run_counted(cfg, block=30_000)[1] == 3
+        assert run_counted(cfg, block=29_999)[1] == 5
+        assert run_counted(cfg, block=75_000)[1] == 1
 
 
 class TestRunExperiment:

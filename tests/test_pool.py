@@ -354,6 +354,55 @@ class TestAgainstLockstepReference:
         assert negative_zeros > 0
 
 
+class TestSeveralDatasets:
+    """Pools of several datasets of one shape train in one lockstep, each
+    byte-equal to its own single call."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 10_000), count=st.integers(1, 4), n=st.integers(4, 25),
+           d=st.integers(1, 4), L=st.sampled_from([2, 3, 4]), m=st.integers(1, 16),
+           frac=st.sampled_from([0.2, 0.5, 1.0, 1.5]), epochs=st.integers(0, 4),
+           lr=st.sampled_from([0.01, 0.3]), max_retries=st.integers(0, 3),
+           minority=st.booleans())
+    def test_each_pool_equals_its_single_call(self, seed, count, n, d, L, m, frac, epochs,
+                                              lr, max_retries, minority):
+        datasets = [random_dataset(seed + r, n, d, L, minority) for r in range(count)]
+        seeds = [seed + 1000 * r for r in range(count)]
+        kwargs = dict(bootstrap_frac=frac, epochs=epochs, lr=lr, max_retries=max_retries)
+        try:
+            singles = [bagging(ds, m, seed=s, **kwargs) for ds, s in zip(datasets, seeds)]
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                bagging(datasets, m, seed=seeds, **kwargs)
+            return
+        pools = bagging(datasets, m, seed=seeds, **kwargs)
+        assert isinstance(pools, list) and len(pools) == count
+        for pool, single in zip(pools, singles):
+            assert pool.weights.tobytes() == single.weights.tobytes()
+            assert pool.dist_scale.tobytes() == single.dist_scale.tobytes()
+
+    def test_p2_replications_at_the_papers_size(self):
+        trains = [p2_scaled(500, [1, r, 11])[0] for r in range(3)]
+        pools = bagging(trains, 100, seed=[5, 6, 7])
+        for train, seed, pool in zip(trains, [5, 6, 7], pools):
+            single = bagging(train, 100, seed=seed)
+            assert pool.weights.tobytes() == single.weights.tobytes()
+            assert pool.dist_scale.tobytes() == single.dist_scale.tobytes()
+
+    @pytest.mark.parametrize("n, d, L", [(13, 2, 2), (12, 3, 2), (12, 2, 3)],
+                             ids=["length", "width", "class count"])
+    def test_datasets_of_another_shape_rejected(self, n, d, L):
+        ds = random_dataset(1, 12, 2, 2, False)
+        with pytest.raises(ValueError, match="must share length, width and class count"):
+            bagging([ds, random_dataset(0, n, d, L, False)], 2, seed=[0, 1])
+
+    def test_one_seed_per_dataset(self):
+        ds = random_dataset(1, 12, 2, 2, False)
+        for datasets, seeds in (([ds, ds], [0]), ([ds], [0, 1]), ([], [])):
+            with pytest.raises(ValueError, match="one seed per dataset"):
+                bagging(datasets, 2, seed=seeds)
+
+
 class TestAgainstPerMemberReference:
     """The stacked pool and lockstep bagging equal, bit for bit, the same
     members trained and evaluated one at a time."""

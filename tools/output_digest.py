@@ -1,0 +1,99 @@
+"""Print a sha256 digest of each output metasel gives in this checkout.
+
+Usage (from anywhere)::
+
+    python3 tools/output_digest.py > digests.txt
+
+metasel is imported from this checkout's ``src``. Running the script in two
+checkouts and comparing the two files with ``diff`` shows whether a change
+moved any output. One line per output:
+
+- every report file of ``metasel benchmark`` on each bundled CSV at seeds
+  1, 2 and 7, with the benchmark's protocol_bundled settings (pool 10, two
+  swarm runs of 10 generations, 3 replications);
+- the pool, the mask and the test labels of ``train_des`` on P2 at the
+  benchmark's train_p2 settings (the paper's sizes, pool 100, one swarm run
+  of 7 generations), at seeds 1-3 unless ``--train-seeds`` names others.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from metasel import cli, data, engine, experiment  # noqa: E402
+from metasel.bpso import BpsoConfig  # noqa: E402
+from metasel.datasets import BUNDLED, dataset_path  # noqa: E402
+
+BENCHMARK_SEEDS = (1, 2, 7)
+PROTOCOL = {"pool": {"size": 10},
+            "bpso": {"runs": 2, "max_generations": 10, "stall_limit": 10},
+            "replications": 3}
+P2_SIZES = (500, 500, 500, 2000)        # train, meta-train, dsel, test
+TRAIN_P2 = experiment.ExperimentConfig(
+    pool=experiment.PoolConfig(size=100),
+    bpso=BpsoConfig(runs=1, swarm_size=20, max_generations=7, stall_limit=7))
+
+
+def sha(*chunks) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def benchmark_lines(seed, workdir):
+    for name in BUNDLED:
+        config = dict(PROTOCOL, seed=seed,
+                      source={"kind": "csv", "path": str(dataset_path(name)), "label_column": -1})
+        path = workdir / f"{name}-{seed}.json"
+        path.write_text(json.dumps(config))
+        out = workdir / f"{name}-{seed}"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["benchmark", "--config", str(path), "--out-dir", str(out)])
+        if code != 0:
+            raise SystemExit(f"metasel benchmark on {name} at seed {seed} exited with {code}")
+        for report in sorted(out.iterdir()):
+            yield f"benchmark seed={seed} {name}/{report.name}", sha(report.read_bytes())
+
+
+def train_lines(seed):
+    train, meta, dsel, test = (data.generate_p2(n, [seed, stage])
+                               for stage, n in enumerate(P2_SIZES, start=1))
+    model, _, _ = experiment.train_des(train, meta, dsel, TRAIN_P2, base_seed_parts=(seed,))
+    labels = np.concatenate([engine.classify_batch(model, test.features[i:i + 500])[0]
+                             for i in range(0, len(test), 500)])
+    pool = model.pool
+    yield f"train_des seed={seed} pool", sha(pool.weights.tobytes(), pool.dist_scale.tobytes())
+    yield f"train_des seed={seed} mask", sha(model.mask.tobytes())
+    yield f"train_des seed={seed} labels", sha(labels.astype(np.int64).tobytes())
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--train-seeds", type=int, nargs="+", default=[1, 2, 3],
+                   help="seeds of the train_des outputs (default: 1 2 3)")
+    args = p.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in BENCHMARK_SEEDS:
+            for what, digest in benchmark_lines(seed, Path(tmp)):
+                print(digest, what, flush=True)
+    for seed in args.train_seeds:
+        for what, digest in train_lines(seed):
+            print(digest, what, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
