@@ -9,7 +9,8 @@ competences, evaluated on held-out rows::
 (the normalizer sits outside the root). Lower is better; an empty mask is
 assigned an infinite sentinel so it can never win. The selector's terms are
 per column, so one fit on the training half gives every mask's selector and
-a search makes that one fit.
+a search makes that one fit. Each pass scores all its particles in one
+product; masks seldom repeat in a search, so no score is kept for reuse.
 
 Overfitting control follows the global-validation scheme: after every
 position update, each particle is additionally scored on a separate
@@ -30,9 +31,6 @@ from .metaclassifier import sigmoid, train_meta
 # scoring allocates grows with the row count. Small blocks also keep small
 # the BLAS packing buffers, which stay resident once touched.
 _SCORE_BLOCK = 2 ** 15
-# row sets whose scores an evaluator keeps: the optimization and the
-# validation rows of a search
-_ROW_SETS = 2
 
 __all__ = [
     "BpsoConfig",
@@ -126,75 +124,33 @@ class MaskEvaluator:
     full width, zero outside the mask, so a batch of masks is scored by one
     product of raw row blocks with the stacked weights; neither the training
     rows nor a masked copy of the scored rows is kept, and no per-mask
-    selector object is built.
-
-    A mask's distance on a row set is scored once and then read back. Row
-    sets are told apart by identity (the evaluator holds on to the last
-    ``_ROW_SETS`` of them), so rows must not be changed in place while the
-    evaluator is in use.
+    selector object is built. The fit is all it holds: each call scores every
+    mask it is given, so a score depends on that call's masks and rows alone.
     """
 
     def __init__(self, train_rows, train_labels):
         self.model = train_meta(train_rows, train_labels)
-        self._scores: list[tuple] = []     # (rows, labels, {mask key: distance}), newest first
-        # {mask key: bias} of the masks the last pass scored: a search's
-        # validation pass scores the masks its next optimization pass scores
-        self._biases: dict = {}
 
     def distances(self, masks, rows, labels) -> np.ndarray:
         """Oracle distance of every row of ``masks`` (P, D) on ``rows``.
 
-        Every mask not yet scored on ``rows`` is scored in one pass over
-        them; ``distance`` is still called once per mask and reads its value
-        from that pass.
+        The non-empty masks, in row order and duplicates included, are
+        scored in one pass over row blocks; empty masks are inf.
         """
         masks = np.asarray(masks, dtype=bool)
-        self._score(masks, self._row_scores(rows, labels), rows, labels)
-        return np.array([self.distance(mask, rows, labels) for mask in masks], dtype=float)
-
-    def distance(self, mask, rows, labels) -> float:
-        mask = np.asarray(mask, dtype=bool)
-        scores = self._row_scores(rows, labels)
-        key = mask.tobytes()
-        if key not in scores:
-            self._score(mask[None], scores, rows, labels)
-        return scores[key]
-
-    def _row_scores(self, rows, labels) -> dict:
-        """{mask key: distance} kept for this row set."""
-        scores = next((s for r, y, s in self._scores if r is rows and y is labels), None)
-        if scores is None:
-            scores = {}
-            self._scores = [(rows, labels, scores)] + self._scores[:_ROW_SETS - 1]
-        return scores
-
-    def _score(self, masks, scores, rows, labels):
-        """Put every mask of ``masks`` that ``scores`` lacks into it, scored
-        on ``rows`` in one pass; empty masks are inf."""
-        fresh = {}
-        for mask, used in zip(masks, masks.any(axis=1)):
-            key = mask.tobytes()
-            if key in scores or key in fresh:
-                continue
-            if used:
-                fresh[key] = mask
-            else:
-                scores[key] = np.inf
-        if not fresh:
-            return
-        model, held = self.model, self._biases
+        used = masks.any(axis=1)
+        dist = np.full(len(masks), np.inf)
+        if not used.any():
+            return dist
+        model, masks = self.model, masks[used]
         # each bias as ``MetaClassifier.masked`` sums it
-        self._biases = {key: held[key] if key in held
-                        else float(model.prior + model.offsets[mask].sum())
-                        for key, mask in fresh.items()}
-        bias = np.array(list(self._biases.values()))
+        bias = np.array([float(model.prior + model.offsets[mask].sum()) for mask in masks])
         # (D, masks), C-contiguous: the product's bits depend on the layout
-        weights = np.where(np.stack(list(fresh.values()), axis=1), model.weights[:, None], 0.0)
-        rows = np.asarray(rows, dtype=float)
-        labels = np.asarray(labels)
-        sq = np.zeros(len(fresh))
-        block = max(1, _SCORE_BLOCK // max(rows.shape[1], len(fresh)))
-        out = np.empty((min(block, len(rows)), len(fresh)))
+        weights = np.where(np.ascontiguousarray(masks.T), model.weights[:, None], 0.0)
+        rows, labels = np.asarray(rows, dtype=float), np.asarray(labels)
+        sq = np.zeros(len(masks))
+        block = max(1, _SCORE_BLOCK // max(rows.shape[1], len(masks)))
+        out = np.empty((min(block, len(rows)), len(masks)))
         for start in range(0, len(rows), block):
             # in one buffer, the competence and its squared error against
             # the 0/1 labels of the block
@@ -205,7 +161,11 @@ class MaskEvaluator:
             z -= labels[start:start + block, None]
             np.square(z, out=z)
             sq += z.sum(axis=0)
-        scores.update(zip(fresh, (np.sqrt(sq) / len(rows)).tolist()))
+        dist[used] = np.sqrt(sq) / len(rows)
+        return dist
+
+    def distance(self, mask, rows, labels) -> float:
+        return float(self.distances(np.asarray(mask, dtype=bool)[None], rows, labels)[0])
 
 
 def init_swarm(dim: int, config: BpsoConfig, rng: np.random.Generator) -> Swarm:

@@ -99,6 +99,9 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_freq_report(args) -> int:
+    if (args.k is None) != (args.kp is None):
+        raise ValueError("--k and --kp go together; "
+                         f"{'--kp' if args.kp is None else '--k'} is missing")
     try:
         cells, _, header = _read_numeric_csv(args.masks)
     except NoDataRowsError:
@@ -111,7 +114,7 @@ def _cmd_freq_report(args) -> int:
                          f"at row {r + 1 + (header is not None)}, column {c + 2}")
     bits = bits.astype(bool)
     d = bits.shape[1]
-    if args.k and args.kp:
+    if args.k is not None:
         layout = FeatureLayout(args.k, args.kp)
         if layout.size != d:
             raise ValueError(f"{args.masks}: holds {d} mask columns, but --k {args.k} "

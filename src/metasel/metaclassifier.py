@@ -62,6 +62,8 @@ class MetaClassifier:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != self.weights.shape:
             raise ValueError(f"mask of length {mask.size} for {self.input_dim} features")
+        if self.offsets is None:
+            raise ValueError("masked needs the per-column offsets of a train_meta fit")
         return MetaClassifier(np.where(mask, self.weights, 0.0),
                               float(self.prior + self.offsets[mask].sum()),
                               np.where(mask, self.offsets, 0.0), self.prior,

@@ -130,6 +130,9 @@ def apply_mask(values, mask):
     """Keep the entries of ``values`` whose mask bit is set, preserving order.
 
     Works on a single vector or a row matrix. An all-zero mask is an error.
+    The library itself never copies masked columns (the selector is kept at
+    full width, zero outside the mask); this is the masked-copy reference
+    that tests hold the full-width paths to.
     """
     mask = np.asarray(mask, dtype=bool)
     values = np.asarray(values)

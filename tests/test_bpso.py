@@ -103,7 +103,7 @@ class TestOracleDistance:
 
 
 def stacked_reference(model, masks, rows, labels):
-    """Distances of distinct non-empty ``masks`` scored together, with the
+    """Distances of non-empty ``masks`` scored together, with the
     per-mask selectors of ``model.masked`` stacked as the weights and the
     same row blocks as ``MaskEvaluator``."""
     selectors = [model.masked(mask) for mask in masks]
@@ -116,6 +116,16 @@ def stacked_reference(model, masks, rows, labels):
         z = (1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))) - labels[start:start + block, None]
         sq += (z * z).sum(axis=0)
     return np.sqrt(sq) / len(rows)
+
+
+def stacked_distances(model, masks, rows, labels):
+    """``stacked_reference`` of the non-empty ``masks``, duplicates
+    included, in row order; inf for the empty ones."""
+    used = masks.any(axis=1)
+    dist = np.full(len(masks), np.inf)
+    if used.any():
+        dist[used] = stacked_reference(model, masks[used], rows, labels)
+    return dist
 
 
 class TestBatchedDistances:
@@ -150,8 +160,17 @@ class TestBatchedDistances:
             # rarely a multiple of the block's rows
             with mock.patch.object(bpso, "_SCORE_BLOCK", block):
                 got = ev.distances(masks, rows, row_labels)
+                repeated = ev.distances(masks, rows, row_labels)
                 again = ev.distances(masks[::-1], rows, row_labels)
                 alone = [ev.distance(m, rows, row_labels) for m in masks]
+                # each call's bits are those of its own masks stacked
+                assert np.array_equal(got, stacked_distances(ev.model, masks, rows,
+                                                             row_labels))
+                assert np.array_equal(again, stacked_distances(ev.model, masks[::-1], rows,
+                                                               row_labels))
+                assert np.array_equal(alone, [stacked_distances(ev.model, m[None], rows,
+                                                                row_labels)[0]
+                                              for m in masks])
             refs = []
             for m in masks:
                 if not m.any():
@@ -173,15 +192,13 @@ class TestBatchedDistances:
         assert np.array_equal(np.isinf(got), ~masks.any(axis=1))
         finite = np.isfinite(refs)
         assert np.allclose(got[finite], refs[finite], rtol=1e-12, atol=0.0)
-        assert np.array_equal(again, got[::-1])
-        # outside a batch, distance scores its one mask the same way
-        assert np.array_equal(alone, got)
+        # nothing is kept between calls that could change a repeated call
+        assert np.array_equal(repeated, got)
 
     def test_bits_equal_the_stacked_selectors(self):
         # meta-feature width and swarm size of a search, rows over several
         # blocks: the scores are the bits of one product with the stacked
-        # weights of ``masked`` selectors (kept here as the reference),
-        # biases reused from the pass before included
+        # weights of ``masked`` selectors (kept here as the reference)
         D, P = 67, 20
         rng = np.random.default_rng(17)
         train = rng.random((600, D)) * rng.uniform(0.1, 5.0, D)
@@ -197,28 +214,6 @@ class TestBatchedDistances:
             assert 1_000 > 2 * (bpso._SCORE_BLOCK // D)        # three blocks
             got = ev.distances(masks, rows, labels)
             assert np.array_equal(got, stacked_reference(ev.model, masks, rows, labels))
-
-    def test_distance_called_once_per_mask(self):
-        X, y = make_rows(60, 8)
-        ev = MaskEvaluator(X, y)
-        masks = np.array([[1, 0, 1, 0], [0, 0, 0, 0], [1, 0, 1, 0]], dtype=bool)
-        with mock.patch.object(MaskEvaluator, "distance", autospec=True,
-                               side_effect=MaskEvaluator.distance) as spy:
-            got = ev.distances(masks, X, y)
-        assert [call.args[1].tolist() for call in spy.call_args_list] == masks.tolist()
-        assert got[0] == got[2] and got[1] == np.inf
-
-    def test_scored_masks_are_not_scored_again(self):
-        X, y = make_rows(200, 9)
-        ev = MaskEvaluator(X, y)
-        masks = np.array([[1, 0, 1, 1], [0, 1, 1, 0]], dtype=bool)
-        first = ev.distances(masks, X, y)
-        with mock.patch.object(np, "matmul", wraps=np.matmul) as spy:
-            again = ev.distances(masks[::-1], X, y)
-            assert spy.call_count == 0
-            ev.distances(np.array([[1, 0, 1, 1], [1, 1, 1, 1]], dtype=bool), X, y)
-            assert spy.call_count == 1          # one block, the new mask only
-        assert np.array_equal(again, first[::-1])
 
     def test_scoring_memory_does_not_grow_with_rows(self):
         # full-width weights and row blocks: no masked copy of the scored
@@ -346,6 +341,64 @@ class TestOptimize:
             step(swarm, cfg, lambda m: ev.distances(m, self.Xo, self.yo))
         gbest_val = ev.distance(swarm.gbest_position, self.Xv, self.yv)
         assert arch.validation_fitness <= gbest_val + 1e-15
+
+    @staticmethod
+    def reference_search(train, train_labels, opt, opt_labels, val, val_labels, cfg):
+        """(mask, trace, audit) of ``optimize``'s loop, written out with
+        ``init_swarm`` and ``step``, each pass scored by one stacked product
+        of its own particles, and the positions of every validation pass."""
+        model = train_meta(train, train_labels)
+        best_fitness, best_mask, trace, audit, passes = np.inf, None, [], [], []
+        for run in range(cfg.runs):
+            swarm = init_swarm(train.shape[1], cfg, np.random.default_rng([cfg.seed, run]))
+            run_fitness, run_mask, stall = np.inf, None, 0
+            for gen in range(1, cfg.max_generations + 1):
+                improved = step(swarm, cfg,
+                                lambda m: stacked_distances(model, m, opt, opt_labels))
+                scores = stacked_distances(model, swarm.position, val, val_labels)
+                passes.append(swarm.position.copy())
+                audit.extend(scores)
+                lead = int(np.argmin(scores))
+                if scores[lead] < run_fitness:
+                    run_fitness, run_mask = scores[lead], swarm.position[lead].copy()
+                trace.append((run, gen, swarm.gbest_fitness, run_fitness,
+                              np.mean(swarm.fitness)))
+                stall = 0 if improved else stall + 1
+                if stall >= cfg.stall_limit:
+                    break
+            if run_mask is not None and run_fitness < best_fitness:
+                best_fitness, best_mask = run_fitness, run_mask
+        return best_mask, trace, audit, passes
+
+    @pytest.mark.parametrize("D,P,n_rows,runs,generations,block", [
+        # a search's width and swarm, rows over three blocks
+        (67, 20, 1_200, 2, 6, bpso._SCORE_BLOCK),
+        # masks repeat within and across passes; small blocks of a few rows
+        (3, 12, 300, 3, 12, 600),
+    ])
+    def test_bits_equal_a_stacked_product_per_pass(self, D, P, n_rows, runs, generations,
+                                                   block):
+        rng = np.random.default_rng(23)
+        train = rng.random((400, D)) * rng.uniform(0.1, 5.0, D)
+        score = train[:, :2].sum(axis=1)
+        train_labels = (score > np.median(score)).astype(float)
+        opt, val = rng.random((n_rows, D)) * 3.0, rng.random((n_rows, D)) * 3.0
+        opt_labels = (rng.random(n_rows) < 0.6).astype(float)
+        val_labels = (rng.random(n_rows) < 0.6).astype(float)
+        assert n_rows > 2 * (block // max(D, P))
+        cfg = BpsoConfig(swarm_size=P, max_generations=generations,
+                         stall_limit=generations, runs=runs, seed=9)
+        with mock.patch.object(bpso, "_SCORE_BLOCK", block):
+            arch = optimize(train, train_labels, opt, opt_labels, val, val_labels, cfg)
+            mask, trace, audit, passes = self.reference_search(
+                train, train_labels, opt, opt_labels, val, val_labels, cfg)
+        assert np.array_equal(arch.mask, mask)
+        assert np.array_equal(arch.trace, trace)
+        assert np.array_equal(arch.audit, audit)
+        if D == 3:
+            keys = [{m.tobytes() for m in pos} for pos in passes]
+            assert any(len(k) < P for k in keys)
+            assert any(a & b for a, b in zip(keys, keys[1:]))
 
     def test_deterministic(self):
         cfg = BpsoConfig(swarm_size=8, max_generations=20, stall_limit=5, runs=2, seed=11)

@@ -313,3 +313,14 @@ class TestFreqReport:
         assert rc == 1
         assert capsys.readouterr().err == (
             f"error: {masks}: cannot infer (K, Kp) from the header; pass --k/--kp\n")
+
+    @pytest.mark.parametrize("args,missing", [(["--k", "7"], "--kp"), (["--kp", "5"], "--k")])
+    def test_lone_layout_flag_is_an_error_line(self, tmp_path, capsys, args, missing):
+        masks = tmp_path / "masks.csv"
+        masks.write_text("0,1,0,1\n1,0,0,1\n")             # no header to infer from
+        out = tmp_path / "f.csv"
+        rc = main(["freq-report", "--masks", str(masks), "--out", str(out), *args])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: --k and --kp go together; {missing} is missing\n")
+        assert not out.exists()

@@ -138,6 +138,12 @@ class TestTrainMeta:
         with pytest.raises(ValueError, match="mask of length 3"):
             train_meta(rows, labels).masked(np.ones(3, dtype=bool))
 
+    def test_masked_needs_the_offsets_of_a_fit(self):
+        # a selector built from weights and a bias alone has no per-column
+        # offsets to fold into the masked bias
+        with pytest.raises(ValueError, match="per-column offsets of a train_meta fit"):
+            MetaClassifier(np.ones(3), 0.5).masked(np.array([1, 0, 1], bool))
+
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 200), p=st.integers(1, 10),
            value=st.sampled_from([0.0, 0.1, 2.5, -7.3, 1e6]))

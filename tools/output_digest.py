@@ -13,7 +13,10 @@ moved any output. One line per output:
   swarm runs of 10 generations, 3 replications);
 - the pool, the mask and the test labels of ``train_des`` on P2 at the
   benchmark's train_p2 settings (the paper's sizes, pool 100, one swarm run
-  of 7 generations), at seeds 1-3 unless ``--train-seeds`` names others.
+  of 7 generations), at seeds 1-3 unless ``--train-seeds`` names others;
+- per train seed, the mask search's raw bits: ``Archive.audit`` and
+  ``Archive.trace`` as float64 bytes. These move with any change in the
+  search's arithmetic, even one that moves no mask or report.
 """
 
 from __future__ import annotations
@@ -71,13 +74,15 @@ def benchmark_lines(seed, workdir):
 def train_lines(seed):
     train, meta, dsel, test = (data.generate_p2(n, [seed, stage])
                                for stage, n in enumerate(P2_SIZES, start=1))
-    model, _, _ = experiment.train_des(train, meta, dsel, TRAIN_P2, base_seed_parts=(seed,))
+    model, archive, _ = experiment.train_des(train, meta, dsel, TRAIN_P2, base_seed_parts=(seed,))
     labels = np.concatenate([engine.classify_batch(model, test.features[i:i + 500])[0]
                              for i in range(0, len(test), 500)])
     pool = model.pool
     yield f"train_des seed={seed} pool", sha(pool.weights.tobytes(), pool.dist_scale.tobytes())
     yield f"train_des seed={seed} mask", sha(model.mask.tobytes())
     yield f"train_des seed={seed} labels", sha(labels.astype(np.int64).tobytes())
+    yield f"train_des seed={seed} search", sha(np.asarray(archive.audit, np.float64).tobytes(),
+                                               np.asarray(archive.trace, np.float64).tobytes())
 
 
 def main(argv=None):
