@@ -68,8 +68,8 @@ SCALE_ARRAYS = ("scale_col_min", "scale_col_max")
 
 
 # visiting-order entries (members x epochs x bootstrap rows) that one
-# ``bagging`` call of ``run_experiment`` holds for a group of replications;
-# a replication over it is bagged alone
+# ``bagging`` call of ``run_experiment`` holds for a group of replications
+# (~8 MB of int32 orders); a replication over it is bagged alone
 _BAG_BLOCK = 1 << 21
 
 
@@ -215,14 +215,27 @@ def _derive_int(*parts) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _split_meta_samples(n_samples: int, members: int, rng):
-    """Sample-level 50/50 halving: all rows of one sample stay together."""
-    perm = rng.permutation(n_samples)
-    half = n_samples // 2
-    first, second = perm[:half], perm[half:]
-    row_idx = lambda samples: (np.asarray(samples)[:, None] * members
-                               + np.arange(members)[None, :]).reshape(-1)
-    return row_idx(first), row_idx(second)
+def _permute_blocks(arrays, order):
+    """Reorder the leading-axis blocks of each array in place, so that block
+    ``i`` becomes the old block ``order[i]`` (what ``a[order]`` gives).
+
+    Each cycle of the permutation is followed from its first block, the one
+    block held aside per array, so no copy of a whole array is made."""
+    order = np.asarray(order).tolist()
+    done = [False] * len(order)
+    for start, source in enumerate(order):
+        if done[start] or source == start:
+            continue
+        saved = [a[start].copy() for a in arrays]
+        i = start
+        while source != start:
+            for a in arrays:
+                a[i] = a[source]
+            done[i] = True
+            i, source = source, order[source]
+        for a, block in zip(arrays, saved):
+            a[i] = block
+        done[i] = True
 
 
 def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
@@ -238,6 +251,14 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
     pool that bagging the scaled train split gives (``run_experiment`` bags
     several replications' pools at once). A pool whose width or class count
     differs from the train split's raises ValueError.
+
+    Each meta-feature row is held once. The mask search's two halves (whole
+    samples, drawn 50/50) are views of the meta-training rows: their sample
+    blocks are reordered in place into the halving's order for the search,
+    and restored in place when it returns or raises, before the final fit.
+
+    If the consensus filter removes every meta-training or every reference
+    sample, all of that split's samples are kept, with a RuntimeWarning.
 
     Returns (model, archive, info) where ``info`` carries the meta-dataset and
     bookkeeping counters.
@@ -269,6 +290,8 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
     keep_dsel = engine.consensus_keep(extractor.dsel_pred_labels, dsel_scaled.labels,
                                       config.consensus_threshold)
     if not keep_dsel.any():
+        warnings.warn("consensus filter removed every reference sample; "
+                      "keeping all of them", RuntimeWarning)
         keep_dsel[:] = True
 
     meta_idx = np.flatnonzero(keep_meta)
@@ -280,14 +303,23 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
         dsel_scaled.features[dsel_idx], dsel_scaled.labels[dsel_idx],
         self_indices=dsel_idx, sample_ids=dsel_idx)
 
-    M = len(pool)
-    if len(meta_idx) >= 2:
-        halve_rng = np.random.default_rng([*parts, 30])
-        rows_t, rows_o = _split_meta_samples(len(meta_idx), M, halve_rng)
+    n, M = len(meta_idx), len(pool)
+    if n >= 2:
+        # sample-level 50/50 halving, all rows of one sample together: the
+        # samples are put in the halving's order in place, so both halves
+        # are views, and put back in their order once the search is over
+        order = np.random.default_rng([*parts, 30]).permutation(n)
+        cut = n // 2 * M
+        blocks = (np.reshape(meta_data.rows, (n, M, -1), copy=False),
+                  np.reshape(meta_data.labels, (n, M), copy=False))
         bpso_cfg = dataclasses.replace(config.bpso, seed=_derive_int(*parts, 40))
-        archive = optimize(meta_data.rows[rows_t], meta_data.labels[rows_t],
-                           meta_data.rows[rows_o], meta_data.labels[rows_o],
-                           val_data.rows, val_data.labels, bpso_cfg)
+        _permute_blocks(blocks, order)
+        try:
+            archive = optimize(meta_data.rows[:cut], meta_data.labels[:cut],
+                               meta_data.rows[cut:], meta_data.labels[cut:],
+                               val_data.rows, val_data.labels, bpso_cfg)
+        finally:
+            _permute_blocks(blocks, np.argsort(order))
         mask = archive.mask
     else:
         warnings.warn("too few meta-training samples for mask search; "

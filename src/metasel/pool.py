@@ -130,10 +130,11 @@ class ClassifierPool:
         return supports.argmax(axis=2), supports
 
 
-def _member_draws(ds: Dataset, i: int, seed: int, size: int | None, epochs: int,
-                  max_retries: int):
+def _member_draws(ds: Dataset, i: int, seed: int, size: int | None, max_retries: int,
+                  orders: np.ndarray):
     """Everything member ``i`` draws from its own seeded streams: bootstrap
-    rows, initial hyperplane, anchor row and one visiting order per epoch."""
+    rows, initial hyperplane and anchor row, returned, and one visiting order
+    per epoch, written into ``orders`` (epochs, rows)."""
     if size is None:
         rows = np.arange(len(ds))
     else:
@@ -150,10 +151,10 @@ def _member_draws(ds: Dataset, i: int, seed: int, size: int | None, epochs: int,
     direction = rng.normal(0.0, 1.0, size=(ds.class_count, ds.feature_count))
     anchor = rows[rng.integers(0, len(rows))]
     # row by row this draws what ``rng.permutation(len(rows))`` once per
-    # epoch would, and leaves the stream in the same state
-    orders = rng.permuted(np.broadcast_to(np.arange(len(rows)), (epochs, len(rows))).copy(),
-                          axis=1)
-    return rows, direction, anchor, orders
+    # epoch would, and leaves the stream in the same state. Shuffled as
+    # intp and then cast: ``permuted`` shuffles int32 ~1.5x slower.
+    orders[:] = rng.permuted(np.broadcast_to(np.arange(len(rows)), orders.shape), axis=1)
+    return rows, direction, anchor
 
 
 def bagging(ds: Dataset | Sequence[Dataset], m: int, bootstrap_frac: float = 0.5,
@@ -201,8 +202,9 @@ def bagging(ds: Dataset | Sequence[Dataset], m: int, bootstrap_frac: float = 0.5
       initial one (a sum is -0.0 only of two -0.0 terms): the bias, whose
       input is 1, or a direction drawn as exactly -0.0.
 
-    The visiting orders take ``m * epochs * ceil(bootstrap_frac * N)``
-    integers per dataset, all held at once.
+    The visiting orders are one array of ``m * epochs * ceil(bootstrap_frac
+    * N)`` int32 entries per dataset (4 bytes each; intp from 2^31 rows up),
+    all held at once, and each member's draws fill its own slice of it.
     """
     many = not isinstance(ds, Dataset)
     datasets, seeds = (list(ds), list(seed)) if many else ([ds], [seed])
@@ -223,9 +225,11 @@ def bagging(ds: Dataset | Sequence[Dataset], m: int, bootstrap_frac: float = 0.5
                          f"(length, width, classes) {sorted(shapes)}")
     first = datasets[0]
     size = None if bootstrap_frac >= 1.0 else int(np.ceil(bootstrap_frac * len(first)))
-    draws = [_member_draws(d, i, s, size, epochs, max_retries)
-             for d, s in zip(datasets, seeds) for i in range(m)]
-    rows, direction, anchor, orders = (np.stack(a) for a in zip(*draws))
+    n = len(first) if size is None else size
+    orders = np.empty((len(datasets) * m, epochs, n), dtype=np.int32 if n <= 2**31 else np.intp)
+    draws = [_member_draws(d, i, s, size, max_retries, orders[r * m + i])
+             for r, (d, s) in enumerate(zip(datasets, seeds)) for i in range(m)]
+    rows, direction, anchor = (np.stack(a) for a in zip(*draws))
     owner = np.repeat(np.arange(len(datasets)), m)         # member j's dataset
     features = np.stack([d.features for d in datasets])    # (R, N, d)
     labels = np.stack([d.labels for d in datasets])        # (R, N)

@@ -16,7 +16,11 @@ moved any output. One line per output:
   of 7 generations), at seeds 1-3 unless ``--train-seeds`` names others;
 - per train seed, the mask search's raw bits: ``Archive.audit`` and
   ``Archive.trace`` as float64 bytes. These move with any change in the
-  search's arithmetic, even one that moves no mask or report.
+  search's arithmetic, even one that moves no mask or report;
+- per train seed, the meta-training and validation meta-datasets ``train_des``
+  returns (rows, labels, sample and classifier ids) and the final selector's
+  weights, offsets and bias. These move if the meta rows come back in
+  another order or the final fit sees them in one.
 """
 
 from __future__ import annotations
@@ -74,7 +78,8 @@ def benchmark_lines(seed, workdir):
 def train_lines(seed):
     train, meta, dsel, test = (data.generate_p2(n, [seed, stage])
                                for stage, n in enumerate(P2_SIZES, start=1))
-    model, archive, _ = experiment.train_des(train, meta, dsel, TRAIN_P2, base_seed_parts=(seed,))
+    model, archive, info = experiment.train_des(train, meta, dsel, TRAIN_P2,
+                                                base_seed_parts=(seed,))
     labels = np.concatenate([engine.classify_batch(model, test.features[i:i + 500])[0]
                              for i in range(0, len(test), 500)])
     pool = model.pool
@@ -83,6 +88,13 @@ def train_lines(seed):
     yield f"train_des seed={seed} labels", sha(labels.astype(np.int64).tobytes())
     yield f"train_des seed={seed} search", sha(np.asarray(archive.audit, np.float64).tobytes(),
                                                np.asarray(archive.trace, np.float64).tobytes())
+    meta_data = [info[key] for key in ("meta_dataset", "validation_dataset")]
+    selector = model.meta
+    yield f"train_des seed={seed} meta", sha(
+        *(a.tobytes() for d in meta_data
+          for a in (d.rows, d.labels, d.sample_ids, d.classifier_ids)),
+        selector.weights.tobytes(), selector.offsets.tobytes(),
+        np.float64(selector.bias).tobytes())
 
 
 def main(argv=None):
