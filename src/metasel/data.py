@@ -119,7 +119,8 @@ def _read_numeric_csv(path, label_column: int | None = None):
     An optional header row is auto-detected: if any feature cell of the first
     row fails to parse as a number, the row is treated as a header. Every
     other feature cell must be numeric. A file with no data rows raises
-    ``NoDataRowsError``.
+    ``NoDataRowsError``; a ``label_column`` outside [-width, width) raises
+    ValueError.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -130,6 +131,9 @@ def _read_numeric_csv(path, label_column: int | None = None):
     for r, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"{path}: row {r + 1} has {len(row)} columns, expected {width}")
+    if label_column is not None and not -width <= label_column < width:
+        raise ValueError(f"{path}: label column {label_column} is out of range "
+                         f"for {width} columns")
     label_idx = None if label_column is None else label_column % width
 
     def is_number(cell):
@@ -169,7 +173,9 @@ def load_csv(path, label_column: int = -1) -> Dataset:
     An optional header row is auto-detected: if any feature cell of the first
     row fails to parse as a number, the row is treated as a header. Labels are
     re-encoded as contiguous integers in first-appearance order and may be
-    arbitrary symbols; feature cells must be numeric.
+    arbitrary symbols; feature cells must be numeric. ``label_column``
+    counts from 0, or from the end when negative; a column the file does
+    not have raises ValueError.
     """
     feats, raw_labels, _ = _read_numeric_csv(path, label_column)
     encoding: dict[str, int] = {}

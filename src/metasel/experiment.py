@@ -215,29 +215,6 @@ def _derive_int(*parts) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _permute_blocks(arrays, order):
-    """Reorder the leading-axis blocks of each array in place, so that block
-    ``i`` becomes the old block ``order[i]`` (what ``a[order]`` gives).
-
-    Each cycle of the permutation is followed from its first block, the one
-    block held aside per array, so no copy of a whole array is made."""
-    order = np.asarray(order).tolist()
-    done = [False] * len(order)
-    for start, source in enumerate(order):
-        if done[start] or source == start:
-            continue
-        saved = [a[start].copy() for a in arrays]
-        i = start
-        while source != start:
-            for a in arrays:
-                a[i] = a[source]
-            done[i] = True
-            i, source = source, order[source]
-        for a, block in zip(arrays, saved):
-            a[i] = block
-        done[i] = True
-
-
 def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
               config: ExperimentConfig, base_seed_parts=(0,), pool=None):
     """Train one complete selection model.
@@ -252,10 +229,11 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
     several replications' pools at once). A pool whose width or class count
     differs from the train split's raises ValueError.
 
-    Each meta-feature row is held once. The mask search's two halves (whole
-    samples, drawn 50/50) are views of the meta-training rows: their sample
-    blocks are reordered in place into the halving's order for the search,
-    and restored in place when it returns or raises, before the final fit.
+    Each meta-feature row is held once. The meta-training rows are built in
+    the order of the search's 50/50 halving of whole samples, so its two
+    halves are the two ends of the meta-dataset, as views; the final fit and
+    ``info["meta_dataset"]`` read the rows in that order (sample-major, each
+    row's sample named in ``sample_ids``).
 
     If the consensus filter removes every meta-training or every reference
     sample, all of that split's samples are kept, with a RuntimeWarning.
@@ -294,7 +272,9 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
                       "keeping all of them", RuntimeWarning)
         keep_dsel[:] = True
 
-    meta_idx = np.flatnonzero(keep_meta)
+    # sample-level 50/50 halving, all rows of one sample together: the
+    # samples are built in the halving's order, so both halves are views
+    meta_idx = np.random.default_rng([*parts, 30]).permutation(np.flatnonzero(keep_meta))
     meta_data = extractor.build_meta_dataset(
         meta_scaled.features[meta_idx], meta_scaled.labels[meta_idx],
         sample_ids=meta_idx)
@@ -305,21 +285,11 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
 
     n, M = len(meta_idx), len(pool)
     if n >= 2:
-        # sample-level 50/50 halving, all rows of one sample together: the
-        # samples are put in the halving's order in place, so both halves
-        # are views, and put back in their order once the search is over
-        order = np.random.default_rng([*parts, 30]).permutation(n)
         cut = n // 2 * M
-        blocks = (np.reshape(meta_data.rows, (n, M, -1), copy=False),
-                  np.reshape(meta_data.labels, (n, M), copy=False))
         bpso_cfg = dataclasses.replace(config.bpso, seed=_derive_int(*parts, 40))
-        _permute_blocks(blocks, order)
-        try:
-            archive = optimize(meta_data.rows[:cut], meta_data.labels[:cut],
-                               meta_data.rows[cut:], meta_data.labels[cut:],
-                               val_data.rows, val_data.labels, bpso_cfg)
-        finally:
-            _permute_blocks(blocks, np.argsort(order))
+        archive = optimize(meta_data.rows[:cut], meta_data.labels[:cut],
+                           meta_data.rows[cut:], meta_data.labels[cut:],
+                           val_data.rows, val_data.labels, bpso_cfg)
         mask = archive.mask
     else:
         warnings.warn("too few meta-training samples for mask search; "

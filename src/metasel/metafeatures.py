@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, ScaleParams
 from .pool import ClassifierPool
 from .regions import nearest_neighbors
 
@@ -267,10 +267,11 @@ class MetaFeatureExtractor:
     """Computes meta-feature vectors against a fixed reference set.
 
     Builds the per-(classifier, reference-row) criterion tables once; the
-    min-max bounds for the confidence criterion are taken over the signed
-    boundary distances of all reference samples. ``t_prc``, when given, is
-    the (M, N) randomized-reference table ``rrc_competence`` would compute
-    (a saved model carries it); it must be finite and lie in [0, 1].
+    confidence criterion min-max scales each member's signed boundary
+    distance by its range over the reference samples (``conf_scale``).
+    ``t_prc``, when given, is the (M, N) randomized-reference table
+    ``rrc_competence`` would compute (a saved model carries it); it must be
+    finite and lie in [0, 1].
     """
 
     def __init__(self, pool: ClassifierPool, dsel: Dataset, k: int = 7, kp: int = 5,
@@ -312,8 +313,7 @@ class MetaFeatureExtractor:
         self.t_kl = (clipped * np.log(clipped * L)).sum(axis=2)
 
         dists = pool.boundary_distances(dsel.features)    # (M, N)
-        self.conf_min = dists.min(axis=1)
-        self.conf_max = dists.max(axis=1)
+        self.conf_scale = ScaleParams(dists.min(axis=1), dists.max(axis=1))
 
     # -- batch extraction ---------------------------------------------------
 
@@ -410,9 +410,7 @@ class MetaFeatureExtractor:
                 put("rank", self._rank(X, self_indices, order))
 
         if "conf" in used:
-            span = self.conf_max - self.conf_min
-            scaled = (self.pool.boundary_distances(X).T - self.conf_min) / np.where(span > 0, span, 1.0)
-            put("conf", np.where(span > 0, np.clip(scaled, 0.0, 1.0), 0.5))
+            put("conf", self.conf_scale.apply(self.pool.boundary_distances(X).T))
         if "amb" in used:
             s_sorted = np.sort(q_supports, axis=2)
             put("amb", (s_sorted[:, :, -1] - s_sorted[:, :, -2]).T)

@@ -125,6 +125,21 @@ class TestTrainAndClassify:
         err = capsys.readouterr().err
         assert rc == 1 and err.startswith("error:") and message in err
 
+    def test_label_column_out_of_range_is_an_error_line(self, tmp_path, capsys):
+        # column 5 of a 3-column file used to read column 2 as the labels
+        model_path = tmp_path / "model.bin"
+        main(["train", "--config", str(small_config(tmp_path)), "--out", str(model_path)])
+        data = tmp_path / "data.csv"
+        data.write_text("0.5,0.5,0\n0.2,0.8,1\n")
+        capsys.readouterr()
+        out = tmp_path / "pred.csv"
+        rc = main(["classify", "--model", str(model_path), "--data", str(data),
+                   "--label-column", "5", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {data}: label column 5 is out of range for 3 columns\n")
+        assert not out.exists()
+
     def test_unknown_config_key_is_an_error_line(self, tmp_path, capsys):
         cfg = small_config(tmp_path, bpso={"swarmsize": 3})
         rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.bin")])

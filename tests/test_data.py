@@ -56,6 +56,20 @@ class TestLoadCsv:
         assert ds.labels.tolist() == [0, 1, 0, 1]
         assert ds.feature_count == 1
 
+    @pytest.mark.parametrize("column, labels", [(2, [0, 1, 0, 1]), (-3, [0, 0, 1, 1])])
+    def test_label_column_at_either_end(self, tmp_path, column, labels):
+        path = write(tmp_path, "5,1.5,0\n5,2.5,1\n6,3.5,0\n6,4.5,1\n")
+        ds = load_csv(path, label_column=column)
+        assert ds.labels.tolist() == labels and ds.feature_count == 2
+
+    @pytest.mark.parametrize("column", [3, 5, -4, -7])
+    def test_label_column_out_of_range_refused(self, tmp_path, column):
+        # a column past either end used to wrap round to one inside
+        path = write(tmp_path, "x,y,label\n5,1.5,0\n5,2.5,1\n6,3.5,0\n6,4.5,1\n")
+        with pytest.raises(ValueError, match=rf"data\.csv: label column {column} is "
+                                             rf"out of range for 3 columns"):
+            load_csv(path, label_column=column)
+
 
 class TestSplitHoldout:
     def spec(self, seed=0):

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from metasel import engine, experiment
 from metasel.bpso import BpsoConfig
@@ -217,57 +217,33 @@ class TestTrainDes:
         calls = []
 
         def spy(*args):
-            calls.append((args, [np.array(a) for a in args[:4]]))
+            calls.append(args)
             return search(*args)
 
         search = experiment.optimize
         monkeypatch.setattr(experiment, "optimize", spy)
         model, _, info = train_des(train, meta, dsel, cfg, (cfg.seed, 0))
         meta_data = info["meta_dataset"]
-        [(args, halves)] = calls
+        [args] = calls
         for a in args[:4]:
             assert np.shares_memory(a, meta_data.labels if a.ndim == 1 else meta_data.rows)
 
-        # the meta-dataset is back in sample order: the one a fresh build of
-        # the kept samples gives
+        # the meta-dataset, read after the search, is a fresh build of the
+        # kept samples in the halving's order
         scaled = model.scale.apply_dataset(meta)
         keep = engine.consensus_keep(model.pool.predict_batch(scaled.features)[0],
                                      scaled.labels, cfg.consensus_threshold)
         idx = np.flatnonzero(keep)
+        idx = idx[np.random.default_rng([cfg.seed, 0, 30]).permutation(len(idx))]
         fresh = model.extractor.build_meta_dataset(scaled.features[idx], scaled.labels[idx],
                                                    sample_ids=idx)
         for name in ("rows", "labels", "sample_ids", "classifier_ids"):
             assert getattr(meta_data, name).tobytes() == getattr(fresh, name).tobytes()
-        # the search saw the rows of its two halves of whole samples, in
-        # the halving's order
-        M = len(model.pool)
-        order = np.random.default_rng([cfg.seed, 0, 30]).permutation(len(idx))
-        for half, samples in ((0, order[:len(idx) // 2]), (1, order[len(idx) // 2:])):
-            rows = (samples[:, None] * M + np.arange(M)).reshape(-1)
-            assert halves[2 * half].tobytes() == fresh.rows[rows].tobytes()
-            assert halves[2 * half + 1].tobytes() == fresh.labels[rows].tobytes()
-
-    def test_search_failure_restores_sample_order(self, monkeypatch):
-        cfg = small_p2_config()
-        built = []
-
-        def kept(*a, **kw):
-            data = build(*a, **kw)
-            built.append((data, data.rows.copy(), data.labels.copy()))
-            return data
-
-        def failing(*a):
-            raise RuntimeError("search failed")
-
-        build = MetaFeatureExtractor.build_meta_dataset
-        monkeypatch.setattr(MetaFeatureExtractor, "build_meta_dataset", kept)
-        monkeypatch.setattr(experiment, "optimize", failing)
-        with pytest.raises(RuntimeError, match="search failed"):
-            train_des(generate_p2(150, 1), generate_p2(150, 2), generate_p2(150, 3), cfg,
-                      (cfg.seed, 0))
-        meta_data, rows, labels = built[0]
-        assert meta_data.rows.tobytes() == rows.tobytes()
-        assert meta_data.labels.tobytes() == labels.tobytes()
+        # the search's halves are its first n // 2 samples' rows and the rest
+        cut = len(idx) // 2 * len(model.pool)
+        for got, want in zip(args[:4], (fresh.rows[:cut], fresh.labels[:cut],
+                                        fresh.rows[cut:], fresh.labels[cut:])):
+            assert got.tobytes() == want.tobytes()
 
     def test_transient_memory_below_one_meta_dataset(self):
         # beyond what it returns, train_des needs less memory than one
@@ -300,42 +276,6 @@ class TestTrainDes:
         assert {"consensus filter removed every meta-training sample; keeping all of them",
                 "consensus filter removed every reference sample; keeping all of them"} <= messages
         assert info["kept_meta_samples"] == info["kept_dsel_samples"] == 150
-
-
-@st.composite
-def block_orders(draw):
-    """(block count, block shape, order): a random order, the identity, one
-    cycle, or a shuffle of some blocks among fixed points."""
-    n = draw(st.integers(0, 12))
-    kind = draw(st.sampled_from(["random", "identity", "cycle", "fixed"]))
-    order = np.arange(n)
-    if kind == "random":
-        order = np.array(draw(st.permutations(range(n))), dtype=int)
-    elif kind == "cycle":
-        order = np.roll(order, draw(st.integers(0, 12)))
-    elif kind == "fixed":
-        moved = draw(st.lists(st.integers(0, n - 1), unique=True)) if n else []
-        order[moved] = draw(st.permutations(moved))
-    shape = tuple(draw(st.lists(st.integers(0, 4), max_size=2)))
-    return n, shape, order
-
-
-class TestPermuteBlocks:
-    @settings(max_examples=200, deadline=None)
-    @given(case=block_orders(), seed=st.integers(0, 2**32 - 1))
-    @example(case=(5, (3, 2), np.array([1, 2, 3, 4, 0])), seed=0)
-    @example(case=(6, (2,), np.array([0, 3, 2, 1, 5, 4])), seed=1)
-    def test_equals_fancy_indexing_and_inverts(self, case, seed):
-        n, shape, order = case
-        rng = np.random.default_rng(seed)
-        rows = rng.normal(size=(n, *shape, 3))
-        labels = rng.integers(0, 2, size=(n, *shape))
-        rows0, labels0 = rows.copy(), labels.copy()
-        experiment._permute_blocks((rows, labels), order)
-        assert rows.tobytes() == rows0[order].tobytes()
-        assert labels.tobytes() == labels0[order].tobytes()
-        experiment._permute_blocks((rows, labels), np.argsort(order))
-        assert (rows.tobytes(), labels.tobytes()) == (rows0.tobytes(), labels0.tobytes())
 
 
 def run_counted(cfg, block=None):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metasel import metafeatures
+from metasel import metafeatures, regions
 from metasel.data import Dataset, generate_p2, scale_minmax
 from metasel.metafeatures import (FeatureLayout, MetaFeatureExtractor,
                                   apply_mask, meta_dataset_to_csv,
@@ -118,8 +118,9 @@ def full_order_extract(ex, X, y=None, self_indices=None):
     num = (sup_assigned * same_class).sum(axis=2)
     den = sup_assigned.sum(axis=2)
     seg["cond"][:, :, 0] = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    span = ex.conf_max - ex.conf_min
-    scaled = (ex.pool.boundary_distances(X).T - ex.conf_min) / np.where(span > 0, span, 1.0)
+    lo, hi = ex.conf_scale.col_min, ex.conf_scale.col_max
+    span = hi - lo
+    scaled = (ex.pool.boundary_distances(X).T - lo) / np.where(span > 0, span, 1.0)
     seg["conf"][:, :, 0] = np.where(span > 0, np.clip(scaled, 0.0, 1.0), 0.5)
     s_sorted = np.sort(q_supports, axis=2)
     seg["amb"][:, :, 0] = (s_sorted[:, :, -1] - s_sorted[:, :, -2]).T
@@ -422,6 +423,40 @@ class TestMaskedExtraction:
         bound = ((mask.sum() + 1) * np.finfo(float).eps
                  * np.abs(feats * weights).sum(axis=2))
         assert (np.abs(got - feats @ weights) <= bound).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(6, 70), m=st.integers(1, 5), L=st.integers(2, 3),
+           d=st.integers(1, 3), k=st.integers(1, 5), kp=st.integers(1, 5),
+           distinct=st.integers(1, 70), self_excl=st.booleans(), nq=st.integers(1, 40),
+           prefix=st.sampled_from([1, 2, 5, 128]), block=st.sampled_from([1, 50, 1 << 22]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sample_rows_do_not_depend_on_batch_position(self, n, m, L, d, k, kp, distinct,
+                                                         self_excl, nq, prefix, block, seed):
+        # train_des builds the meta-training samples in its halving's order;
+        # each sample's rows must be those a build in sample order gives
+        rng = np.random.default_rng(seed)
+        k, kp = min(k, n - 1), min(kp, n - 1)
+        base = np.round(rng.normal(size=(min(distinct, n), d)), 1)
+        features = base[rng.integers(0, len(base), size=n)]
+        pool = ClassifierPool(rng.normal(size=(m, L, d + 1)), rng.uniform(0.5, 2.0, size=m))
+        ex = MetaFeatureExtractor(pool, Dataset(features, rng.integers(0, L, size=n), L),
+                                  k=k, kp=kp)
+        self_indices = rng.integers(0, n, size=nq) if self_excl else None
+        X = (features[self_indices] if self_excl
+             else np.round(rng.normal(size=(nq, d)), 1))
+        y = rng.integers(0, L, size=nq)
+        ids = rng.permutation(10 * nq)[:nq]
+        perm = rng.permutation(nq)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metafeatures, "_RANK_WIDTH", prefix)
+            mp.setattr(regions, "_KNN_BLOCK", block)
+            built = ex.build_meta_dataset(X, y, self_indices=self_indices, sample_ids=ids)
+            moved = ex.build_meta_dataset(
+                X[perm], y[perm], sample_ids=ids[perm],
+                self_indices=None if self_indices is None else self_indices[perm])
+        for name in ("rows", "labels", "sample_ids", "classifier_ids"):
+            blocks = getattr(built, name).reshape(nq, m, -1)
+            assert getattr(moved, name).tobytes() == blocks[perm].tobytes()
 
     def test_rank_widens_past_the_first_prefix(self, monkeypatch):
         # one member errs only on the farthest row, the other on no row: the

@@ -17,10 +17,13 @@ moved any output. One line per output:
 - per train seed, the mask search's raw bits: ``Archive.audit`` and
   ``Archive.trace`` as float64 bytes. These move with any change in the
   search's arithmetic, even one that moves no mask or report;
-- per train seed, the meta-training and validation meta-datasets ``train_des``
-  returns (rows, labels, sample and classifier ids) and the final selector's
-  weights, offsets and bias. These move if the meta rows come back in
-  another order or the final fit sees them in one.
+- per train seed, ``meta``: the meta-training and validation meta-datasets
+  ``train_des`` returns (rows, labels, sample and classifier ids), each put
+  in sample-id order first (a stable sort), so the line moves if any
+  sample's rows do but not if the samples only come in another order;
+- per train seed, ``selector``: the final selector's weights, offsets and
+  bias. These move with the order in which its fit adds the rows, even
+  when every row is unchanged.
 """
 
 from __future__ import annotations
@@ -89,10 +92,11 @@ def train_lines(seed):
     yield f"train_des seed={seed} search", sha(np.asarray(archive.audit, np.float64).tobytes(),
                                                np.asarray(archive.trace, np.float64).tobytes())
     meta_data = [info[key] for key in ("meta_dataset", "validation_dataset")]
-    selector = model.meta
     yield f"train_des seed={seed} meta", sha(
-        *(a.tobytes() for d in meta_data
-          for a in (d.rows, d.labels, d.sample_ids, d.classifier_ids)),
+        *(a[np.argsort(d.sample_ids, kind="stable")].tobytes() for d in meta_data
+          for a in (d.rows, d.labels, d.sample_ids, d.classifier_ids)))
+    selector = model.meta
+    yield f"train_des seed={seed} selector", sha(
         selector.weights.tobytes(), selector.offsets.tobytes(),
         np.float64(selector.bias).tobytes())
 
