@@ -13,7 +13,7 @@ from .data import (Dataset, ScaleParams, SplitSpec, generate_p2, load_csv,
 from .pool import ClassifierPool, bagging
 from .regions import nearest_neighbors
 from .metafeatures import (FeatureLayout, MetaDataset, MetaFeatureExtractor,
-                           apply_mask, meta_dataset_to_csv, rrc_competence)
+                           meta_dataset_to_csv, rrc_competence)
 from .metaclassifier import MetaClassifier, train_meta
 from .bpso import (Archive, BpsoConfig, MaskEvaluator, optimize, step, transfer_s,
                    transfer_v)

@@ -26,10 +26,11 @@ import numpy as np
 
 from .metaclassifier import sigmoid, train_meta
 
-# doubles per scoring block: a block of scored rows holds at most this many
-# values, and so does its (rows, masks) buffer of decision values, so nothing
-# scoring allocates grows with the row count. Small blocks also keep small
-# the BLAS packing buffers, which stay resident once touched.
+# doubles per scoring block: a block of scored rows, widened to float64,
+# holds at most this many values, and so does its (rows, masks) buffer of
+# decision values, so nothing scoring allocates grows with the row count.
+# Small blocks also keep small the BLAS packing buffers, which stay resident
+# once touched.
 _SCORE_BLOCK = 2 ** 15
 
 __all__ = [
@@ -135,7 +136,9 @@ class MaskEvaluator:
         """Oracle distance of every row of ``masks`` (P, D) on ``rows``.
 
         The non-empty masks, in row order and duplicates included, are
-        scored in one pass over row blocks; empty masks are inf.
+        scored in one pass over row blocks, each copied into a float64
+        buffer first (float32 rows are widened there, so they score bit for
+        bit as the same rows widened to float64 would); empty masks are inf.
         """
         masks = np.asarray(masks, dtype=bool)
         used = masks.any(axis=1)
@@ -147,18 +150,21 @@ class MaskEvaluator:
         bias = np.array([float(model.prior + model.offsets[mask].sum()) for mask in masks])
         # (D, masks), C-contiguous: the product's bits depend on the layout
         weights = np.where(np.ascontiguousarray(masks.T), model.weights[:, None], 0.0)
-        rows, labels = np.asarray(rows, dtype=float), np.asarray(labels)
+        rows, labels = np.asarray(rows), np.asarray(labels)
         sq = np.zeros(len(masks))
         block = max(1, _SCORE_BLOCK // max(rows.shape[1], len(masks)))
-        out = np.empty((min(block, len(rows)), len(masks)))
+        wide = np.empty((min(block, len(rows)), rows.shape[1]))
+        out = np.empty((len(wide), len(masks)))
         for start in range(0, len(rows), block):
+            stop = min(start + block, len(rows))
+            chunk = wide[:stop - start]
+            chunk[...] = rows[start:stop]
             # in one buffer, the competence and its squared error against
             # the 0/1 labels of the block
-            chunk = rows[start:start + block]
-            z = np.matmul(chunk, weights, out=out[:len(chunk)])
+            z = np.matmul(chunk, weights, out=out[:stop - start])
             z += bias
             sigmoid(z)
-            z -= labels[start:start + block, None]
+            z -= labels[start:stop, None]
             np.square(z, out=z)
             sq += z.sum(axis=0)
         dist[used] = np.sqrt(sq) / len(rows)

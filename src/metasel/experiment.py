@@ -229,11 +229,11 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
     several replications' pools at once). A pool whose width or class count
     differs from the train split's raises ValueError.
 
-    Each meta-feature row is held once. The meta-training rows are built in
-    the order of the search's 50/50 halving of whole samples, so its two
-    halves are the two ends of the meta-dataset, as views; the final fit and
-    ``info["meta_dataset"]`` read the rows in that order (sample-major, each
-    row's sample named in ``sample_ids``).
+    Each meta-feature row is held once, in float32. The meta-training rows
+    are built in the order of the search's 50/50 halving of whole samples,
+    so its two halves are the two ends of the meta-dataset, as views; the
+    final fit and ``info["meta_dataset"]`` read the rows in that order
+    (sample-major, each row's sample named in ``sample_ids``).
 
     If the consensus filter removes every meta-training or every reference
     sample, all of that split's samples are kept, with a RuntimeWarning.

@@ -84,9 +84,11 @@ def train_meta(rows, labels) -> MetaClassifier:
 
     Needs at least two rows; if only one meta-class is present the model
     degenerates to a constant output at that class's value (flagged and
-    warned). A column whose values are all equal gets weight 0.
+    warned). A column whose values are all equal gets weight 0. The rows
+    are read one column at a time in float64, so float32 rows fit bit for
+    bit as the same rows widened to float64.
     """
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    rows = np.atleast_2d(np.asarray(rows))
     labels = np.ascontiguousarray(labels, dtype=float).reshape(-1)
     if len(rows) < 2:
         raise ValueError("need at least two training rows")
@@ -103,17 +105,18 @@ def train_meta(rows, labels) -> MetaClassifier:
 
     others = 1.0 - labels
     diff, mid, within = np.empty(p), np.empty(p), np.empty(p)
-    scratch = np.empty(n)
+    x, scratch = np.empty(n), np.empty(n)
     for j in range(p):
-        # one contiguous column at a time, shifted by its first value so that
-        # a constant column is exactly zero. No temporary grows with the
-        # width, and with numpy's own sums (no BLAS) a column's statistics
-        # are bit for bit the same whatever columns come with it and however
-        # rows is laid out.
-        x = rows[:, j] - rows[0, j]
+        # one contiguous float64 column at a time, shifted by its first value
+        # so that a constant column is exactly zero. No temporary grows with
+        # the width, and with numpy's own sums (no BLAS) a column's
+        # statistics are bit for bit the same whatever columns come with it
+        # and however rows is laid out.
+        first = float(rows[0, j])
+        np.subtract(rows[:, j], first, out=x, dtype=float)
         mu1 = np.multiply(labels, x, out=scratch).sum() / n1
         mu0 = np.multiply(others, x, out=scratch).sum() / n0
-        diff[j], mid[j] = mu1 - mu0, rows[0, j] + (mu1 + mu0) / 2
+        diff[j], mid[j] = mu1 - mu0, first + (mu1 + mu0) / 2
         x -= mu0                                  # minus the row's class mean
         x -= np.multiply(labels, diff[j], out=scratch)
         within[j] = np.square(x, out=x).sum() / n

@@ -38,7 +38,6 @@ __all__ = [
     "FeatureLayout",
     "MetaDataset",
     "MetaFeatureExtractor",
-    "apply_mask",
     "rrc_competence",
     "meta_dataset_to_csv",
 ]
@@ -114,7 +113,12 @@ class FeatureLayout:
 
 @dataclass
 class MetaDataset:
-    """Stacked meta-feature rows, sample-major then classifier-minor."""
+    """Stacked meta-feature rows, sample-major then classifier-minor.
+
+    ``build_meta_dataset`` stores the rows as float32, each the float64
+    feature rounded once; the fits and scores that read them widen one
+    column or one row block at a time.
+    """
 
     rows: np.ndarray          # (R, D)
     labels: np.ndarray        # (R,) in {0, 1}
@@ -124,23 +128,6 @@ class MetaDataset:
 
     def __len__(self):
         return len(self.rows)
-
-
-def apply_mask(values, mask):
-    """Keep the entries of ``values`` whose mask bit is set, preserving order.
-
-    Works on a single vector or a row matrix. An all-zero mask is an error.
-    The library itself never copies masked columns (the selector is kept at
-    full width, zero outside the mask); this is the masked-copy reference
-    that tests hold the full-width paths to.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    values = np.asarray(values)
-    if values.shape[-1] != len(mask):
-        raise ValueError(f"mask length {len(mask)} does not match vector length {values.shape[-1]}")
-    if not mask.any():
-        raise ValueError("mask selects no features")
-    return values[..., mask]
 
 
 def rrc_competence(supports, correct_class):
@@ -317,7 +304,7 @@ class MetaFeatureExtractor:
 
     # -- batch extraction ---------------------------------------------------
 
-    def extract_batch(self, X, y=None, self_indices=None, mask=None, weights=None):
+    def extract_batch(self, X, y=None, self_indices=None, mask=None, weights=None, out=None):
         """Vectorized extraction for a batch of queries.
 
         Returns ``(features, meta_labels, pred_labels)`` with shapes
@@ -334,6 +321,11 @@ class MetaFeatureExtractor:
         gathered (a K-wide family contracted in its (M, Nq, c) gather order,
         a scalar family as one scaled add), so the sum equals
         ``features @ weights`` of the tensor up to summation order.
+
+        ``out``, an (Nq, M, D) array, takes the features in place of a new
+        float64 tensor and is returned as ``features``: each value is
+        computed in float64 and rounded once to ``out``'s dtype as it is
+        written. It does not go with ``weights``.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         layout, dsel = self.layout, self.dsel
@@ -347,6 +339,8 @@ class MetaFeatureExtractor:
             weights = np.asarray(weights, dtype=float)
             if weights.shape != (layout.size,):
                 raise ValueError(f"weights of shape {weights.shape} for {layout.size} features")
+            if out is not None:
+                raise ValueError("out takes the feature tensor, not the weighted sums")
         if self_indices is not None:
             self_indices = np.atleast_1d(np.asarray(self_indices, dtype=int))
             if ((self_indices < 0) | (self_indices >= len(dsel))).any():
@@ -370,7 +364,13 @@ class MetaFeatureExtractor:
         # values: (Nq, M) for a scalar family, (M, Nq, c) for the selected
         # positions of a K-wide family
         if weights is None:
-            out = np.zeros((nq, M, layout.size))
+            if out is None:
+                out = np.zeros((nq, M, layout.size))
+            elif out.shape == (nq, M, layout.size):
+                out[...] = 0.0
+            else:
+                raise ValueError(f"out of shape {out.shape} for features of shape "
+                                 f"{(nq, M, layout.size)}")
 
             def put(name, values):
                 out[:, :, dest[name]] = (values[:, :, None] if values.ndim == 2
@@ -428,13 +428,23 @@ class MetaFeatureExtractor:
         return out, metas, pred_labels
 
     def build_meta_dataset(self, X, y, self_indices=None, sample_ids=None) -> MetaDataset:
-        """All (sample, classifier) rows for labeled queries, sample-major."""
-        feats, metas, _ = self.extract_batch(X, y, self_indices=self_indices)
-        nq, M, D = feats.shape
+        """All (sample, classifier) rows for labeled queries, sample-major.
+
+        The rows are ``extract_batch``'s features rounded to float32, written
+        straight into the returned array. ``y``, and ``sample_ids`` when
+        given, must hold one entry per query.
+        """
+        nq, M = len(np.atleast_2d(np.asarray(X))), len(self.pool)
         if sample_ids is None:
             sample_ids = np.arange(nq)
+        for name, values in (("y", y), ("sample_ids", sample_ids)):
+            given = None if values is None else len(np.atleast_1d(values))
+            if given != nq:
+                raise ValueError(f"{name} has length {given}, expected {nq} (one per query)")
+        feats = np.empty((nq, M, self.layout.size), dtype=np.float32)
+        _, metas, _ = self.extract_batch(X, y, self_indices=self_indices, out=feats)
         return MetaDataset(
-            rows=feats.reshape(-1, D),
+            rows=feats.reshape(nq * M, -1),
             labels=metas.reshape(-1),
             sample_ids=np.repeat(np.asarray(sample_ids, dtype=int), M),
             classifier_ids=np.tile(np.arange(M), nq),

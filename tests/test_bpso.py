@@ -195,6 +195,24 @@ class TestBatchedDistances:
         # nothing is kept between calls that could change a repeated call
         assert np.array_equal(repeated, got)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), D=st.integers(1, 67), P=st.integers(1, 20),
+           n_rows=st.integers(1, 300), block=st.sampled_from([1, 7, 64, 1_000, 2 ** 15]))
+    def test_float32_rows_score_as_their_float64_widening(self, seed, D, P, n_rows, block):
+        # meta-datasets store float32 rows; each scored block is widened
+        # into a float64 buffer, so the scores are the bits of the same rows
+        # widened as a whole, whatever the block size
+        rng = np.random.default_rng(seed)
+        train = (rng.normal(size=(80, D)) * rng.uniform(0.1, 10.0, D)).astype(np.float32)
+        ev = MaskEvaluator(train, (rng.random(80) < 0.5).astype(float))
+        rows = (rng.normal(size=(n_rows, D)) * 3.0).astype(np.float32)
+        labels = rng.integers(0, 2, n_rows).astype(float)
+        masks = rng.random((P, D)) < 0.5
+        with mock.patch.object(bpso, "_SCORE_BLOCK", block):
+            got = ev.distances(masks, rows, labels)
+            want = ev.distances(masks, rows.astype(float), labels)
+        assert got.tobytes() == want.tobytes()
+
     def test_bits_equal_the_stacked_selectors(self):
         # meta-feature width and swarm size of a search, rows over several
         # blocks: the scores are the bits of one product with the stacked

@@ -13,9 +13,10 @@ from metasel.engine import (BASELINE_METHODS, DesModel, baseline_predict_batch,
                             weighted_majority_vote)
 from metasel.metaclassifier import MetaClassifier, train_meta
 from metasel.experiment import evaluate_methods
-from metasel.metafeatures import MetaFeatureExtractor, apply_mask
+from metasel.metafeatures import MetaFeatureExtractor
 from metasel.pool import ClassifierPool, bagging
 from metasel.regions import nearest_neighbors
+from test_metafeatures import apply_mask
 
 
 class TableMember:

@@ -133,6 +133,21 @@ class TestTrainMeta:
             assert folded.input_dim == p
         assert train_meta(rows, labels).masked(np.ones(p, dtype=bool)).bias == full.bias
 
+    @settings(max_examples=100, deadline=None)
+    @fit_problems
+    def test_float32_rows_fit_as_their_float64_widening(self, seed, n, p, kind):
+        # meta-datasets store float32 rows; the fit widens one column at a
+        # time, so it is bit for bit the fit on the whole array widened
+        rows, labels = draw_problem(seed, n, p, kind)
+        narrow = rows.astype(np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got, want = train_meta(narrow, labels), train_meta(narrow.astype(float), labels)
+        for name in ("weights", "offsets"):
+            assert getattr(got, name).dtype == np.float64
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert (got.bias, got.prior, got.degenerate) == (want.bias, want.prior, want.degenerate)
+
     def test_mask_length_checked(self):
         rows, labels = separable_rows()
         with pytest.raises(ValueError, match="mask of length 3"):

@@ -7,10 +7,26 @@ from hypothesis import given, settings, strategies as st
 from metasel import metafeatures, regions
 from metasel.data import Dataset, generate_p2, scale_minmax
 from metasel.metafeatures import (FeatureLayout, MetaFeatureExtractor,
-                                  apply_mask, meta_dataset_to_csv,
-                                  rrc_competence)
+                                  meta_dataset_to_csv, rrc_competence)
 from metasel.pool import ClassifierPool, bagging
 from metasel.regions import nearest_neighbors
+
+
+def apply_mask(values, mask):
+    """Keep the entries of ``values`` whose mask bit is set, preserving order.
+
+    Works on a single vector or a row matrix. An all-zero mask is an error.
+    The library never copies masked columns (its selector is kept at full
+    width, zero outside the mask); this masked copy is the reference that
+    tests hold the full-width paths to.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    values = np.asarray(values)
+    if values.shape[-1] != len(mask):
+        raise ValueError(f"mask length {len(mask)} does not match vector length {values.shape[-1]}")
+    if not mask.any():
+        raise ValueError("mask selects no features")
+    return values[..., mask]
 
 
 class TableMember:
@@ -458,6 +474,32 @@ class TestMaskedExtraction:
             blocks = getattr(built, name).reshape(nq, m, -1)
             assert getattr(moved, name).tobytes() == blocks[perm].tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(6, 70), m=st.integers(1, 5), L=st.integers(2, 3),
+           d=st.integers(1, 3), k=st.integers(1, 5), kp=st.integers(1, 5),
+           distinct=st.integers(1, 70), self_excl=st.booleans(), nq=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_built_rows_are_the_features_rounded_to_float32(self, n, m, L, d, k, kp,
+                                                              distinct, self_excl, nq, seed):
+        # build_meta_dataset writes float32 rows straight into its array;
+        # each is the float64 feature extract_batch returns, rounded once
+        rng = np.random.default_rng(seed)
+        k, kp = min(k, n - 1), min(kp, n - 1)
+        base = np.round(rng.normal(size=(min(distinct, n), d)), 1)
+        features = base[rng.integers(0, len(base), size=n)]
+        pool = ClassifierPool(rng.normal(size=(m, L, d + 1)), rng.uniform(0.5, 2.0, size=m))
+        ex = MetaFeatureExtractor(pool, Dataset(features, rng.integers(0, L, size=n), L),
+                                  k=k, kp=kp)
+        self_indices = rng.integers(0, n, size=nq) if self_excl else None
+        X = (features[self_indices] if self_excl
+             else np.round(rng.normal(size=(nq, d)), 1))
+        y = rng.integers(0, L, size=nq)
+        md = ex.build_meta_dataset(X, y, self_indices=self_indices)
+        feats, metas, _ = ex.extract_batch(X, y, self_indices=self_indices)
+        assert feats.dtype == np.float64 and md.rows.dtype == np.float32
+        assert md.rows.tobytes() == feats.astype(np.float32).reshape(nq * m, -1).tobytes()
+        assert np.array_equal(md.labels, metas.reshape(-1))
+
     def test_rank_widens_past_the_first_prefix(self, monkeypatch):
         # one member errs only on the farthest row, the other on no row: the
         # first needs every prefix up to N, the second none
@@ -493,6 +535,25 @@ class TestMaskedExtraction:
             ex.extract_batch(np.zeros((1, 1)), mask=np.ones(5, dtype=bool))
         with pytest.raises(ValueError, match="weights of shape"):
             ex.extract_batch(np.zeros((1, 1)), weights=np.ones(5))
+        with pytest.raises(ValueError, match="out of shape"):
+            ex.extract_batch(np.zeros((2, 1)), out=np.empty((1, 1, ex.layout.size)))
+        with pytest.raises(ValueError, match="not the weighted sums"):
+            ex.extract_batch(np.zeros((1, 1)), weights=np.ones(ex.layout.size),
+                             out=np.empty((1, 1, ex.layout.size)))
+
+    @pytest.mark.parametrize("y, ids, message", [
+        ([0, 1], None, "y has length 2, expected 3"),
+        ([0, 1, 0, 1], None, "y has length 4, expected 3"),
+        (None, None, "y has length None, expected 3"),
+        ([0, 1, 0], [4, 5], "sample_ids has length 2, expected 3"),
+        ([0, 1, 0], [4, 5, 6, 7], "sample_ids has length 4, expected 3")])
+    def test_labels_and_sample_ids_need_one_entry_per_query(self, y, ids, message):
+        pool = ClassifierPool(np.ones((5, 2, 2)), np.ones(5))
+        ex = MetaFeatureExtractor(pool, line_dsel([0, 1, 0, 1, 0, 1, 0]), k=3, kp=3)
+        with pytest.raises(ValueError, match=message):
+            ex.build_meta_dataset(np.zeros((3, 1)), y, sample_ids=ids)
+        md = ex.build_meta_dataset(np.zeros((3, 1)), [0, 1, 0], sample_ids=[4, 5, 6])
+        assert len(md) == len(md.sample_ids) == len(md.labels) == 15
 
     @pytest.mark.parametrize("own", [[-1], [7], [0, 150]])
     def test_self_indices_outside_the_reference_set_rejected(self, own):

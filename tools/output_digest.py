@@ -6,7 +6,15 @@ Usage (from anywhere)::
 
 metasel is imported from this checkout's ``src``. Running the script in two
 checkouts and comparing the two files with ``diff`` shows whether a change
-moved any output. One line per output:
+moved any output. The first line, ``# environment`` and a JSON object, names
+what the float bits depend on besides the code: numpy's version, its BLAS
+build (name, version and OpenBLAS configuration string of
+``numpy.show_config(mode="dicts")``), the core type and thread count the
+loaded OpenBLAS reports at run time (which can differ from the build
+string's core), numpy's SIMD baseline and the SIMD targets found on this
+CPU, and the environment variables that pick the BLAS core, threads or CPU
+features. A query that cannot be made reads ``unknown``; an unset variable
+reads ``unset``. Then one line per output:
 
 - every report file of ``metasel benchmark`` on each bundled CSV at seeds
   1, 2 and 7, with the benchmark's protocol_bundled settings (pool 10, two
@@ -30,9 +38,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
+import itertools
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -54,6 +65,58 @@ P2_SIZES = (500, 500, 500, 2000)        # train, meta-train, dsel, test
 TRAIN_P2 = experiment.ExperimentConfig(
     pool=experiment.PoolConfig(size=100),
     bpso=BpsoConfig(runs=1, swarm_size=20, max_generations=7, stall_limit=7))
+
+
+def openblas_runtime():
+    """(core name, thread count) the OpenBLAS loaded in this process
+    reports, found among the process's mapped libraries (Linux); each is
+    "unknown" when no such library or function is found."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.rsplit("/", 1)[-1]})
+    except OSError:
+        paths = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        # scipy-openblas prefixes its symbols, and its ILP64 build adds "64_"
+        for prefix, suffix in itertools.product(("scipy_openblas_", "openblas_"), ("64_", "")):
+            try:
+                corename = getattr(lib, f"{prefix}get_corename{suffix}")
+                threads = getattr(lib, f"{prefix}get_num_threads{suffix}")
+            except AttributeError:
+                continue
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            threads.argtypes, threads.restype = [], ctypes.c_int
+            return corename().decode(), threads()
+    return "unknown", "unknown"
+
+
+def environment() -> dict:
+    """What the float bits depend on besides the code (see the module
+    docstring)."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:                     # numpy before 1.25: no dict mode
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    simd = config.get("SIMD Extensions", {})
+    core, threads = openblas_runtime()
+    return {
+        "numpy": np.__version__,
+        "blas": {key: blas.get(key, "unknown")
+                 for key in ("name", "version", "openblas configuration")},
+        "openblas_core": core,
+        "openblas_threads": threads,
+        "simd_baseline": simd.get("baseline", "unknown"),
+        "simd_found": simd.get("found", "unknown"),
+        **{name: os.environ.get(name, "unset")
+           for name in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES", "OPENBLAS_NUM_THREADS",
+                        "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+    }
 
 
 def sha(*chunks) -> str:
@@ -106,6 +169,7 @@ def main(argv=None):
     p.add_argument("--train-seeds", type=int, nargs="+", default=[1, 2, 3],
                    help="seeds of the train_des outputs (default: 1 2 3)")
     args = p.parse_args(argv)
+    print("# environment", json.dumps(environment()), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for seed in BENCHMARK_SEEDS:
             for what, digest in benchmark_lines(seed, Path(tmp)):
