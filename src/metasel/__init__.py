@@ -17,7 +17,7 @@ from .metafeatures import (FeatureLayout, MetaDataset, MetaFeatureExtractor,
 from .metaclassifier import MetaClassifier, train_meta
 from .bpso import (Archive, BpsoConfig, MaskEvaluator, optimize, step, transfer_s,
                    transfer_v)
-from .engine import (BASELINE_METHODS, ClassifyDiagnostics, DesModel,
+from .engine import (BASELINE_METHODS, ClassifyResult, DesModel, SampleResult,
                      baseline_predict_batch, classify, classify_batch,
                      consensus_keep, oracle_accuracy, weighted_majority_vote)
 from .experiment import (ALL_METHODS, FRAMEWORK_METHOD, DataSource,

@@ -70,13 +70,13 @@ def _cmd_classify(args) -> int:
         X, truth = ds.features, ds.labels
     else:
         X, truth = load_csv_features(args.data), None
-    preds, diags = classify_batch(model, X)
+    preds, result = classify_batch(model, X)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("sample_id,true_label,predicted_label,method,fallback,selected_count\n")
         for j, p in enumerate(preds):
             true = "" if truth is None else str(int(truth[j]))
             fh.write(f"{j},{true},{int(p)},{experiment.FRAMEWORK_METHOD},"
-                     f"{int(diags[j].fallback)},{len(diags[j].selected)}\n")
+                     f"{int(result[j].fallback)},{len(result[j].selected)}\n")
     if truth is not None:
         acc = float((preds == truth).mean())
         print(f"accuracy {acc:.4f} on {len(preds)} samples -> {args.out}")

@@ -15,7 +15,9 @@ no member clears the threshold the single most competent member decides
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,12 +27,10 @@ from .metafeatures import MetaFeatureExtractor
 from .pool import ClassifierPool
 from .regions import nearest_neighbors
 
-# (sample, member, meta-feature) values a classify_batch block is sized by
-_CLASSIFY_BLOCK = 1 << 21
-
 __all__ = [
     "DesModel",
-    "ClassifyDiagnostics",
+    "ClassifyResult",
+    "SampleResult",
     "classify",
     "classify_batch",
     "consensus_keep",
@@ -42,11 +42,39 @@ __all__ = [
 ]
 
 
-@dataclass
-class ClassifyDiagnostics:
-    competences: np.ndarray      # delta per pool member
-    selected: np.ndarray         # indices of members in the voting ensemble
+class SampleResult(NamedTuple):
+    """One sample's decision, read from a ``ClassifyResult``."""
+
+    competences: np.ndarray      # (M,) delta per pool member
+    selected: np.ndarray         # indices of the members in the voting ensemble
     fallback: bool               # True when no member cleared the threshold
+
+
+@dataclass(frozen=True, eq=False)
+class ClassifyResult:
+    """Per-sample decisions of ``classify_batch``, held as arrays.
+
+    ``len``, integer indexing and iteration give one ``SampleResult`` per
+    sample, built on access: its ``selected`` lists the members whose
+    competence cleared the threshold, or only ``best`` on a fallback.
+    """
+
+    competences: np.ndarray      # (Nq, M) delta per sample and pool member
+    selected: np.ndarray         # (Nq, M) True where a member cleared the threshold
+    fallback: np.ndarray         # (Nq,) True where no member cleared it
+    best: np.ndarray             # (Nq,) the most competent member
+
+    def __len__(self):
+        return len(self.fallback)
+
+    def __getitem__(self, j) -> SampleResult:
+        j = range(len(self))[operator.index(j)]   # one sample; negative counts from the end
+        fallback = bool(self.fallback[j])
+        members = self.best[j:j + 1] if fallback else np.flatnonzero(self.selected[j])
+        return SampleResult(self.competences[j], members, fallback)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass
@@ -116,24 +144,19 @@ def weighted_majority_vote(labels, weights, class_count: int) -> int | np.ndarra
 def classify_batch(model: DesModel, X):
     """Hybrid dynamic selection + weighted voting for a batch of raw samples.
 
-    Returns (labels, diagnostics list). The samples are extracted and scored
-    one block at a time, each block sized as if it held ``_CLASSIFY_BLOCK``
-    elements of features and rank lists, so memory does not grow with the
-    batch. A block's competences are ``sigmoid(decision + bias)``, where the
+    Returns (labels, ``ClassifyResult``). The samples are extracted and
+    scored in the extractor's ``query_blocks``, so memory does not grow with
+    the batch. A block's competences are ``sigmoid(decision + bias)``, where the
     extractor sums the selector's weighted meta-features over the mask
     family by family; they equal scoring the full-width feature block up to
     summation order.
     """
     Xs = model.prepare(X)
     ex = model.extractor
-    M, D = len(model.pool), ex.layout.size
-    # per sample: at most M*D gathered meta-feature values, and the rank's
-    # reference rows by distance with their distances (up to N each)
-    step = max(1, _CLASSIFY_BLOCK // (M * D + 2 * len(model.dsel)))
+    M = len(model.pool)
     delta = np.empty((len(Xs), M))
     pred_labels = np.empty((M, len(Xs)), dtype=int)
-    for lo in range(0, len(Xs), step):
-        blk = slice(lo, lo + step)
+    for blk in ex.query_blocks(len(Xs)):
         decision, _, pred_labels[:, blk] = ex.extract_batch(Xs[blk], mask=model.mask,
                                                             weights=model.meta.weights)
         decision += model.meta.bias
@@ -146,7 +169,7 @@ def _select_and_vote(delta, pred_labels, threshold: float, class_count: int):
     """``classify_batch``'s decision from competences ``delta`` (Nq, M) and
     member labels ``pred_labels`` (M, Nq): the members at or above
     ``threshold`` vote weighted by competence, else the most competent member
-    decides (flagged). Returns (labels, diagnostics list)."""
+    decides (flagged). Returns (labels, ``ClassifyResult``)."""
     selected = delta >= threshold                                   # (Nq, M)
     # Unselected members vote with weight 0. A row whose weights are all zero
     # votes unweighted with every member; with competences in [0, 1] that
@@ -157,16 +180,13 @@ def _select_and_vote(delta, pred_labels, threshold: float, class_count: int):
     best = delta.argmax(axis=1)
     rows = np.flatnonzero(fallback)
     out[rows] = pred_labels[best[rows], rows]
-    diags = [ClassifyDiagnostics(delta[j], np.array([best[j]]) if fallback[j]
-                                 else np.flatnonzero(selected[j]), bool(fallback[j]))
-             for j in range(len(delta))]
-    return out, diags
+    return out, ClassifyResult(delta, selected, fallback, best)
 
 
 def classify(model: DesModel, x):
-    """Label and diagnostics for a single raw sample."""
-    labels, diags = classify_batch(model, np.atleast_2d(x))
-    return int(labels[0]), diags[0]
+    """Label and ``SampleResult`` of a single raw sample."""
+    labels, result = classify_batch(model, np.atleast_2d(x))
+    return int(labels[0]), result[0]
 
 
 def consensus_keep(pool_labels, true_labels, threshold: float):
@@ -240,26 +260,28 @@ def baseline_predict_batch(method: str, pool: ClassifierPool, dsel: Dataset, X, 
         neighbors, _ = nearest_neighbors(X, dsel.features, k)
     elif np.shape(neighbors) != (len(X), k):
         raise ValueError(f"neighbors of shape {np.shape(neighbors)}, expected {(len(X), k)}")
-    order = np.asarray(neighbors)                           # (Nq, k)
-    local = correct[:, order]                               # (M, Nq, k)
+    # neighbour-major: the counts below add k (M, Nq) planes, and integer
+    # sums do not depend on their order
+    order = np.asarray(neighbors).T                         # (k, Nq)
+    local = correct[:, order].transpose(1, 0, 2)            # (k, M, Nq)
     queries = np.arange(len(X))
     if method == "ola":
-        return pred_q[local.sum(axis=2).argmax(axis=0), queries], None
+        return pred_q[local.sum(axis=0).argmax(axis=0), queries], None
     if method == "lca":
-        same = dsel.labels[order][None, :, :] == pred_q[:, :, None]
-        count = same.sum(axis=2)
-        scores = np.divide((local & same).sum(axis=2), count,
+        same = dsel.labels[order][:, None, :] == pred_q[None, :, :]
+        count = same.sum(axis=0)
+        scores = np.divide((local & same).sum(axis=0), count,
                            out=np.zeros(count.shape), where=count > 0)
         return pred_q[scores.argmax(axis=0), queries], None
     if method == "knora_e":
-        # streak[i, j, t]: member i is correct on query j's first t + 1 neighbours
-        streak = np.logical_and.accumulate(local, axis=2)
-        depth = streak.any(axis=0).sum(axis=1)              # (Nq,)
-        # at depth 0 the column holds no True, so the vote falls back to all members
-        chosen = streak[:, queries, np.maximum(depth - 1, 0)].T
+        # streak[t, i, j]: member i is correct on query j's first t + 1 neighbours
+        streak = np.logical_and.accumulate(local, axis=0)
+        depth = streak.any(axis=1).sum(axis=0)              # (Nq,)
+        # at depth 0 the row holds no True, so the vote falls back to all members
+        chosen = streak[np.maximum(depth - 1, 0), :, queries]   # (Nq, M)
         return weighted_majority_vote(votes, chosen.astype(float), L), None
     # knora_u
-    return weighted_majority_vote(votes, local.sum(axis=2).T.astype(float), L), None
+    return weighted_majority_vote(votes, local.sum(axis=0).T.astype(float), L), None
 
 
 def oracle_accuracy(pool: ClassifierPool, test: Dataset) -> float:

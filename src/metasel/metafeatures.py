@@ -44,6 +44,8 @@ __all__ = [
 
 SUPPORT_FLOOR = 1e-12
 SUPPORT_CEIL = 1.0 - 1e-10
+# (sample, member, meta-feature) values a query block is sized by
+_CLASSIFY_BLOCK = 1 << 21
 # (query, member, position) correctness flags one gather of the rank scan
 # reads at once (its index array takes 8 bytes per flag), and the width of
 # the scan's first position chunk
@@ -427,22 +429,50 @@ class MetaFeatureExtractor:
         metas = None if y is None else (assigned == np.asarray(y)[:, None]).astype(int)
         return out, metas, pred_labels
 
+    def query_blocks(self, n):
+        """Slices of ``n`` queries, in the blocks both ``classify_batch`` and
+        ``build_meta_dataset`` extract. Each block is sized as if it held
+        ``_CLASSIFY_BLOCK`` values, counting per query at most M*D gathered
+        meta-feature values and the rank scan's reference rows by distance
+        with their distances (up to N each), so memory does not grow with
+        ``n``.
+
+        No block holds a lone query unless ``n`` is 1: the pool's matrix
+        products take another path for one row, whose supports can differ
+        in the last bit from a larger block's, so a last query left over
+        joins the block before it."""
+        per_query = len(self.pool) * self.layout.size + 2 * len(self.dsel)
+        step = max(2, _CLASSIFY_BLOCK // per_query)
+        starts = list(range(0, n - 1, step)) or [0]
+        return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n]) if hi > lo]
+
     def build_meta_dataset(self, X, y, self_indices=None, sample_ids=None) -> MetaDataset:
         """All (sample, classifier) rows for labeled queries, sample-major.
 
-        The rows are ``extract_batch``'s features rounded to float32, written
-        straight into the returned array. ``y``, and ``sample_ids`` when
-        given, must hold one entry per query.
+        The rows are ``extract_batch``'s features rounded to float32, one
+        query block (``query_blocks``) at a time, each written straight into
+        its slice of the returned array. ``y``, and ``sample_ids`` and
+        ``self_indices`` when given, must hold one entry per query.
         """
-        nq, M = len(np.atleast_2d(np.asarray(X))), len(self.pool)
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        nq, M = len(X), len(self.pool)
         if sample_ids is None:
             sample_ids = np.arange(nq)
-        for name, values in (("y", y), ("sample_ids", sample_ids)):
+        named = [("y", y), ("sample_ids", sample_ids)]
+        if self_indices is not None:
+            self_indices = np.atleast_1d(np.asarray(self_indices, dtype=int))
+            named.append(("self_indices", self_indices))
+        for name, values in named:
             given = None if values is None else len(np.atleast_1d(values))
             if given != nq:
                 raise ValueError(f"{name} has length {given}, expected {nq} (one per query)")
+        y = np.asarray(y)
         feats = np.empty((nq, M, self.layout.size), dtype=np.float32)
-        _, metas, _ = self.extract_batch(X, y, self_indices=self_indices, out=feats)
+        metas = np.empty((nq, M), dtype=int)
+        for blk in self.query_blocks(nq):
+            own = None if self_indices is None else self_indices[blk]
+            _, metas[blk], _ = self.extract_batch(X[blk], y[blk], self_indices=own,
+                                                  out=feats[blk])
         return MetaDataset(
             rows=feats.reshape(nq * M, -1),
             labels=metas.reshape(-1),
@@ -500,9 +530,17 @@ class MetaFeatureExtractor:
 
 def meta_dataset_to_csv(md: MetaDataset, path):
     """Write a meta-dataset as CSV: one column per meta-feature plus
-    meta_label, classifier_index and sample_id."""
+    meta_label, classifier_index and sample_id. The rows go out in blocks of
+    at most ``_CLASSIFY_BLOCK`` values, each widened to one float64 table,
+    so the writer's memory does not grow with the meta-dataset."""
     header = md.layout.column_names() + ["meta_label", "classifier_index", "sample_id"]
-    table = np.column_stack([md.rows, md.labels, md.classifier_ids, md.sample_ids])
+    fmt = ["%.10g"] * md.rows.shape[1] + ["%d"] * 3
+    step = max(1, _CLASSIFY_BLOCK // len(fmt))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        np.savetxt(fh, table, fmt=["%.10g"] * md.rows.shape[1] + ["%d"] * 3, delimiter=",")
+        for lo in range(0, len(md), step):
+            blk = slice(lo, lo + step)
+            # unnamed, so each table is freed before the next one is built
+            np.savetxt(fh, np.column_stack([md.rows[blk], md.labels[blk],
+                                            md.classifier_ids[blk], md.sample_ids[blk]]),
+                       fmt=fmt, delimiter=",")

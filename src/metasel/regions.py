@@ -13,9 +13,9 @@ the k-th smallest score plus a rounding margin (derived in
 ``nearest_neighbors``). The margin is at least twice the largest gap between
 a score and the brute-force squared distance, so any row it drops has k rows
 strictly closer and cannot be among the k nearest. The candidates, in
-ascending index order, are then scored again with the brute-force
-difference, square and sum, and sorted stably: indices and distances are
-bit for bit those of sorting every row.
+ascending index order (listed from the keep flags without a sort), are then
+scored again with the brute-force difference, square and sum, and sorted
+stably: indices and distances are bit for bit those of sorting every row.
 """
 
 from __future__ import annotations
@@ -105,15 +105,16 @@ def nearest_neighbors(queries, reference, k, exclude=None):
             rows = np.flatnonzero(excl_blk >= 0)
             d2[rows, excl_blk[rows]] = np.inf
         pick = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        order[blk] = np.take_along_axis(cand, pick, axis=1) if filtered else pick
-        dist[blk] = np.sqrt(np.take_along_axis(d2, pick, axis=1))
+        rows = np.arange(len(pick))[:, None]
+        order[blk] = cand[rows, pick] if filtered else pick
+        dist[blk] = np.sqrt(d2[rows, pick])
     return order, dist
 
 
 def _candidates(q, reference, ref_sq, k, excl):
     """Rows of ``reference`` that may be among each query's k nearest:
     (cand, counts), cand (Nq, C) holding each query's candidate indices in
-    ascending order, then other rows past its count."""
+    ascending order, then row 0 as padding past its count."""
     w = reference.shape[1]
     # non-finite scores are expected here: they make the cutoff non-finite
     with np.errstate(over="ignore", invalid="ignore"):
@@ -131,5 +132,8 @@ def _candidates(q, reference, ref_sq, k, excl):
         keep = approx <= cutoff[:, None]
     keep[~np.isfinite(cutoff)] = True
     counts = keep.sum(axis=1)
-    # a stable sort of the flags lists each query's candidates first, in index order
-    return np.argsort(~keep, axis=1, kind="stable")[:, :counts.max()], counts
+    # the kept flags in row-major order: each query's candidates, in index order
+    rows, cols = np.divmod(np.flatnonzero(keep), keep.shape[1])
+    cand = np.zeros((len(keep), counts.max()), dtype=np.intp)
+    cand[rows, np.arange(len(cols)) - (np.cumsum(counts) - counts)[rows]] = cols
+    return cand, counts

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metasel import engine, experiment
+from metasel import engine, experiment, metafeatures
 from metasel.bpso import BpsoConfig
 from metasel.data import Dataset, generate_p2, scale_minmax
 from metasel.engine import (BASELINE_METHODS, DesModel, baseline_predict_batch,
@@ -175,9 +175,61 @@ class TestClassify:
         pool, dsel, _ = p2_setup(3, m=4)
         model = DesModel(pool=pool, meta=MetaClassifier(np.zeros(67), 0.0),
                          mask=np.ones(67, dtype=bool), scale=None, dsel=dsel)
-        labels, diags = classify_batch(model, np.empty((0, 2)))
+        labels, result = classify_batch(model, np.empty((0, 2)))
         assert labels.shape == (0,) and labels.dtype.kind == "i"
-        assert diags == []
+        assert len(result) == 0
+        assert list(result) == []
+
+
+def reference_samples(delta, threshold):
+    """The per-sample decisions the result's views must equal: (competences,
+    selected member indices, fallback), built one sample at a time."""
+    samples = []
+    for row in delta:
+        chosen = np.flatnonzero(row >= threshold)
+        fallback = chosen.size == 0
+        samples.append((row, np.array([row.argmax()]) if fallback else chosen, fallback))
+    return samples
+
+
+class TestClassifyResult:
+    @settings(max_examples=100, deadline=None)
+    @given(nq=st.integers(0, 12), m=st.integers(1, 6), L=st.integers(2, 3),
+           threshold=st.sampled_from([0.0, 0.5, 0.7, 0.99]), seed=st.integers(0, 2**32 - 1))
+    def test_views_equal_the_per_sample_reference(self, nq, m, L, threshold, seed):
+        rng = np.random.default_rng(seed)
+        # few distinct values: ties for the best member and rows below the threshold
+        delta = rng.choice([0.0, 0.3, 0.5, 0.7, 0.9], size=(nq, m))
+        pred_labels = rng.integers(0, L, size=(m, nq))
+        labels, result = engine._select_and_vote(delta, pred_labels, threshold, L)
+        want = reference_samples(delta, threshold)
+        assert len(result) == len(labels) == nq
+        assert [s.fallback for s in result] == [w[2] for w in want]
+        for j, (got, (competences, selected, fallback)) in enumerate(
+                zip(result, want, strict=True)):
+            for view in (got, result[j], result[j - nq]):
+                assert view.competences.tobytes() == competences.tobytes()
+                assert view.selected.dtype == selected.dtype
+                assert np.array_equal(view.selected, selected)
+                assert type(view.fallback) is bool and view.fallback == fallback
+            if fallback:
+                assert labels[j] == pred_labels[selected[0], j]
+        for bad in (nq, -nq - 1):
+            with pytest.raises(IndexError):
+                result[bad]
+
+    def test_a_non_integer_index_is_a_type_error(self):
+        _, result = engine._select_and_vote(np.full((3, 2), 0.9), np.zeros((2, 3), dtype=int),
+                                            0.5, 2)
+        for bad in (slice(0, 2), 1.0, [0, 1]):
+            with pytest.raises(TypeError):
+                result[bad]
+
+    def test_threshold_zero_selects_every_member(self):
+        delta = np.array([[0.0, 0.0, 0.0], [0.2, 0.0, 0.9]])
+        _, result = engine._select_and_vote(delta, np.zeros((3, 2), dtype=int), 0.0, 2)
+        assert not result.fallback.any() and result.selected.all()
+        assert [s.selected.tolist() for s in result] == [[0, 1, 2], [0, 1, 2]]
 
 
 class TestPrepare:
@@ -226,9 +278,9 @@ class TestQueryBlocks:
                          scale=None, dsel=dsel, selection_threshold=threshold)
         per_sample = len(pool) * 67 + 2 * len(dsel)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "_CLASSIFY_BLOCK", len(test) * per_sample)   # one block
+            mp.setattr(metafeatures, "_CLASSIFY_BLOCK", len(test) * per_sample)   # one block
             want, want_diags = classify_batch(model, test.features)
-            mp.setattr(engine, "_CLASSIFY_BLOCK", per_block * per_sample)
+            mp.setattr(metafeatures, "_CLASSIFY_BLOCK", per_block * per_sample)
             got, got_diags = classify_batch(model, test.features)
         assert np.array_equal(got, want)
         for g, w in zip(got_diags, want_diags, strict=True):
@@ -485,6 +537,28 @@ class TestBaselines:
                 nbrs = np.argsort(d2, kind="stable")[:k].tolist()
                 want = brute_baselines(method, pl_dsel, pl_query[:, j], dsel.labels, nbrs, L)
                 assert got[j] == want, (method, j)
+
+
+class TestNeighbourMajorBaselines:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 15), m=st.integers(1, 8), L=st.integers(2, 3),
+           nq=st.integers(1, 8), k=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_given_neighbours_equal_a_per_query_loop(self, n, m, L, nq, k, seed):
+        # any neighbour lists, repeated rows included: each method's
+        # neighbour-major counts must give the per-query reference's label
+        rng = np.random.default_rng(seed)
+        k = min(k, n)
+        dsel = Dataset(rng.normal(size=(n, 2)), rng.integers(0, L, n), L)
+        pool = ClassifierPool(rng.normal(size=(m, L, 3)), np.ones(m))
+        X = rng.normal(size=(nq, 2))
+        neighbors = rng.integers(0, n, size=(nq, k))
+        pl_dsel, _ = pool.predict_batch(dsel.features)
+        pl_query, _ = pool.predict_batch(X)
+        for method in engine.NEIGHBORHOOD_METHODS:
+            got, _ = baseline_predict_batch(method, pool, dsel, X, k=k, neighbors=neighbors)
+            want = [brute_baselines(method, pl_dsel, pl_query[:, j], dsel.labels,
+                                    neighbors[j].tolist(), L) for j in range(nq)]
+            assert got.tolist() == want, method
 
 
 class TestSharedBaselineInputs:

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -500,6 +501,94 @@ class TestMaskedExtraction:
         assert md.rows.tobytes() == feats.astype(np.float32).reshape(nq * m, -1).tobytes()
         assert np.array_equal(md.labels, metas.reshape(-1))
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(6, 40), m=st.integers(1, 4), L=st.integers(2, 3),
+           d=st.integers(1, 3), k=st.integers(1, 5), kp=st.integers(1, 5),
+           distinct=st.integers(1, 40), self_excl=st.booleans(), nq=st.integers(1, 10),
+           per_block=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1))
+    def test_blocked_build_equals_one_unblocked_extraction(self, n, m, L, d, k, kp, distinct,
+                                                           self_excl, nq, per_block, seed):
+        # build_meta_dataset extracts in the query blocks classify_batch
+        # uses; on narrow data (d <= 3, L <= 3 here) the pool's product gives
+        # a row the same bits in any block of two or more rows, so the arrays
+        # must be byte for byte those of one extraction of every query
+        rng = np.random.default_rng(seed)
+        k, kp = min(k, n - 1), min(kp, n - 1)
+        base = np.round(rng.normal(size=(min(distinct, n), d)), 1)
+        features = base[rng.integers(0, len(base), size=n)]
+        pool = ClassifierPool(rng.normal(size=(m, L, d + 1)), rng.uniform(0.5, 2.0, size=m))
+        ex = MetaFeatureExtractor(pool, Dataset(features, rng.integers(0, L, size=n), L),
+                                  k=k, kp=kp)
+        self_indices = rng.integers(0, n, size=nq) if self_excl else None
+        X = (features[self_indices] if self_excl
+             else np.round(rng.normal(size=(nq, d)), 1))
+        y = rng.integers(0, L, size=nq)
+        ids = rng.permutation(10 * nq)[:nq]
+        feats = np.empty((nq, m, ex.layout.size), dtype=np.float32)
+        _, metas, _ = ex.extract_batch(X, y, self_indices=self_indices, out=feats)
+        calls = []
+        extract = ex.extract_batch
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metafeatures, "_CLASSIFY_BLOCK",
+                       per_block * (m * ex.layout.size + 2 * n))
+            mp.setattr(ex, "extract_batch",
+                       lambda X, *a, **kw: calls.append(len(X)) or extract(X, *a, **kw))
+            md = ex.build_meta_dataset(X, y, self_indices=self_indices, sample_ids=ids)
+        # blocks of max(2, per_block) queries; a last lone query joins the block before it
+        step = max(2, per_block)
+        want = [step] * max(1, -(-(nq - 1) // step))
+        want[-1] = nq - step * (len(want) - 1)
+        assert calls == want
+        assert md.rows.tobytes() == feats.reshape(nq * m, -1).tobytes()
+        assert md.labels.tobytes() == metas.reshape(-1).tobytes()
+        assert md.sample_ids.tobytes() == np.repeat(ids, m).tobytes()
+        assert md.classifier_ids.tobytes() == np.tile(np.arange(m), nq).tobytes()
+
+    @pytest.mark.parametrize("per_block", [1, 7, 59])
+    def test_blocked_build_on_wide_data_is_within_one_float32_step(self, monkeypatch,
+                                                                   per_block):
+        # on wide data (d = 40, L = 4) BLAS may give a query's supports other
+        # last bits in each block size, so the float64 features can move by
+        # ~1e-15 with the blocks; rounded to float32 a row moves by at most
+        # one step, and the meta labels and ids do not move
+        rng = np.random.default_rng(7)
+        n, m, L, d, nq = 120, 3, 4, 40, 150
+        pool = ClassifierPool(rng.normal(size=(m, L, d + 1)), rng.uniform(0.5, 2.0, size=m))
+        ex = MetaFeatureExtractor(pool, Dataset(rng.normal(size=(n, d)),
+                                                rng.integers(0, L, size=n), L), k=7, kp=5)
+        X, y = rng.normal(size=(nq, d)), rng.integers(0, L, size=nq)
+        feats = np.empty((nq, m, ex.layout.size), dtype=np.float32)
+        _, metas, _ = ex.extract_batch(X, y, out=feats)
+        monkeypatch.setattr(metafeatures, "_CLASSIFY_BLOCK",
+                            per_block * (m * ex.layout.size + 2 * n))
+        md = ex.build_meta_dataset(X, y)
+        np.testing.assert_array_max_ulp(md.rows, feats.reshape(nq * m, -1), maxulp=1)
+        assert md.labels.tobytes() == metas.reshape(-1).tobytes()
+        assert md.sample_ids.tobytes() == np.repeat(np.arange(nq), m).tobytes()
+
+    @pytest.mark.parametrize("per_block", [1, 2, 3, 272])
+    def test_query_blocks_cover_the_queries_without_a_lone_query(self, monkeypatch,
+                                                                per_block):
+        pool = ClassifierPool(np.ones((2, 2, 2)), np.ones(2))
+        ex = MetaFeatureExtractor(pool, line_dsel([0, 1, 0, 1, 0, 1, 0]), k=3, kp=3)
+        monkeypatch.setattr(metafeatures, "_CLASSIFY_BLOCK",
+                            per_block * (2 * ex.layout.size + 2 * 7))
+        step = max(2, per_block)
+        for n in range(0, 3 * step + 3):
+            blocks = ex.query_blocks(n)
+            assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(n))
+            sizes = [b.stop - b.start for b in blocks]
+            assert all(min(2, n) <= size <= step + 1 for size in sizes), (n, sizes)
+            assert all(size == step for size in sizes[:-1])
+
+    def test_self_indices_need_one_entry_per_query(self):
+        pool = ClassifierPool(np.ones((2, 2, 2)), np.ones(2))
+        ex = MetaFeatureExtractor(pool, line_dsel([0, 1, 0, 1, 0, 1, 0]), k=3, kp=3)
+        for own in ([0, 1], [0, 1, 2, 3]):
+            with pytest.raises(ValueError, match=f"self_indices has length {len(own)}, "
+                                                 "expected 3"):
+                ex.build_meta_dataset(np.zeros((3, 1)), [0, 1, 0], self_indices=own)
+
     def test_rank_widens_past_the_first_prefix(self, monkeypatch):
         # one member errs only on the farthest row, the other on no row: the
         # first needs every prefix up to N, the second none
@@ -843,6 +932,41 @@ class TestRealPoolExtraction:
         # numeric round trip of the first row
         cells = np.array([float(c) for c in lines[1].split(",")[:67]])
         assert np.allclose(cells, md.rows[0], atol=1e-8)
+
+    @pytest.mark.parametrize("rows_per_block", [1, 7, 32, 33, 1000])
+    def test_csv_export_in_row_blocks_equals_one_savetxt(self, tmp_path, monkeypatch,
+                                                         rows_per_block):
+        # 32 rows; sample ids with more digits than %.10g keeps
+        md = self.ex.build_meta_dataset(self.X[:8], self.y[:8],
+                                        sample_ids=np.arange(8) + 10**12)
+        fmt = ["%.10g"] * md.rows.shape[1] + ["%d"] * 3
+        want = tmp_path / "want.csv"
+        with open(want, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(md.layout.column_names()
+                              + ["meta_label", "classifier_index", "sample_id"]) + "\n")
+            np.savetxt(fh, np.column_stack([md.rows, md.labels, md.classifier_ids,
+                                            md.sample_ids]), fmt=fmt, delimiter=",")
+        monkeypatch.setattr(metafeatures, "_CLASSIFY_BLOCK", rows_per_block * len(fmt))
+        got = tmp_path / "got.csv"
+        meta_dataset_to_csv(md, got)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_csv_export_memory_stays_within_one_row_block(self, tmp_path, monkeypatch):
+        # one float64 table of 1 000 rows at a time, 0.56 MB; a table of
+        # every row would be 1.7 MB, and two blocks alive at once 1.1 MB
+        layout = FeatureLayout(7, 5)
+        n, per_block = 3_000, 1_000
+        md = metafeatures.MetaDataset(
+            np.random.default_rng(4).random((n, layout.size), dtype=np.float32),
+            np.zeros(n, dtype=int), np.arange(n), np.zeros(n, dtype=int), layout)
+        monkeypatch.setattr(metafeatures, "_CLASSIFY_BLOCK", per_block * (layout.size + 3))
+        tracemalloc.start()
+        try:
+            meta_dataset_to_csv(md, tmp_path / "meta.csv")
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held < 1.5 * per_block * (layout.size + 3) * 8, peak - held
 
     def test_given_rrc_table_is_used_and_not_recomputed(self, monkeypatch):
         def no_quadrature(*args, **kwargs):

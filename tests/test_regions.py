@@ -297,3 +297,37 @@ class TestCandidateFilter:
         for k in (1, 3, 9):
             assert_same_as_reference(queries, ref, k)
             assert_same_as_reference(queries, ref, k, exclude=[1, -1, 2, 9])
+
+
+class TestSortFreeCandidates:
+    """``_candidates`` lists each query's candidates from its keep flags,
+    scattered by the counts; the result must be that of sorting every row."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(nq=st.integers(1, 10), nr=st.integers(2, 30), d=st.integers(1, 6),
+           kind=st.sampled_from(["distinct", "ties", "duplicates", "non_finite"]),
+           exclude=st.sampled_from(["none", "self", "mixed"]), block=st.integers(1, 200),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_stable_sort_reference(self, nq, nr, d, kind, exclude, block, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "ties":            # integer grid: exact ties at the cutoff
+            points = rng.integers(0, 3, size=(nr + nq, d)).astype(float)
+        elif kind == "duplicates":    # repeated reference rows, queries among them
+            base = rng.uniform(0, 1, size=(max(1, nr // 4), d))
+            points = base[rng.integers(0, len(base), size=nr + nq)]
+        else:
+            points = rng.uniform(-1, 1, size=(nr + nq, d))
+        if kind == "non_finite":      # a non-finite cutoff keeps every row of its query
+            cells = rng.random(points.shape) < 0.1
+            points[cells] = rng.choice([np.nan, np.inf, -np.inf], size=cells.sum())
+        ref, queries = points[:nr], points[nr:]
+        excl = None
+        if exclude == "self":
+            excl = rng.integers(0, nr, size=nq)
+            queries = ref[excl]
+        elif exclude == "mixed":
+            excl = rng.integers(-1, nr, size=nq)
+        with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+            mp.setattr(regions, "_KNN_BLOCK", block)
+            for k in range(1, nr - (excl is not None) + 1):
+                assert_same_as_reference(queries, ref, k, exclude=excl)

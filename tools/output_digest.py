@@ -31,7 +31,10 @@ reads ``unset``. Then one line per output:
   sample's rows do but not if the samples only come in another order;
 - per train seed, ``selector``: the final selector's weights, offsets and
   bias. These move with the order in which its fit adds the rows, even
-  when every row is unchanged.
+  when every row is unchanged;
+- per train seed, ``classify``: each test sample's competences, selected
+  members (their count, then their indices) and fallback flag, as
+  ``classify_batch`` reports them, in sample order.
 """
 
 from __future__ import annotations
@@ -146,8 +149,9 @@ def train_lines(seed):
                                for stage, n in enumerate(P2_SIZES, start=1))
     model, archive, info = experiment.train_des(train, meta, dsel, TRAIN_P2,
                                                 base_seed_parts=(seed,))
-    labels = np.concatenate([engine.classify_batch(model, test.features[i:i + 500])[0]
-                             for i in range(0, len(test), 500)])
+    batches = [engine.classify_batch(model, test.features[i:i + 500])
+               for i in range(0, len(test), 500)]
+    labels = np.concatenate([batch_labels for batch_labels, _ in batches])
     pool = model.pool
     yield f"train_des seed={seed} pool", sha(pool.weights.tobytes(), pool.dist_scale.tobytes())
     yield f"train_des seed={seed} mask", sha(model.mask.tobytes())
@@ -162,6 +166,11 @@ def train_lines(seed):
     yield f"train_des seed={seed} selector", sha(
         selector.weights.tobytes(), selector.offsets.tobytes(),
         np.float64(selector.bias).tobytes())
+    yield f"train_des seed={seed} classify", sha(
+        *(chunk for _, result in batches for sample in result
+          for chunk in (sample.competences.tobytes(), np.int64(len(sample.selected)).tobytes(),
+                        np.asarray(sample.selected, np.int64).tobytes(),
+                        bytes([sample.fallback]))))
 
 
 def main(argv=None):
