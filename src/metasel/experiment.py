@@ -67,10 +67,14 @@ MODEL_ARRAYS = ("pool_weights", "pool_dist_scale", "selector_weights",
 SCALE_ARRAYS = ("scale_col_min", "scale_col_max")
 
 
-# visiting-order entries (members x epochs x bootstrap rows) that one
-# ``bagging`` call of ``run_experiment`` holds for a group of replications
-# (~8 MB of int32 orders); a replication over it is bagged alone
-_BAG_BLOCK = 1 << 21
+# member x bootstrap-row entries that one ``bagging`` call of
+# ``run_experiment`` holds for a group of replications: bias-extended rows,
+# one-hot truths and one epoch's order and gathered samples, a traced ~140
+# bytes each at P2's width (~6 MB). A replication over it is bagged alone.
+# 2^21 // 50 groups as a bound of 2^21 member x epoch x row entries does at
+# the default 50 epochs: one per group on P2 at pool 100, 46 of a bundled
+# CSV at pool 10
+_BAG_BLOCK = (1 << 21) // 50
 
 
 class ModelFormatError(RuntimeError):
@@ -257,10 +261,10 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
 
     extractor = MetaFeatureExtractor(pool, dsel_scaled, k=config.k, kp=config.kp)
 
-    # consensus-based sample selection on both meta-data sources
-    meta_pool_labels, _ = pool.predict_batch(meta_scaled.features)
-    keep_meta = engine.consensus_keep(meta_pool_labels, meta_scaled.labels,
-                                      config.consensus_threshold)
+    # consensus-based sample selection on both meta-data sources; only the
+    # flags are kept, the pool's labels and supports are freed at once
+    keep_meta = engine.consensus_keep(pool.predict_batch(meta_scaled.features)[0],
+                                      meta_scaled.labels, config.consensus_threshold)
     if not keep_meta.any():
         warnings.warn("consensus filter removed every meta-training sample; "
                       "keeping all of them", RuntimeWarning)
@@ -323,7 +327,7 @@ def _replications(config: ExperimentConfig):
     is the one ``train_des`` would bag from the replication's train split.
 
     Replications go in groups of consecutive ones, as many as hold at most
-    ``_BAG_BLOCK`` visiting-order entries together (at least one: a
+    ``_BAG_BLOCK`` member x bootstrap-row entries together (at least one: a
     replication never splits across groups). A group's splits are loaded,
     a CSV source read once per run, and its pools train in one lockstep;
     the splits of a source share one shape."""
@@ -335,7 +339,7 @@ def _replications(config: ExperimentConfig):
         n = len(splits[0][0])
         rows = n if pc.bootstrap_frac >= 1.0 else int(np.ceil(pc.bootstrap_frac * n))
         stop = min(config.replications,
-                   start + max(1, _BAG_BLOCK // (pc.size * pc.epochs * rows)))
+                   start + max(1, _BAG_BLOCK // (pc.size * rows)))
         splits += [_load_splits(config, r, source) for r in range(start + 1, stop)]
         pools = _bag([scale_minmax(train)[0] for train, _, _, _ in splits], pc,
                      [_derive_int(config.seed, r, 20) for r in range(start, stop)])

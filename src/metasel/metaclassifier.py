@@ -82,20 +82,27 @@ def sigmoid(z) -> np.ndarray:
 def train_meta(rows, labels) -> MetaClassifier:
     """Fit the competence model on meta-feature rows with 0/1 labels.
 
-    Needs at least two rows; if only one meta-class is present the model
-    degenerates to a constant output at that class's value (flagged and
-    warned). A column whose values are all equal gets weight 0. The rows
-    are read one column at a time in float64, so float32 rows fit bit for
-    bit as the same rows widened to float64.
+    Needs at least two rows; a label other than 0 or 1 is a ValueError. If
+    only one meta-class is present the model degenerates to a constant
+    output at that class's value (flagged and warned). A column whose values
+    are all equal gets weight 0. The rows are read one column at a time in
+    float64, so float32 rows fit bit for bit as the same rows widened to
+    float64. The labels are read as given (int8, bool, any integer or
+    float 0/1): each product casts them as it multiplies, so no float64 copy
+    is made and every dtype gives the same selector bits.
     """
     rows = np.atleast_2d(np.asarray(rows))
-    labels = np.ascontiguousarray(labels, dtype=float).reshape(-1)
+    labels = np.asarray(labels).reshape(-1)
     if len(rows) < 2:
         raise ValueError("need at least two training rows")
     if len(rows) != len(labels):
         raise ValueError("rows and labels length mismatch")
+    others = labels == 0
+    bad = labels[~others & (labels != 1)]
+    if bad.size:
+        raise ValueError(f"meta-labels must be 0 or 1, got {bad[0].item()!r}")
     n, p = rows.shape
-    n1 = labels.sum()
+    n1 = np.count_nonzero(labels)
     n0 = n - n1
     if n1 == 0 or n0 == 0:
         warnings.warn("meta-training data contains a single meta-class; "
@@ -103,7 +110,6 @@ def train_meta(rows, labels) -> MetaClassifier:
         bias = 35.0 if n1 else -35.0
         return MetaClassifier(np.zeros(p), bias, np.zeros(p), bias, degenerate=True)
 
-    others = 1.0 - labels
     diff, mid, within = np.empty(p), np.empty(p), np.empty(p)
     x, scratch = np.empty(n), np.empty(n)
     for j in range(p):

@@ -119,13 +119,14 @@ class MetaDataset:
 
     ``build_meta_dataset`` stores the rows as float32, each the float64
     feature rounded once; the fits and scores that read them widen one
-    column or one row block at a time.
+    column or one row block at a time. It stores the labels as int8 and the
+    ids as int32 (intp when an id passes 2^31 - 1).
     """
 
-    rows: np.ndarray          # (R, D)
-    labels: np.ndarray        # (R,) in {0, 1}
-    sample_ids: np.ndarray    # (R,)
-    classifier_ids: np.ndarray  # (R,)
+    rows: np.ndarray          # (R, D) float32
+    labels: np.ndarray        # (R,) int8 in {0, 1}
+    sample_ids: np.ndarray    # (R,) int32 or intp
+    classifier_ids: np.ndarray  # (R,) int32 or intp
     layout: FeatureLayout
 
     def __len__(self):
@@ -451,8 +452,10 @@ class MetaFeatureExtractor:
 
         The rows are ``extract_batch``'s features rounded to float32, one
         query block (``query_blocks``) at a time, each written straight into
-        its slice of the returned array. ``y``, and ``sample_ids`` and
-        ``self_indices`` when given, must hold one entry per query.
+        its slice of the returned array, with its int8 meta labels. The
+        sample and classifier ids are int32, or intp when one of them does
+        not fit in int32. ``y``, and ``sample_ids`` and ``self_indices``
+        when given, must hold one entry per query.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         nq, M = len(X), len(self.pool)
@@ -467,8 +470,11 @@ class MetaFeatureExtractor:
             if given != nq:
                 raise ValueError(f"{name} has length {given}, expected {nq} (one per query)")
         y = np.asarray(y)
+        sample_ids = np.asarray(sample_ids, dtype=int)
+        ids = (np.int32 if M <= 2**31 and -2**31 <= sample_ids.min(initial=0)
+               and sample_ids.max(initial=0) < 2**31 else np.intp)
         feats = np.empty((nq, M, self.layout.size), dtype=np.float32)
-        metas = np.empty((nq, M), dtype=int)
+        metas = np.empty((nq, M), dtype=np.int8)
         for blk in self.query_blocks(nq):
             own = None if self_indices is None else self_indices[blk]
             _, metas[blk], _ = self.extract_batch(X[blk], y[blk], self_indices=own,
@@ -476,8 +482,8 @@ class MetaFeatureExtractor:
         return MetaDataset(
             rows=feats.reshape(nq * M, -1),
             labels=metas.reshape(-1),
-            sample_ids=np.repeat(np.asarray(sample_ids, dtype=int), M),
-            classifier_ids=np.tile(np.arange(M), nq),
+            sample_ids=np.repeat(sample_ids.astype(ids), M),
+            classifier_ids=np.tile(np.arange(M, dtype=ids), nq),
             layout=self.layout,
         )
 

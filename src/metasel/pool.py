@@ -130,11 +130,10 @@ class ClassifierPool:
         return supports.argmax(axis=2), supports
 
 
-def _member_draws(ds: Dataset, i: int, seed: int, size: int | None, max_retries: int,
-                  orders: np.ndarray):
-    """Everything member ``i`` draws from its own seeded streams: bootstrap
-    rows, initial hyperplane and anchor row, returned, and one visiting order
-    per epoch, written into ``orders`` (epochs, rows)."""
+def _member_draws(ds: Dataset, i: int, seed: int, size: int | None, max_retries: int):
+    """What member ``i`` draws before training: bootstrap rows, initial
+    hyperplane and anchor row, each from its own seeded stream, and the
+    member's ``Generator``, which then draws one visiting order per epoch."""
     if size is None:
         rows = np.arange(len(ds))
     else:
@@ -150,11 +149,41 @@ def _member_draws(ds: Dataset, i: int, seed: int, size: int | None, max_retries:
     rng = np.random.default_rng(seed + i)
     direction = rng.normal(0.0, 1.0, size=(ds.class_count, ds.feature_count))
     anchor = rows[rng.integers(0, len(rows))]
-    # row by row this draws what ``rng.permutation(len(rows))`` once per
-    # epoch would, and leaves the stream in the same state. Shuffled as
-    # intp and then cast: ``permuted`` shuffles int32 ~1.5x slower.
-    orders[:] = rng.permuted(np.broadcast_to(np.arange(len(rows)), orders.shape), axis=1)
-    return rows, direction, anchor
+    return rows, direction, anchor, rng
+
+
+def _train_lockstep(W, Xb, truth, onehot, rngs, epochs, lr):
+    """Train every member in place on ``W`` (R*m, L, d+1) for ``epochs``
+    epochs over its bias-extended samples ``Xb`` (R*m, s, d+1) and their
+    one-hot truths (R*m, s, L, 1), rows of ``onehot`` (L, L, 1), each epoch
+    in an order drawn from the member's ``Generator`` in ``rngs``.
+
+    One epoch's orders and gathered samples live in buffers allocated once
+    per call, so no epoch allocates (or page-faults) anew, and they are
+    freed when the call returns."""
+    members, s = len(W), Xb.shape[1]
+    # member j's samples are rows j*s .. j*s + s - 1 of the flattened arrays
+    flat_x, flat_t = Xb.reshape(-1, Xb.shape[2]), truth.reshape((-1,) + truth.shape[2:])
+    first_row = np.arange(members)[:, None] * s
+    order = np.empty((members, s), dtype=np.intp)
+    xs = np.empty((s, members, Xb.shape[2]))              # (s, R*m, d+1)
+    lx = np.empty_like(xs)
+    ts = np.empty((s, members) + truth.shape[2:])         # (s, R*m, L, 1)
+    for _ in range(epochs):
+        # each member's stream shuffles its row of arange(s) in place, the
+        # draw ``rng.permutation(s)`` makes
+        order[:] = np.arange(s)
+        for row, rng in zip(order, rngs):
+            rng.shuffle(row)
+        order += first_row
+        # "clip" never moves these in-range indices; it spares ``take`` the
+        # extra output buffer it makes with ``out=`` in its "raise" mode
+        np.take(flat_x, order.T, axis=0, out=xs, mode="clip")
+        np.take(flat_t, order.T, axis=0, out=ts, mode="clip")
+        np.multiply(lr, xs, out=lx)
+        for x, l_x, t in zip(xs[:, :, :, None], lx[:, :, None, :], ts):
+            pred = (W @ x)[:, :, 0].argmax(axis=1)
+            W -= (onehot.take(pred, axis=0) - t) * l_x
 
 
 def bagging(ds: Dataset | Sequence[Dataset], m: int, bootstrap_frac: float = 0.5,
@@ -202,9 +231,12 @@ def bagging(ds: Dataset | Sequence[Dataset], m: int, bootstrap_frac: float = 0.5
       initial one (a sum is -0.0 only of two -0.0 terms): the bias, whose
       input is 1, or a direction drawn as exactly -0.0.
 
-    The visiting orders are one array of ``m * epochs * ceil(bootstrap_frac
-    * N)`` int32 entries per dataset (4 bytes each; intp from 2^31 rows up),
-    all held at once, and each member's draws fill its own slice of it.
+    Each epoch's visiting orders are drawn when the epoch starts, one
+    permutation per member from its own stream, in member order, so only
+    one epoch's orders are held at a time. A call's memory scales with
+    members x ``ceil(bootstrap_frac * N)`` rows (the bias-extended rows,
+    their one-hot truths and one epoch's gathered samples), not with
+    ``epochs``.
     """
     many = not isinstance(ds, Dataset)
     datasets, seeds = (list(ds), list(seed)) if many else ([ds], [seed])
@@ -225,29 +257,21 @@ def bagging(ds: Dataset | Sequence[Dataset], m: int, bootstrap_frac: float = 0.5
                          f"(length, width, classes) {sorted(shapes)}")
     first = datasets[0]
     size = None if bootstrap_frac >= 1.0 else int(np.ceil(bootstrap_frac * len(first)))
-    n = len(first) if size is None else size
-    orders = np.empty((len(datasets) * m, epochs, n), dtype=np.int32 if n <= 2**31 else np.intp)
-    draws = [_member_draws(d, i, s, size, max_retries, orders[r * m + i])
-             for r, (d, s) in enumerate(zip(datasets, seeds)) for i in range(m)]
-    rows, direction, anchor = (np.stack(a) for a in zip(*draws))
+    draws = [_member_draws(d, i, s, size, max_retries)
+             for d, s in zip(datasets, seeds) for i in range(m)]
+    *stacked, rngs = zip(*draws)
+    rows, direction, anchor = (np.stack(a) for a in stacked)
     owner = np.repeat(np.arange(len(datasets)), m)         # member j's dataset
     features = np.stack([d.features for d in datasets])    # (R, N, d)
     labels = np.stack([d.labels for d in datasets])        # (R, N)
     Xb = _with_bias(features[owner[:, None], rows])        # (R*m, s, d+1)
-    members = np.arange(len(rows))
     # (L, L, 1): row c is class c's one-hot column
     onehot = np.eye(first.class_count)[:, :, None]
     truth = onehot[labels[owner[:, None], rows]]           # (R*m, s, L, 1)
 
     anchor = features[owner, anchor][:, :, None]           # (R*m, d, 1)
     W = np.concatenate([direction, -(direction @ anchor)], axis=2)
-    for e in range(epochs):
-        visit = orders[:, e, :].T                          # (s, R*m): one sample per member
-        xs = Xb[members, visit]                            # (s, R*m, d+1)
-        steps = zip(xs[:, :, :, None], (lr * xs)[:, :, None, :], truth[members, visit])
-        for x, lx, t in steps:
-            pred = (W @ x)[:, :, 0].argmax(axis=1)
-            W -= (onehot.take(pred, axis=0) - t) * lx
+    _train_lockstep(W, Xb, truth, onehot, rngs, epochs, lr)
     margins = np.abs(_boundary_distances(W, Xb))
     dist_scale = np.maximum(margins.max(axis=1), 1e-12)
     pools = [ClassifierPool(w, s) for w, s in zip(np.split(W, len(datasets)),

@@ -310,12 +310,29 @@ class TestReplicationGroups:
         assert np.array_equal(grouped.masks, alone.masks)
         assert repr(grouped.traces) == repr(alone.traces)
 
-    def test_group_bound_counts_visiting_orders(self):
-        # 4 members x 50 epochs x 75 bootstrap rows = 15 000 entries each
+    def test_group_bound_counts_member_rows(self):
+        # 4 members x 75 bootstrap rows = 300 entries each, whatever the epochs
         cfg = small_p2_config(replications=5)
-        assert run_counted(cfg, block=30_000)[1] == 3
-        assert run_counted(cfg, block=29_999)[1] == 5
-        assert run_counted(cfg, block=75_000)[1] == 1
+        assert run_counted(cfg, block=600)[1] == 3
+        assert run_counted(cfg, block=599)[1] == 5
+        assert run_counted(cfg, block=1_500)[1] == 1
+
+    @pytest.mark.parametrize("source", ["p2", *BUNDLED])
+    def test_groups_at_the_benchmark_sizes(self, source):
+        # the module's bound bags one P2 replication at a time at the paper's
+        # sizes and pool 100, and every replication of a 480-row bundled CSV
+        # (90 bootstrap rows) in one group at pool 10
+        if source == "p2":
+            cfg = ExperimentConfig(pool=PoolConfig(size=100), replications=3)
+        else:
+            cfg = ExperimentConfig(source=DataSource(kind="csv", path=str(dataset_path(source))),
+                                   pool=PoolConfig(size=10), replications=20)
+        groups = []
+        bag = lambda trains, pool_config, seeds: groups.append(len(trains)) or [None] * len(trains)
+        with mock.patch.object(experiment, "_bag", side_effect=bag):
+            reps = [r for r, _, _ in experiment._replications(cfg)]
+        assert reps == list(range(cfg.replications))
+        assert groups == ([1, 1, 1] if source == "p2" else [20])
 
 
 class TestRunExperiment:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -96,6 +97,14 @@ class TestTrainMeta:
         with pytest.raises(ValueError, match="two"):
             train_meta(np.array([[1.0]]), np.array([1]))
 
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, math.nan])
+    def test_labels_outside_zero_one_rejected(self, bad):
+        rows = np.arange(8.0).reshape(4, 2)
+        with pytest.raises(ValueError, match=f"must be 0 or 1, got {re.escape(repr(bad))}$"):
+            train_meta(rows, np.array([0, 1, bad, 1]))
+        with pytest.raises(ValueError, match="must be 0 or 1, got 2$"):
+            train_meta(rows[:2], [0, 2])
+
     def test_row_order_invariance(self):
         rng = np.random.default_rng(0)
         rows = rng.normal(size=(60, 5))
@@ -147,6 +156,24 @@ class TestTrainMeta:
             assert getattr(got, name).dtype == np.float64
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
         assert (got.bias, got.prior, got.degenerate) == (want.bias, want.prior, want.degenerate)
+
+    @settings(max_examples=100, deadline=None)
+    @fit_problems
+    def test_label_dtypes_fit_the_same_selector(self, seed, n, p, kind):
+        # meta-datasets store int8 labels; the fit reads labels as given and
+        # casts them in each product, so int8, bool, int64 and float 0/1
+        # labels give the selector bit for bit
+        rows, labels = draw_problem(seed, n, p, kind)
+        rows = rows.astype(np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want, *fits = (train_meta(rows, labels.astype(t))
+                           for t in (np.float64, np.int8, np.bool_, np.int64))
+        for got in fits:
+            for name in ("weights", "offsets"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert (got.bias, got.prior, got.degenerate) == (want.bias, want.prior,
+                                                             want.degenerate)
 
     def test_mask_length_checked(self):
         rows, labels = separable_rows()

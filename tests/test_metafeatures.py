@@ -540,9 +540,12 @@ class TestMaskedExtraction:
         want[-1] = nq - step * (len(want) - 1)
         assert calls == want
         assert md.rows.tobytes() == feats.reshape(nq * m, -1).tobytes()
-        assert md.labels.tobytes() == metas.reshape(-1).tobytes()
-        assert md.sample_ids.tobytes() == np.repeat(ids, m).tobytes()
-        assert md.classifier_ids.tobytes() == np.tile(np.arange(m), nq).tobytes()
+        assert (md.labels.dtype, md.sample_ids.dtype, md.classifier_ids.dtype) == (
+            np.int8, np.int32, np.int32)
+        assert md.labels.tobytes() == metas.reshape(-1).astype(np.int8).tobytes()
+        assert md.sample_ids.tobytes() == np.repeat(ids, m).astype(np.int32).tobytes()
+        assert md.classifier_ids.tobytes() == np.tile(np.arange(m, dtype=np.int32),
+                                                      nq).tobytes()
 
     @pytest.mark.parametrize("per_block", [1, 7, 59])
     def test_blocked_build_on_wide_data_is_within_one_float32_step(self, monkeypatch,
@@ -563,8 +566,10 @@ class TestMaskedExtraction:
                             per_block * (m * ex.layout.size + 2 * n))
         md = ex.build_meta_dataset(X, y)
         np.testing.assert_array_max_ulp(md.rows, feats.reshape(nq * m, -1), maxulp=1)
-        assert md.labels.tobytes() == metas.reshape(-1).tobytes()
-        assert md.sample_ids.tobytes() == np.repeat(np.arange(nq), m).tobytes()
+        assert (md.labels.dtype, md.sample_ids.dtype) == (np.int8, np.int32)
+        assert md.labels.tobytes() == metas.reshape(-1).astype(np.int8).tobytes()
+        assert md.sample_ids.tobytes() == np.repeat(np.arange(nq, dtype=np.int32),
+                                                    m).tobytes()
 
     @pytest.mark.parametrize("per_block", [1, 2, 3, 272])
     def test_query_blocks_cover_the_queries_without_a_lone_query(self, monkeypatch,
@@ -580,6 +585,20 @@ class TestMaskedExtraction:
             sizes = [b.stop - b.start for b in blocks]
             assert all(min(2, n) <= size <= step + 1 for size in sizes), (n, sizes)
             assert all(size == step for size in sizes[:-1])
+
+    def test_ids_are_int32_until_one_passes_it(self):
+        pool = ClassifierPool(np.ones((2, 2, 2)), np.ones(2))
+        ex = MetaFeatureExtractor(pool, line_dsel([0, 1, 0, 1, 0, 1, 0]), k=3, kp=3)
+        X, y = np.array([[0.5], [2.5]]), [0, 1]
+        narrow = ex.build_meta_dataset(X, y, sample_ids=[-2**31, 2**31 - 1])
+        assert (narrow.labels.dtype, narrow.sample_ids.dtype,
+                narrow.classifier_ids.dtype) == (np.int8, np.int32, np.int32)
+        for big in (-2**31 - 1, 2**31):
+            wide = ex.build_meta_dataset(X, y, sample_ids=[0, big])
+            assert wide.sample_ids.dtype == wide.classifier_ids.dtype == np.intp
+            assert wide.sample_ids.tolist() == [0, 0, big, big]
+            assert wide.classifier_ids.tolist() == [0, 1, 0, 1]
+            assert wide.labels.tobytes() == narrow.labels.tobytes()
 
     def test_self_indices_need_one_entry_per_query(self):
         pool = ClassifierPool(np.ones((2, 2, 2)), np.ones(2))

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,42 @@ def ref_lockstep_bagging(ds, m, bootstrap_frac=0.5, seed=0, epochs=50, lr=0.01,
         W[wrong, truth[wrong]] += lr * x[wrong]
         W[wrong, pred[wrong]] -= lr * x[wrong]
     margins = np.abs(np.stack([ref_boundary_distance(W[i], X[i]) for i in range(m)]))
+    return W, np.maximum(margins.max(axis=1), 1e-12)
+
+
+def ref_whole_orders_bagging(datasets, m, seeds, bootstrap_frac=0.5, epochs=50, lr=0.01,
+                             max_retries=10):
+    """Lockstep bagging of several datasets with every visiting order drawn
+    before training: one (members, epochs, rows) int32 array, each member's
+    slice filled by ``rng.permuted`` of a broadcast ``arange`` along its rows
+    right after its hyperplane and anchor draws. Returns (W, dist_scale) of
+    all members, dataset-major."""
+    rows, direction, anchor, orders = [], [], [], []
+    for ds, seed in zip(datasets, seeds):
+        for i in range(m):
+            idx = ref_bootstrap_rows(ds, i, bootstrap_frac, seed, max_retries)
+            rng = np.random.default_rng(seed + i)
+            direction.append(rng.normal(0.0, 1.0, size=(ds.class_count, ds.feature_count)))
+            anchor.append(idx[rng.integers(0, len(idx))])
+            whole = np.broadcast_to(np.arange(len(idx)), (epochs, len(idx)))
+            orders.append(rng.permuted(whole, axis=1).astype(np.int32))
+            rows.append(idx)
+    rows, direction, orders = np.stack(rows), np.stack(direction), np.stack(orders)
+    owner = np.repeat(np.arange(len(datasets)), m)
+    features = np.stack([ds.features for ds in datasets])
+    X = features[owner[:, None], rows]
+    Xb = np.concatenate([X, np.ones(X.shape[:-1] + (1,))], axis=-1)
+    members = np.arange(len(rows))
+    onehot = np.eye(datasets[0].class_count)[:, :, None]
+    truth = onehot[np.stack([ds.labels for ds in datasets])[owner[:, None], rows]]
+    a = features[owner, np.array(anchor)][:, :, None]
+    W = np.concatenate([direction, -(direction @ a)], axis=2)
+    for e in range(epochs):
+        visit = orders[:, e, :].T
+        for x, t in zip(Xb[members, visit], truth[members, visit]):
+            pred = (W @ x[:, :, None])[:, :, 0].argmax(axis=1)
+            W -= (onehot.take(pred, axis=0) - t) * (lr * x)[:, None, :]
+    margins = np.abs(np.stack([ref_boundary_distance(W[j], X[j]) for j in members]))
     return W, np.maximum(margins.max(axis=1), 1e-12)
 
 
@@ -352,6 +389,55 @@ class TestAgainstLockstepReference:
                 pool = bagging(ds, 1, bootstrap_frac=1.0, seed=seed, epochs=2)
                 assert pool.weights.tobytes() == W.tobytes()
         assert negative_zeros > 0
+
+
+class TestAgainstWholeOrdersReference:
+    """Visiting orders drawn one epoch at a time give, byte for byte, the
+    pools of orders all drawn up front into one int32 array."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 10_000), count=st.integers(1, 3), n=st.integers(4, 25),
+           d=st.integers(1, 4), L=st.sampled_from([2, 3]), m=st.integers(1, 8),
+           frac=st.sampled_from([0.2, 0.5, 1.0, 1.5]), epochs=st.integers(0, 4),
+           lr=st.sampled_from([0.01, 0.3]), max_retries=st.integers(0, 3),
+           minority=st.booleans())
+    @example(seed=1, count=1, n=12, d=2, L=2, m=3, frac=0.5, epochs=3, lr=0.3,
+             max_retries=3, minority=False)
+    @example(seed=2, count=3, n=12, d=2, L=3, m=4, frac=0.5, epochs=3, lr=0.3,
+             max_retries=3, minority=False)
+    @example(seed=3, count=2, n=10, d=3, L=2, m=3, frac=1.0, epochs=2, lr=0.01,
+             max_retries=0, minority=False)
+    @example(seed=4, count=2, n=10, d=2, L=2, m=3, frac=0.5, epochs=0, lr=0.01,
+             max_retries=3, minority=False)
+    def test_bytes_equal_orders_drawn_up_front(self, seed, count, n, d, L, m, frac, epochs,
+                                               lr, max_retries, minority):
+        datasets = [random_dataset(seed + r, n, d, L, minority) for r in range(count)]
+        seeds = [seed + 1000 * r for r in range(count)]
+        kwargs = dict(bootstrap_frac=frac, epochs=epochs, lr=lr, max_retries=max_retries)
+        try:
+            W, dist_scale = ref_whole_orders_bagging(datasets, m, seeds, **kwargs)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                bagging(datasets, m, seed=seeds, **kwargs)
+            return
+        # one dataset through the single form, several through the list form
+        pools = ([bagging(datasets[0], m, seed=seeds[0], **kwargs)] if count == 1
+                 else bagging(datasets, m, seed=seeds, **kwargs))
+        assert np.concatenate([p.weights for p in pools]).tobytes() == W.tobytes()
+        assert np.concatenate([p.dist_scale for p in pools]).tobytes() == dist_scale.tobytes()
+
+    def test_peak_below_the_whole_orders_array(self):
+        # 50 members x 50 epochs x 100 bootstrap rows of int32: 1 MB that
+        # bagging no longer holds; its traced peak stays below it
+        train, _ = p2_scaled(200, 3)
+        bagging(train, 50, seed=3)                 # warm up numpy's caches
+        tracemalloc.start()
+        try:
+            bagging(train, 50, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 50 * 100 * np.dtype(np.int32).itemsize
 
 
 class TestSeveralDatasets:
