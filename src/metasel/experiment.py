@@ -220,7 +220,7 @@ def _derive_int(*parts) -> int:
 
 
 def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
-              config: ExperimentConfig, base_seed_parts=(0,), pool=None):
+              config: ExperimentConfig, base_seed_parts=(0,), pool=None, scale=None):
     """Train one complete selection model.
 
     Pipeline: fit scaling on the train split; bag the pool; build meta-data
@@ -231,7 +231,10 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
     ``pool``, when given, takes the place of the bagged one; it should be the
     pool that bagging the scaled train split gives (``run_experiment`` bags
     several replications' pools at once). A pool whose width or class count
-    differs from the train split's raises ValueError.
+    differs from the train split's raises ValueError. ``scale``, when given,
+    takes the place of the min-max scaling fitted on the train split, which
+    it should be (``run_experiment`` fits it to bag); one of another width
+    raises ValueError.
 
     Each meta-feature row is held once, in float32. The meta-training rows
     are built in the order of the search's 50/50 halving of whole samples,
@@ -251,8 +254,15 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
         raise ValueError(f"pool of {pool.feature_count} features and {pool.class_count} "
                          f"classes for a train split of {train.feature_count} features "
                          f"and {train.class_count} classes")
+    if scale is not None and not (
+            scale.col_min.shape == scale.col_max.shape == (train.feature_count,)):
+        raise ValueError(f"scale of {scale.col_min.shape} columns for a train split "
+                         f"of {train.feature_count} features")
     parts = tuple(base_seed_parts)
-    train_scaled, scale = scale_minmax(train)
+    if scale is None:
+        train_scaled, scale = scale_minmax(train)
+    elif pool is None:
+        train_scaled = scale.apply_dataset(train)
     meta_scaled = scale.apply_dataset(meta_train)
     dsel_scaled = scale.apply_dataset(dsel)
 
@@ -323,8 +333,9 @@ def _bag(trains_scaled, pool_config: PoolConfig, seeds) -> list:
 
 
 def _replications(config: ExperimentConfig):
-    """(replication, splits, pool) of every replication in order; each pool
-    is the one ``train_des`` would bag from the replication's train split.
+    """(replication, splits, pool, scale) of every replication in order;
+    each pool and scale are the ones ``train_des`` would bag and fit from
+    the replication's train split.
 
     Replications go in groups of consecutive ones, as many as hold at most
     ``_BAG_BLOCK`` member x bootstrap-row entries together (at least one: a
@@ -341,9 +352,9 @@ def _replications(config: ExperimentConfig):
         stop = min(config.replications,
                    start + max(1, _BAG_BLOCK // (pc.size * rows)))
         splits += [_load_splits(config, r, source) for r in range(start + 1, stop)]
-        pools = _bag([scale_minmax(train)[0] for train, _, _, _ in splits], pc,
-                     [_derive_int(config.seed, r, 20) for r in range(start, stop)])
-        yield from zip(range(start, stop), splits, pools)
+        scaled, scales = zip(*(scale_minmax(train) for train, _, _, _ in splits))
+        pools = _bag(scaled, pc, [_derive_int(config.seed, r, 20) for r in range(start, stop)])
+        yield from zip(range(start, stop), splits, pools, scales)
         start = stop
 
 
@@ -466,22 +477,23 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     Replications go in groups (see ``_replications``): a group's data is
     split (or generated), a CSV source read once per run, and its pools are
     bagged in one lockstep, each byte-equal to the pool ``train_des`` would
-    bag. Then per replication: train a model on its pool (meta-data with
-    consensus filtering, mask search, final selector) and score every
-    requested method on the test split. Deterministic given the
-    configuration.
+    bag, from the train split scaled once. Then per replication: train a
+    model on its pool and scale (meta-data with consensus filtering, mask
+    search, final selector) and score every requested method on the test
+    split. Deterministic given the configuration.
     """
     config.validate()
     methods = tuple(config.methods)
     acc = np.zeros((config.replications, len(methods)))
     masks = []
     traces = []
-    for r, (train, meta_train, dsel, test), pool in _replications(config):
+    for r, (train, meta_train, dsel, test), pool, scale in _replications(config):
         # train_des's info is dropped at once: its meta-datasets, kept
         # alive through the next replication's train_des, add their size
         # to that call's peak memory
         model, archive = train_des(train, meta_train, dsel, config,
-                                   base_seed_parts=(config.seed, r), pool=pool)[:2]
+                                   base_seed_parts=(config.seed, r), pool=pool,
+                                   scale=scale)[:2]
         result = evaluate_methods(model, test, methods, config.k)
         for j, m in enumerate(methods):
             acc[r, j] = result[m]

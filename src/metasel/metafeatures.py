@@ -47,10 +47,14 @@ SUPPORT_CEIL = 1.0 - 1e-10
 # (sample, member, meta-feature) values a query block is sized by
 _CLASSIFY_BLOCK = 1 << 21
 # (query, member, position) correctness flags one gather of the rank scan
-# reads at once (its index array takes 8 bytes per flag), and the width of
-# the scan's first position chunk
-_RANK_BLOCK = 1 << 19
+# reads at once: its intp index array takes 8 bytes a flag (256 KB) and the
+# flags 1 byte; and the width of the scan's first position chunk
+_RANK_BLOCK = 1 << 15
 _RANK_CHUNK = 8
+# (query, member, position) values one gather holds at once: ``cond``'s
+# supports, or a K-wide family's values written into ``extract_batch``'s
+# ``out``; float64, 256 KB (``cond`` has a bool class flag beside each)
+_GATHER_BLOCK = 1 << 15
 # reference rows by distance the rank scan first asks for per query; a query
 # with a pair still open past them asks again at twice the width
 _RANK_WIDTH = 128
@@ -328,7 +332,8 @@ class MetaFeatureExtractor:
         ``out``, an (Nq, M, D) array, takes the features in place of a new
         float64 tensor and is returned as ``features``: each value is
         computed in float64 and rounded once to ``out``'s dtype as it is
-        written. It does not go with ``weights``.
+        written, a K-wide family a few queries at a time. It does not go
+        with ``weights``.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         layout, dsel = self.layout, self.dsel
@@ -376,8 +381,16 @@ class MetaFeatureExtractor:
                                  f"{(nq, M, layout.size)}")
 
             def put(name, values):
-                out[:, :, dest[name]] = (values[:, :, None] if values.ndim == 2
-                                         else values.transpose(1, 0, 2))
+                out[:, :, dest[name]] = values[:, :, None]
+
+            def put_gathered(name, gather):
+                # gathered in query pieces of at most _GATHER_BLOCK values,
+                # each written straight into its rows of ``out``: no
+                # (M, Nq, c) block beside it
+                step = max(1, _GATHER_BLOCK // (M * cols[name].size))
+                for lo in range(0, nq, step):
+                    out[lo:lo + step, :, dest[name]] = gather(
+                        slice(lo, lo + step), cols[name]).transpose(1, 0, 2)
         else:
             out = np.zeros((nq, M))
 
@@ -389,40 +402,42 @@ class MetaFeatureExtractor:
                 share = w[0] * values if values.ndim == 2 else w @ values.transpose(1, 2, 0)
                 np.add(out, share, out=out)
 
+            def put_gathered(name, gather):
+                put(name, gather(slice(None), cols[name]))
+
         if used & {*_REGION_TABLES, "overall", "cond", "rank"}:
             # the region of competence is the first K rows by distance; the
             # rank scan starts from a wider exact prefix of the same order
             avail = len(dsel) - (self_indices is not None)
             width = min(max(k, _RANK_WIDTH), avail) if "rank" in used else k
-            order, _ = nearest_neighbors(X, dsel.features, width, exclude=self_indices)
+            order = nearest_neighbors(X, dsel.features, width, exclude=self_indices)[0]
             theta = order[:, :k]
-            for name, table in _REGION_TABLES.items():
+            for name, attr in _REGION_TABLES.items():
                 if name in used:
-                    put(name, getattr(self, table)[:, theta[:, cols[name]]])
+                    table = getattr(self, attr)
+                    put_gathered(name, lambda qs, at: table[:, theta[qs, at]])
             if "overall" in used:
                 put("overall", self.dsel_correct[:, theta].mean(axis=2).T)
             if "cond" in used:
-                # conditional accuracy w.r.t. the class each member assigns to x
-                sup_assigned = self._clipped[np.arange(M)[None, :, None], theta[:, None, :],
-                                             assigned[:, :, None]]    # (Nq, M, K)
-                same_class = dsel.labels[theta][:, None, :] == assigned[:, :, None]
-                num = (sup_assigned * same_class).sum(axis=2)
-                den = sup_assigned.sum(axis=2)
-                put("cond", np.divide(num, den, out=np.zeros_like(num), where=den > 0))
+                put("cond", self._cond(theta, assigned))
             if "rank" in used:
                 put("rank", self._rank(X, self_indices, order))
+            # a family's arrays are freed before the next family's are built
+            del order, theta
 
         if "conf" in used:
             put("conf", self.conf_scale.apply(self.pool.boundary_distances(X).T))
         if "amb" in used:
             s_sorted = np.sort(q_supports, axis=2)
             put("amb", (s_sorted[:, :, -1] - s_sorted[:, :, -2]).T)
+            del s_sorted
         if used & {"op", "rank_op"}:
             profiles = np.transpose(q_supports, (1, 0, 2)).reshape(nq, -1)
-            phi, _ = nearest_neighbors(profiles, self.dsel_profiles, kp, exclude=self_indices)
+            phi = nearest_neighbors(profiles, self.dsel_profiles, kp, exclude=self_indices)[0]
+            del profiles
             corr_phi = self.dsel_correct[:, phi]              # (M, Nq, Kp)
             if "op" in used:
-                put("op", corr_phi[:, :, cols["op"]])
+                put_gathered("op", lambda qs, at: corr_phi[:, qs, at])
             if "rank_op" in used:
                 put("rank_op", np.where(corr_phi.all(axis=2), kp,
                                         (~corr_phi).argmax(axis=2)).T)
@@ -489,6 +504,29 @@ class MetaFeatureExtractor:
 
     # -- internals -----------------------------------------------------------
 
+    def _cond(self, theta, assigned):
+        """Per (query, member): the conditional accuracy with respect to the
+        class the member assigns to the query (``assigned``, (Nq, M)), the
+        share of the member's clipped support for that class over the region
+        ``theta`` (Nq, K) that falls on rows of that class (0 when the
+        support sums to 0). Queries go in pieces of at most ``_GATHER_BLOCK``
+        gathered supports; each sum runs over one query's K contiguous
+        values, so its bits do not depend on the piece."""
+        (nq, M), K = assigned.shape, theta.shape[1]
+        cond = np.zeros((nq, M))
+        step = max(1, _GATHER_BLOCK // (M * K))
+        for lo in range(0, nq, step):
+            th, asg = theta[lo:lo + step], assigned[lo:lo + step]
+            sup = self._clipped[np.arange(M)[None, :, None], th[:, None, :],
+                                asg[:, :, None]]              # (q, M, K)
+            same_class = self.dsel.labels[th][:, None, :] == asg[:, :, None]
+            den = sup.sum(axis=2)
+            # the product in place of the supports: no second (q, M, K) block
+            num = np.multiply(sup, same_class, out=sup).sum(axis=2)
+            np.divide(num, den, out=cond[lo:lo + step], where=den > 0)
+            del sup, same_class           # freed before the next piece is gathered
+        return cond
+
     def _rank(self, X, exclude, order):
         """Per (query, member): how many reference rows, in order of distance
         to the query, the member classifies correctly before its first error
@@ -509,8 +547,10 @@ class MetaFeatureExtractor:
         wrong = ~self.dsel_correct                            # (M, N)
         rank = np.full((nq, M), float(avail))
         erring = np.flatnonzero(wrong.any(axis=1))
-        # open pairs: query, member and the query's row in ``order``
-        q_open, m_open = np.repeat(np.arange(nq), erring.size), np.tile(erring, nq)
+        # open pairs: query, member and the query's row in ``order``, as
+        # int32, half the bytes of intp while every pair of the block is open
+        q_open = np.repeat(np.arange(nq, dtype=np.int32), erring.size)
+        m_open = np.tile(erring.astype(np.int32), nq)
         rows = q_open
         lo, chunk = 0, _RANK_CHUNK
         while True:
@@ -530,8 +570,8 @@ class MetaFeatureExtractor:
             if not q_open.size or width == avail:
                 return rank
             queries, rows = np.unique(q_open, return_inverse=True)
-            order, _ = nearest_neighbors(X[queries], self.dsel.features, min(2 * width, avail),
-                                         exclude=None if exclude is None else exclude[queries])
+            order = nearest_neighbors(X[queries], self.dsel.features, min(2 * width, avail),
+                                      exclude=None if exclude is None else exclude[queries])[0]
 
 
 def meta_dataset_to_csv(md: MetaDataset, path):

@@ -24,8 +24,15 @@ import numpy as np
 
 __all__ = ["nearest_neighbors"]
 
-# (query, reference, feature) differences nearest_neighbors holds at once
+# (query, reference row, feature) differences a block of nearest_neighbors
+# holds at once: float64, 32 MB, whether of every row or of the filter's
+# candidates (at most every row)
 _KNN_BLOCK = 1 << 22
+# (query, reference row) pairs a block scores at once: the filter's float64
+# scores, their partition copy and keep flags (17 bytes a pair), or without
+# the filter the float64 squared distances and their intp sort order (16
+# bytes a pair), ~0.55 MB; at low width these are a block's largest arrays
+_KNN_PAIRS = 1 << 15
 
 _EPS = np.finfo(float).eps / 2          # unit roundoff u
 _TINY = np.finfo(float).tiny            # largest error of one underflowing operation
@@ -37,8 +44,10 @@ def nearest_neighbors(queries, reference, k, exclude=None):
     Returns (indices, distances), each (Nq, k), sorted by distance with ties
     broken by lower reference index. ``exclude`` may be an array of one
     reference row per query to omit (-1 for none), or a scalar for a single
-    query. Queries go through in blocks of at most ``_KNN_BLOCK`` differences,
-    so memory stays bounded; a query's result does not depend on its block
+    query. Queries go through in blocks of at most ``_KNN_BLOCK`` (query,
+    row, feature) differences and ``_KNN_PAIRS`` (query, row) scores, so the
+    memory a call holds beyond its inputs and its (Nq, k) results is bounded
+    whatever d and Nq are. A query's result does not depend on its block
     (nor on the arrays' memory layout: both are made C-contiguous, so each
     squared distance is one contiguous sum).
 
@@ -79,42 +88,48 @@ def nearest_neighbors(queries, reference, k, exclude=None):
                          + (" (with self-exclusion)" if excl is not None else ""))
     order = np.empty((len(queries), k), dtype=np.intp)
     dist = np.empty((len(queries), k))
-    filtered = k < avail
-    if filtered:
+    ref_sq = None
+    if k < avail:
         with np.errstate(over="ignore"):
             ref_sq = np.einsum("ij,ij->i", reference, reference)
-    step = max(1, _KNN_BLOCK // max(1, reference.size))
+    step = max(1, min(_KNN_BLOCK // max(1, reference.size), _KNN_PAIRS // max(1, n_ref)))
     for lo in range(0, len(queries), step):
         blk = slice(lo, lo + step)
-        q = queries[blk]
-        excl_blk = None if excl is None else excl[blk]
-        if filtered:
-            cand, counts = _candidates(q, reference, ref_sq, k, excl_blk)
-            diff = reference[cand]
-            np.subtract(q[:, None, :], diff, out=diff)
-        else:
-            diff = q[:, None, :] - reference[None, :, :]
-        d2 = np.square(diff, out=diff).sum(axis=2)
-        del diff                      # freed before the next block is allocated
-        if filtered:
-            if excl_blk is not None:
-                d2[cand == excl_blk[:, None]] = np.inf
-            # padding sorts after every real candidate, NaN distances included
-            d2[np.arange(cand.shape[1])[None, :] >= counts[:, None]] = np.nan
-        elif excl_blk is not None:
-            rows = np.flatnonzero(excl_blk >= 0)
-            d2[rows, excl_blk[rows]] = np.inf
-        pick = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        rows = np.arange(len(pick))[:, None]
-        order[blk] = cand[rows, pick] if filtered else pick
-        dist[blk] = np.sqrt(d2[rows, pick])
+        order[blk], dist[blk] = _block(queries[blk], reference, ref_sq, k,
+                                       None if excl is None else excl[blk])
     return order, dist
+
+
+def _block(q, reference, ref_sq, k, excl):
+    """``nearest_neighbors`` of one query block, through the candidate
+    filter when ``ref_sq`` (the rows' squared norms) is given. Its arrays
+    are freed on return, before the next block's are allocated."""
+    if ref_sq is not None:
+        cand, pad = _candidates(q, reference, ref_sq, k, excl)
+        diff = reference[cand]
+        np.subtract(q[:, None, :], diff, out=diff)
+    else:
+        diff = q[:, None, :] - reference[None, :, :]
+    d2 = np.square(diff, out=diff).sum(axis=2)
+    del diff
+    if ref_sq is not None:
+        if excl is not None:
+            d2[cand == excl[:, None]] = np.inf
+        # padding sorts after every real candidate, NaN distances included
+        d2[pad] = np.nan
+    elif excl is not None:
+        rows = np.flatnonzero(excl >= 0)
+        d2[rows, excl[rows]] = np.inf
+    pick = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    rows = np.arange(len(pick))[:, None]
+    return (cand[rows, pick] if ref_sq is not None else pick), np.sqrt(d2[rows, pick])
 
 
 def _candidates(q, reference, ref_sq, k, excl):
     """Rows of ``reference`` that may be among each query's k nearest:
-    (cand, counts), cand (Nq, C) holding each query's candidate indices in
-    ascending order, then row 0 as padding past its count."""
+    (cand, pad), cand (Nq, C) holding each query's candidate indices in
+    ascending order, then row 0 as padding where the (Nq, C) flags ``pad``
+    are set."""
     w = reference.shape[1]
     # non-finite scores are expected here: they make the cutoff non-finite
     with np.errstate(over="ignore", invalid="ignore"):
@@ -127,13 +142,18 @@ def _candidates(q, reference, ref_sq, k, excl):
             rows = np.flatnonzero(excl >= 0)
             approx[rows, excl[rows]] = np.inf
         gamma = (w + 3) * _EPS / (1.0 - (w + 3) * _EPS)
-        cutoff = np.partition(approx, k - 1, axis=1)[:, k - 1]
+        # a copy, so the (q, Nr) partition is freed at once
+        cutoff = np.partition(approx, k - 1, axis=1)[:, k - 1].copy()
         cutoff += 8.0 * gamma * (q_sq + ref_sq.max()) + 8.0 * (w + 3) * _TINY
         keep = approx <= cutoff[:, None]
+        del approx
     keep[~np.isfinite(cutoff)] = True
     counts = keep.sum(axis=1)
-    # the kept flags in row-major order: each query's candidates, in index order
-    rows, cols = np.divmod(np.flatnonzero(keep), keep.shape[1])
-    cand = np.zeros((len(keep), counts.max()), dtype=np.intp)
-    cand[rows, np.arange(len(cols)) - (np.cumsum(counts) - counts)[rows]] = cols
-    return cand, counts
+    pad = np.arange(counts.max()) >= counts[:, None]
+    # the kept flags in row-major order: each query's candidates, in index
+    # order, which a flag array assigns in the same order
+    cols = np.flatnonzero(keep)
+    cols %= keep.shape[1]
+    cand = np.zeros(pad.shape, dtype=np.intp)
+    cand[~pad] = cols
+    return cand, pad

@@ -202,6 +202,47 @@ class TestTrainDes:
         assert a.pool.weights.tobytes() == pool.weights.tobytes()
         assert np.array_equal(a.mask, b.mask) and archive_a.trace == archive_b.trace
 
+    def test_replications_pass_the_pool_and_scale_train_des_fits(self):
+        # run_experiment scales each train split once, to bag, and hands
+        # train_des that pool and scale: they must be the ones train_des
+        # bags and fits on its own, and train_des must not scale again
+        cfg = small_p2_config(seed=3, replications=2)
+        for r, (train, meta, dsel, _), pool, scale in experiment._replications(cfg):
+            alone, archive_a, info_a = train_des(train, meta, dsel, cfg, (cfg.seed, r))
+            with mock.patch.object(experiment, "bagging", side_effect=AssertionError), \
+                    mock.patch.object(experiment, "scale_minmax", side_effect=AssertionError):
+                given_, archive_b, info_b = train_des(train, meta, dsel, cfg, (cfg.seed, r),
+                                                      pool=pool, scale=scale)
+            assert given_.pool is pool and given_.scale is scale
+            assert alone.pool.weights.tobytes() == pool.weights.tobytes()
+            assert alone.pool.dist_scale.tobytes() == pool.dist_scale.tobytes()
+            assert alone.scale.col_min.tobytes() == scale.col_min.tobytes()
+            assert alone.scale.col_max.tobytes() == scale.col_max.tobytes()
+            assert np.array_equal(alone.mask, given_.mask)
+            assert archive_a.trace == archive_b.trace
+            assert alone.meta.weights.tobytes() == given_.meta.weights.tobytes()
+            assert (info_a["meta_dataset"].rows.tobytes()
+                    == info_b["meta_dataset"].rows.tobytes())
+
+    def test_given_scale_without_pool_bags_the_split_it_scales(self):
+        cfg = small_p2_config()
+        train, meta, dsel = generate_p2(150, 1), generate_p2(150, 2), generate_p2(150, 3)
+        a, _, _ = train_des(train, meta, dsel, cfg, (cfg.seed, 0))
+        scale = scale_minmax(train)[1]
+        with mock.patch.object(experiment, "scale_minmax", side_effect=AssertionError):
+            b, _, _ = train_des(train, meta, dsel, cfg, (cfg.seed, 0), scale=scale)
+        assert a.pool.weights.tobytes() == b.pool.weights.tobytes()
+        assert np.array_equal(a.mask, b.mask)
+        assert a.meta.weights.tobytes() == b.meta.weights.tobytes()
+
+    def test_scale_of_another_width_rejected(self):
+        cfg = small_p2_config()
+        train, meta, dsel = generate_p2(60, 1), generate_p2(60, 2), generate_p2(60, 3)
+        for width in (1, 3):
+            scale = ScaleParams(np.zeros(width), np.ones(width))
+            with pytest.raises(ValueError, match="scale of .* for a train split"):
+                train_des(train, meta, dsel, cfg, (cfg.seed, 0), scale=scale)
+
     def test_pool_of_another_shape_rejected(self):
         cfg = small_p2_config()
         train, meta, dsel = generate_p2(60, 1), generate_p2(60, 2), generate_p2(60, 3)
@@ -330,7 +371,7 @@ class TestReplicationGroups:
         groups = []
         bag = lambda trains, pool_config, seeds: groups.append(len(trains)) or [None] * len(trains)
         with mock.patch.object(experiment, "_bag", side_effect=bag):
-            reps = [r for r, _, _ in experiment._replications(cfg)]
+            reps = [r for r, *_ in experiment._replications(cfg)]
         assert reps == list(range(cfg.replications))
         assert groups == ([1, 1, 1] if source == "p2" else [20])
 

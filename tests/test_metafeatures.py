@@ -344,6 +344,80 @@ class TestRankScan:
         assert scan_rank(correct, order).tolist() == [[30.0, 0.0, 29.0], [30.0, 29.0, 0.0]]
 
 
+class TestBlockBounds:
+    """The k-NN's pair bound and the gather and rank-scan bounds only cut
+    the work of a query block into pieces: on P2-shaped data (two
+    features, two classes, a bagged pool) no bit of any output may move
+    when they are tiny."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(8, 60), m=st.integers(1, 5), k=st.integers(1, 7),
+           kp=st.integers(1, 5), nq=st.integers(2, 30), self_excl=st.booleans(),
+           prefix=st.sampled_from([1, 4, 128]), pairs=st.integers(1, 200),
+           rank_block=st.integers(1, 64), gather_block=st.integers(1, 64),
+           seed=st.integers(0, 2**32 - 1))
+    def test_tiny_bounds_give_the_default_bytes(self, n, m, k, kp, nq, self_excl, prefix,
+                                                 pairs, rank_block, gather_block, seed):
+        rng = np.random.default_rng(seed)
+        train, params = scale_minmax(generate_p2(40, [seed, 1]))
+        dsel = params.apply_dataset(generate_p2(n, [seed, 2]))
+        pool = bagging(train, m, seed=seed % 1000, epochs=5)
+        ex = MetaFeatureExtractor(pool, dsel, k=min(k, n - 1), kp=min(kp, n - 1))
+        if self_excl:
+            own = rng.integers(0, n, size=nq)
+            X, y = dsel.features[own], dsel.labels[own]
+        else:
+            own = None
+            queries = params.apply_dataset(generate_p2(nq, [seed, 3]))
+            X, y = queries.features, queries.labels
+        size = ex.layout.size
+        mask = rng.random(size) < 0.5
+        mask[rng.integers(size)] = True
+        weights = rng.normal(size=size)
+
+        def outputs():
+            rows = np.empty((nq, m, size), dtype=np.float32)
+            _, metas, pred = ex.extract_batch(X, y, self_indices=own, out=rows)
+            wide, _, _ = ex.extract_batch(X, y, self_indices=own)
+            masked, _, _ = ex.extract_batch(X, self_indices=own, mask=mask)
+            summed, _, _ = ex.extract_batch(X, self_indices=own, mask=mask, weights=weights)
+            md = ex.build_meta_dataset(X, y, self_indices=own)
+            return rows, metas, pred, wide, masked, summed, md.rows, md.labels
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metafeatures, "_RANK_WIDTH", prefix)
+            want = outputs()
+            mp.setattr(regions, "_KNN_PAIRS", pairs)
+            mp.setattr(metafeatures, "_RANK_BLOCK", rank_block)
+            mp.setattr(metafeatures, "_GATHER_BLOCK", gather_block)
+            got = outputs()
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_full_feature_block_traces_under_a_third_of_its_rows(self):
+        # the first build block of P2's reference rows at pool 100 (272
+        # queries, each leaving out its own row): its float32 rows are 7.3
+        # MB, and the arrays it held besides them read ~6 MB before the
+        # k-NN's pair bound and copied cutoff, cond's in-place product, the
+        # gather bound on cond and the K-wide families, and the rank scan's
+        # smaller gathers; ~1.9 MB after
+        train, params = scale_minmax(generate_p2(500, [1, 1]))
+        dsel = params.apply_dataset(generate_p2(500, [1, 3]))
+        ex = MetaFeatureExtractor(bagging(train, 100, seed=3), dsel)
+        blk = ex.query_blocks(len(dsel))[0]
+        X, y, own = dsel.features[blk], dsel.labels[blk], np.arange(len(dsel))[blk]
+        rows = np.empty((len(X), 100, ex.layout.size), dtype=np.float32)
+        assert len(X) == 272
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            ex.extract_batch(X, y, self_indices=own, out=rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held < rows.nbytes / 3
+
+
 def draw_mask(layout, kind, rng):
     """A random mask of one kind: any bits, one family's positions, the
     rank bit alone, every bit or none."""

@@ -331,3 +331,55 @@ class TestSortFreeCandidates:
             mp.setattr(regions, "_KNN_BLOCK", block)
             for k in range(1, nr - (excl is not None) + 1):
                 assert_same_as_reference(queries, ref, k, exclude=excl)
+
+
+class TestPairBound:
+    """Blocks are bounded by their (query, reference row) scores too, so a
+    call's memory does not grow with the query count at low width."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(nq=st.integers(1, 40), nr=st.integers(2, 30), d=st.integers(1, 3),
+           pairs=st.integers(1, 120), exclude=st.sampled_from(["none", "self", "mixed"]),
+           ties=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_stable_sort_across_pair_blocks(self, nq, nr, d, pairs, exclude, ties,
+                                                        seed):
+        rng = np.random.default_rng(seed)
+        points = (rng.integers(0, 3, size=(nr + nq, d)).astype(float) if ties
+                  else rng.uniform(0, 1, size=(nr + nq, d)))
+        ref, queries = points[:nr], points[nr:]
+        excl = None
+        if exclude == "self":
+            excl = rng.integers(0, nr, size=nq)
+            queries = ref[excl]
+        elif exclude == "mixed":
+            excl = rng.integers(-1, nr, size=nq)
+        # k below the available rows goes through the filter, k equal to
+        # them sorts every row
+        k = int(rng.integers(1, nr - (excl is not None) + 1))
+        calls = []
+        block = regions._block
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regions, "_KNN_PAIRS", pairs)
+            mp.setattr(regions, "_block", lambda q, *a: calls.append(len(q)) or block(q, *a))
+            idx, dist = nearest_neighbors(queries, ref, k, exclude=excl)
+        step = max(1, pairs // nr)
+        assert calls == [min(step, nq - lo) for lo in range(0, nq, step)]
+        want_idx, want_dist = reference_knn(queries, ref, k, exclude=excl)
+        assert np.array_equal(idx, want_idx)
+        assert dist.tobytes() == want_dist.tobytes()
+
+    def test_low_width_call_traces_a_few_mb(self):
+        # 2 000 P2 queries against 500 rows at k = 7: one block of every
+        # query held (2000, 500) scores, their partition copy and keep flags
+        # at once, ~17 MB; bounded blocks hold ~0.8 MB with the results
+        train, params = scale_minmax(generate_p2(500, 1))
+        queries = params.apply(generate_p2(2000, 2).features)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            idx, _ = nearest_neighbors(queries, train.features, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held < 3e6
+        assert idx.shape == (2000, 7)
