@@ -257,6 +257,18 @@ def _rrc_quadrature(s, c):
     return out
 
 
+def row_blocks(n, step):
+    """Slices of ``n`` rows in blocks of ``step`` rows (at least 2).
+
+    No block holds a lone row unless ``n`` is 1: the pool's matrix products
+    take another path for one row, whose supports can differ in the last
+    bit from a larger block's, so a last row left over joins the block
+    before it."""
+    step = max(2, step)
+    starts = list(range(0, n - 1, step)) or [0]
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n]) if hi > lo]
+
+
 class MetaFeatureExtractor:
     """Computes meta-feature vectors against a fixed reference set.
 
@@ -451,16 +463,9 @@ class MetaFeatureExtractor:
         ``_CLASSIFY_BLOCK`` values, counting per query at most M*D gathered
         meta-feature values and the rank scan's reference rows by distance
         with their distances (up to N each), so memory does not grow with
-        ``n``.
-
-        No block holds a lone query unless ``n`` is 1: the pool's matrix
-        products take another path for one row, whose supports can differ
-        in the last bit from a larger block's, so a last query left over
-        joins the block before it."""
+        ``n`` (see ``row_blocks``)."""
         per_query = len(self.pool) * self.layout.size + 2 * len(self.dsel)
-        step = max(2, _CLASSIFY_BLOCK // per_query)
-        starts = list(range(0, n - 1, step)) or [0]
-        return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n]) if hi > lo]
+        return row_blocks(n, _CLASSIFY_BLOCK // per_query)
 
     def build_meta_dataset(self, X, y, self_indices=None, sample_ids=None) -> MetaDataset:
         """All (sample, classifier) rows for labeled queries, sample-major.

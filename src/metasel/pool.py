@@ -120,7 +120,9 @@ class ClassifierPool:
         """
         if self.class_count == 2:
             m = self.boundary_distances(X)
-            s0 = 1.0 / (1.0 + np.exp(-SUPPORT_GAIN * m / self.dist_scale[:, None]))
+            # far on the class-1 side exp overflows to inf, which gives s0 = 0.0
+            with np.errstate(over="ignore"):
+                s0 = 1.0 / (1.0 + np.exp(-SUPPORT_GAIN * m / self.dist_scale[:, None]))
             supports = np.stack([s0, 1.0 - s0], axis=2)
         else:
             s = self.scores(X)

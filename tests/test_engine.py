@@ -639,3 +639,50 @@ class TestOracleAccuracy:
             for method in BASELINE_METHODS:
                 pred, _ = baseline_predict_batch(method, pool, dsel, test.features, k=3)
                 assert (pred == test.labels).mean() <= upper + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(L=st.integers(2, 3), m=st.integers(1, 5), gather_block=st.integers(1, 64),
+           size=st.sampled_from(["one", "tail", "any"]), n=st.integers(2, 80),
+           table=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_blocks_give_the_one_shot_oracle(self, L, m, gather_block, size, n, table, seed):
+        rng = np.random.default_rng(seed)
+        step = max(2, gather_block // (m * L))
+        n = {"one": 1, "tail": step + 1, "any": n}[size]
+        labels = rng.integers(0, L, n)
+        if table:
+            keys = 6
+            pool = TablePool([TableMember({k: rng.dirichlet(np.ones(L)) for k in range(keys)})
+                              for _ in range(m)])
+            test = Dataset(rng.integers(0, keys, (n, 1)).astype(float), labels, L)
+        else:
+            train = Dataset(rng.uniform(0, 1, (40, 2)), rng.permutation(np.arange(40) % L), L)
+            pool = bagging(train, m, seed=seed % 1000, epochs=5)
+            test = Dataset(rng.uniform(0, 1, (n, 2)), labels, L)
+        want = float((pool.predict_batch(test.features)[0] == test.labels).any(axis=0).mean())
+        rows = []
+        predict = pool.predict_batch
+        pool.predict_batch = lambda X: rows.append(len(X)) or predict(X)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metafeatures, "_GATHER_BLOCK", gather_block)
+            got = oracle_accuracy(pool, test)
+        assert got == want
+        assert sum(rows) == n
+        # every block holds at most step rows, or step + 1 for a leftover last row
+        assert max(rows) <= step + 1 and (n == 1 or min(rows) >= 2), rows
+
+    def test_p2_pool_100_traces_under_half_of_its_supports(self):
+        # one predict_batch over all 2 000 samples holds the (M, N) labels
+        # and 3.2 MB of (M, N, L) float64 supports at once (7.6 MB traced);
+        # blocks of 163 samples trace ~1 MB
+        train, params = scale_minmax(generate_p2(500, [1, 1]))
+        test = params.apply_dataset(generate_p2(2000, [1, 4]))
+        pool = bagging(train, 100, seed=3)
+        supports = len(pool) * len(test) * pool.class_count * 8
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            oracle_accuracy(pool, test)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held < supports / 2

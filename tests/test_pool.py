@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,15 @@ class TestPredict:
         labels, supports = pool.predict_batch([0.0, 5.0])
         assert np.allclose(supports[0, 0], [0.5, 0.5])
         assert labels[0, 0] == 0  # tie goes to the lower index
+
+    def test_far_on_the_class_1_side_supports_are_exact_without_warning(self):
+        # -SUPPORT_GAIN * distance / dist_scale = 4e5: exp overflows to inf
+        pool = ClassifierPool([[[1.0, 0.0], [-1.0, 0.0]]], dist_scale=[0.01])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels, supports = pool.predict_batch([[-1000.0]])
+        assert supports[0, 0].tolist() == [0.0, 1.0]
+        assert labels[0, 0] == 1
 
     def test_supports_sum_to_one(self):
         rng = np.random.default_rng(1)

@@ -3,18 +3,21 @@
 Usage (from anywhere)::
 
     python3 tools/output_digest.py > digests.txt
+    python3 tools/output_digest.py --check digests.txt
 
 metasel is imported from this checkout's ``src``. Running the script in two
 checkouts and comparing the two files with ``diff`` shows whether a change
-moved any output. The first line, ``# environment`` and a JSON object, names
-what the float bits depend on besides the code: numpy's version, its BLAS
-build (name, version and OpenBLAS configuration string of
-``numpy.show_config(mode="dicts")``), the core type and thread count the
-loaded OpenBLAS reports at run time (which can differ from the build
-string's core), numpy's SIMD baseline and the SIMD targets found on this
-CPU, and the environment variables that pick the BLAS core, threads or CPU
-features. A query that cannot be made reads ``unknown``; an unset variable
-reads ``unset``. Then one line per output:
+moved any output; ``--check FILE`` makes the comparison itself: it prints
+each line of this checkout that differs from FILE or is missing from it
+(the environment line included) and exits 1 if there is one. The first
+line, ``# environment`` and a JSON object, names what the float bits
+depend on besides the code: numpy's version, its BLAS build (name, version
+and OpenBLAS configuration string of ``numpy.show_config(mode="dicts")``),
+the core type and thread count the loaded OpenBLAS reports at run time
+(which can differ from the build string's core), numpy's SIMD baseline and
+the SIMD targets found on this CPU, and the environment variables that pick
+the BLAS core, threads or CPU features. A query that cannot be made reads
+``unknown``; an unset variable reads ``unset``. Then one line per output:
 
 - every report file of ``metasel benchmark`` on each bundled CSV at seeds
   1, 2 and 7, with the benchmark's protocol_bundled settings (pool 10, two
@@ -173,20 +176,32 @@ def train_lines(seed):
                         bytes([sample.fallback]))))
 
 
+def output_lines(train_seeds):
+    yield "# environment " + json.dumps(environment())
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in BENCHMARK_SEEDS:
+            for what, digest in benchmark_lines(seed, Path(tmp)):
+                yield f"{digest} {what}"
+    for seed in train_seeds:
+        for what, digest in train_lines(seed):
+            yield f"{digest} {what}"
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--train-seeds", type=int, nargs="+", default=[1, 2, 3],
                    help="seeds of the train_des outputs (default: 1 2 3)")
+    p.add_argument("--check", type=Path, metavar="FILE",
+                   help="print only the lines that differ from FILE or are missing from it, "
+                        "and exit 1 if there are any")
     args = p.parse_args(argv)
-    print("# environment", json.dumps(environment()), flush=True)
-    with tempfile.TemporaryDirectory() as tmp:
-        for seed in BENCHMARK_SEEDS:
-            for what, digest in benchmark_lines(seed, Path(tmp)):
-                print(digest, what, flush=True)
-    for seed in args.train_seeds:
-        for what, digest in train_lines(seed):
-            print(digest, what, flush=True)
-    return 0
+    want = set(args.check.read_text().splitlines()) if args.check else None
+    differs = False
+    for line in output_lines(args.train_seeds):
+        if want is None or line not in want:
+            print(line, flush=True)
+            differs = want is not None
+    return int(differs)
 
 
 if __name__ == "__main__":
