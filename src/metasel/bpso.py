@@ -24,14 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _blocks
 from .metaclassifier import sigmoid, train_meta
-
-# doubles per scoring block: a block of scored rows, widened to float64,
-# holds at most this many values, and so does its (rows, masks) buffer of
-# decision values, so nothing scoring allocates grows with the row count.
-# Small blocks also keep small the BLAS packing buffers, which stay resident
-# once touched.
-_SCORE_BLOCK = 2 ** 15
 
 __all__ = [
     "BpsoConfig",
@@ -152,7 +146,10 @@ class MaskEvaluator:
         weights = np.where(np.ascontiguousarray(masks.T), model.weights[:, None], 0.0)
         rows, labels = np.asarray(rows), np.asarray(labels)
         sq = np.zeros(len(masks))
-        block = max(1, _SCORE_BLOCK // max(rows.shape[1], len(masks)))
+        # one budget of widened rows, and of decision values, a block (and
+        # small BLAS packing buffers); not ``_blocks.pieces``: the sums take
+        # their bits from these blocks, a last lone row included
+        block = _blocks.items(max(rows.shape[1], len(masks)))
         wide = np.empty((min(block, len(rows)), rows.shape[1]))
         out = np.empty((len(wide), len(masks)))
         for start in range(0, len(rows), block):

@@ -23,8 +23,8 @@ import numpy as np
 
 from .data import Dataset, ScaleParams
 from .metaclassifier import MetaClassifier, sigmoid
-from . import metafeatures
-from .metafeatures import MetaFeatureExtractor, row_blocks
+from . import _blocks
+from .metafeatures import MetaFeatureExtractor
 from .pool import ClassifierPool
 from .regions import nearest_neighbors
 
@@ -288,12 +288,11 @@ def baseline_predict_batch(method: str, pool: ClassifierPool, dsel: Dataset, X, 
 def oracle_accuracy(pool: ClassifierPool, test: Dataset) -> float:
     """Fraction of test samples for which at least one member is correct.
 
-    The samples are labelled in ``row_blocks`` of about ``_GATHER_BLOCK``
+    The samples are labelled in blocks of one budget (see ``_blocks``) of
     (member, sample, class) supports, keeping one flag per sample, so memory
     does not grow with the test set."""
-    step = metafeatures._GATHER_BLOCK // (len(pool) * pool.class_count)
     hit = np.empty(len(test), dtype=bool)
-    for blk in row_blocks(len(test), step):
+    for blk in _blocks.pieces(len(test), len(pool) * pool.class_count):
         labels, _ = pool.predict_batch(test.features[blk])
         hit[blk] = (labels == test.labels[None, blk]).any(axis=0)
     return float(hit.mean())

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import engine
+from . import _blocks, engine
 from .bpso import Archive, BpsoConfig, optimize
 from .data import (Dataset, ScaleParams, SplitSpec, generate_p2, load_csv,
                    scale_minmax, split_holdout)
@@ -65,16 +65,6 @@ MODEL_HEADER = {"format": str, "version": int, "k": int, "kp": int,
 MODEL_ARRAYS = ("pool_weights", "pool_dist_scale", "selector_weights",
                 "selector_offsets", "mask", "dsel_features", "dsel_labels", "t_prc")
 SCALE_ARRAYS = ("scale_col_min", "scale_col_max")
-
-
-# member x bootstrap-row entries that one ``bagging`` call of
-# ``run_experiment`` holds for a group of replications: bias-extended rows,
-# one-hot truths and one epoch's order and gathered samples, a traced ~140
-# bytes each at P2's width (~6 MB). A replication over it is bagged alone.
-# 2^21 // 50 groups as a bound of 2^21 member x epoch x row entries does at
-# the default 50 epochs: one per group on P2 at pool 100, 46 of a bundled
-# CSV at pool 10
-_BAG_BLOCK = (1 << 21) // 50
 
 
 class ModelFormatError(RuntimeError):
@@ -337,11 +327,12 @@ def _replications(config: ExperimentConfig):
     each pool and scale are the ones ``train_des`` would bag and fit from
     the replication's train split.
 
-    Replications go in groups of consecutive ones, as many as hold at most
-    ``_BAG_BLOCK`` member x bootstrap-row entries together (at least one: a
-    replication never splits across groups). A group's splits are loaded,
-    a CSV source read once per run, and its pools train in one lockstep;
-    the splits of a source share one shape."""
+    Replications go in groups of consecutive ones, as many as hold one
+    budget (see ``_blocks``) of member x bootstrap-row entries, ~140 bytes
+    each at P2's width: one per group on P2 at pool 100 (a replication never
+    splits), 36 of a bundled CSV at pool 10. A group's splits are loaded, a
+    CSV source read once per run, and its pools train in one lockstep; the
+    splits of a source share one shape."""
     pc = config.pool
     source = _read_source(config)
     start = 0
@@ -349,8 +340,7 @@ def _replications(config: ExperimentConfig):
         splits = [_load_splits(config, start, source)]
         n = len(splits[0][0])
         rows = n if pc.bootstrap_frac >= 1.0 else int(np.ceil(pc.bootstrap_frac * n))
-        stop = min(config.replications,
-                   start + max(1, _BAG_BLOCK // (pc.size * rows)))
+        stop = min(config.replications, start + _blocks.items(pc.size * rows))
         splits += [_load_splits(config, r, source) for r in range(start + 1, stop)]
         scaled, scales = zip(*(scale_minmax(train) for train, _, _, _ in splits))
         pools = _bag(scaled, pc, [_derive_int(config.seed, r, 20) for r in range(start, stop)])

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blocks
 from .data import Dataset, ScaleParams
 from .pool import ClassifierPool
 from .regions import nearest_neighbors
@@ -44,28 +45,16 @@ __all__ = [
 
 SUPPORT_FLOOR = 1e-12
 SUPPORT_CEIL = 1.0 - 1e-10
-# (sample, member, meta-feature) values a query block is sized by
-_CLASSIFY_BLOCK = 1 << 21
-# (query, member, position) correctness flags one gather of the rank scan
-# reads at once: its intp index array takes 8 bytes a flag (256 KB) and the
-# flags 1 byte; and the width of the scan's first position chunk
-_RANK_BLOCK = 1 << 15
+# the width of the rank scan's first position chunk
 _RANK_CHUNK = 8
-# (query, member, position) values one gather holds at once: ``cond``'s
-# supports, or a K-wide family's values written into ``extract_batch``'s
-# ``out``; float64, 256 KB (``cond`` has a bool class flag beside each)
-_GATHER_BLOCK = 1 << 15
 # reference rows by distance the rank scan first asks for per query; a query
 # with a pair still open past them asks again at twice the width
 _RANK_WIDTH = 128
 # randomized reference classifier: support clip, Beta concentration,
-# logit-space grid, the (pair, class, grid point) values the quadrature (and
-# the pairs the two-class interpolant) holds at once, and the interpolant's
-# node count
+# logit-space grid and the two-class interpolant's node count
 _RRC_CLIP = 1e-6
 _RRC_CONCENTRATION = 10.0
 _RRC_GRID = np.linspace(-20.0, 20.0, 121)
-_RRC_BLOCK = 1 << 14
 _RRC_NODES = 4097
 
 SET_NAMES = ("hard", "prob", "overall", "cond", "conf", "amb",
@@ -164,8 +153,9 @@ def rrc_competence(supports, correct_class):
     out = np.where(c == 0, s[..., 0], s[..., 1])
     lo, step, coef = _rrc_table()
     flat = out.reshape(-1)
-    for start in range(0, flat.size, _RRC_BLOCK):
-        u = np.clip(flat[start:start + _RRC_BLOCK], _RRC_CLIP, 1.0 - _RRC_CLIP)
+    # a pair's largest share of a piece: its interval's 4 coefficients
+    for blk in _blocks.pieces(flat.size, 4):
+        u = np.clip(flat[blk], _RRC_CLIP, 1.0 - _RRC_CLIP)
         u /= 1.0 - u
         np.log(u, out=u)
         u -= lo
@@ -179,7 +169,7 @@ def rrc_competence(supports, correct_class):
         for j in (2, 1, 0):
             acc *= u
             acc += v[j]
-        flat[start:start + _RRC_BLOCK] = acc
+        flat[blk] = acc
     return out[()]
 
 
@@ -230,11 +220,10 @@ def _rrc_quadrature(s, c):
     em3 = dz ** 4 / 720
     ends = [0, -1]
     out = np.empty(len(s))
-    step = max(1, _RRC_BLOCK // (L * len(z)))
-    for start in range(0, len(s), step):
-        a = conc * s[start:start + step]                      # (P, L, 1)
+    for blk in _blocks.pieces(len(s), L * len(z)):
+        a = conc * s[blk]                                     # (P, L, 1)
         b = conc - a
-        rows, cls = np.arange(len(a)), c[start:start + step]
+        rows, cls = np.arange(len(a)), c[blk]
         g = np.exp(a * log_t + b * log_1mt)                   # (P, L, G)
         u = a - conc * t
         em = ((em3 * u * u + em1) * u + em0) * g
@@ -251,22 +240,10 @@ def _rrc_quadrature(s, c):
         h = g_c * others
         # h' = h (u_c + sum_{j != c} g_j / F_j), needed at the grid ends only
         dh = h[:, ends] * (u_c[:, ends] + (g[:, :, ends] / cdf[:, :, ends]).sum(axis=1))
-        out[start:start + step] = (dz * (h.sum(axis=1) - 0.5 * (h[:, 0] + h[:, -1]))
-                                   - dz ** 2 / 12 * (dh[:, 1] - dh[:, 0])
-                                   + lo_c * others[:, 0] + hi_c * others[:, -1])
+        out[blk] = (dz * (h.sum(axis=1) - 0.5 * (h[:, 0] + h[:, -1]))
+                    - dz ** 2 / 12 * (dh[:, 1] - dh[:, 0])
+                    + lo_c * others[:, 0] + hi_c * others[:, -1])
     return out
-
-
-def row_blocks(n, step):
-    """Slices of ``n`` rows in blocks of ``step`` rows (at least 2).
-
-    No block holds a lone row unless ``n`` is 1: the pool's matrix products
-    take another path for one row, whose supports can differ in the last
-    bit from a larger block's, so a last row left over joins the block
-    before it."""
-    step = max(2, step)
-    starts = list(range(0, n - 1, step)) or [0]
-    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n]) if hi > lo]
 
 
 class MetaFeatureExtractor:
@@ -396,13 +373,11 @@ class MetaFeatureExtractor:
                 out[:, :, dest[name]] = values[:, :, None]
 
             def put_gathered(name, gather):
-                # gathered in query pieces of at most _GATHER_BLOCK values,
-                # each written straight into its rows of ``out``: no
-                # (M, Nq, c) block beside it
-                step = max(1, _GATHER_BLOCK // (M * cols[name].size))
-                for lo in range(0, nq, step):
-                    out[lo:lo + step, :, dest[name]] = gather(
-                        slice(lo, lo + step), cols[name]).transpose(1, 0, 2)
+                # gathered in query pieces of one budget of values, each
+                # written straight into its rows of ``out``: no (M, Nq, c)
+                # block beside it
+                for qs in _blocks.pieces(nq, M * cols[name].size):
+                    out[qs, :, dest[name]] = gather(qs, cols[name]).transpose(1, 0, 2)
         else:
             out = np.zeros((nq, M))
 
@@ -459,13 +434,12 @@ class MetaFeatureExtractor:
 
     def query_blocks(self, n):
         """Slices of ``n`` queries, in the blocks both ``classify_batch`` and
-        ``build_meta_dataset`` extract. Each block is sized as if it held
-        ``_CLASSIFY_BLOCK`` values, counting per query at most M*D gathered
-        meta-feature values and the rank scan's reference rows by distance
-        with their distances (up to N each), so memory does not grow with
-        ``n`` (see ``row_blocks``)."""
+        ``build_meta_dataset`` extract: ``WIDE`` budgets of values (see
+        ``_blocks``), counting per query at most M*D gathered meta-feature
+        values and the rank scan's reference rows by distance with their
+        distances (up to N each), so memory does not grow with ``n``."""
         per_query = len(self.pool) * self.layout.size + 2 * len(self.dsel)
-        return row_blocks(n, _CLASSIFY_BLOCK // per_query)
+        return _blocks.pieces(n, per_query, _blocks.WIDE)
 
     def build_meta_dataset(self, X, y, self_indices=None, sample_ids=None) -> MetaDataset:
         """All (sample, classifier) rows for labeled queries, sample-major.
@@ -514,21 +488,20 @@ class MetaFeatureExtractor:
         class the member assigns to the query (``assigned``, (Nq, M)), the
         share of the member's clipped support for that class over the region
         ``theta`` (Nq, K) that falls on rows of that class (0 when the
-        support sums to 0). Queries go in pieces of at most ``_GATHER_BLOCK``
-        gathered supports; each sum runs over one query's K contiguous
-        values, so its bits do not depend on the piece."""
+        support sums to 0). Queries go in pieces of one budget of gathered
+        supports; each sum runs over one query's K contiguous values, so its
+        bits do not depend on the piece."""
         (nq, M), K = assigned.shape, theta.shape[1]
         cond = np.zeros((nq, M))
-        step = max(1, _GATHER_BLOCK // (M * K))
-        for lo in range(0, nq, step):
-            th, asg = theta[lo:lo + step], assigned[lo:lo + step]
+        for qs in _blocks.pieces(nq, M * K):
+            th, asg = theta[qs], assigned[qs]
             sup = self._clipped[np.arange(M)[None, :, None], th[:, None, :],
                                 asg[:, :, None]]              # (q, M, K)
             same_class = self.dsel.labels[th][:, None, :] == asg[:, :, None]
             den = sup.sum(axis=2)
             # the product in place of the supports: no second (q, M, K) block
             num = np.multiply(sup, same_class, out=sup).sum(axis=2)
-            np.divide(num, den, out=cond[lo:lo + step], where=den > 0)
+            np.divide(num, den, out=cond[qs], where=den > 0)
             del sup, same_class           # freed before the next piece is gathered
         return cond
 
@@ -540,8 +513,8 @@ class MetaFeatureExtractor:
 
         ``order`` holds an exact prefix of each query's rows by distance.
         Position chunks of growing width (8, 16, 32, ...) are scanned for the
-        pairs that have not erred yet, each gather holding at most
-        ``_RANK_BLOCK`` flags. When the prefix runs out, only the queries
+        pairs that have not erred yet, each gather holding one budget of
+        flags. When the prefix runs out, only the queries
         with a pair still open are searched again at twice the width
         (``nearest_neighbors`` returns the rows of a full sort on any
         prefix), and the scan goes on where it stopped, so the work follows
@@ -562,14 +535,13 @@ class MetaFeatureExtractor:
             width = order.shape[1]
             while q_open.size and lo < width:
                 hi = min(lo + chunk, width)
-                piece = max(1, _RANK_BLOCK // (hi - lo))
                 still = np.ones(q_open.size, dtype=bool)
-                for p in range(0, q_open.size, piece):
-                    qs, ms = q_open[p:p + piece], m_open[p:p + piece]
-                    err = wrong[ms[:, None], order[rows[p:p + piece], lo:hi]]  # (pairs, hi - lo)
+                for p in _blocks.pieces(q_open.size, hi - lo):
+                    qs, ms = q_open[p], m_open[p]
+                    err = wrong[ms[:, None], order[rows[p], lo:hi]]   # (pairs, hi - lo)
                     hit = err.any(axis=1)
                     rank[qs[hit], ms[hit]] = lo + err[hit].argmax(axis=1)
-                    still[p:p + piece] = ~hit
+                    still[p] = ~hit
                 q_open, m_open, rows = q_open[still], m_open[still], rows[still]
                 lo, chunk = hi, 2 * chunk
             if not q_open.size or width == avail:
@@ -582,15 +554,13 @@ class MetaFeatureExtractor:
 def meta_dataset_to_csv(md: MetaDataset, path):
     """Write a meta-dataset as CSV: one column per meta-feature plus
     meta_label, classifier_index and sample_id. The rows go out in blocks of
-    at most ``_CLASSIFY_BLOCK`` values, each widened to one float64 table,
-    so the writer's memory does not grow with the meta-dataset."""
+    one budget of values, each widened to one float64 table, so the
+    writer's memory does not grow with the meta-dataset."""
     header = md.layout.column_names() + ["meta_label", "classifier_index", "sample_id"]
     fmt = ["%.10g"] * md.rows.shape[1] + ["%d"] * 3
-    step = max(1, _CLASSIFY_BLOCK // len(fmt))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, len(md), step):
-            blk = slice(lo, lo + step)
+        for blk in _blocks.pieces(len(md), len(fmt)):
             # unnamed, so each table is freed before the next one is built
             np.savetxt(fh, np.column_stack([md.rows[blk], md.labels[blk],
                                             md.classifier_ids[blk], md.sample_ids[blk]]),

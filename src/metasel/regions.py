@@ -22,17 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["nearest_neighbors"]
+from . import _blocks
 
-# (query, reference row, feature) differences a block of nearest_neighbors
-# holds at once: float64, 32 MB, whether of every row or of the filter's
-# candidates (at most every row)
-_KNN_BLOCK = 1 << 22
-# (query, reference row) pairs a block scores at once: the filter's float64
-# scores, their partition copy and keep flags (17 bytes a pair), or without
-# the filter the float64 squared distances and their intp sort order (16
-# bytes a pair), ~0.55 MB; at low width these are a block's largest arrays
-_KNN_PAIRS = 1 << 15
+__all__ = ["nearest_neighbors"]
 
 _EPS = np.finfo(float).eps / 2          # unit roundoff u
 _TINY = np.finfo(float).tiny            # largest error of one underflowing operation
@@ -44,10 +36,13 @@ def nearest_neighbors(queries, reference, k, exclude=None):
     Returns (indices, distances), each (Nq, k), sorted by distance with ties
     broken by lower reference index. ``exclude`` may be an array of one
     reference row per query to omit (-1 for none), or a scalar for a single
-    query. Queries go through in blocks of at most ``_KNN_BLOCK`` (query,
-    row, feature) differences and ``_KNN_PAIRS`` (query, row) scores, so the
-    memory a call holds beyond its inputs and its (Nq, k) results is bounded
-    whatever d and Nq are. A query's result does not depend on its block
+    query; any other value outside [-1, Nr) is a ValueError. Queries go
+    through in blocks (see ``_blocks``) of at most ``WIDE`` budgets of
+    (query, row, feature) differences and one budget of (query, row)
+    scores (16-17 bytes a pair with their sort order, or partition copy
+    and keep flags), so the memory a call holds beyond its inputs and its
+    (Nq, k) results is bounded whatever d and Nq are. A query's result
+    does not depend on its block
     (nor on the arrays' memory layout: both are made C-contiguous, so each
     squared distance is one contiguous sum).
 
@@ -82,6 +77,8 @@ def nearest_neighbors(queries, reference, k, exclude=None):
         excl = np.atleast_1d(np.asarray(exclude, dtype=int))
         if len(excl) != len(queries):
             raise ValueError("exclude must provide one index per query")
+        if ((excl < -1) | (excl >= n_ref)).any():
+            raise ValueError(f"exclude must name a reference row in [0, {n_ref}) or -1")
     avail = n_ref - (0 if excl is None else 1)
     if k < 1 or k > avail:
         raise ValueError(f"k={k} out of range for reference of size {n_ref}"
@@ -92,7 +89,7 @@ def nearest_neighbors(queries, reference, k, exclude=None):
     if k < avail:
         with np.errstate(over="ignore"):
             ref_sq = np.einsum("ij,ij->i", reference, reference)
-    step = max(1, min(_KNN_BLOCK // max(1, reference.size), _KNN_PAIRS // max(1, n_ref)))
+    step = min(_blocks.items(reference.size, _blocks.WIDE), _blocks.items(n_ref))
     for lo in range(0, len(queries), step):
         blk = slice(lo, lo + step)
         order[blk], dist[blk] = _block(queries[blk], reference, ref_sq, k,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metasel import bpso
+from metasel import _blocks, bpso
 from metasel.bpso import (_TRANSFERS, Archive, BpsoConfig, MaskEvaluator, Swarm,
                           init_swarm, optimize,
                           oracle_distance, step, transfer_s, transfer_v)
@@ -109,7 +109,7 @@ def stacked_reference(model, masks, rows, labels):
     selectors = [model.masked(mask) for mask in masks]
     weights = np.stack([sel.weights for sel in selectors], axis=1)
     bias = np.array([sel.bias for sel in selectors])
-    block = max(1, bpso._SCORE_BLOCK // max(rows.shape[1], len(masks)))
+    block = max(1, _blocks.BLOCK // max(rows.shape[1], len(masks)))
     sq = np.zeros(len(masks))
     for start in range(0, len(rows), block):
         z = rows[start:start + block] @ weights + bias
@@ -158,7 +158,7 @@ class TestBatchedDistances:
                 ev = MaskEvaluator(train, labels)
             # blocks of `block` doubles, so a few rows each: row counts are
             # rarely a multiple of the block's rows
-            with mock.patch.object(bpso, "_SCORE_BLOCK", block):
+            with mock.patch.object(_blocks, "BLOCK", block):
                 got = ev.distances(masks, rows, row_labels)
                 repeated = ev.distances(masks, rows, row_labels)
                 again = ev.distances(masks[::-1], rows, row_labels)
@@ -208,7 +208,7 @@ class TestBatchedDistances:
         rows = (rng.normal(size=(n_rows, D)) * 3.0).astype(np.float32)
         labels = rng.integers(0, 2, n_rows).astype(float)
         masks = rng.random((P, D)) < 0.5
-        with mock.patch.object(bpso, "_SCORE_BLOCK", block):
+        with mock.patch.object(_blocks, "BLOCK", block):
             got = ev.distances(masks, rows, labels)
             want = ev.distances(masks, rows.astype(float), labels)
         assert got.tobytes() == want.tobytes()
@@ -229,7 +229,7 @@ class TestBatchedDistances:
         for masks in (first, second):
             rows = rng.random((1_000, D)) * 3.0
             labels = (rng.random(1_000) < 0.6).astype(float)
-            assert 1_000 > 2 * (bpso._SCORE_BLOCK // D)        # three blocks
+            assert 1_000 > 2 * (_blocks.BLOCK // D)        # three blocks
             got = ev.distances(masks, rows, labels)
             assert np.array_equal(got, stacked_reference(ev.model, masks, rows, labels))
 
@@ -254,7 +254,7 @@ class TestBatchedDistances:
                 tracemalloc.stop()
 
         small, big = peak(20_000), peak(200_000)
-        assert big - small <= bpso._SCORE_BLOCK * 8
+        assert big - small <= _blocks.BLOCK * 8
 
 
 class TestStep:
@@ -390,7 +390,7 @@ class TestOptimize:
 
     @pytest.mark.parametrize("D,P,n_rows,runs,generations,block", [
         # a search's width and swarm, rows over three blocks
-        (67, 20, 1_200, 2, 6, bpso._SCORE_BLOCK),
+        (67, 20, 1_200, 2, 6, _blocks.BLOCK),
         # masks repeat within and across passes; small blocks of a few rows
         (3, 12, 300, 3, 12, 600),
     ])
@@ -406,7 +406,7 @@ class TestOptimize:
         assert n_rows > 2 * (block // max(D, P))
         cfg = BpsoConfig(swarm_size=P, max_generations=generations,
                          stall_limit=generations, runs=runs, seed=9)
-        with mock.patch.object(bpso, "_SCORE_BLOCK", block):
+        with mock.patch.object(_blocks, "BLOCK", block):
             arch = optimize(train, train_labels, opt, opt_labels, val, val_labels, cfg)
             mask, trace, audit, passes = self.reference_search(
                 train, train_labels, opt, opt_labels, val, val_labels, cfg)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metasel import engine, experiment, metafeatures
+from metasel import _blocks, engine, experiment
 from metasel.bpso import BpsoConfig
 from metasel.data import Dataset, generate_p2, scale_minmax
 from metasel.engine import (BASELINE_METHODS, DesModel, baseline_predict_batch,
@@ -16,7 +16,7 @@ from metasel.experiment import evaluate_methods
 from metasel.metafeatures import MetaFeatureExtractor
 from metasel.pool import ClassifierPool, bagging
 from metasel.regions import nearest_neighbors
-from test_metafeatures import apply_mask
+from test_metafeatures import apply_mask, budget_for
 
 
 class TableMember:
@@ -278,9 +278,10 @@ class TestQueryBlocks:
                          scale=None, dsel=dsel, selection_threshold=threshold)
         per_sample = len(pool) * 67 + 2 * len(dsel)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metafeatures, "_CLASSIFY_BLOCK", len(test) * per_sample)   # one block
+            # one block, then blocks of per_block samples
+            mp.setattr(_blocks, "BLOCK", budget_for(len(test), per_sample, _blocks.WIDE))
             want, want_diags = classify_batch(model, test.features)
-            mp.setattr(metafeatures, "_CLASSIFY_BLOCK", per_block * per_sample)
+            mp.setattr(_blocks, "BLOCK", budget_for(per_block, per_sample, _blocks.WIDE))
             got, got_diags = classify_batch(model, test.features)
         assert np.array_equal(got, want)
         for g, w in zip(got_diags, want_diags, strict=True):
@@ -641,12 +642,12 @@ class TestOracleAccuracy:
                 assert (pred == test.labels).mean() <= upper + 1e-12
 
     @settings(max_examples=60, deadline=None)
-    @given(L=st.integers(2, 3), m=st.integers(1, 5), gather_block=st.integers(1, 64),
+    @given(L=st.integers(2, 3), m=st.integers(1, 5), budget=st.integers(1, 64),
            size=st.sampled_from(["one", "tail", "any"]), n=st.integers(2, 80),
            table=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_blocks_give_the_one_shot_oracle(self, L, m, gather_block, size, n, table, seed):
+    def test_blocks_give_the_one_shot_oracle(self, L, m, budget, size, n, table, seed):
         rng = np.random.default_rng(seed)
-        step = max(2, gather_block // (m * L))
+        step = max(2, budget // (m * L))
         n = {"one": 1, "tail": step + 1, "any": n}[size]
         labels = rng.integers(0, L, n)
         if table:
@@ -663,7 +664,7 @@ class TestOracleAccuracy:
         predict = pool.predict_batch
         pool.predict_batch = lambda X: rows.append(len(X)) or predict(X)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metafeatures, "_GATHER_BLOCK", gather_block)
+            mp.setattr(_blocks, "BLOCK", budget)
             got = oracle_accuracy(pool, test)
         assert got == want
         assert sum(rows) == n

@@ -5,13 +5,14 @@ import pickle
 import re
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metasel import engine, experiment
+from metasel import _blocks, engine, experiment
 from metasel.bpso import BpsoConfig
 from metasel.data import Dataset, ScaleParams, SplitSpec, generate_p2, scale_minmax
 from metasel.datasets import BUNDLED, dataset_path
@@ -319,16 +320,30 @@ class TestTrainDes:
         assert info["kept_meta_samples"] == info["kept_dsel_samples"] == 150
 
 
-def run_counted(cfg, block=None):
-    """run_experiment's report with the bagging and CSV-reading calls it made,
-    under the group bound ``block`` (the module's own when None)."""
+def run_counted(cfg, alone=False):
+    """run_experiment's report with the bagging and CSV-reading calls it made;
+    with ``alone``, each replication is a replication group of its own. Only
+    ``experiment``'s reference to the budget module is replaced, so every
+    other loop, the mask search's included, keeps the real budget."""
     bag = mock.Mock(side_effect=experiment.bagging)
     read = mock.Mock(side_effect=experiment.load_csv)
-    with mock.patch.multiple(experiment, bagging=bag, load_csv=read), \
-            mock.patch.object(experiment, "_BAG_BLOCK",
-                              experiment._BAG_BLOCK if block is None else block):
+    blocks = SimpleNamespace(items=lambda *a, **k: 1) if alone else _blocks
+    with mock.patch.multiple(experiment, bagging=bag, load_csv=read, _blocks=blocks):
         report = run_experiment(cfg)
     return report, bag.call_count, read.call_count
+
+
+def bagged_groups(cfg, budget=None):
+    """The size of each replication group ``_replications`` bags, under the
+    working-set budget ``budget`` (the default when None); no pool is
+    trained."""
+    groups = []
+    bag = lambda trains, pool_config, seeds: groups.append(len(trains)) or [None] * len(trains)
+    with mock.patch.object(experiment, "_bag", side_effect=bag), \
+            mock.patch.object(_blocks, "BLOCK", _blocks.BLOCK if budget is None else budget):
+        reps = [r for r, *_ in experiment._replications(cfg)]
+    assert reps == list(range(cfg.replications))
+    return groups
 
 
 class TestReplicationGroups:
@@ -343,7 +358,7 @@ class TestReplicationGroups:
                                     label_column=-1, split=SplitSpec())
             cfg.pool = PoolConfig(size=3)
         grouped, grouped_bags, grouped_reads = run_counted(cfg)
-        alone, alone_bags, alone_reads = run_counted(cfg, block=0)
+        alone, alone_bags, alone_reads = run_counted(cfg, alone=True)
         assert (grouped_bags, alone_bags) == (1, 3)
         # the CSV is read once per run, not once per replication
         assert grouped_reads == alone_reads == (source == "csv")
@@ -354,26 +369,21 @@ class TestReplicationGroups:
     def test_group_bound_counts_member_rows(self):
         # 4 members x 75 bootstrap rows = 300 entries each, whatever the epochs
         cfg = small_p2_config(replications=5)
-        assert run_counted(cfg, block=600)[1] == 3
-        assert run_counted(cfg, block=599)[1] == 5
-        assert run_counted(cfg, block=1_500)[1] == 1
+        assert bagged_groups(cfg, budget=600) == [2, 2, 1]
+        assert bagged_groups(cfg, budget=599) == [1] * 5
+        assert bagged_groups(cfg, budget=1_500) == [5]
 
     @pytest.mark.parametrize("source", ["p2", *BUNDLED])
     def test_groups_at_the_benchmark_sizes(self, source):
-        # the module's bound bags one P2 replication at a time at the paper's
-        # sizes and pool 100, and every replication of a 480-row bundled CSV
-        # (90 bootstrap rows) in one group at pool 10
+        # the budget bags one P2 replication at a time at the paper's sizes
+        # and pool 100, and 36 replications of a 480-row bundled CSV (90
+        # bootstrap rows) in one group at pool 10
         if source == "p2":
             cfg = ExperimentConfig(pool=PoolConfig(size=100), replications=3)
         else:
             cfg = ExperimentConfig(source=DataSource(kind="csv", path=str(dataset_path(source))),
-                                   pool=PoolConfig(size=10), replications=20)
-        groups = []
-        bag = lambda trains, pool_config, seeds: groups.append(len(trains)) or [None] * len(trains)
-        with mock.patch.object(experiment, "_bag", side_effect=bag):
-            reps = [r for r, *_ in experiment._replications(cfg)]
-        assert reps == list(range(cfg.replications))
-        assert groups == ([1, 1, 1] if source == "p2" else [20])
+                                   pool=PoolConfig(size=10), replications=40)
+        assert bagged_groups(cfg) == ([1, 1, 1] if source == "p2" else [36, 4])
 
 
 class TestRunExperiment:

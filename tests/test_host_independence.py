@@ -5,20 +5,24 @@ Each variant runs this module as a script in a child process, with the
 variable set for that process only: the child trains a smoke-size model on
 P2, labels its test split, and runs ``metasel benchmark`` on a bundled CSV.
 The masks, labels and every report file, ``trace.csv``'s fitness values at
-``%.10g`` included, must be byte-equal to the default run's. The float bits
+``%.10g`` included, must be byte-equal to the default run's, and the default
+run's must equal the sha256 lines of ``golden_outputs.txt``. The float bits
 of supports, meta-features and selectors are per host and are not compared.
 """
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).with_name("golden_outputs.txt")
 
 
 def avx512_targets():
@@ -68,6 +72,15 @@ def run_child(out: Path):
         raise SystemExit(code)
 
 
+def output_digests(out: Path):
+    """``sha256sum`` lines of the portable outputs ``run_child`` wrote under
+    ``out``: the mask, the labels and every report file."""
+    names = ["mask.txt", "labels.txt",
+             *sorted(f"report/{p.name}" for p in (out / "report").iterdir())]
+    return [f"{hashlib.sha256((out / name).read_bytes()).hexdigest()}  {name}"
+            for name in names]
+
+
 def run_variant(tmp_path, name, variables):
     out = tmp_path / name
     out.mkdir()
@@ -114,5 +127,22 @@ def test_masks_labels_and_reports_equal_the_default_run(tmp_path, default_run, v
         assert got.read_bytes() == want.read_bytes(), name
 
 
+def test_default_run_equals_the_golden_outputs(default_run):
+    """The default run's mask, labels and report files are those of
+    ``golden_outputs.txt``. A change that moves one on purpose rewrites the
+    file with ``python tests/test_host_independence.py --golden`` (or from a
+    run directory, ``sha256sum mask.txt labels.txt report/*``) and names
+    each moved line in CHANGES.md."""
+    got, want = output_digests(default_run[0]), GOLDEN.read_text().splitlines()
+    differ = [f"- {line}" for line in want if line not in got] + [
+        f"+ {line}" for line in got if line not in want]
+    assert not differ, "lines that differ from golden_outputs.txt:\n" + "\n".join(differ)
+
+
 if __name__ == "__main__":
-    run_child(Path(sys.argv[1]))
+    if sys.argv[1:] == ["--golden"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            run_child(Path(tmp))
+            GOLDEN.write_text("\n".join(output_digests(Path(tmp))) + "\n")
+    else:
+        run_child(Path(sys.argv[1]))

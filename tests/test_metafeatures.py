@@ -1,12 +1,15 @@
+import tempfile
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metasel import metafeatures, regions
+from metasel import _blocks, metafeatures
 from metasel.data import Dataset, generate_p2, scale_minmax
+from metasel.engine import oracle_accuracy
 from metasel.metafeatures import (FeatureLayout, MetaFeatureExtractor,
                                   meta_dataset_to_csv, rrc_competence)
 from metasel.pool import ClassifierPool, bagging
@@ -28,6 +31,13 @@ def apply_mask(values, mask):
     if not mask.any():
         raise ValueError("mask selects no features")
     return values[..., mask]
+
+
+def budget_for(per_block, per_item, budgets=1):
+    """The smallest working-set budget whose ``budgets`` hold ``per_block``
+    items of ``per_item`` values each (exactly that many when ``per_item``
+    is at least ``budgets``)."""
+    return -(-per_block * per_item // budgets)
 
 
 class TableMember:
@@ -309,9 +319,9 @@ class TestRankScan:
     @settings(max_examples=120, deadline=None)
     @given(m=st.integers(1, 6), n=st.integers(2, 90), nq=st.integers(1, 12),
            p_wrong=st.sampled_from([0.0, 0.01, 0.05, 0.3, 1.0]), self_excl=st.booleans(),
-           perfect=st.integers(0, 2), block=st.sampled_from([1, 7, 64, 1 << 19]),
+           perfect=st.integers(0, 2), budget=st.sampled_from([1, 7, 64, 1 << 19]),
            seed=st.integers(0, 2**32 - 1))
-    def test_equals_full_gather(self, m, n, nq, p_wrong, self_excl, perfect, block, seed):
+    def test_equals_full_gather(self, m, n, nq, p_wrong, self_excl, perfect, budget, seed):
         rng = np.random.default_rng(seed)
         correct = rng.random((m, n)) >= p_wrong
         correct[:min(perfect, m)] = True          # members that never err
@@ -321,7 +331,7 @@ class TestRankScan:
         else:
             order = np.array([rng.permutation(n) for _ in range(nq)])
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metafeatures, "_RANK_BLOCK", block)
+            mp.setattr(_blocks, "BLOCK", budget)
             got = scan_rank(correct, order, excluded=self_excl)
         want = reference_rank(correct, order)
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -345,24 +355,28 @@ class TestRankScan:
 
 
 class TestBlockBounds:
-    """The k-NN's pair bound and the gather and rank-scan bounds only cut
-    the work of a query block into pieces: on P2-shaped data (two
-    features, two classes, a bagged pool) no bit of any output may move
-    when they are tiny."""
+    """One working-set budget sizes every blocked loop, and its blocks only
+    cut the work into pieces: on P2-shaped data (two features, two classes,
+    a bagged pool) no bit of the extraction, the meta-dataset, the pool
+    Oracle, the RRC table or the CSV export may move when the budget is
+    tiny. A tiny budget may move one thing: the mask search's fitness sums
+    over its row blocks (``MaskEvaluator.distances``), so the ``search``
+    digest and the trace's last digits; ``test_bpso`` holds those to a
+    stacked product in the same blocks."""
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(8, 60), m=st.integers(1, 5), k=st.integers(1, 7),
            kp=st.integers(1, 5), nq=st.integers(2, 30), self_excl=st.booleans(),
-           prefix=st.sampled_from([1, 4, 128]), pairs=st.integers(1, 200),
-           rank_block=st.integers(1, 64), gather_block=st.integers(1, 64),
+           prefix=st.sampled_from([1, 4, 128]), budget=st.integers(1, 64),
            seed=st.integers(0, 2**32 - 1))
     def test_tiny_bounds_give_the_default_bytes(self, n, m, k, kp, nq, self_excl, prefix,
-                                                 pairs, rank_block, gather_block, seed):
+                                                 budget, seed):
         rng = np.random.default_rng(seed)
         train, params = scale_minmax(generate_p2(40, [seed, 1]))
         dsel = params.apply_dataset(generate_p2(n, [seed, 2]))
         pool = bagging(train, m, seed=seed % 1000, epochs=5)
-        ex = MetaFeatureExtractor(pool, dsel, k=min(k, n - 1), kp=min(kp, n - 1))
+        k, kp = min(k, n - 1), min(kp, n - 1)
+        ex = MetaFeatureExtractor(pool, dsel, k=k, kp=kp)
         if self_excl:
             own = rng.integers(0, n, size=nq)
             X, y = dsel.features[own], dsel.labels[own]
@@ -374,6 +388,8 @@ class TestBlockBounds:
         mask = rng.random(size) < 0.5
         mask[rng.integers(size)] = True
         weights = rng.normal(size=size)
+        three_class = rng.dirichlet(np.ones(3), size=nq)
+        classes = rng.integers(0, 3, size=nq)
 
         def outputs():
             rows = np.empty((nq, m, size), dtype=np.float32)
@@ -382,16 +398,20 @@ class TestBlockBounds:
             masked, _, _ = ex.extract_batch(X, self_indices=own, mask=mask)
             summed, _, _ = ex.extract_batch(X, self_indices=own, mask=mask, weights=weights)
             md = ex.build_meta_dataset(X, y, self_indices=own)
-            return rows, metas, pred, wide, masked, summed, md.rows, md.labels
+            with tempfile.TemporaryDirectory() as tmp:
+                meta_dataset_to_csv(md, Path(tmp) / "meta.csv")
+                csv = np.frombuffer((Path(tmp) / "meta.csv").read_bytes(), dtype=np.uint8)
+            table = MetaFeatureExtractor(pool, dsel, k=k, kp=kp).t_prc
+            oracle = np.float64(oracle_accuracy(pool, Dataset(X, y, 2)))
+            return (rows, metas, pred, wide, masked, summed, md.rows, md.labels, csv, table,
+                    rrc_competence(three_class, classes), oracle)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metafeatures, "_RANK_WIDTH", prefix)
             want = outputs()
-            mp.setattr(regions, "_KNN_PAIRS", pairs)
-            mp.setattr(metafeatures, "_RANK_BLOCK", rank_block)
-            mp.setattr(metafeatures, "_GATHER_BLOCK", gather_block)
+            mp.setattr(_blocks, "BLOCK", budget)
             got = outputs()
-        for a, b in zip(got, want):
+        for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_full_feature_block_traces_under_a_third_of_its_rows(self):
@@ -519,10 +539,10 @@ class TestMaskedExtraction:
     @given(n=st.integers(6, 70), m=st.integers(1, 5), L=st.integers(2, 3),
            d=st.integers(1, 3), k=st.integers(1, 5), kp=st.integers(1, 5),
            distinct=st.integers(1, 70), self_excl=st.booleans(), nq=st.integers(1, 40),
-           prefix=st.sampled_from([1, 2, 5, 128]), block=st.sampled_from([1, 50, 1 << 22]),
+           prefix=st.sampled_from([1, 2, 5, 128]), budget=st.sampled_from([1, 50, 1 << 16]),
            seed=st.integers(0, 2**32 - 1))
     def test_sample_rows_do_not_depend_on_batch_position(self, n, m, L, d, k, kp, distinct,
-                                                         self_excl, nq, prefix, block, seed):
+                                                         self_excl, nq, prefix, budget, seed):
         # train_des builds the meta-training samples in its halving's order;
         # each sample's rows must be those a build in sample order gives
         rng = np.random.default_rng(seed)
@@ -540,7 +560,7 @@ class TestMaskedExtraction:
         perm = rng.permutation(nq)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metafeatures, "_RANK_WIDTH", prefix)
-            mp.setattr(regions, "_KNN_BLOCK", block)
+            mp.setattr(_blocks, "BLOCK", budget)
             built = ex.build_meta_dataset(X, y, self_indices=self_indices, sample_ids=ids)
             moved = ex.build_meta_dataset(
                 X[perm], y[perm], sample_ids=ids[perm],
@@ -602,14 +622,16 @@ class TestMaskedExtraction:
         _, metas, _ = ex.extract_batch(X, y, self_indices=self_indices, out=feats)
         calls = []
         extract = ex.extract_batch
+        per_query = m * ex.layout.size + 2 * n
+        budget = budget_for(per_block, per_query, _blocks.WIDE)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metafeatures, "_CLASSIFY_BLOCK",
-                       per_block * (m * ex.layout.size + 2 * n))
+            mp.setattr(_blocks, "BLOCK", budget)
             mp.setattr(ex, "extract_batch",
                        lambda X, *a, **kw: calls.append(len(X)) or extract(X, *a, **kw))
             md = ex.build_meta_dataset(X, y, self_indices=self_indices, sample_ids=ids)
-        # blocks of max(2, per_block) queries; a last lone query joins the block before it
-        step = max(2, per_block)
+        # blocks of at least 2 queries (per_block or, with fewer than WIDE
+        # values a query, a few more); a last lone query joins the block before it
+        step = max(2, _blocks.WIDE * budget // per_query)
         want = [step] * max(1, -(-(nq - 1) // step))
         want[-1] = nq - step * (len(want) - 1)
         assert calls == want
@@ -636,8 +658,8 @@ class TestMaskedExtraction:
         X, y = rng.normal(size=(nq, d)), rng.integers(0, L, size=nq)
         feats = np.empty((nq, m, ex.layout.size), dtype=np.float32)
         _, metas, _ = ex.extract_batch(X, y, out=feats)
-        monkeypatch.setattr(metafeatures, "_CLASSIFY_BLOCK",
-                            per_block * (m * ex.layout.size + 2 * n))
+        monkeypatch.setattr(_blocks, "BLOCK",
+                            budget_for(per_block, m * ex.layout.size + 2 * n, _blocks.WIDE))
         md = ex.build_meta_dataset(X, y)
         np.testing.assert_array_max_ulp(md.rows, feats.reshape(nq * m, -1), maxulp=1)
         assert (md.labels.dtype, md.sample_ids.dtype) == (np.int8, np.int32)
@@ -650,8 +672,8 @@ class TestMaskedExtraction:
                                                                 per_block):
         pool = ClassifierPool(np.ones((2, 2, 2)), np.ones(2))
         ex = MetaFeatureExtractor(pool, line_dsel([0, 1, 0, 1, 0, 1, 0]), k=3, kp=3)
-        monkeypatch.setattr(metafeatures, "_CLASSIFY_BLOCK",
-                            per_block * (2 * ex.layout.size + 2 * 7))
+        monkeypatch.setattr(_blocks, "BLOCK",
+                            budget_for(per_block, 2 * ex.layout.size + 2 * 7, _blocks.WIDE))
         step = max(2, per_block)
         for n in range(0, 3 * step + 3):
             blocks = ex.query_blocks(n)
@@ -799,14 +821,14 @@ class TestRrcCompetence:
         assert abs(p - p_mc) <= 4.5 * np.sqrt(p * (1.0 - p) / n) + 1e-4
 
     @settings(max_examples=40, deadline=None)
-    @given(L=st.integers(2, 4), rows=st.integers(1, 40), block=st.integers(1, 2000),
+    @given(L=st.integers(2, 4), rows=st.integers(1, 40), budget=st.integers(1, 2000),
            seed=st.integers(0, 2**32 - 1))
-    def test_blocked_batch_equals_scalar_calls(self, L, rows, block, seed):
+    def test_blocked_batch_equals_scalar_calls(self, L, rows, budget, seed):
         rng = np.random.default_rng(seed)
         supports = rng.dirichlet(np.full(L, 0.5), size=(2, rows))
         labels = rng.integers(0, L, size=rows)
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(metafeatures, "_RRC_BLOCK", block)
+            m.setattr(_blocks, "BLOCK", budget)
             table = rrc_competence(supports, labels[None, :])
         assert table.shape == (2, rows)
         for i in range(2):
@@ -1039,7 +1061,7 @@ class TestRealPoolExtraction:
                               + ["meta_label", "classifier_index", "sample_id"]) + "\n")
             np.savetxt(fh, np.column_stack([md.rows, md.labels, md.classifier_ids,
                                             md.sample_ids]), fmt=fmt, delimiter=",")
-        monkeypatch.setattr(metafeatures, "_CLASSIFY_BLOCK", rows_per_block * len(fmt))
+        monkeypatch.setattr(_blocks, "BLOCK", rows_per_block * len(fmt))
         got = tmp_path / "got.csv"
         meta_dataset_to_csv(md, got)
         assert got.read_bytes() == want.read_bytes()
@@ -1052,7 +1074,7 @@ class TestRealPoolExtraction:
         md = metafeatures.MetaDataset(
             np.random.default_rng(4).random((n, layout.size), dtype=np.float32),
             np.zeros(n, dtype=int), np.arange(n), np.zeros(n, dtype=int), layout)
-        monkeypatch.setattr(metafeatures, "_CLASSIFY_BLOCK", per_block * (layout.size + 3))
+        monkeypatch.setattr(_blocks, "BLOCK", per_block * (layout.size + 3))
         tracemalloc.start()
         try:
             meta_dataset_to_csv(md, tmp_path / "meta.csv")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metasel import regions
+from metasel import _blocks, regions
 from metasel.data import Dataset, generate_p2, scale_minmax
 from metasel.metafeatures import MetaFeatureExtractor
 from metasel.pool import bagging
@@ -21,7 +21,7 @@ def brute_force_knn(query, reference, k, exclude=None):
     return [i for _, i in scored[:k]], [d for d, _ in scored[:k]]
 
 
-def reference_knn(queries, reference, k, exclude=None, block=regions._KNN_BLOCK):
+def reference_knn(queries, reference, k, exclude=None, block=1 << 22):
     """The brute-force block loop: every reference row's squared distance by
     difference, square and sum, then one stable sort per query."""
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
@@ -100,6 +100,17 @@ class TestRegionOf:
             knn_one(ds.features[0], ds.features, k=6)
         with pytest.raises(ValueError, match="k="):
             knn_one(ds.features[0], ds.features, k=5, exclude=0)
+
+    @pytest.mark.parametrize("k", [2, 4])          # the filtered path, and every row
+    @pytest.mark.parametrize("bad", [7, 5, -2, -3])
+    def test_exclude_outside_the_reference_rows(self, k, bad):
+        ref = np.arange(5.0)[:, None]
+        with pytest.raises(ValueError, match=r"exclude must name a reference row in \[0, 5\)"):
+            nearest_neighbors(np.zeros((1, 1)), ref, k, exclude=[bad])
+        with pytest.raises(ValueError, match="exclude must name"):
+            nearest_neighbors(np.zeros((2, 1)), ref, k, exclude=[0, bad])
+        for ok in (-1, 0, 4):
+            assert_same_as_reference(np.zeros((1, 1)), ref, k, exclude=[ok])
 
     def test_tie_break_by_lower_index(self):
         feats = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
@@ -194,9 +205,9 @@ class TestBatchNeighbors:
 
     @settings(max_examples=60, deadline=None)
     @given(nq=st.integers(1, 25), nr=st.integers(2, 30), d=st.integers(1, 40),
-           block=st.integers(1, 3000), exclude=st.booleans(), ties=st.booleans(),
+           budget=st.integers(1, 400), exclude=st.booleans(), ties=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
-    def test_blocked_equals_single_block(self, nq, nr, d, block, exclude, ties, seed):
+    def test_blocked_equals_single_block(self, nq, nr, d, budget, exclude, ties, seed):
         rng = np.random.default_rng(seed)
         points = (rng.integers(0, 3, size=(nr + nq, d)).astype(float) if ties
                   else rng.uniform(0, 1, size=(nr + nq, d)))
@@ -204,10 +215,9 @@ class TestBatchNeighbors:
         excl = rng.integers(-1, nr, size=nq) if exclude else None
         k = int(rng.integers(1, nr - exclude + 1))
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(regions, "_KNN_BLOCK", block)
+            m.setattr(_blocks, "BLOCK", budget)
             idx, dist = nearest_neighbors(queries, ref, k, exclude=excl)
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(regions, "_KNN_BLOCK", nq * nr * d)
+            m.setattr(_blocks, "BLOCK", nq * nr * d)          # one block
             idx1, dist1 = nearest_neighbors(queries, ref, k, exclude=excl)
         assert np.array_equal(idx, idx1) and np.array_equal(dist, dist1)
 
@@ -222,8 +232,8 @@ class TestBatchNeighbors:
         finally:
             tracemalloc.stop()
         # all 24 queries at once would hold a 24 x 20000 x 50 difference
-        # tensor, 192 MB; one block stays within the budget of 8-byte values
-        assert peak <= 1.25 * regions._KNN_BLOCK * 8
+        # tensor, 192 MB; one block stays within its budgets of 8-byte values
+        assert peak <= 1.25 * _blocks.WIDE * _blocks.BLOCK * 8
         assert idx.shape == (24, 7)
 
 
@@ -234,9 +244,9 @@ class TestCandidateFilter:
     @settings(max_examples=150, deadline=None)
     @given(nq=st.integers(1, 12), nr=st.integers(2, 40), d=st.integers(1, 160),
            kind=st.sampled_from(["uniform", "grid", "duplicates", "offset", "underflow"]),
-           exclude=st.sampled_from(["none", "self", "mixed"]), block=st.integers(1, 400),
+           exclude=st.sampled_from(["none", "self", "mixed"]), budget=st.integers(1, 400),
            seed=st.integers(0, 2**32 - 1))
-    def test_equals_brute_force_for_every_k(self, nq, nr, d, kind, exclude, block, seed):
+    def test_equals_brute_force_for_every_k(self, nq, nr, d, kind, exclude, budget, seed):
         rng = np.random.default_rng(seed)
         if kind == "grid":          # many exact ties
             points = rng.integers(0, 3, size=(nr + nq, d)).astype(float)
@@ -259,7 +269,7 @@ class TestCandidateFilter:
             excl = rng.integers(-1, nr, size=nq)
         avail = nr - (excl is not None)
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(regions, "_KNN_BLOCK", block)
+            m.setattr(_blocks, "BLOCK", budget)
             for k in range(1, avail + 1):
                 assert_same_as_reference(queries, ref, k, exclude=excl)
 
@@ -306,9 +316,9 @@ class TestSortFreeCandidates:
     @settings(max_examples=150, deadline=None)
     @given(nq=st.integers(1, 10), nr=st.integers(2, 30), d=st.integers(1, 6),
            kind=st.sampled_from(["distinct", "ties", "duplicates", "non_finite"]),
-           exclude=st.sampled_from(["none", "self", "mixed"]), block=st.integers(1, 200),
+           exclude=st.sampled_from(["none", "self", "mixed"]), budget=st.integers(1, 200),
            seed=st.integers(0, 2**32 - 1))
-    def test_equals_the_stable_sort_reference(self, nq, nr, d, kind, exclude, block, seed):
+    def test_equals_the_stable_sort_reference(self, nq, nr, d, kind, exclude, budget, seed):
         rng = np.random.default_rng(seed)
         if kind == "ties":            # integer grid: exact ties at the cutoff
             points = rng.integers(0, 3, size=(nr + nq, d)).astype(float)
@@ -328,7 +338,7 @@ class TestSortFreeCandidates:
         elif exclude == "mixed":
             excl = rng.integers(-1, nr, size=nq)
         with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
-            mp.setattr(regions, "_KNN_BLOCK", block)
+            mp.setattr(_blocks, "BLOCK", budget)
             for k in range(1, nr - (excl is not None) + 1):
                 assert_same_as_reference(queries, ref, k, exclude=excl)
 
@@ -339,9 +349,9 @@ class TestPairBound:
 
     @settings(max_examples=100, deadline=None)
     @given(nq=st.integers(1, 40), nr=st.integers(2, 30), d=st.integers(1, 3),
-           pairs=st.integers(1, 120), exclude=st.sampled_from(["none", "self", "mixed"]),
+           budget=st.integers(1, 120), exclude=st.sampled_from(["none", "self", "mixed"]),
            ties=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_equals_the_stable_sort_across_pair_blocks(self, nq, nr, d, pairs, exclude, ties,
+    def test_equals_the_stable_sort_across_pair_blocks(self, nq, nr, d, budget, exclude, ties,
                                                         seed):
         rng = np.random.default_rng(seed)
         points = (rng.integers(0, 3, size=(nr + nq, d)).astype(float) if ties
@@ -359,10 +369,12 @@ class TestPairBound:
         calls = []
         block = regions._block
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(regions, "_KNN_PAIRS", pairs)
+            mp.setattr(_blocks, "BLOCK", budget)
             mp.setattr(regions, "_block", lambda q, *a: calls.append(len(q)) or block(q, *a))
             idx, dist = nearest_neighbors(queries, ref, k, exclude=excl)
-        step = max(1, pairs // nr)
+        # at d <= 3 the budget's (query, row) pairs bound a block before its
+        # WIDE budgets of differences do
+        step = max(1, budget // nr)
         assert calls == [min(step, nq - lo) for lo in range(0, nq, step)]
         want_idx, want_dist = reference_knn(queries, ref, k, exclude=excl)
         assert np.array_equal(idx, want_idx)
