@@ -314,15 +314,18 @@ class MetaFeatureExtractor:
         With ``weights`` (D,), ``features`` is instead the (Nq, M) sum over
         the mask's columns of ``weights[j] * v[j]``, the decision of a linear
         selector without its bias. Each family adds its share as it is
-        gathered (a K-wide family contracted in its (M, Nq, c) gather order,
+        gathered (a K-wide family contracted one piece of queries at a time,
         a scalar family as one scaled add), so the sum equals
         ``features @ weights`` of the tensor up to summation order.
 
         ``out``, an (Nq, M, D) array, takes the features in place of a new
         float64 tensor and is returned as ``features``: each value is
         computed in float64 and rounded once to ``out``'s dtype as it is
-        written, a K-wide family a few queries at a time. It does not go
-        with ``weights``.
+        written. It does not go with ``weights``.
+
+        In both modes the families gathered over the queries' neighbours
+        (the region tables, ``overall``, ``cond`` and ``op``) go one piece of
+        queries at a time, of one budget of values (``_blocks``).
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         layout, dsel = self.layout, self.dsel
@@ -358,8 +361,8 @@ class MetaFeatureExtractor:
         M, nq = pred_labels.shape
         assigned = pred_labels.T                              # (Nq, M)
 
-        # values: (Nq, M) for a scalar family, (M, Nq, c) for the selected
-        # positions of a K-wide family
+        # values of queries ``qs``: (q, M) for a scalar family, (M, q, c) for
+        # the selected positions of a K-wide family
         if weights is None:
             if out is None:
                 out = np.zeros((nq, M, layout.size))
@@ -369,28 +372,24 @@ class MetaFeatureExtractor:
                 raise ValueError(f"out of shape {out.shape} for features of shape "
                                  f"{(nq, M, layout.size)}")
 
-            def put(name, values):
-                out[:, :, dest[name]] = values[:, :, None]
-
-            def put_gathered(name, gather):
-                # gathered in query pieces of one budget of values, each
-                # written straight into its rows of ``out``: no (M, Nq, c)
-                # block beside it
-                for qs in _blocks.pieces(nq, M * cols[name].size):
-                    out[qs, :, dest[name]] = gather(qs, cols[name]).transpose(1, 0, 2)
+            def put(name, values, qs=slice(None)):
+                out[qs, :, dest[name]] = (values[:, :, None] if values.ndim == 2
+                                          else values.transpose(1, 0, 2))
         else:
             out = np.zeros((nq, M))
 
-            def put(name, values):
+            def put(name, values, qs=slice(None)):
                 w = weights[dest[name]]
-                # a gather lays its (M, Nq, c) values out member-fastest: as
-                # (Nq, c, M) stacks they are contracted in place, where a
+                # a gather lays its (M, q, c) values out member-fastest: as
+                # (q, c, M) stacks they are contracted in place, where a
                 # reshape would copy them
                 share = w[0] * values if values.ndim == 2 else w @ values.transpose(1, 2, 0)
-                np.add(out, share, out=out)
+                np.add(out[qs], share, out=out[qs])
 
-            def put_gathered(name, gather):
-                put(name, gather(slice(None), cols[name]))
+        def put_gathered(name, width, gather):
+            # ``width`` values a (query, member): no (M, Nq, width) block
+            for qs in _blocks.pieces(nq, M * width):
+                put(name, gather(qs), qs)
 
         if used & {*_REGION_TABLES, "overall", "cond", "rank"}:
             # the region of competence is the first K rows by distance; the
@@ -401,12 +400,12 @@ class MetaFeatureExtractor:
             theta = order[:, :k]
             for name, attr in _REGION_TABLES.items():
                 if name in used:
-                    table = getattr(self, attr)
-                    put_gathered(name, lambda qs, at: table[:, theta[qs, at]])
+                    table, at = getattr(self, attr), cols[name]
+                    put_gathered(name, at.size, lambda qs: table[:, theta[qs, at]])
             if "overall" in used:
-                put("overall", self.dsel_correct[:, theta].mean(axis=2).T)
+                put_gathered("overall", k, lambda qs: self.dsel_correct[:, theta[qs]].mean(axis=2).T)
             if "cond" in used:
-                put("cond", self._cond(theta, assigned))
+                put_gathered("cond", k, lambda qs: self._cond(theta[qs], assigned[qs]))
             if "rank" in used:
                 put("rank", self._rank(X, self_indices, order))
             # a family's arrays are freed before the next family's are built
@@ -424,7 +423,7 @@ class MetaFeatureExtractor:
             del profiles
             corr_phi = self.dsel_correct[:, phi]              # (M, Nq, Kp)
             if "op" in used:
-                put_gathered("op", lambda qs, at: corr_phi[:, qs, at])
+                put_gathered("op", cols["op"].size, lambda qs: corr_phi[:, qs, cols["op"]])
             if "rank_op" in used:
                 put("rank_op", np.where(corr_phi.all(axis=2), kp,
                                         (~corr_phi).argmax(axis=2)).T)
@@ -484,26 +483,21 @@ class MetaFeatureExtractor:
     # -- internals -----------------------------------------------------------
 
     def _cond(self, theta, assigned):
-        """Per (query, member): the conditional accuracy with respect to the
-        class the member assigns to the query (``assigned``, (Nq, M)), the
-        share of the member's clipped support for that class over the region
-        ``theta`` (Nq, K) that falls on rows of that class (0 when the
-        support sums to 0). Queries go in pieces of one budget of gathered
-        supports; each sum runs over one query's K contiguous values, so its
-        bits do not depend on the piece."""
-        (nq, M), K = assigned.shape, theta.shape[1]
-        cond = np.zeros((nq, M))
-        for qs in _blocks.pieces(nq, M * K):
-            th, asg = theta[qs], assigned[qs]
-            sup = self._clipped[np.arange(M)[None, :, None], th[:, None, :],
-                                asg[:, :, None]]              # (q, M, K)
-            same_class = self.dsel.labels[th][:, None, :] == asg[:, :, None]
-            den = sup.sum(axis=2)
-            # the product in place of the supports: no second (q, M, K) block
-            num = np.multiply(sup, same_class, out=sup).sum(axis=2)
-            np.divide(num, den, out=cond[qs], where=den > 0)
-            del sup, same_class           # freed before the next piece is gathered
-        return cond
+        """Per (query, member) of one piece of queries: the conditional
+        accuracy with respect to the class the member assigns to the query
+        (``assigned``, (q, M)), the share of the member's clipped support
+        for that class over the region ``theta`` (q, K) that falls on rows
+        of that class (0 when the support sums to 0). Each sum runs over one
+        query's K contiguous values, so its bits do not depend on the
+        piece."""
+        M = assigned.shape[1]
+        sup = self._clipped[np.arange(M)[None, :, None], theta[:, None, :],
+                            assigned[:, :, None]]             # (q, M, K)
+        same_class = self.dsel.labels[theta][:, None, :] == assigned[:, :, None]
+        den = sup.sum(axis=2)
+        # the product in place of the supports: no second (q, M, K) block
+        num = np.multiply(sup, same_class, out=sup).sum(axis=2)
+        return np.divide(num, den, out=np.zeros_like(den), where=den > 0)
 
     def _rank(self, X, exclude, order):
         """Per (query, member): how many reference rows, in order of distance

@@ -79,10 +79,11 @@ def nearest_neighbors(queries, reference, k, exclude=None):
             raise ValueError("exclude must provide one index per query")
         if ((excl < -1) | (excl >= n_ref)).any():
             raise ValueError(f"exclude must name a reference row in [0, {n_ref}) or -1")
-    avail = n_ref - (0 if excl is None else 1)
+    # only a query that names a row has one row fewer to choose from
+    avail = n_ref - (excl is not None and bool((excl >= 0).any()))
     if k < 1 or k > avail:
         raise ValueError(f"k={k} out of range for reference of size {n_ref}"
-                         + (" (with self-exclusion)" if excl is not None else ""))
+                         + (" (with self-exclusion)" if avail < n_ref else ""))
     order = np.empty((len(queries), k), dtype=np.intp)
     dist = np.empty((len(queries), k))
     ref_sq = None

@@ -22,15 +22,15 @@ from metasel.regions import nearest_neighbors
 
 
 def block_steps(run):
-    """{function: block sizes} of every block list ``run()`` asks
-    ``_blocks.pieces`` for, keyed by the function that asked, and the
+    """{function: block size of each call} of every block list ``run()``
+    asks ``_blocks.pieces`` for, keyed by the function that asked, and the
     k-NN's largest block, keyed by the reference rows' width."""
     seen, knn = {}, {}
     pieces, knn_block = _blocks.pieces, regions._block
 
     def pieces_spy(n, per_item, budgets=1):
         step = max(2, _blocks.items(per_item, budgets))
-        seen.setdefault(sys._getframe(1).f_code.co_name, set()).add(step)
+        seen.setdefault(sys._getframe(1).f_code.co_name, []).append(step)
         return pieces(n, per_item, budgets)
 
     def knn_spy(q, reference, *args):
@@ -51,8 +51,8 @@ SHAPES = {
     "p2_pool_100": ((100, 500, 2_000), {
         "query_blocks": {272},
         "oracle_accuracy": {163},
-        "put_gathered": {46, 65},            # K-wide families, and op (Kp = 5)
-        "_cond": {46},
+        # the families gathered over K neighbours, and op (Kp = 5)
+        "put_gathered": {46, 65},
         "rrc_competence": {1 << 13},
         "_rrc_quadrature": {135},
         "meta_dataset_to_csv": {468},
@@ -61,7 +61,6 @@ SHAPES = {
         "query_blocks": {2_304},
         "oracle_accuracy": {1_638},
         "put_gathered": {468, 655},
-        "_cond": {468},
         "rrc_competence": {1 << 13},
         "_rrc_quadrature": {135},
         "meta_dataset_to_csv": {468},
@@ -90,12 +89,27 @@ def test_default_budget_gives_the_pinned_sizes(shape, tmp_path):
         meta_dataset_to_csv(ex.build_meta_dataset(test.features[:3], test.labels[:3]),
                             tmp_path / "meta.csv")
 
-    got, knn = block_steps(run)
+    calls, knn = block_steps(run)
+    got = {name: set(steps) for name, steps in calls.items()}
     rank = got.pop("_rank")
     # the rank scan's first position chunk is 8 rows wide
     assert 1 << 12 in rank and rank <= {(1 << 15) // w for w in range(1, N + 1)}
     assert got == want
     assert knn == want_knn
+
+
+def test_both_extraction_modes_gather_every_family_in_pieces():
+    # the eight region tables, overall, cond (K = 7) and op (Kp = 5) each
+    # ask for one block list at P2 pool 100, with or without weights
+    rng = np.random.default_rng(2)
+    pool = ClassifierPool(rng.normal(size=(100, 2, 3)), rng.uniform(0.5, 2.0, size=100))
+    dsel = Dataset(rng.uniform(size=(500, 2)), rng.integers(0, 2, size=500), 2)
+    ex = MetaFeatureExtractor(pool, dsel)
+    X = rng.uniform(size=(272, 2))
+    for weights in (None, rng.normal(size=ex.layout.size)):
+        calls, _ = block_steps(lambda: ex.extract_batch(X, weights=weights))
+        assert sorted(calls.pop("put_gathered")) == [46] * 10 + [65]
+        assert calls.keys() == {"_rank"}
 
 
 def test_default_budget_scores_489_rows_a_block():

@@ -933,38 +933,6 @@ class TestTwoClassRrcTable:
         assert float(rrc_competence(supports, c)).hex() == value
 
 
-class TestApplyMask:
-    def test_identity(self):
-        v = np.arange(8.0)
-        assert np.array_equal(apply_mask(v, np.ones(8, dtype=bool)), v)
-
-    def test_first_bit_only(self):
-        v = np.arange(8.0)
-        mask = np.zeros(8, dtype=bool)
-        mask[0] = True
-        assert apply_mask(v, mask).tolist() == [0.0]
-
-    def test_popcount_shape(self):
-        rng = np.random.default_rng(1)
-        v = rng.normal(size=20)
-        mask = rng.random(20) < 0.4
-        mask[3] = True
-        assert apply_mask(v, mask).shape == (mask.sum(),)
-
-    def test_matrix_rows(self):
-        rows = np.arange(12.0).reshape(3, 4)
-        mask = np.array([True, False, True, False])
-        assert apply_mask(rows, mask).shape == (3, 2)
-
-    def test_all_zero_mask_rejected(self):
-        with pytest.raises(ValueError, match="no features"):
-            apply_mask(np.arange(4.0), np.zeros(4, dtype=bool))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            apply_mask(np.arange(4.0), np.ones(5, dtype=bool))
-
-
 class TestRealPoolExtraction:
     def setup_method(self):
         train, params = scale_minmax(generate_p2(300, 1))

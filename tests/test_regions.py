@@ -101,6 +101,16 @@ class TestRegionOf:
         with pytest.raises(ValueError, match="k="):
             knn_one(ds.features[0], ds.features, k=5, exclude=0)
 
+    def test_only_a_named_row_counts_as_excluded(self):
+        ref = np.arange(5.0)[:, None]
+        # -1 excludes nothing, so every row is available
+        idx, dist = nearest_neighbors(np.zeros((1, 1)), ref, 5, exclude=[-1])
+        assert idx.tolist() == [[0, 1, 2, 3, 4]] and dist.tolist() == [[0, 1, 2, 3, 4]]
+        assert_same_as_reference(np.zeros((2, 1)), ref, 5, exclude=[-1, -1])
+        # one query that names a row leaves it four
+        with pytest.raises(ValueError, match=r"k=5 out of range .*\(with self-exclusion\)"):
+            nearest_neighbors(np.zeros((2, 1)), ref, 5, exclude=[-1, 3])
+
     @pytest.mark.parametrize("k", [2, 4])          # the filtered path, and every row
     @pytest.mark.parametrize("bad", [7, 5, -2, -3])
     def test_exclude_outside_the_reference_rows(self, k, bad):
