@@ -156,7 +156,8 @@ def classify_batch(model: DesModel, X):
     ex = model.extractor
     M = len(model.pool)
     delta = np.empty((len(Xs), M))
-    pred_labels = np.empty((M, len(Xs)), dtype=int)
+    # in the reference labels' type, the narrowest that holds every class
+    pred_labels = np.empty((M, len(Xs)), dtype=ex.dsel_pred_labels.dtype)
     for blk in ex.query_blocks(len(Xs)):
         decision, _, pred_labels[:, blk] = ex.extract_batch(Xs[blk], mask=model.mask,
                                                             weights=model.meta.weights)

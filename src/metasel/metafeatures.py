@@ -108,22 +108,43 @@ class FeatureLayout:
 
 @dataclass
 class MetaDataset:
-    """Stacked meta-feature rows, sample-major then classifier-minor.
+    """Stacked meta-feature rows, sample-major then classifier-minor: each
+    of the S samples has one row per member, so R = S * M.
 
     ``build_meta_dataset`` stores the rows as float32, each the float64
     feature rounded once; the fits and scores that read them widen one
-    column or one row block at a time. It stores the labels as int8 and the
-    ids as int32 (intp when an id passes 2^31 - 1).
+    column or one row block at a time. It stores the labels as int8 and one
+    id per sample, as int32 (intp when an id passes 2^31 - 1); each row's
+    ``sample_ids`` and ``classifier_ids`` are derived from them, in that
+    dtype, when read.
     """
 
     rows: np.ndarray          # (R, D) float32
     labels: np.ndarray        # (R,) int8 in {0, 1}
-    sample_ids: np.ndarray    # (R,) int32 or intp
-    classifier_ids: np.ndarray  # (R,) int32 or intp
+    ids: np.ndarray           # (S,) int32 or intp, one per sample
     layout: FeatureLayout
+
+    def __post_init__(self):
+        if len(self.rows) != len(self.ids) * self.members:
+            raise ValueError(f"{len(self.rows)} rows for {len(self.ids)} samples")
 
     def __len__(self):
         return len(self.rows)
+
+    @property
+    def members(self) -> int:
+        """Rows per sample, the pool's size (0 without samples)."""
+        return len(self.rows) // len(self.ids) if len(self.ids) else 0
+
+    @property
+    def sample_ids(self) -> np.ndarray:
+        """(R,) the sample of each row."""
+        return np.repeat(self.ids, self.members)
+
+    @property
+    def classifier_ids(self) -> np.ndarray:
+        """(R,) the member of each row."""
+        return np.tile(np.arange(self.members, dtype=self.ids.dtype), len(self.ids))
 
 
 def rrc_competence(supports, correct_class):
@@ -251,7 +272,10 @@ class MetaFeatureExtractor:
 
     Builds the per-(classifier, reference-row) criterion tables once; the
     confidence criterion min-max scales each member's signed boundary
-    distance by its range over the reference samples (``conf_scale``).
+    distance by its range over the reference samples (``conf_scale``). The
+    pool's supports on the reference set are held once, unclipped, as
+    ``dsel_profiles`` (N, M*L), and its labels ``dsel_pred_labels`` in the
+    narrowest integer type that holds every class.
     ``t_prc``, when given, is the (M, N) randomized-reference table
     ``rrc_competence`` would compute (a saved model carries it); it must be
     finite and lie in [0, 1].
@@ -275,14 +299,17 @@ class MetaFeatureExtractor:
 
         M, L = len(pool), pool.class_count
         labels, supports = pool.predict_batch(dsel.features)
-        self.dsel_pred_labels = labels                    # (M, N)
+        # (M, N); the narrowest signed type that holds -L holds L - 1
+        self.dsel_pred_labels = labels.astype(np.min_scalar_type(-L))
         self.dsel_correct = labels == dsel.labels[None, :]
+        del labels
         self.dsel_profiles = np.transpose(supports, (1, 0, 2)).reshape(len(dsel), -1)
 
         self.t_prc = (rrc_competence(supports, dsel.labels[None, :]) if t_prc is None
                       else t_prc)
-        # the tables below read the supports clipped, so they are clipped in place
-        clipped = self._clipped = np.clip(supports, SUPPORT_FLOOR, SUPPORT_CEIL, out=supports)
+        # the tables below read the supports clipped, so they are clipped in
+        # place, and freed with the tables built
+        clipped = np.clip(supports, SUPPORT_FLOOR, SUPPORT_CEIL, out=supports)
         true_idx = dsel.labels[None, :, None]
         slk = np.take_along_axis(clipped, np.broadcast_to(true_idx, (M, len(dsel), 1)), axis=2)[:, :, 0]
         self.t_prob = slk
@@ -294,6 +321,7 @@ class MetaFeatureExtractor:
         slk_safe = np.minimum(slk, SUPPORT_CEIL)
         self.t_exp = 1.0 - 2.0 ** (-((L - 1) * slk_safe / (1.0 - slk_safe)))
         self.t_kl = (clipped * np.log(clipped * L)).sum(axis=2)
+        del supports, clipped, only_true
 
         dists = pool.boundary_distances(dsel.features)    # (M, N)
         self.conf_scale = ScaleParams(dists.min(axis=1), dists.max(axis=1))
@@ -472,13 +500,8 @@ class MetaFeatureExtractor:
             own = None if self_indices is None else self_indices[blk]
             _, metas[blk], _ = self.extract_batch(X[blk], y[blk], self_indices=own,
                                                   out=feats[blk])
-        return MetaDataset(
-            rows=feats.reshape(nq * M, -1),
-            labels=metas.reshape(-1),
-            sample_ids=np.repeat(sample_ids.astype(ids), M),
-            classifier_ids=np.tile(np.arange(M, dtype=ids), nq),
-            layout=self.layout,
-        )
+        return MetaDataset(rows=feats.reshape(nq * M, -1), labels=metas.reshape(-1),
+                           ids=sample_ids.astype(ids), layout=self.layout)
 
     # -- internals -----------------------------------------------------------
 
@@ -487,12 +510,14 @@ class MetaFeatureExtractor:
         accuracy with respect to the class the member assigns to the query
         (``assigned``, (q, M)), the share of the member's clipped support
         for that class over the region ``theta`` (q, K) that falls on rows
-        of that class (0 when the support sums to 0). Each sum runs over one
-        query's K contiguous values, so its bits do not depend on the
-        piece."""
-        M = assigned.shape[1]
-        sup = self._clipped[np.arange(M)[None, :, None], theta[:, None, :],
-                            assigned[:, :, None]]             # (q, M, K)
+        of that class (0 when the support sums to 0). The supports are
+        gathered from ``dsel_profiles`` and clipped where they were
+        gathered. Each sum runs over one query's K contiguous values, so its
+        bits do not depend on the piece."""
+        M, L = assigned.shape[1], self.pool.class_count
+        column = np.arange(0, M * L, L)[None, :] + assigned   # (q, M)
+        sup = self.dsel_profiles[theta[:, None, :], column[:, :, None]]   # (q, M, K)
+        np.clip(sup, SUPPORT_FLOOR, SUPPORT_CEIL, out=sup)
         same_class = self.dsel.labels[theta][:, None, :] == assigned[:, :, None]
         den = sup.sum(axis=2)
         # the product in place of the supports: no second (q, M, K) block
@@ -548,14 +573,16 @@ class MetaFeatureExtractor:
 def meta_dataset_to_csv(md: MetaDataset, path):
     """Write a meta-dataset as CSV: one column per meta-feature plus
     meta_label, classifier_index and sample_id. The rows go out in blocks of
-    one budget of values, each widened to one float64 table, so the
-    writer's memory does not grow with the meta-dataset."""
+    one budget of values, each widened to one float64 table with its rows'
+    ids, so the writer's memory does not grow with the meta-dataset."""
     header = md.layout.column_names() + ["meta_label", "classifier_index", "sample_id"]
     fmt = ["%.10g"] * md.rows.shape[1] + ["%d"] * 3
+    M = md.members
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for blk in _blocks.pieces(len(md), len(fmt)):
+            sample, member = np.divmod(np.arange(blk.start, blk.stop), M)
             # unnamed, so each table is freed before the next one is built
             np.savetxt(fh, np.column_stack([md.rows[blk], md.labels[blk],
-                                            md.classifier_ids[blk], md.sample_ids[blk]]),
+                                            member, md.ids[sample]]),
                        fmt=fmt, delimiter=",")

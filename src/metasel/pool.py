@@ -142,7 +142,8 @@ def _member_draws(ds: Dataset, i: int, seed: int, size: int | None, max_retries:
         boot_rng = np.random.default_rng([seed, 9157, i])
         for _ in range(max_retries + 1):
             rows = boot_rng.integers(0, len(ds), size=size)
-            if len(np.unique(ds.labels[rows])) == ds.class_count:
+            # a count per class: np.unique would load numpy.ma for its mask check
+            if np.bincount(ds.labels[rows], minlength=ds.class_count).all():
                 break
         else:
             raise ValueError(

@@ -8,6 +8,8 @@ The masks, labels and every report file, ``trace.csv``'s fitness values at
 ``%.10g`` included, must be byte-equal to the default run's, and the default
 run's must equal the sha256 lines of ``golden_outputs.txt``. The float bits
 of supports, meta-features and selectors are per host and are not compared.
+The child also lists the modules it loaded, so the default run shows that
+none of it loads numpy.ma.
 """
 
 import hashlib
@@ -70,6 +72,7 @@ def run_child(out: Path):
                      "--out-dir", str(out / "report")])
     if code != 0:
         raise SystemExit(code)
+    (out / "modules.txt").write_text("\n".join(sorted(sys.modules)))
 
 
 def output_digests(out: Path):
@@ -125,6 +128,13 @@ def test_masks_labels_and_reports_equal_the_default_run(tmp_path, default_run, v
     for name in reports:
         got, want = out / "report" / name, base / "report" / name
         assert got.read_bytes() == want.read_bytes(), name
+
+
+def test_no_run_loads_numpy_ma(default_run):
+    """Training, labelling and the benchmark never load numpy.ma, ~1.2 MB
+    of resident memory. numpy's ``unique`` loads it through its
+    masked-array check, as ``median`` and ``percentile`` do."""
+    assert "numpy.ma" not in (default_run[0] / "modules.txt").read_text().split()
 
 
 def test_default_run_equals_the_golden_outputs(default_run):

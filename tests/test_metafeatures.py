@@ -139,8 +139,10 @@ def full_order_extract(ex, X, y=None, self_indices=None):
         seg[name][...] = table[:, nbrs].transpose(1, 0, 2)
     seg["overall"][:, :, 0] = seg["hard"].mean(axis=2)
     assigned = pred_labels.T
-    sup_assigned = ex._clipped[np.arange(M)[None, :, None], theta[:, None, :],
-                               assigned[:, :, None]]
+    clipped = np.clip(ex.pool.predict_batch(dsel.features)[1], metafeatures.SUPPORT_FLOOR,
+                      metafeatures.SUPPORT_CEIL)
+    sup_assigned = clipped[np.arange(M)[None, :, None], theta[:, None, :],
+                           assigned[:, :, None]]
     same_class = dsel.labels[theta][:, None, :] == assigned[:, :, None]
     num = (sup_assigned * same_class).sum(axis=2)
     den = sup_assigned.sum(axis=2)
@@ -696,6 +698,19 @@ class TestMaskedExtraction:
             assert wide.classifier_ids.tolist() == [0, 1, 0, 1]
             assert wide.labels.tobytes() == narrow.labels.tobytes()
 
+    def test_one_id_is_held_per_sample(self):
+        pool = ClassifierPool(np.ones((2, 2, 2)), np.ones(2))
+        ex = MetaFeatureExtractor(pool, line_dsel([0, 1, 0, 1, 0, 1, 0]), k=3, kp=3)
+        md = ex.build_meta_dataset(np.array([[0.5], [2.5], [4.5]]), [0, 1, 0],
+                                   sample_ids=[7, 3, 9])
+        assert (md.ids.tolist(), md.members) == ([7, 3, 9], 2)
+        assert md.sample_ids.tolist() == [7, 7, 3, 3, 9, 9]
+        assert md.classifier_ids.tolist() == [0, 1, 0, 1, 0, 1]
+        with pytest.raises(AttributeError):
+            md.sample_ids = md.sample_ids
+        with pytest.raises(ValueError, match="5 rows for 2 samples"):
+            metafeatures.MetaDataset(md.rows[:5], md.labels[:5], md.ids[:2], md.layout)
+
     def test_self_indices_need_one_entry_per_query(self):
         pool = ClassifierPool(np.ones((2, 2, 2)), np.ones(2))
         ex = MetaFeatureExtractor(pool, line_dsel([0, 1, 0, 1, 0, 1, 0]), k=3, kp=3)
@@ -944,6 +959,16 @@ class TestRealPoolExtraction:
         self.X = params.apply(query_ds.features)
         self.y = query_ds.labels
 
+    def test_holds_one_copy_of_the_pool_outputs(self):
+        # the seven (M, N) float64 tables, the (N, M*L) float64 profiles,
+        # the correctness flags, the int8 labels and the two (M,) vectors of
+        # the boundary-distance scale: no clipped (M, N, L) copy
+        M, N, L = len(self.pool), len(self.dsel), self.pool.class_count
+        arrays = [v for obj in (self.ex, self.ex.conf_scale) for v in vars(obj).values()
+                  if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) == (7 + L) * M * N * 8 + 2 * M * N + 2 * M * 8
+        assert self.ex.dsel_pred_labels.dtype == np.int8
+
     def test_vector_length_and_ranges(self):
         feats, metas, _ = self.ex.extract_batch(self.X, self.y)
         lay = self.ex.layout
@@ -995,10 +1020,10 @@ class TestRealPoolExtraction:
             -300, 300, (500, layout.size))
         rows[0, :6] = [-0.0, 5e-324, 1e17, 0.12345678905, 2.5, -123456789012.0]
         rows[1] = rng.uniform(0, 1, layout.size)
-        sample_ids = rng.integers(0, 10 ** 6, 500)
+        # 100 samples of 5 members each
+        sample_ids = rng.integers(0, 10 ** 6, 100)
         sample_ids[0] = 10 ** 12                  # more digits than %.10g keeps
-        md = metafeatures.MetaDataset(rows, rng.integers(0, 2, 500), sample_ids,
-                                      rng.integers(0, 100, 500), layout)
+        md = metafeatures.MetaDataset(rows, rng.integers(0, 2, 500), sample_ids, layout)
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         meta_dataset_to_csv(md, got)
         reference_meta_csv(md, want)
@@ -1041,7 +1066,7 @@ class TestRealPoolExtraction:
         n, per_block = 3_000, 1_000
         md = metafeatures.MetaDataset(
             np.random.default_rng(4).random((n, layout.size), dtype=np.float32),
-            np.zeros(n, dtype=int), np.arange(n), np.zeros(n, dtype=int), layout)
+            np.zeros(n, dtype=int), np.arange(n), layout)
         monkeypatch.setattr(_blocks, "BLOCK", per_block * (layout.size + 3))
         tracemalloc.start()
         try:
