@@ -77,10 +77,11 @@ class BpsoConfig:
     def validate(self):
         if self.transfer not in _TRANSFERS:
             raise ValueError("transfer must be 'S' or 'V'")
+        # "not ok" rather than "bad", so that NaN fails too
         for name in ("swarm_size", "max_generations", "stall_limit", "runs"):
-            if getattr(self, name) < 1:
+            if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.v_max <= 0 or self.inertia <= 0 or self.c1 <= 0 or self.c2 <= 0:
+        if not all(v > 0 for v in (self.v_max, self.inertia, self.c1, self.c2)):
             raise ValueError("inertia, accelerations and v_max must be positive")
 
 

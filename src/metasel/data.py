@@ -79,11 +79,11 @@ class SplitSpec:
     def validate(self):
         fracs = (self.train_frac, self.dsel_frac, self.test_frac)
         if any(not (0.0 < f < 1.0) for f in fracs):
-            raise ValueError("split fractions must lie in (0, 1)")
+            raise ValueError("split fractions must be in (0, 1)")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise ValueError(f"train/dsel/test fractions must sum to 1, got {sum(fracs)}")
         if not (0.0 < self.meta_frac_of_train < 1.0):
-            raise ValueError("meta_frac_of_train must lie in (0, 1)")
+            raise ValueError("meta_frac_of_train must be in (0, 1)")
 
 
 @dataclass

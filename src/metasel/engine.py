@@ -252,7 +252,7 @@ def baseline_predict_batch(method: str, pool: ClassifierPool, dsel: Dataset, X, 
         return weighted_majority_vote(votes, np.ones(votes.shape), L), None
     if method == "single_best":
         best = int(np.argmax(correct.mean(axis=1)))
-        return pred_q[best].astype(int).copy(), best
+        return pred_q[best].astype(int), best
     if method == "static_selection":
         acc = correct.mean(axis=1)
         top = np.argsort(-acc, kind="stable")[: int(np.ceil(M / 2))]

@@ -114,19 +114,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """Build a config from parsed JSON and ``validate`` it. A value of the
-        wrong type or out of range raises ValueError, and so does an unknown
-        key inside the ``source``, ``pool`` and ``bpso`` sections
-        (``source.split`` included); unknown top-level keys are ignored."""
-        cfg = cls()
-        cfg.source = _section(DataSource, raw.get("source", {}), "source")
-        cfg.pool = _section(PoolConfig, raw.get("pool", {}), "pool")
-        cfg.bpso = _section(BpsoConfig, raw.get("bpso", {}), "bpso")
-        hints = typing.get_type_hints(cls)
-        for name in ("k", "kp", "consensus_threshold", "selection_threshold",
-                     "replications", "methods", "reference_method", "seed"):
-            if name in raw:
-                setattr(cfg, name, _checked(raw[name], hints[name], name))
+        """Build a config from parsed JSON and ``validate`` it. A config that
+        is not an object, a value of the wrong type or out of range, or an
+        unknown key inside a section raises ValueError; unknown top-level keys
+        are ignored."""
+        if not isinstance(raw, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(raw).__name__}")
+        known = {f.name for f in dataclasses.fields(cls)}
+        cfg = _section(cls, {key: value for key, value in raw.items() if key in known}, "")
         cfg.validate()
         return cfg
 
@@ -143,6 +138,9 @@ class ExperimentConfig:
             ("pool.bootstrap_frac", 0 < self.pool.bootstrap_frac <= 1, "in (0, 1]"),
             ("pool.epochs", self.pool.epochs >= 1, ">= 1"),
             ("pool.lr", self.pool.lr > 0, "> 0"),
+            ("source.kind", self.source.kind in ("p2", "csv"), "p2 or csv"),
+            ("source.path", self.source.kind != "csv" or self.source.path is not None,
+             "set for a csv source"),
             ("source.p2_sizes", len(self.source.p2_sizes) == 4
              and all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
                      for n in self.source.p2_sizes), "four integers >= 1"),
@@ -162,6 +160,7 @@ class ExperimentConfig:
         if self.reference_method not in ALL_METHODS:
             raise ValueError(f"config key reference_method: unknown method "
                              f"{self.reference_method!r}; expected one of {known}")
+        self.source.split.validate()
         self.bpso.validate()
 
 
@@ -177,32 +176,30 @@ _VALUE_TYPES = {
 
 
 def _section(section_cls, values, path: str):
-    """The dataclass ``section_cls`` built from the config section at ``path``.
+    """The dataclass ``section_cls`` built from the config section at the
+    dotted ``path``, "" for the whole config.
 
     A key the dataclass does not have, or a value that does not match its
-    field's type, is named in a ValueError. A dataclass field is a nested
-    section, and a list becomes a tuple field."""
+    field's type, is named by its path in a ValueError. A dataclass field
+    is a nested section, and a list becomes a tuple field."""
     if not isinstance(values, dict):
         raise ValueError(f"config section {path} must be an object")
     hints = typing.get_type_hints(section_cls)
-    unknown = [f"{path}.{key}" for key in values if key not in hints]
+    prefix = f"{path}." if path else ""
+    unknown = [prefix + key for key in values if key not in hints]
     if unknown:
         raise ValueError("unknown config key " + ", ".join(unknown))
     kwargs = {}
     for key, value in values.items():
-        hint, where = hints[key], f"{path}.{key}"
-        kwargs[key] = (_section(hint, value, where) if dataclasses.is_dataclass(hint)
-                       else _checked(value, hint, where))
+        hint, where = hints[key], prefix + key
+        if dataclasses.is_dataclass(hint):
+            kwargs[key] = _section(hint, value, where)
+            continue
+        allowed, name = _VALUE_TYPES[hint]
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ValueError(f"config key {where} must be {name}, got {value!r}")
+        kwargs[key] = tuple(value) if hint is tuple else value
     return section_cls(**kwargs)
-
-
-def _checked(value, hint, path: str):
-    """``value`` for a field annotated ``hint``, lists made tuples; a value
-    of the wrong type is named in a ValueError."""
-    allowed, name = _VALUE_TYPES[hint]
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        raise ValueError(f"config key {path} must be {name}, got {value!r}")
-    return tuple(value) if hint is tuple else value
 
 
 def _derive_int(*parts) -> int:
@@ -263,18 +260,10 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
 
     # consensus-based sample selection on both meta-data sources; only the
     # flags are kept, the pool's labels and supports are freed at once
-    keep_meta = engine.consensus_keep(pool.predict_batch(meta_scaled.features)[0],
-                                      meta_scaled.labels, config.consensus_threshold)
-    if not keep_meta.any():
-        warnings.warn("consensus filter removed every meta-training sample; "
-                      "keeping all of them", RuntimeWarning)
-        keep_meta[:] = True
-    keep_dsel = engine.consensus_keep(extractor.dsel_pred_labels, dsel_scaled.labels,
-                                      config.consensus_threshold)
-    if not keep_dsel.any():
-        warnings.warn("consensus filter removed every reference sample; "
-                      "keeping all of them", RuntimeWarning)
-        keep_dsel[:] = True
+    keep_meta = _consensus_keep(pool.predict_batch(meta_scaled.features)[0],
+                                meta_scaled.labels, config, "meta-training")
+    keep_dsel = _consensus_keep(extractor.dsel_pred_labels, dsel_scaled.labels,
+                                config, "reference")
 
     # sample-level 50/50 halving, all rows of one sample together: the
     # samples are built in the halving's order, so both halves are views
@@ -304,8 +293,7 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
     meta_model = train_meta(meta_data.rows, meta_data.labels).masked(mask)
     model = DesModel(pool=pool, meta=meta_model, mask=mask, scale=scale,
                      dsel=dsel_scaled, k=config.k, kp=config.kp,
-                     selection_threshold=config.selection_threshold)
-    model._extractor = extractor
+                     selection_threshold=config.selection_threshold, _extractor=extractor)
     info = {
         "meta_dataset": meta_data,
         "validation_dataset": val_data,
@@ -313,6 +301,17 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
         "kept_dsel_samples": int(keep_dsel.sum()),
     }
     return model, archive, info
+
+
+def _consensus_keep(pool_labels, true_labels, config: ExperimentConfig, split: str):
+    """``engine.consensus_keep``'s flags at the config's threshold, all set,
+    with a RuntimeWarning naming ``split``, if the filter removes them all."""
+    keep = engine.consensus_keep(pool_labels, true_labels, config.consensus_threshold)
+    if not keep.any():
+        warnings.warn(f"consensus filter removed every {split} sample; "
+                      "keeping all of them", RuntimeWarning)
+        keep[:] = True
+    return keep
 
 
 def _bag(trains_scaled, pool_config: PoolConfig, seeds) -> list:
@@ -365,11 +364,9 @@ def _load_splits(config: ExperimentConfig, replication: int, source: Dataset | N
                 generate_p2(n_meta, [*parts, 12]),
                 generate_p2(n_dsel, [*parts, 13]),
                 generate_p2(n_test, [*parts, 14]))
-    if src.kind == "csv":
-        ds = source if source is not None else _read_source(config)
-        spec = dataclasses.replace(src.split, seed=_derive_int(*parts, 10))
-        return split_holdout(ds, spec)
-    raise ValueError(f"unknown data source kind {src.kind!r}")
+    ds = source if source is not None else _read_source(config)
+    spec = dataclasses.replace(src.split, seed=_derive_int(*parts, 10))
+    return split_holdout(ds, spec)
 
 
 def evaluate_methods(model: DesModel, test: Dataset, methods, k: int):

@@ -318,8 +318,7 @@ class MetaFeatureExtractor:
         only_true = np.zeros_like(clipped, dtype=bool)
         np.put_along_axis(only_true, np.broadcast_to(true_idx, (M, len(dsel), 1)), True, axis=2)
         self.t_md = np.where(only_true, np.inf, clipped).min(axis=2) - slk
-        slk_safe = np.minimum(slk, SUPPORT_CEIL)
-        self.t_exp = 1.0 - 2.0 ** (-((L - 1) * slk_safe / (1.0 - slk_safe)))
+        self.t_exp = 1.0 - 2.0 ** (-((L - 1) * slk / (1.0 - slk)))
         self.t_kl = (clipped * np.log(clipped * L)).sum(axis=2)
         del supports, clipped, only_true
 

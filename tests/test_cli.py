@@ -165,18 +165,36 @@ class TestTrainAndClassify:
         assert not (tmp_path / "m.bin").exists()
 
     @pytest.mark.parametrize("override,message", [
-        ({"k": -3}, "k must be >= 1"),
-        ({"pool": {"size": 3, "epochs": 0}}, "pool.epochs must be >= 1"),
-        ({"consensus_threshold": 1.5}, "consensus_threshold must be in [0, 1]"),
-        ({"pool": {"size": 3, "bootstrap_frac": 0.0}}, "pool.bootstrap_frac must be in (0, 1]"),
-    ], ids=["k", "epochs", "consensus_threshold", "bootstrap_frac"])
-    def test_out_of_range_config_value_is_an_error_line(self, tmp_path, capsys, override, message):
-        # each used to fail only after bagging, or not at all
-        cfg = small_config(tmp_path, **override)
-        rc = main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.bin")])
-        assert rc == 1
-        assert capsys.readouterr().err == f"error: config key {message}\n"
-        assert not (tmp_path / "m.bin").exists()
+        ({"k": -3}, "config key k must be >= 1"),
+        ({"pool": {"size": 3, "epochs": 0}}, "config key pool.epochs must be >= 1"),
+        ({"consensus_threshold": 1.5}, "config key consensus_threshold must be in [0, 1]"),
+        ({"pool": {"size": 3, "bootstrap_frac": 0.0}},
+         "config key pool.bootstrap_frac must be in (0, 1]"),
+        ([1, 2], "a config must be a JSON object, got list"),
+        ("hello", "a config must be a JSON object, got str"),
+        ({"source": {"kind": "p3"}}, "config key source.kind must be p2 or csv"),
+        ({"source": {"kind": "csv"}}, "config key source.path must be set for a csv source"),
+        ({"source": {"kind": "p2", "split": {"train_frac": 7}}},
+         "split fractions must be in (0, 1)"),
+        ({"bpso": {"inertia": float("nan")}},
+         "inertia, accelerations and v_max must be positive"),
+    ], ids=["k", "epochs", "consensus_threshold", "bootstrap_frac", "list", "string",
+            "kind", "csv_path", "train_frac", "nan_inertia"])
+    def test_out_of_range_config_value_is_an_error_line(self, tmp_path, capsys, monkeypatch,
+                                                        override, message):
+        # each used to fail only after bagging, or not at all, or with a traceback
+        calls = []
+        monkeypatch.setattr("metasel.experiment.bagging", lambda *a, **kw: calls.append(a))
+        if isinstance(override, dict):
+            cfg = small_config(tmp_path, **override)
+        else:
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps(override))
+        model, out_dir = tmp_path / "m.bin", tmp_path / "report"
+        for command in (["train", "--out", str(model)], ["benchmark", "--out-dir", str(out_dir)]):
+            assert main([*command, "--config", str(cfg)]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == [] and not model.exists() and not out_dir.exists()
 
     def test_pickled_model_file_is_an_error_line(self, tmp_path, capsys):
         # a version-5 file was a pickle; it is refused without being loaded

@@ -56,6 +56,10 @@ class TestConfig:
                 ExperimentConfig.from_dict(raw)
         with pytest.raises(ValueError, match="section bpso must be an object"):
             ExperimentConfig.from_dict({"bpso": 3})
+        # the whole config is a section too
+        for raw, kind in (([1, 2], "list"), ("hello", "str")):
+            with pytest.raises(ValueError, match=f"config must be a JSON object, got {kind}$"):
+                ExperimentConfig.from_dict(raw)
         # unknown top-level keys (rrc_samples and the selector's meta section
         # from older configs) stay ignored
         cfg = ExperimentConfig.from_dict({"rrc_samples": 150, "meta": {"l2": "x", "max_iter": 0},
@@ -110,6 +114,10 @@ class TestConfig:
         ({"source": {"p2_sizes": [60, 0, 60, 60]}}, "source.p2_sizes"),
         ({"source": {"p2_sizes": [60, 60.5, 60, 60]}}, "source.p2_sizes"),
         ({"bpso": {"runs": 0}}, "runs"),
+        ({"bpso": {"inertia": float("nan")}}, "inertia, accelerations and v_max"),
+        ({"source": {"kind": "p3"}}, "source.kind"),
+        ({"source": {"kind": "csv"}}, "source.path"),
+        ({"source": {"kind": "p2", "split": {"train_frac": 7}}}, "split fractions"),
     ])
     def test_out_of_range_value_named(self, raw, key):
         with pytest.raises(ValueError, match=key.replace(".", r"\.") + " must be"):
@@ -145,6 +153,11 @@ class TestConfig:
         assert cfg.consensus_threshold == 1 and cfg.pool.bootstrap_frac == 1
         with pytest.raises(ValueError, match="consensus_threshold"):
             ExperimentConfig.from_dict({"consensus_threshold": float("nan")})
+        # NaN is out of range wherever it stands, in the swarm's settings too
+        with pytest.raises(ValueError, match="v_max must be positive"):
+            BpsoConfig(inertia=float("nan")).validate()
+        with pytest.raises(ValueError, match="v_max must be positive"):
+            ExperimentConfig.from_json('{"bpso": {"c1": NaN}}')
 
     def test_defaults_mirror_protocol(self):
         cfg = ExperimentConfig()
