@@ -51,8 +51,7 @@ __all__ = [
 ]
 
 FRAMEWORK_METHOD = "meta_des_oracle"
-ALL_METHODS = (FRAMEWORK_METHOD, "ola", "lca", "knora_e", "knora_u",
-               "single_best", "static_selection", "majority_vote", "oracle")
+ALL_METHODS = (FRAMEWORK_METHOD, *engine.BASELINE_METHODS, "oracle")
 
 MODEL_FORMAT = "metasel.desmodel"
 MODEL_VERSION = 6
@@ -127,6 +126,9 @@ class ExperimentConfig:
 
     def validate(self):
         """Range-check every value, so a bad config fails before any work."""
+        sizes = self.source.p2_sizes
+        sizes_ok = len(sizes) == 4 and all(
+            isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in sizes)
         # "not ok" rather than "bad", so that NaN fails too
         checks = (
             ("k", self.k >= 1, ">= 1"),
@@ -141,9 +143,10 @@ class ExperimentConfig:
             ("source.kind", self.source.kind in ("p2", "csv"), "p2 or csv"),
             ("source.path", self.source.kind != "csv" or self.source.path is not None,
              "set for a csv source"),
-            ("source.p2_sizes", len(self.source.p2_sizes) == 4
-             and all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
-                     for n in self.source.p2_sizes), "four integers >= 1"),
+            ("source.p2_sizes", sizes_ok, "four integers >= 1"),
+            # the reference split: K and Kp neighbours must fit in it
+            ("source.p2_sizes[2]", self.source.kind != "p2" or not sizes_ok
+             or sizes[2] >= max(self.k, self.kp), ">= max(k, kp)"),
         )
         for name, ok, rule in checks:
             if not ok:

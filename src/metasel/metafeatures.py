@@ -45,11 +45,6 @@ __all__ = [
 
 SUPPORT_FLOOR = 1e-12
 SUPPORT_CEIL = 1.0 - 1e-10
-# the width of the rank scan's first position chunk
-_RANK_CHUNK = 8
-# reference rows by distance the rank scan first asks for per query; a query
-# with a pair still open past them asks again at twice the width
-_RANK_WIDTH = 128
 # randomized reference classifier: support clip, Beta concentration,
 # logit-space grid and the two-class interpolant's node count
 _RRC_CLIP = 1e-6
@@ -352,7 +347,10 @@ class MetaFeatureExtractor:
 
         In both modes the families gathered over the queries' neighbours
         (the region tables, ``overall``, ``cond`` and ``op``) go one piece of
-        queries at a time, of one budget of values (``_blocks``).
+        queries at a time, of one budget of values (``_blocks``). The
+        feature-space neighbours are fetched as the K-row region of
+        competence; only the rank scan asks for more rows, and only for the
+        queries that need them (``_rank``).
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         layout, dsel = self.layout, self.dsel
@@ -420,11 +418,8 @@ class MetaFeatureExtractor:
 
         if used & {*_REGION_TABLES, "overall", "cond", "rank"}:
             # the region of competence is the first K rows by distance; the
-            # rank scan starts from a wider exact prefix of the same order
-            avail = len(dsel) - (self_indices is not None)
-            width = min(max(k, _RANK_WIDTH), avail) if "rank" in used else k
-            order = nearest_neighbors(X, dsel.features, width, exclude=self_indices)[0]
-            theta = order[:, :k]
+            # rank scan starts from it and widens on demand
+            theta = nearest_neighbors(X, dsel.features, k, exclude=self_indices)[0]
             for name, attr in _REGION_TABLES.items():
                 if name in used:
                     table, at = getattr(self, attr), cols[name]
@@ -434,9 +429,9 @@ class MetaFeatureExtractor:
             if "cond" in used:
                 put_gathered("cond", k, lambda qs: self._cond(theta[qs], assigned[qs]))
             if "rank" in used:
-                put("rank", self._rank(X, self_indices, order))
+                put("rank", self._rank(X, self_indices, theta))
             # a family's arrays are freed before the next family's are built
-            del order, theta
+            del theta
 
         if "conf" in used:
             put("conf", self.conf_scale.apply(self.pool.boundary_distances(X).T))
@@ -529,15 +524,16 @@ class MetaFeatureExtractor:
         (the available row count, N or N - 1 with ``exclude``, when it makes
         none).
 
-        ``order`` holds an exact prefix of each query's rows by distance.
-        Position chunks of growing width (8, 16, 32, ...) are scanned for the
-        pairs that have not erred yet, each gather holding one budget of
-        flags. When the prefix runs out, only the queries
-        with a pair still open are searched again at twice the width
-        (``nearest_neighbors`` returns the rows of a full sort on any
-        prefix), and the scan goes on where it stopped, so the work follows
-        the ranks rather than N. A member that errs on no reference row gets
-        the row count at once."""
+        ``order`` holds an exact prefix of each query's rows by distance
+        (``extract_batch`` passes the region of competence, K rows). Each
+        newly fetched segment of positions is scanned once for the pairs
+        that have not erred yet, each gather holding one budget of flags.
+        Then only the queries with a pair still open are searched again at
+        twice the width (``nearest_neighbors`` returns the rows of a full
+        sort on any prefix), and the scan goes on where it stopped, so the
+        segments double (K, K, 2K, 4K, ...) and the work follows the ranks
+        rather than N. A member that errs on no reference row gets the row
+        count at once."""
         nq, M = len(X), len(self.pool)
         avail = len(self.dsel) - (exclude is not None)
         wrong = ~self.dsel_correct                            # (M, N)
@@ -548,25 +544,23 @@ class MetaFeatureExtractor:
         q_open = np.repeat(np.arange(nq, dtype=np.int32), erring.size)
         m_open = np.tile(erring.astype(np.int32), nq)
         rows = q_open
-        lo, chunk = 0, _RANK_CHUNK
+        lo = 0
         while True:
-            width = order.shape[1]
-            while q_open.size and lo < width:
-                hi = min(lo + chunk, width)
-                still = np.ones(q_open.size, dtype=bool)
-                for p in _blocks.pieces(q_open.size, hi - lo):
-                    qs, ms = q_open[p], m_open[p]
-                    err = wrong[ms[:, None], order[rows[p], lo:hi]]   # (pairs, hi - lo)
-                    hit = err.any(axis=1)
-                    rank[qs[hit], ms[hit]] = lo + err[hit].argmax(axis=1)
-                    still[p] = ~hit
-                q_open, m_open, rows = q_open[still], m_open[still], rows[still]
-                lo, chunk = hi, 2 * chunk
-            if not q_open.size or width == avail:
+            hi = order.shape[1]
+            still = np.ones(q_open.size, dtype=bool)
+            for p in _blocks.pieces(q_open.size, hi - lo):
+                qs, ms = q_open[p], m_open[p]
+                err = wrong[ms[:, None], order[rows[p], lo:hi]]   # (pairs, hi - lo)
+                hit = err.any(axis=1)
+                rank[qs[hit], ms[hit]] = lo + err[hit].argmax(axis=1)
+                still[p] = ~hit
+            q_open, m_open, rows = q_open[still], m_open[still], rows[still]
+            if not q_open.size or hi == avail:
                 return rank
             queries, rows = np.unique(q_open, return_inverse=True)
-            order = nearest_neighbors(X[queries], self.dsel.features, min(2 * width, avail),
+            order = nearest_neighbors(X[queries], self.dsel.features, min(2 * hi, avail),
                                       exclude=None if exclude is None else exclude[queries])[0]
+            lo = hi
 
 
 def meta_dataset_to_csv(md: MetaDataset, path):

@@ -6,16 +6,17 @@ Distances are Euclidean; ties are broken by the lower reference index so all
 queries are deterministic. Queries originating from the reference set itself
 pass ``exclude`` to omit their own row.
 
-The search is exact in two stages. A candidate filter first scores every
-reference row with the squared-norm expansion ||q||^2 + ||r||^2 - 2 q.r, one
-matrix product per query block, and keeps each row whose score is at most
-the k-th smallest score plus a rounding margin (derived in
-``nearest_neighbors``). The margin is at least twice the largest gap between
-a score and the brute-force squared distance, so any row it drops has k rows
-strictly closer and cannot be among the k nearest. The candidates, in
-ascending index order (listed from the keep flags without a sort), are then
-scored again with the brute-force difference, square and sum, and sorted
-stably: indices and distances are bit for bit those of sorting every row.
+The search is exact in two stages, one path for every k. A candidate filter
+first scores every reference row with the squared-norm expansion ||q||^2 +
+||r||^2 - 2 q.r, one matrix product per query block, and keeps each row
+whose score is at most the k-th smallest score plus a rounding margin
+(derived in ``nearest_neighbors``). The margin is at least twice the largest
+gap between a score and the brute-force squared distance, so any row it
+drops has k rows strictly closer and cannot be among the k nearest; at k
+equal to the available rows it drops none. The candidates, in ascending
+index order (listed from the keep flags without a sort), are then scored
+again with the brute-force difference, square and sum, and sorted stably:
+indices and distances are bit for bit those of sorting every row.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ def nearest_neighbors(queries, reference, k, exclude=None):
     (nor on the arrays' memory layout: both are made C-contiguous, so each
     squared distance is one contiguous sum).
 
-    When ``k`` is below the number of available rows, a block first keeps the
-    candidate rows whose approximate squared distance s = ||q||^2 + ||r||^2 -
-    2 q.r is at most its k-th smallest plus the margin 2 (a + b), where
+    Whatever ``k`` is, a block first keeps the candidate rows whose
+    approximate squared distance s = ||q||^2 + ||r||^2 - 2 q.r is at most
+    its k-th smallest plus the margin 2 (a + b), where
 
         a, b <= 2 gamma_{w+3} (||q||^2 + max ||r||^2) + 2 (w + 3) tiny,
 
@@ -65,7 +66,9 @@ def nearest_neighbors(queries, reference, k, exclude=None):
     the cutoff itself. A row outside the margin is then strictly farther,
     by the brute force's own arithmetic, than each of the k rows at or below
     the k-th smallest score. If the cutoff is not finite (NaN or inf in the
-    rows, or norms that overflow), every row of that query is a candidate.
+    rows, or norms that overflow), every row of that query is a candidate;
+    at k equal to the available rows the cutoff is their largest score, so
+    every row the query may choose is one.
     Candidates are re-scored with the brute force's difference, square and
     sum, so the result equals sorting all rows.
     """
@@ -86,10 +89,8 @@ def nearest_neighbors(queries, reference, k, exclude=None):
                          + (" (with self-exclusion)" if avail < n_ref else ""))
     order = np.empty((len(queries), k), dtype=np.intp)
     dist = np.empty((len(queries), k))
-    ref_sq = None
-    if k < avail:
-        with np.errstate(over="ignore"):
-            ref_sq = np.einsum("ij,ij->i", reference, reference)
+    with np.errstate(over="ignore"):
+        ref_sq = np.einsum("ij,ij->i", reference, reference)
     step = min(_blocks.items(reference.size, _blocks.WIDE), _blocks.items(n_ref))
     for lo in range(0, len(queries), step):
         blk = slice(lo, lo + step)
@@ -99,28 +100,21 @@ def nearest_neighbors(queries, reference, k, exclude=None):
 
 
 def _block(q, reference, ref_sq, k, excl):
-    """``nearest_neighbors`` of one query block, through the candidate
-    filter when ``ref_sq`` (the rows' squared norms) is given. Its arrays
-    are freed on return, before the next block's are allocated."""
-    if ref_sq is not None:
-        cand, pad = _candidates(q, reference, ref_sq, k, excl)
-        diff = reference[cand]
-        np.subtract(q[:, None, :], diff, out=diff)
-    else:
-        diff = q[:, None, :] - reference[None, :, :]
+    """``nearest_neighbors`` of one query block, given the rows' squared
+    norms ``ref_sq``. Its arrays are freed on return, before the next
+    block's are allocated."""
+    cand, pad = _candidates(q, reference, ref_sq, k, excl)
+    diff = reference[cand]
+    np.subtract(q[:, None, :], diff, out=diff)
     d2 = np.square(diff, out=diff).sum(axis=2)
     del diff
-    if ref_sq is not None:
-        if excl is not None:
-            d2[cand == excl[:, None]] = np.inf
-        # padding sorts after every real candidate, NaN distances included
-        d2[pad] = np.nan
-    elif excl is not None:
-        rows = np.flatnonzero(excl >= 0)
-        d2[rows, excl[rows]] = np.inf
+    if excl is not None:
+        d2[cand == excl[:, None]] = np.inf
+    # padding sorts after every real candidate, NaN distances included
+    d2[pad] = np.nan
     pick = np.argsort(d2, axis=1, kind="stable")[:, :k]
     rows = np.arange(len(pick))[:, None]
-    return (cand[rows, pick] if ref_sq is not None else pick), np.sqrt(d2[rows, pick])
+    return cand[rows, pick], np.sqrt(d2[rows, pick])
 
 
 def _candidates(q, reference, ref_sq, k, excl):

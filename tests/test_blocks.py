@@ -92,8 +92,9 @@ def test_default_budget_gives_the_pinned_sizes(shape, tmp_path):
     calls, knn = block_steps(run)
     got = {name: set(steps) for name, steps in calls.items()}
     rank = got.pop("_rank")
-    # the rank scan's first position chunk is 8 rows wide
-    assert 1 << 12 in rank and rank <= {(1 << 15) // w for w in range(1, N + 1)}
+    # the rank scan's first segment is the K = 7 rows of the region of
+    # competence; no piece holds more than one budget of flags
+    assert (1 << 15) // 7 in rank and rank <= {(1 << 15) // w for w in range(1, N + 1)}
     assert got == want
     assert knn == want_knn
 
@@ -110,6 +111,51 @@ def test_both_extraction_modes_gather_every_family_in_pieces():
         calls, _ = block_steps(lambda: ex.extract_batch(X, weights=weights))
         assert sorted(calls.pop("put_gathered")) == [46] * 10 + [65]
         assert calls.keys() == {"_rank"}
+
+
+@pytest.mark.parametrize("own, bits", [(True, "all"), (False, "rank")])
+def test_rank_scan_asks_for_the_region_then_doubles_for_open_queries(own, bits):
+    # P2 pool 100: an extraction block's first feature-space k-NN call is
+    # the region of competence (K = 7); each later one, the rank scan's,
+    # asks only for the queries with a pair still open, at twice the width,
+    # up to every available row: member 0 errs on one corner row alone
+    rng = np.random.default_rng(0)
+    pool = ClassifierPool(rng.normal(size=(100, 2, 3)), rng.uniform(0.5, 2.0, size=100))
+    features = rng.uniform(size=(500, 2))
+    labels = pool.predict_batch(features)[0][0]
+    labels[features.sum(axis=1).argmax()] ^= 1
+    dsel = Dataset(features, labels, 2)
+    ex = MetaFeatureExtractor(pool, dsel)
+    blk = ex.query_blocks(len(dsel))[0]
+    self_indices = np.arange(len(dsel))[blk] if own else None
+    X = dsel.features[blk] if own else rng.uniform(size=(blk.stop - blk.start, 2))
+    mask = np.zeros(ex.layout.size, dtype=bool)
+    mask[ex.layout.slice_of("rank") if bits == "rank" else slice(None)] = True
+    calls = []
+
+    def spy(queries, reference, k, exclude=None):
+        if reference is dsel.features:
+            calls.append((queries, k, exclude))
+        return nearest_neighbors(queries, reference, k, exclude=exclude)
+
+    with mock.patch.object(metafeatures, "nearest_neighbors", spy):
+        feats, _, _ = ex.extract_batch(X, self_indices=self_indices, mask=mask)
+    rank = feats[:, :, ex.layout.slice_of("rank")][:, :, 0]
+    erring = (~ex.dsel_correct).any(axis=1)
+    avail = len(dsel) - own
+    want, width, queries = [], 7, np.arange(len(X))
+    while queries.size:
+        want.append((queries, width))
+        if width == avail:
+            break
+        # a pair of an erring member is open past ``width`` positions
+        # while its rank is at least ``width``
+        queries = np.flatnonzero((rank[:, erring] >= width).any(axis=1))
+        width = min(2 * width, avail)
+    assert want[-1][1] == avail and len(calls) == len(want)
+    for (got_q, got_k, got_excl), (q, k) in zip(calls, want):
+        assert got_k == k and np.array_equal(got_q, X[q])
+        assert (got_excl is None) if not own else np.array_equal(got_excl, self_indices[q])
 
 
 def test_default_budget_scores_489_rows_a_block():

@@ -178,8 +178,10 @@ class TestTrainAndClassify:
          "split fractions must be in (0, 1)"),
         ({"bpso": {"inertia": float("nan")}},
          "inertia, accelerations and v_max must be positive"),
+        ({"source": {"kind": "p2", "p2_sizes": [20, 20, 3, 20]}},
+         "config key source.p2_sizes[2] must be >= max(k, kp)"),
     ], ids=["k", "epochs", "consensus_threshold", "bootstrap_frac", "list", "string",
-            "kind", "csv_path", "train_frac", "nan_inertia"])
+            "kind", "csv_path", "train_frac", "nan_inertia", "small_reference"])
     def test_out_of_range_config_value_is_an_error_line(self, tmp_path, capsys, monkeypatch,
                                                         override, message):
         # each used to fail only after bagging, or not at all, or with a traceback

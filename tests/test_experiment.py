@@ -118,9 +118,11 @@ class TestConfig:
         ({"source": {"kind": "p3"}}, "source.kind"),
         ({"source": {"kind": "csv"}}, "source.path"),
         ({"source": {"kind": "p2", "split": {"train_frac": 7}}}, "split fractions"),
+        ({"source": {"p2_sizes": [60, 60, 6, 60]}}, "source.p2_sizes[2]"),
+        ({"k": 3, "kp": 9, "source": {"p2_sizes": [60, 60, 8, 60]}}, "source.p2_sizes[2]"),
     ])
     def test_out_of_range_value_named(self, raw, key):
-        with pytest.raises(ValueError, match=key.replace(".", r"\.") + " must be"):
+        with pytest.raises(ValueError, match=re.escape(key) + " must be"):
             ExperimentConfig.from_dict(raw)
 
     @pytest.mark.parametrize("raw,message", [

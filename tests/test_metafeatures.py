@@ -369,10 +369,9 @@ class TestBlockBounds:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(8, 60), m=st.integers(1, 5), k=st.integers(1, 7),
            kp=st.integers(1, 5), nq=st.integers(2, 30), self_excl=st.booleans(),
-           prefix=st.sampled_from([1, 4, 128]), budget=st.integers(1, 64),
-           seed=st.integers(0, 2**32 - 1))
-    def test_tiny_bounds_give_the_default_bytes(self, n, m, k, kp, nq, self_excl, prefix,
-                                                 budget, seed):
+           budget=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+    def test_tiny_bounds_give_the_default_bytes(self, n, m, k, kp, nq, self_excl, budget,
+                                                 seed):
         rng = np.random.default_rng(seed)
         train, params = scale_minmax(generate_p2(40, [seed, 1]))
         dsel = params.apply_dataset(generate_p2(n, [seed, 2]))
@@ -408,9 +407,8 @@ class TestBlockBounds:
             return (rows, metas, pred, wide, masked, summed, md.rows, md.labels, csv, table,
                     rrc_competence(three_class, classes), oracle)
 
+        want = outputs()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metafeatures, "_RANK_WIDTH", prefix)
-            want = outputs()
             mp.setattr(_blocks, "BLOCK", budget)
             got = outputs()
         for a, b in zip(got, want, strict=True):
@@ -467,9 +465,9 @@ class TestMaskedExtraction:
            distinct=st.integers(1, 70), perfect=st.integers(0, 2),
            self_excl=st.booleans(), nq=st.integers(1, 12),
            kind=st.sampled_from(["random", "family", "rank", "all", "none"]),
-           prefix=st.sampled_from([1, 2, 5, 128]), seed=st.integers(0, 2**32 - 1))
+           seed=st.integers(0, 2**32 - 1))
     def test_equals_zeroed_full_extraction(self, n, m, L, d, k, kp, distinct, perfect,
-                                           self_excl, nq, kind, prefix, seed):
+                                           self_excl, nq, kind, seed):
         rng = np.random.default_rng(seed)
         k, kp = min(k, n - 1), min(kp, n - 1)
         # few distinct rows: many reference rows tie in distance
@@ -490,11 +488,8 @@ class TestMaskedExtraction:
             X = np.where(rng.random((nq, 1)) < 0.5, features[rng.integers(0, n, size=nq)],
                          np.round(rng.normal(size=(nq, d)), 1))
         y = rng.integers(0, L, size=nq)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metafeatures, "_RANK_WIDTH", prefix)
-            full, metas, pred = ex.extract_batch(X, y, self_indices=self_indices)
-            got, got_metas, got_pred = ex.extract_batch(X, y, self_indices=self_indices,
-                                                        mask=mask)
+        full, metas, pred = ex.extract_batch(X, y, self_indices=self_indices)
+        got, got_metas, got_pred = ex.extract_batch(X, y, self_indices=self_indices, mask=mask)
         want = full.copy()
         want[:, :, ~mask] = 0.0
         assert got.tobytes() == want.tobytes()
@@ -508,9 +503,9 @@ class TestMaskedExtraction:
            d=st.integers(1, 3), k=st.integers(1, 5), kp=st.integers(1, 5),
            distinct=st.integers(1, 70), self_excl=st.booleans(), nq=st.integers(1, 12),
            kind=st.sampled_from(["random", "family", "rank", "all", "none"]),
-           prefix=st.sampled_from([1, 2, 5, 128]), seed=st.integers(0, 2**32 - 1))
+           seed=st.integers(0, 2**32 - 1))
     def test_weighted_sum_equals_tensor_product(self, n, m, L, d, k, kp, distinct,
-                                                self_excl, nq, kind, prefix, seed):
+                                                self_excl, nq, kind, seed):
         rng = np.random.default_rng(seed)
         k, kp = min(k, n - 1), min(kp, n - 1)
         base = np.round(rng.normal(size=(min(distinct, n), d)), 1)
@@ -525,11 +520,9 @@ class TestMaskedExtraction:
         self_indices = rng.integers(0, n, size=nq) if self_excl else None
         X = features[self_indices] if self_excl else np.round(rng.normal(size=(nq, d)), 1)
         y = rng.integers(0, L, size=nq)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metafeatures, "_RANK_WIDTH", prefix)
-            feats, metas, pred = ex.extract_batch(X, y, self_indices=self_indices, mask=mask)
-            got, got_metas, got_pred = ex.extract_batch(X, y, self_indices=self_indices,
-                                                        mask=mask, weights=weights)
+        feats, metas, pred = ex.extract_batch(X, y, self_indices=self_indices, mask=mask)
+        got, got_metas, got_pred = ex.extract_batch(X, y, self_indices=self_indices,
+                                                    mask=mask, weights=weights)
         assert got.shape == (nq, m)
         assert np.array_equal(got_pred, pred) and np.array_equal(got_metas, metas)
         # both sums hold the same p products in other orders
@@ -541,10 +534,9 @@ class TestMaskedExtraction:
     @given(n=st.integers(6, 70), m=st.integers(1, 5), L=st.integers(2, 3),
            d=st.integers(1, 3), k=st.integers(1, 5), kp=st.integers(1, 5),
            distinct=st.integers(1, 70), self_excl=st.booleans(), nq=st.integers(1, 40),
-           prefix=st.sampled_from([1, 2, 5, 128]), budget=st.sampled_from([1, 50, 1 << 16]),
-           seed=st.integers(0, 2**32 - 1))
+           budget=st.sampled_from([1, 50, 1 << 16]), seed=st.integers(0, 2**32 - 1))
     def test_sample_rows_do_not_depend_on_batch_position(self, n, m, L, d, k, kp, distinct,
-                                                         self_excl, nq, prefix, budget, seed):
+                                                         self_excl, nq, budget, seed):
         # train_des builds the meta-training samples in its halving's order;
         # each sample's rows must be those a build in sample order gives
         rng = np.random.default_rng(seed)
@@ -561,7 +553,6 @@ class TestMaskedExtraction:
         ids = rng.permutation(10 * nq)[:nq]
         perm = rng.permutation(nq)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metafeatures, "_RANK_WIDTH", prefix)
             mp.setattr(_blocks, "BLOCK", budget)
             built = ex.build_meta_dataset(X, y, self_indices=self_indices, sample_ids=ids)
             moved = ex.build_meta_dataset(

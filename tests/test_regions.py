@@ -373,8 +373,8 @@ class TestPairBound:
             queries = ref[excl]
         elif exclude == "mixed":
             excl = rng.integers(-1, nr, size=nq)
-        # k below the available rows goes through the filter, k equal to
-        # them sorts every row
+        # every k up to the available rows, equal to them included, goes
+        # through the one filtered path
         k = int(rng.integers(1, nr - (excl is not None) + 1))
         calls = []
         block = regions._block
