@@ -147,22 +147,20 @@ class MaskEvaluator:
         weights = np.where(np.ascontiguousarray(masks.T), model.weights[:, None], 0.0)
         rows, labels = np.asarray(rows), np.asarray(labels)
         sq = np.zeros(len(masks))
-        # one budget of widened rows, and of decision values, a block (and
-        # small BLAS packing buffers); not ``_blocks.pieces``: the sums take
-        # their bits from these blocks, a last lone row included
-        block = _blocks.items(max(rows.shape[1], len(masks)))
-        wide = np.empty((min(block, len(rows)), rows.shape[1]))
+        # one budget of widened rows, and of decision values, a block (and small
+        # BLAS packing buffers); the sums take their bits from these blocks
+        per_row = max(rows.shape[1], len(masks))
+        wide = np.empty((min(_blocks.items(per_row), len(rows)), rows.shape[1]))
         out = np.empty((len(wide), len(masks)))
-        for start in range(0, len(rows), block):
-            stop = min(start + block, len(rows))
-            chunk = wide[:stop - start]
-            chunk[...] = rows[start:stop]
+        for blk in _blocks.pieces(len(rows), per_row):
+            chunk = wide[:blk.stop - blk.start]
+            chunk[...] = rows[blk]
             # in one buffer, the competence and its squared error against
             # the 0/1 labels of the block
-            z = np.matmul(chunk, weights, out=out[:stop - start])
+            z = np.matmul(chunk, weights, out=out[:len(chunk)])
             z += bias
             sigmoid(z)
-            z -= labels[start:stop, None]
+            z -= labels[blk, None]
             np.square(z, out=z)
             sq += z.sum(axis=0)
         dist[used] = np.sqrt(sq) / len(rows)

@@ -144,9 +144,9 @@ class ExperimentConfig:
             ("source.path", self.source.kind != "csv" or self.source.path is not None,
              "set for a csv source"),
             ("source.p2_sizes", sizes_ok, "four integers >= 1"),
-            # the reference split: K and Kp neighbours must fit in it
+            # the reference split: see ``_load_splits``
             ("source.p2_sizes[2]", self.source.kind != "p2" or not sizes_ok
-             or sizes[2] >= max(self.k, self.kp), ">= max(k, kp)"),
+             or sizes[2] > max(self.k, self.kp), "> max(k, kp)"),
         )
         for name, ok, rule in checks:
             if not ok:
@@ -332,22 +332,19 @@ def _replications(config: ExperimentConfig):
     Replications go in groups of consecutive ones, as many as hold one
     budget (see ``_blocks``) of member x bootstrap-row entries, ~140 bytes
     each at P2's width: one per group on P2 at pool 100 (a replication never
-    splits), 36 of a bundled CSV at pool 10. A group's splits are loaded, a
-    CSV source read once per run, and its pools train in one lockstep; the
-    splits of a source share one shape."""
+    splits), 36 of a bundled CSV at pool 10. A group's splits are loaded (a
+    CSV source read once per run; all splits of a source share one shape),
+    and its pools train in one lockstep."""
     pc = config.pool
     source = _read_source(config)
-    start = 0
-    while start < config.replications:
-        splits = [_load_splits(config, start, source)]
-        n = len(splits[0][0])
-        rows = n if pc.bootstrap_frac >= 1.0 else int(np.ceil(pc.bootstrap_frac * n))
-        stop = min(config.replications, start + _blocks.items(pc.size * rows))
-        splits += [_load_splits(config, r, source) for r in range(start + 1, stop)]
+    first = _load_splits(config, 0, source)
+    rows = int(np.ceil(pc.bootstrap_frac * len(first[0])))     # frac is at most 1
+    for group in _blocks.pieces(config.replications, pc.size * rows):
+        reps = range(group.start, group.stop)
+        splits = [_load_splits(config, r, source) if r else first for r in reps]
         scaled, scales = zip(*(scale_minmax(train) for train, _, _, _ in splits))
-        pools = _bag(scaled, pc, [_derive_int(config.seed, r, 20) for r in range(start, stop)])
-        yield from zip(range(start, stop), splits, pools, scales)
-        start = stop
+        pools = _bag(scaled, pc, [_derive_int(config.seed, r, 20) for r in reps])
+        yield from zip(reps, splits, pools, scales)
 
 
 def _read_source(config: ExperimentConfig) -> Dataset | None:
@@ -358,18 +355,20 @@ def _read_source(config: ExperimentConfig) -> Dataset | None:
 
 def _load_splits(config: ExperimentConfig, replication: int, source: Dataset | None = None):
     """(train, meta_train, dsel, test) of one replication. A CSV source's
-    file is read unless its dataset is given as ``source``."""
+    file is read unless its dataset is given as ``source``. A reference split
+    of at most max(k, kp) rows, too few once the validation build leaves a
+    row out of its own neighbourhoods, is a ValueError."""
     src = config.source
     parts = (config.seed, replication)
     if src.kind == "p2":
-        n_train, n_meta, n_dsel, n_test = src.p2_sizes
-        return (generate_p2(n_train, [*parts, 11]),
-                generate_p2(n_meta, [*parts, 12]),
-                generate_p2(n_dsel, [*parts, 13]),
-                generate_p2(n_test, [*parts, 14]))
-    ds = source if source is not None else _read_source(config)
-    spec = dataclasses.replace(src.split, seed=_derive_int(*parts, 10))
-    return split_holdout(ds, spec)
+        splits = tuple(generate_p2(n, [*parts, 11 + i]) for i, n in enumerate(src.p2_sizes))
+    else:
+        ds = source if source is not None else _read_source(config)
+        splits = split_holdout(ds, dataclasses.replace(src.split, seed=_derive_int(*parts, 10)))
+    if len(splits[2]) <= max(config.k, config.kp):
+        raise ValueError(f"the reference split holds {len(splits[2])} rows; it needs "
+                         f"more than max(k, kp) = {max(config.k, config.kp)}")
+    return splits
 
 
 def evaluate_methods(model: DesModel, test: Dataset, methods, k: int):

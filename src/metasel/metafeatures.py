@@ -405,10 +405,11 @@ class MetaFeatureExtractor:
 
             def put(name, values, qs=slice(None)):
                 w = weights[dest[name]]
-                # a gather lays its (M, q, c) values out member-fastest: as
-                # (q, c, M) stacks they are contracted in place, where a
-                # reshape would copy them
-                share = w[0] * values if values.ndim == 2 else w @ values.transpose(1, 2, 0)
+                # contracted as (q, c, M) stacks: in place where a gather laid
+                # the (M, q, c) values out member-fastest, else (one member, or
+                # op's flags) copied, so q sets neither the layout nor the bits
+                share = (w[0] * values if values.ndim == 2
+                         else w @ np.ascontiguousarray(values.transpose(1, 2, 0)))
                 np.add(out[qs], share, out=out[qs])
 
         def put_gathered(name, width, gather):

@@ -3,7 +3,7 @@
 A pool of M perceptrons over d features and L classes is one stacked weight
 tensor ``weights`` of shape (M, L, d+1) (one row per class, bias last) plus
 one support scale per member. Every prediction is a single batched matrix
-product over the members.
+product over the members, a lone sample's included (``_scores``).
 
 Training is the classic error-driven update; the initial weights describe a
 random hyperplane anchored at a random training point, which keeps pool
@@ -34,6 +34,17 @@ __all__ = ["ClassifierPool", "bagging"]
 SUPPORT_GAIN = 4.0  # logistic steepness for binary support calibration
 
 
+def _scores(weights, Xb):
+    """Class scores (M, N, L) of bias-extended samples ``Xb``, shared or per
+    member. numpy hands a one-row product to BLAS's vector path, whose bits
+    can differ from a block's matrix path, so a lone row is scored as two
+    copies: on narrow data (d <= 10, L <= 3) a row then gets the same bits
+    in any block, a block of one included."""
+    lone = Xb.shape[-2] == 1
+    s = (np.repeat(Xb, 2, axis=-2) if lone else Xb) @ weights.transpose(0, 2, 1)
+    return s[:, :1] if lone else s
+
+
 def _boundary_distances(weights, Xb):
     """Signed perpendicular distances (M, N) of bias-extended samples to each
     member's decision boundary.
@@ -43,7 +54,7 @@ def _boundary_distances(weights, Xb):
     the class-0 side. More classes: margin between the top two scores,
     normalized by the corresponding weight-difference norm (non-negative).
     """
-    s = Xb @ weights.transpose(0, 2, 1)                   # (M, N, L)
+    s = _scores(weights, Xb)                              # (M, N, L)
     if weights.shape[1] == 2:
         u = weights[:, 0, :-1] - weights[:, 1, :-1]       # (M, d)
         # sqrt of one dot product per member, as np.linalg.norm takes a 1-D
@@ -106,8 +117,8 @@ class ClassifierPool:
         return _with_bias(X)
 
     def scores(self, X) -> np.ndarray:
-        """Linear class scores (M, N, L)."""
-        return self._bias_extended(X) @ self.weights.transpose(0, 2, 1)
+        """Linear class scores (M, N, L); see ``_scores``."""
+        return _scores(self.weights, self._bias_extended(X))
 
     def boundary_distances(self, X) -> np.ndarray:
         """Signed boundary distances (M, N); see ``_boundary_distances``."""

@@ -91,9 +91,8 @@ def nearest_neighbors(queries, reference, k, exclude=None):
     dist = np.empty((len(queries), k))
     with np.errstate(over="ignore"):
         ref_sq = np.einsum("ij,ij->i", reference, reference)
-    step = min(_blocks.items(reference.size, _blocks.WIDE), _blocks.items(n_ref))
-    for lo in range(0, len(queries), step):
-        blk = slice(lo, lo + step)
+    per_query = n_ref * max(reference.shape[1], _blocks.WIDE)
+    for blk in _blocks.pieces(len(queries), per_query, _blocks.WIDE):
         order[blk], dist[blk] = _block(queries[blk], reference, ref_sq, k,
                                        None if excl is None else excl[blk])
     return order, dist

@@ -29,7 +29,7 @@ def block_steps(run):
     pieces, knn_block = _blocks.pieces, regions._block
 
     def pieces_spy(n, per_item, budgets=1):
-        step = max(2, _blocks.items(per_item, budgets))
+        step = _blocks.items(per_item, budgets)
         seen.setdefault(sys._getframe(1).f_code.co_name, []).append(step)
         return pieces(n, per_item, budgets)
 
@@ -56,6 +56,7 @@ SHAPES = {
         "rrc_competence": {1 << 13},
         "_rrc_quadrature": {135},
         "meta_dataset_to_csv": {468},
+        "nearest_neighbors": {65, 20},
     }, {2: 65, 200: 20}),
     "bundled_pool_10": ((10, 120, 400), {
         "query_blocks": {2_304},
@@ -64,6 +65,7 @@ SHAPES = {
         "rrc_competence": {1 << 13},
         "_rrc_quadrature": {135},
         "meta_dataset_to_csv": {468},
+        "nearest_neighbors": {273},
     }, {2: 273, 20: 273}),
 }
 
@@ -101,7 +103,8 @@ def test_default_budget_gives_the_pinned_sizes(shape, tmp_path):
 
 def test_both_extraction_modes_gather_every_family_in_pieces():
     # the eight region tables, overall, cond (K = 7) and op (Kp = 5) each
-    # ask for one block list at P2 pool 100, with or without weights
+    # ask for one block list at P2 pool 100, with or without weights, and
+    # the k-NN slices its queries the same way
     rng = np.random.default_rng(2)
     pool = ClassifierPool(rng.normal(size=(100, 2, 3)), rng.uniform(0.5, 2.0, size=100))
     dsel = Dataset(rng.uniform(size=(500, 2)), rng.integers(0, 2, size=500), 2)
@@ -110,6 +113,8 @@ def test_both_extraction_modes_gather_every_family_in_pieces():
     for weights in (None, rng.normal(size=ex.layout.size)):
         calls, _ = block_steps(lambda: ex.extract_batch(X, weights=weights))
         assert sorted(calls.pop("put_gathered")) == [46] * 10 + [65]
+        # the k-NN in feature space (2 wide) and in profile space (200 wide)
+        assert set(calls.pop("nearest_neighbors")) == {65, 20}
         assert calls.keys() == {"_rank"}
 
 

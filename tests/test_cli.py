@@ -179,9 +179,14 @@ class TestTrainAndClassify:
         ({"bpso": {"inertia": float("nan")}},
          "inertia, accelerations and v_max must be positive"),
         ({"source": {"kind": "p2", "p2_sizes": [20, 20, 3, 20]}},
-         "config key source.p2_sizes[2] must be >= max(k, kp)"),
+         "config key source.p2_sizes[2] must be > max(k, kp)"),
+        # the validation build leaves each reference row out of its own
+        # neighbourhood, so 7 rows leave 6 for k = 7
+        ({"source": {"kind": "p2", "p2_sizes": [20, 20, 7, 20]}, "pool": {"size": 3}},
+         "config key source.p2_sizes[2] must be > max(k, kp)"),
     ], ids=["k", "epochs", "consensus_threshold", "bootstrap_frac", "list", "string",
-            "kind", "csv_path", "train_frac", "nan_inertia", "small_reference"])
+            "kind", "csv_path", "train_frac", "nan_inertia", "small_reference",
+            "reference_of_k_rows"])
     def test_out_of_range_config_value_is_an_error_line(self, tmp_path, capsys, monkeypatch,
                                                         override, message):
         # each used to fail only after bagging, or not at all, or with a traceback
@@ -196,6 +201,24 @@ class TestTrainAndClassify:
         for command in (["train", "--out", str(model)], ["benchmark", "--out-dir", str(out_dir)]):
             assert main([*command, "--config", str(cfg)]) == 1
             assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == [] and not model.exists() and not out_dir.exists()
+
+    def test_small_csv_reference_split_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        # 24 rows split into a reference split of 6, too few for k = 7: the
+        # check is made where the splits are read, before any bagging
+        calls = []
+        monkeypatch.setattr("metasel.experiment.bagging", lambda *a, **kw: calls.append(a))
+        data = tmp_path / "small.csv"
+        rng = np.random.default_rng(0)
+        np.savetxt(data, np.column_stack([rng.uniform(size=(24, 2)), np.arange(24) % 2]),
+                   fmt=["%.6f", "%.6f", "%d"], delimiter=",")
+        cfg = small_config(tmp_path, source={"kind": "csv", "path": str(data)},
+                           pool={"size": 5})
+        model, out_dir = tmp_path / "m.bin", tmp_path / "report"
+        for command in (["train", "--out", str(model)], ["benchmark", "--out-dir", str(out_dir)]):
+            assert main([*command, "--config", str(cfg)]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                "error: the reference split holds 6 rows; it needs more than max(k, kp) = 7"]
         assert calls == [] and not model.exists() and not out_dir.exists()
 
     def test_pickled_model_file_is_an_error_line(self, tmp_path, capsys):

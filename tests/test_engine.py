@@ -316,6 +316,76 @@ class TestQueryBlocks:
         assert peaks[1] < 48.0, peaks
 
 
+def narrow_model(rng, d, L, m, n, k, kp, rank, threshold):
+    """A random model on narrow data (d features, L classes, m members, n
+    reference rows) whose mask selects ``rank`` or leaves it out."""
+    pool = ClassifierPool(rng.normal(size=(m, L, d + 1)), rng.uniform(0.5, 2.0, size=m))
+    dsel = Dataset(rng.normal(size=(n, d)), rng.integers(0, L, size=n), L)
+    layout = MetaFeatureExtractor(pool, dsel, k=k, kp=kp).layout
+    mask = rng.random(layout.size) < rng.uniform(0.1, 0.9)
+    mask[layout.slice_of("rank")] = rank
+    mask[rng.integers(layout.size)] |= not mask.any()
+    meta = MetaClassifier(np.where(mask, rng.normal(size=layout.size), 0.0),
+                          float(rng.normal()))
+    return DesModel(pool=pool, meta=meta, mask=mask, scale=None, dsel=dsel, k=k, kp=kp,
+                    selection_threshold=threshold)
+
+
+def assert_single_equals_batch(model, X, y):
+    """Each sample alone gives, bit for bit, its row of the batch: in
+    ``classify``, in every baseline and in the pool Oracle."""
+    pool, dsel, L = model.pool, model.dsel, model.pool.class_count
+    labels, result = classify_batch(model, X)
+    for j, x in enumerate(X):
+        label, one = classify(model, x)
+        assert label == labels[j]
+        assert one.competences.tobytes() == result.competences[j].tobytes()
+        assert np.array_equal(one.selected, result[j].selected)
+        assert one.fallback == result[j].fallback
+    for method in BASELINE_METHODS:
+        batch, _ = baseline_predict_batch(method, pool, dsel, X, model.k)
+        alone = [baseline_predict_batch(method, pool, dsel, X[j:j + 1], model.k)[0][0]
+                 for j in range(len(X))]
+        assert alone == batch.tolist(), method
+    hit = (pool.predict_batch(X)[0] == y[None, :]).any(axis=0)
+    alone = [oracle_accuracy(pool, Dataset(X[j:j + 1], y[j:j + 1], L)) for j in range(len(X))]
+    assert alone == hit.astype(float).tolist()
+    assert oracle_accuracy(pool, Dataset(X, y, L)) == float(hit.mean())
+
+
+class TestSingleEqualsBatch:
+    """On narrow data a sample's competences, selection and labels do not
+    depend on the samples scored with it: the pool scores a lone row on
+    BLAS's matrix path, as it does a block."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3), L=st.integers(2, 3), m=st.integers(1, 4),
+           n=st.integers(4, 20), k=st.integers(1, 4), kp=st.integers(1, 4),
+           nq=st.integers(1, 8), rank=st.booleans(),
+           threshold=st.sampled_from([0.0, 0.3, 0.5, 0.9]), seed=st.integers(0, 2**32 - 1))
+    def test_one_sample_is_its_batch_row(self, d, L, m, n, k, kp, nq, rank, threshold,
+                                         seed):
+        rng = np.random.default_rng(seed)
+        model = narrow_model(rng, d, L, m, n, k, kp, rank, threshold)
+        X = rng.normal(size=(nq, d))
+        assert_single_equals_batch(model, X, rng.integers(0, L, size=nq))
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_blocks_that_end_in_a_lone_row(self, monkeypatch, m):
+        rng = np.random.default_rng(m)
+        model = narrow_model(rng, 2, 2, m, 12, 3, 2, True, 0.5)
+        ex = model.extractor
+        # Oracle blocks of 2 samples ((member, class) supports) and query
+        # blocks of a few: n samples end both in a lone one
+        monkeypatch.setattr(_blocks, "BLOCK", 2 * m * 2)
+        step = _blocks.items(m * ex.layout.size + 2 * 12, _blocks.WIDE)
+        n = 4 * step + 1
+        assert step >= 2 and ex.query_blocks(n)[-1] == slice(n - 1, n)
+        assert _blocks.pieces(n, m * 2)[-2:] == [slice(n - 3, n - 1), slice(n - 1, n)]
+        X = rng.normal(size=(n, 2))
+        assert_single_equals_batch(model, X, rng.integers(0, 2, size=n))
+
+
 @functools.lru_cache(maxsize=1)
 def p2_meta_rows():
     """A small P2 pool, its reference set and test split, and the
@@ -655,7 +725,7 @@ class TestOracleAccuracy:
            table=st.booleans(), seed=st.integers(0, 2**32 - 1))
     def test_blocks_give_the_one_shot_oracle(self, L, m, budget, size, n, table, seed):
         rng = np.random.default_rng(seed)
-        step = max(2, budget // (m * L))
+        step = max(1, budget // (m * L))
         n = {"one": 1, "tail": step + 1, "any": n}[size]
         labels = rng.integers(0, L, n)
         if table:
@@ -675,9 +745,8 @@ class TestOracleAccuracy:
             mp.setattr(_blocks, "BLOCK", budget)
             got = oracle_accuracy(pool, test)
         assert got == want
-        assert sum(rows) == n
-        # every block holds at most step rows, or step + 1 for a leftover last row
-        assert max(rows) <= step + 1 and (n == 1 or min(rows) >= 2), rows
+        # blocks of step rows, the last one holding what is left
+        assert rows == [step] * (n // step) + [n % step] * (n % step > 0), rows
 
     def test_p2_pool_100_traces_under_half_of_its_supports(self):
         # one predict_batch over all 2 000 samples holds the (M, N) labels

@@ -151,7 +151,7 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict({
             "k": 1, "kp": 1, "consensus_threshold": 1, "selection_threshold": 0,
             "replications": 1, "pool": {"size": 1, "bootstrap_frac": 1, "epochs": 1, "lr": 1e-9},
-            "source": {"p2_sizes": [1, 1, 1, 1]}})
+            "source": {"p2_sizes": [1, 1, 2, 1]}})
         assert cfg.consensus_threshold == 1 and cfg.pool.bootstrap_frac == 1
         with pytest.raises(ValueError, match="consensus_threshold"):
             ExperimentConfig.from_dict({"consensus_threshold": float("nan")})
@@ -342,7 +342,8 @@ def run_counted(cfg, alone=False):
     other loop, the mask search's included, keeps the real budget."""
     bag = mock.Mock(side_effect=experiment.bagging)
     read = mock.Mock(side_effect=experiment.load_csv)
-    blocks = SimpleNamespace(items=lambda *a, **k: 1) if alone else _blocks
+    blocks = (SimpleNamespace(pieces=lambda n, *a, **k: [slice(r, r + 1) for r in range(n)])
+              if alone else _blocks)
     with mock.patch.multiple(experiment, bagging=bag, load_csv=read, _blocks=blocks):
         report = run_experiment(cfg)
     return report, bag.call_count, read.call_count

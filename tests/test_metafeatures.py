@@ -597,8 +597,8 @@ class TestMaskedExtraction:
                                                            self_excl, nq, per_block, seed):
         # build_meta_dataset extracts in the query blocks classify_batch
         # uses; on narrow data (d <= 3, L <= 3 here) the pool's product gives
-        # a row the same bits in any block of two or more rows, so the arrays
-        # must be byte for byte those of one extraction of every query
+        # a row the same bits in any block, a block of one included, so the
+        # arrays must be byte for byte those of one extraction of every query
         rng = np.random.default_rng(seed)
         k, kp = min(k, n - 1), min(kp, n - 1)
         base = np.round(rng.normal(size=(min(distinct, n), d)), 1)
@@ -622,12 +622,10 @@ class TestMaskedExtraction:
             mp.setattr(ex, "extract_batch",
                        lambda X, *a, **kw: calls.append(len(X)) or extract(X, *a, **kw))
             md = ex.build_meta_dataset(X, y, self_indices=self_indices, sample_ids=ids)
-        # blocks of at least 2 queries (per_block or, with fewer than WIDE
-        # values a query, a few more); a last lone query joins the block before it
-        step = max(2, _blocks.WIDE * budget // per_query)
-        want = [step] * max(1, -(-(nq - 1) // step))
-        want[-1] = nq - step * (len(want) - 1)
-        assert calls == want
+        # blocks of per_block queries (or, with fewer than WIDE values a
+        # query, a few more), the last one holding what is left
+        step = _blocks.WIDE * budget // per_query
+        assert calls == [step] * (nq // step) + [nq % step] * (nq % step > 0)
         assert md.rows.tobytes() == feats.reshape(nq * m, -1).tobytes()
         assert (md.labels.dtype, md.sample_ids.dtype, md.classifier_ids.dtype) == (
             np.int8, np.int32, np.int32)
@@ -661,19 +659,18 @@ class TestMaskedExtraction:
                                                     m).tobytes()
 
     @pytest.mark.parametrize("per_block", [1, 2, 3, 272])
-    def test_query_blocks_cover_the_queries_without_a_lone_query(self, monkeypatch,
-                                                                per_block):
+    def test_query_blocks_cover_the_queries_in_equal_steps(self, monkeypatch, per_block):
         pool = ClassifierPool(np.ones((2, 2, 2)), np.ones(2))
         ex = MetaFeatureExtractor(pool, line_dsel([0, 1, 0, 1, 0, 1, 0]), k=3, kp=3)
         monkeypatch.setattr(_blocks, "BLOCK",
                             budget_for(per_block, 2 * ex.layout.size + 2 * 7, _blocks.WIDE))
-        step = max(2, per_block)
-        for n in range(0, 3 * step + 3):
+        for n in range(0, 3 * per_block + 3):
             blocks = ex.query_blocks(n)
             assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(n))
             sizes = [b.stop - b.start for b in blocks]
-            assert all(min(2, n) <= size <= step + 1 for size in sizes), (n, sizes)
-            assert all(size == step for size in sizes[:-1])
+            # a last block of one query included
+            assert all(1 <= size <= per_block for size in sizes), (n, sizes)
+            assert all(size == per_block for size in sizes[:-1])
 
     def test_ids_are_int32_until_one_passes_it(self):
         pool = ClassifierPool(np.ones((2, 2, 2)), np.ones(2))

@@ -35,8 +35,15 @@ def ref_with_bias(X):
     return np.hstack([X, np.ones((len(X), 1))])
 
 
+def ref_scores(W, X):
+    """One member's class scores (N, L), every row on BLAS's matrix path: a
+    lone row is scored as a block of two copies of itself."""
+    Xb = ref_with_bias(X)
+    return (np.vstack([Xb, Xb]) @ W.T)[:1] if len(Xb) == 1 else Xb @ W.T
+
+
 def ref_boundary_distance(W, X):
-    s = ref_with_bias(X) @ W.T
+    s = ref_scores(W, X)
     if len(W) == 2:
         u = W[0] - W[1]
         norm = max(float(np.linalg.norm(u[:-1])), 1e-300)
@@ -50,7 +57,7 @@ def ref_boundary_distance(W, X):
 
 
 def ref_predict(W, dist_scale, X):
-    s = ref_with_bias(X) @ W.T
+    s = ref_scores(W, X)
     if len(W) == 2:
         m = ref_boundary_distance(W, X)
         s0 = 1.0 / (1.0 + np.exp(-SUPPORT_GAIN * m / dist_scale))
@@ -543,4 +550,4 @@ class TestAgainstPerMemberReference:
             assert np.array_equal(labels[i], ref_labels)
             assert np.array_equal(supports[i], ref_supports)
             assert np.array_equal(dists[i], ref_boundary_distance(W, X))
-            assert np.array_equal(scores[i], ref_with_bias(X) @ W.T)
+            assert np.array_equal(scores[i], ref_scores(W, X))
