@@ -32,8 +32,9 @@ def _load_config(args) -> experiment.ExperimentConfig:
         config = experiment.ExperimentConfig()
     if getattr(args, "seed", None) is not None:
         config.seed = args.seed
-    if getattr(args, "methods", None):
-        config.methods = tuple(args.methods.split(","))
+    if getattr(args, "methods", None) is not None:
+        # "" names no method, so ``validate`` refuses it as an empty list
+        config.methods = tuple(args.methods.split(",")) if args.methods else ()
     config.validate()
     return config
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -80,31 +80,47 @@ class ClassifyResult:
 
 @dataclass
 class DesModel:
-    """Serializable bundle produced by training; see ``experiment.train_des``."""
+    """Serializable bundle produced by training; see ``experiment.train_des``.
 
-    pool: ClassifierPool
+    The extractor alone holds the pool, the scaled reference set and K, Kp;
+    the model reads them from it. A mask, selector or scale whose width
+    does not fit them raises ValueError when the model is built.
+    """
+
+    extractor: MetaFeatureExtractor
     meta: MetaClassifier
     mask: np.ndarray
     scale: ScaleParams | None
-    dsel: Dataset
-    k: int = 7
-    kp: int = 5
     selection_threshold: float = 0.5
-    _extractor: MetaFeatureExtractor | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.mask = np.asarray(self.mask, dtype=bool)
         # threshold 0 selects the whole pool (degenerates to majority voting)
         if not (0.0 <= self.selection_threshold < 1.0):
             raise ValueError("selection threshold must lie in [0, 1)")
+        width, meta = self.extractor.layout.size, self.meta
+        if not (self.mask.shape == meta.weights.shape == (width,)
+                and (meta.offsets is None or meta.offsets.shape == (width,))):
+            raise ValueError(f"mask and selector must have the layout's {width} columns")
+        d, scale = self.dsel.feature_count, self.scale
+        if scale is not None and not scale.col_min.shape == scale.col_max.shape == (d,):
+            raise ValueError(f"scale must have {d} columns")
 
     @property
-    def extractor(self) -> MetaFeatureExtractor:
-        # built from the bundle on first use; a loaded model already has one
-        # made with the file's stored RRC table
-        if self._extractor is None:
-            self._extractor = MetaFeatureExtractor(self.pool, self.dsel, k=self.k, kp=self.kp)
-        return self._extractor
+    def pool(self) -> ClassifierPool:
+        return self.extractor.pool
+
+    @property
+    def dsel(self) -> Dataset:
+        return self.extractor.dsel
+
+    @property
+    def k(self) -> int:
+        return self.extractor.layout.k
+
+    @property
+    def kp(self) -> int:
+        return self.extractor.layout.kp
 
     def prepare(self, X) -> np.ndarray:
         """Raw samples (Nq, d), or one sample (d,), scaled as the reference
@@ -173,10 +189,10 @@ def _select_and_vote(delta, pred_labels, threshold: float, class_count: int):
     ``threshold`` vote weighted by competence, else the most competent member
     decides (flagged). Returns (labels, ``ClassifyResult``)."""
     selected = delta >= threshold                                   # (Nq, M)
-    # Unselected members vote with weight 0. A row whose weights are all zero
-    # votes unweighted with every member; with competences in [0, 1] that
-    # happens only at threshold 0, where every member is selected, so it is
-    # the selected members' unweighted vote.
+    # Unselected members vote with weight 0, so a row's weights are all zero
+    # exactly when it is a fallback row, whose vote the best member's label
+    # overwrites below. At threshold 0 no row is: ``sigmoid`` clips at +-35,
+    # so every competence is at least ~6.3e-16.
     out = weighted_majority_vote(pred_labels.T, np.where(selected, delta, 0.0), class_count)
     fallback = ~selected.any(axis=1)
     best = delta.argmax(axis=1)

@@ -136,6 +136,7 @@ class ExperimentConfig:
             ("consensus_threshold", 0 <= self.consensus_threshold <= 1, "in [0, 1]"),
             ("selection_threshold", 0 <= self.selection_threshold < 1, "in [0, 1)"),
             ("replications", self.replications >= 1, ">= 1"),
+            ("seed", self.seed >= 0, ">= 0"),
             ("pool.size", self.pool.size >= 1, ">= 1"),
             ("pool.bootstrap_frac", 0 < self.pool.bootstrap_frac <= 1, "in (0, 1]"),
             ("pool.epochs", self.pool.epochs >= 1, ">= 1"),
@@ -294,9 +295,7 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
         archive = Archive(mask=mask, validation_fitness=np.inf)
 
     meta_model = train_meta(meta_data.rows, meta_data.labels).masked(mask)
-    model = DesModel(pool=pool, meta=meta_model, mask=mask, scale=scale,
-                     dsel=dsel_scaled, k=config.k, kp=config.kp,
-                     selection_threshold=config.selection_threshold, _extractor=extractor)
+    model = DesModel(extractor, meta_model, mask, scale, config.selection_threshold)
     info = {
         "meta_dataset": meta_data,
         "validation_dataset": val_data,
@@ -371,18 +370,19 @@ def _load_splits(config: ExperimentConfig, replication: int, source: Dataset | N
     return splits
 
 
-def evaluate_methods(model: DesModel, test: Dataset, methods, k: int):
+def evaluate_methods(model: DesModel, test: Dataset, methods):
     """Accuracy of each requested method on the raw test split.
 
     The baselines share the pool's labels on the reference set (the
-    extractor's) and one k-nearest-neighbour search of the test split."""
+    extractor's) and one search of the test split's ``model.k`` nearest
+    reference rows."""
     X = model.prepare(test.features)
     test_scaled = Dataset(X, test.labels, test.class_count)
     shared = {}
     if any(m in engine.BASELINE_METHODS for m in methods):
         shared["dsel_pred_labels"] = model.extractor.dsel_pred_labels
-    if any(m in engine.NEIGHBORHOOD_METHODS for m in methods) and k <= len(model.dsel):
-        shared["neighbors"], _ = nearest_neighbors(X, model.dsel.features, k)
+    if any(m in engine.NEIGHBORHOOD_METHODS for m in methods):
+        shared["neighbors"], _ = nearest_neighbors(X, model.dsel.features, model.k)
     accuracies = {}
     for method in methods:
         if method == FRAMEWORK_METHOD:
@@ -392,7 +392,7 @@ def evaluate_methods(model: DesModel, test: Dataset, methods, k: int):
             accuracies[method] = oracle_accuracy(model.pool, test_scaled)
         else:
             pred, _ = engine.baseline_predict_batch(method, model.pool, model.dsel,
-                                                    X, k=k, **shared)
+                                                    X, k=model.k, **shared)
             accuracies[method] = float((pred == test.labels).mean())
     return accuracies
 
@@ -450,7 +450,6 @@ class RunReport:
     methods: tuple
     accuracies: np.ndarray          # (replications, methods)
     masks: np.ndarray               # (replications, D)
-    layout: FeatureLayout
     mean: dict
     std: dict
     avg_rank: dict                  # oracle excluded
@@ -483,7 +482,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         model, archive = train_des(train, meta_train, dsel, config,
                                    base_seed_parts=(config.seed, r), pool=pool,
                                    scale=scale)[:2]
-        result = evaluate_methods(model, test, methods, config.k)
+        result = evaluate_methods(model, test, methods)
         for j, m in enumerate(methods):
             acc[r, j] = result[m]
         masks.append(model.mask)
@@ -511,7 +510,6 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         methods=methods,
         accuracies=acc,
         masks=masks,
-        layout=freq.layout,
         mean={m: float(acc[:, j].mean()) for j, m in enumerate(methods)},
         std={m: float(acc[:, j].std()) for j, m in enumerate(methods)},
         avg_rank=avg_rank,
@@ -618,19 +616,9 @@ def _read_model(fh, path) -> DesModel:
     scale = (ScaleParams(a["scale_col_min"], a["scale_col_max"]) if header["scale"]
              else None)
     dsel = Dataset(a["dsel_features"], a["dsel_labels"], header["class_count"])
-    k, kp = header["k"], header["kp"]
-    extractor = MetaFeatureExtractor(pool, dsel, k=k, kp=kp, t_prc=a["t_prc"])
-    model = DesModel(pool=pool, meta=meta, mask=a["mask"], scale=scale, dsel=dsel,
-                     k=k, kp=kp, selection_threshold=header["selection_threshold"],
-                     _extractor=extractor)
-    width = extractor.layout.size
-    if not model.mask.shape == meta.weights.shape == meta.offsets.shape == (width,):
-        raise ModelFormatError(f"{path}: mask and selector must have the layout's "
-                               f"{width} columns")
-    if scale is not None and not (
-            scale.col_min.shape == scale.col_max.shape == (dsel.feature_count,)):
-        raise ModelFormatError(f"{path}: scale must have {dsel.feature_count} columns")
-    return model
+    extractor = MetaFeatureExtractor(pool, dsel, k=header["k"], kp=header["kp"],
+                                     t_prc=a["t_prc"])
+    return DesModel(extractor, meta, a["mask"], scale, header["selection_threshold"])
 
 
 # -- CSV emission ------------------------------------------------------------
@@ -670,7 +658,7 @@ def write_report_csvs(report: RunReport, out_dir):
             fh.write(f"{m},{_fmt(report.mean[m])},{_fmt(report.std[m])},{rank},{w},{t},{l}\n")
 
     with open(out / "masks.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("replication," + ",".join(report.layout.column_names()) + "\n")
+        fh.write("replication," + ",".join(report.frequencies.layout.column_names()) + "\n")
         for r in range(report.masks.shape[0]):
             fh.write(str(r) + "," + ",".join(str(int(b)) for b in report.masks[r]) + "\n")
 

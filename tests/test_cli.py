@@ -184,9 +184,10 @@ class TestTrainAndClassify:
         # neighbourhood, so 7 rows leave 6 for k = 7
         ({"source": {"kind": "p2", "p2_sizes": [20, 20, 7, 20]}, "pool": {"size": 3}},
          "config key source.p2_sizes[2] must be > max(k, kp)"),
+        ({"seed": -1}, "config key seed must be >= 0"),
     ], ids=["k", "epochs", "consensus_threshold", "bootstrap_frac", "list", "string",
             "kind", "csv_path", "train_frac", "nan_inertia", "small_reference",
-            "reference_of_k_rows"])
+            "reference_of_k_rows", "seed"])
     def test_out_of_range_config_value_is_an_error_line(self, tmp_path, capsys, monkeypatch,
                                                         override, message):
         # each used to fail only after bagging, or not at all, or with a traceback
@@ -262,8 +263,9 @@ class TestBenchmark:
         (["--methods", "ola,nope"], {}, "unknown method 'nope'"),
         (["--methods", "ola,lca,ola"], {}, "names 'ola' twice"),
         ([], {"methods": []}, "methods is empty"),
+        (["--methods", ""], {}, "methods is empty"),
         ([], {"reference_method": "bogus"}, "unknown method 'bogus'"),
-    ], ids=["unknown", "repeated", "empty", "reference"])
+    ], ids=["unknown", "repeated", "empty", "empty_option", "reference"])
     def test_bad_method_names_are_an_error_line_before_any_work(self, tmp_path, capsys,
                                                                  monkeypatch, args,
                                                                  overrides, message):

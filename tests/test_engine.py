@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import tracemalloc
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from metasel import _blocks, engine, experiment
 from metasel.bpso import BpsoConfig
-from metasel.data import Dataset, generate_p2, scale_minmax
+from metasel.data import Dataset, ScaleParams, generate_p2, scale_minmax
 from metasel.engine import (BASELINE_METHODS, DesModel, baseline_predict_batch,
                             classify, classify_batch, consensus_keep, oracle_accuracy,
                             weighted_majority_vote)
@@ -148,8 +149,8 @@ class TestClassify:
         pool, dsel, test = p2_setup(3)
         mask = np.ones(67, dtype=bool)
         uniform = MetaClassifier(np.zeros(67), 0.0)
-        model = DesModel(pool=pool, meta=uniform, mask=mask, scale=None,
-                         dsel=dsel, selection_threshold=0.0)
+        model = DesModel(MetaFeatureExtractor(pool, dsel), uniform, mask, None,
+                         selection_threshold=0.0)
         ours, _ = classify_batch(model, test.features)
         mv, _ = baseline_predict_batch("majority_vote", pool, dsel, test.features)
         assert np.array_equal(ours, mv)
@@ -173,8 +174,8 @@ class TestClassify:
 
     def test_empty_batch(self):
         pool, dsel, _ = p2_setup(3, m=4)
-        model = DesModel(pool=pool, meta=MetaClassifier(np.zeros(67), 0.0),
-                         mask=np.ones(67, dtype=bool), scale=None, dsel=dsel)
+        model = DesModel(MetaFeatureExtractor(pool, dsel), MetaClassifier(np.zeros(67), 0.0),
+                         np.ones(67, dtype=bool), None)
         labels, result = classify_batch(model, np.empty((0, 2)))
         assert labels.shape == (0,) and labels.dtype.kind == "i"
         assert len(result) == 0
@@ -239,8 +240,8 @@ class TestPrepare:
     def model(self):
         pool, dsel, test = p2_setup(3, m=4)
         _, scale = scale_minmax(generate_p2(300, 3))
-        return DesModel(pool=pool, meta=MetaClassifier(np.zeros(67), 0.0),
-                        mask=np.ones(67, dtype=bool), scale=scale, dsel=dsel), test
+        return DesModel(MetaFeatureExtractor(pool, dsel), MetaClassifier(np.zeros(67), 0.0),
+                        np.ones(67, dtype=bool), scale), test
 
     @pytest.mark.parametrize("X", [[[0.1, 0.2, 0.3]], [0.1, 0.2, 0.3], np.zeros((4, 3))])
     def test_wrong_width_names_both_counts(self, X):
@@ -250,7 +251,7 @@ class TestPrepare:
                 call(model, X)
         wide = Dataset(np.zeros((4, 3)), np.zeros(4, dtype=int), 2)
         with pytest.raises(ValueError, match="expected 2 features per sample, got 3"):
-            evaluate_methods(model, wide, ["meta_des_oracle", "ola"], k=7)
+            evaluate_methods(model, wide, ["meta_des_oracle", "ola"])
         with pytest.raises(ValueError, match="expected 2 features per sample, got 1"):
             classify_batch(model, [[0.5], [0.5]])
 
@@ -265,6 +266,47 @@ class TestPrepare:
             classify(model, [bad, 0.5])
 
 
+class TestOneOwner:
+    """A model's pool, reference set, K and Kp are its extractor's: none can
+    be replaced or set apart from it, and a part of the wrong width is
+    refused when the model is built."""
+
+    def parts(self):
+        pool, dsel, _ = p2_setup(3, m=4)
+        _, scale = scale_minmax(generate_p2(300, 3))
+        return dict(extractor=MetaFeatureExtractor(pool, dsel),
+                    meta=MetaClassifier(np.zeros(67), 0.0, np.zeros(67)),
+                    mask=np.ones(67, dtype=bool), scale=scale)
+
+    def test_read_from_the_extractor_only(self):
+        model = DesModel(**self.parts())
+        ex = model.extractor
+        assert model.pool is ex.pool and model.dsel is ex.dsel
+        assert (model.k, model.kp) == (ex.layout.k, ex.layout.kp) == (7, 5)
+        other_pool = p2_setup(4, m=4)[0]
+        for change in ({"pool": other_pool}, {"dsel": model.dsel}, {"k": 5}, {"kp": 3}):
+            with pytest.raises(TypeError):
+                dataclasses.replace(model, **change)
+        for name, value in (("pool", other_pool), ("dsel", model.dsel), ("k", 5), ("kp", 3)):
+            with pytest.raises(AttributeError):
+                setattr(model, name, value)
+        assert dataclasses.replace(model, selection_threshold=0.0).extractor is ex
+
+    @pytest.mark.parametrize("damage,message", [
+        (lambda p: p.update(mask=p["mask"][1:]), "the layout's 67 columns"),
+        (lambda p: p.update(meta=MetaClassifier(np.zeros(68), 0.0)), "the layout's 67 columns"),
+        (lambda p: p.update(meta=MetaClassifier(np.zeros(67), 0.0, np.zeros(66))),
+         "the layout's 67 columns"),
+        (lambda p: p.update(scale=ScaleParams(np.zeros(3), np.ones(3))), "scale must have 2 columns"),
+    ], ids=["mask", "weights", "offsets", "scale"])
+    def test_a_part_of_the_wrong_width_is_refused_when_built(self, damage, message):
+        parts = self.parts()
+        DesModel(**parts)
+        damage(parts)
+        with pytest.raises(ValueError, match=message):
+            DesModel(**parts)
+
+
 class TestQueryBlocks:
     @settings(max_examples=25, deadline=None)
     @given(per_block=st.integers(1, 450), seed=st.integers(0, 2**32 - 1),
@@ -274,8 +316,8 @@ class TestQueryBlocks:
         rng = np.random.default_rng(seed)
         mask = rng.random(rows.shape[1]) < rng.uniform(0.05, 0.9)
         mask[rng.integers(len(mask))] = True
-        model = DesModel(pool=pool, meta=train_meta(rows, labels).masked(mask), mask=mask,
-                         scale=None, dsel=dsel, selection_threshold=threshold)
+        model = DesModel(MetaFeatureExtractor(pool, dsel), train_meta(rows, labels).masked(mask),
+                         mask, None, selection_threshold=threshold)
         per_sample = len(pool) * 67 + 2 * len(dsel)
         with pytest.MonkeyPatch.context() as mp:
             # one block, then blocks of per_block samples
@@ -296,12 +338,12 @@ class TestQueryBlocks:
         # returns, which grow with the batch by design
         train, params = scale_minmax(generate_p2(300, 31))
         ref = generate_p2(5000, 32)
-        model = DesModel(pool=bagging(train, 10, seed=33),
-                         meta=MetaClassifier(np.random.default_rng(34).normal(size=67), 0.0),
-                         mask=np.ones(67, dtype=bool), scale=None,
-                         dsel=Dataset(params.apply(ref.features), ref.labels, 2))
+        model = DesModel(MetaFeatureExtractor(bagging(train, 10, seed=33),
+                                              Dataset(params.apply(ref.features), ref.labels, 2)),
+                         MetaClassifier(np.random.default_rng(34).normal(size=67), 0.0),
+                         np.ones(67, dtype=bool), None)
         X = params.apply(generate_p2(4000, 35).features)
-        classify_batch(model, X[:1])           # builds the extractor's tables
+        classify_batch(model, X[:1])           # a first call before measuring
         peaks, transients = [], []
         for nq in (500, 4000):
             tracemalloc.start()
@@ -321,14 +363,14 @@ def narrow_model(rng, d, L, m, n, k, kp, rank, threshold):
     reference rows) whose mask selects ``rank`` or leaves it out."""
     pool = ClassifierPool(rng.normal(size=(m, L, d + 1)), rng.uniform(0.5, 2.0, size=m))
     dsel = Dataset(rng.normal(size=(n, d)), rng.integers(0, L, size=n), L)
-    layout = MetaFeatureExtractor(pool, dsel, k=k, kp=kp).layout
+    extractor = MetaFeatureExtractor(pool, dsel, k=k, kp=kp)
+    layout = extractor.layout
     mask = rng.random(layout.size) < rng.uniform(0.1, 0.9)
     mask[layout.slice_of("rank")] = rank
     mask[rng.integers(layout.size)] |= not mask.any()
     meta = MetaClassifier(np.where(mask, rng.normal(size=layout.size), 0.0),
                           float(rng.normal()))
-    return DesModel(pool=pool, meta=meta, mask=mask, scale=None, dsel=dsel, k=k, kp=kp,
-                    selection_threshold=threshold)
+    return DesModel(extractor, meta, mask, None, selection_threshold=threshold)
 
 
 def assert_single_equals_batch(model, X, y):
@@ -407,8 +449,8 @@ class TestFullWidthSelector:
         rng = np.random.default_rng(seed)
         mask = rng.random(rows.shape[1]) < rng.uniform(0.05, 0.9)
         mask[rng.integers(len(mask))] = True
-        full = DesModel(pool=pool, meta=train_meta(rows, labels).masked(mask), mask=mask,
-                        scale=None, dsel=dsel, selection_threshold=threshold)
+        full = DesModel(MetaFeatureExtractor(pool, dsel), train_meta(rows, labels).masked(mask),
+                        mask, None, selection_threshold=threshold)
         got, got_diags = classify_batch(full, test.features)
         # the masked-copy path: a selector fitted on the mask's columns alone,
         # scoring the mask's columns of each row
@@ -671,9 +713,8 @@ class TestSharedBaselineInputs:
 
     def test_evaluation_searches_and_labels_the_reference_set_once(self, monkeypatch):
         pool, dsel, test = p2_setup(2, m=4)
-        model = DesModel(pool=pool, meta=MetaClassifier(np.zeros(67), 0.0),
-                         mask=np.ones(67, dtype=bool), scale=None, dsel=dsel)
-        model.extractor                               # tables built before counting
+        model = DesModel(MetaFeatureExtractor(pool, dsel), MetaClassifier(np.zeros(67), 0.0),
+                         np.ones(67, dtype=bool), None)
         want = {m: float((baseline_predict_batch(m, pool, dsel, test.features)[0]
                           == test.labels).mean()) for m in BASELINE_METHODS}
         searches, labelled = [], []
@@ -684,7 +725,7 @@ class TestSharedBaselineInputs:
         original = ClassifierPool.predict_batch
         monkeypatch.setattr(ClassifierPool, "predict_batch",
                             lambda self, X: labelled.append(len(X)) or original(self, X))
-        got = evaluate_methods(model, test, BASELINE_METHODS, k=7)
+        got = evaluate_methods(model, test, BASELINE_METHODS)
         assert got == want
         assert searches == [7]
         # one labelling of the test split per method, none of the reference set

@@ -120,6 +120,7 @@ class TestConfig:
         ({"source": {"kind": "p2", "split": {"train_frac": 7}}}, "split fractions"),
         ({"source": {"p2_sizes": [60, 60, 6, 60]}}, "source.p2_sizes[2]"),
         ({"k": 3, "kp": 9, "source": {"p2_sizes": [60, 60, 8, 60]}}, "source.p2_sizes[2]"),
+        ({"seed": -1}, "seed"),
     ])
     def test_out_of_range_value_named(self, raw, key):
         with pytest.raises(ValueError, match=re.escape(key) + " must be"):
@@ -473,7 +474,7 @@ class TestMulticlassPipeline:
         model, archive, _ = train_des(self.blobs(60, 1), self.blobs(60, 2),
                                       self.blobs(60, 3), cfg, (2, 0))
         test = self.blobs(80, 4)
-        res = evaluate_methods(model, test, cfg.methods, cfg.k)
+        res = evaluate_methods(model, test, cfg.methods)
         assert res[FRAMEWORK_METHOD] >= 0.8
         for m, acc in res.items():
             assert acc <= res["oracle"] + 1e-12
