@@ -13,6 +13,7 @@ All commands exit 0 on success and nonzero with a diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -27,7 +28,8 @@ from .metafeatures import FeatureLayout, meta_dataset_to_csv
 
 def _load_config(args) -> experiment.ExperimentConfig:
     if args.config:
-        config = experiment.ExperimentConfig.from_json(Path(args.config).read_text())
+        raw = json.loads(Path(args.config).read_text())
+        config = experiment.ExperimentConfig.from_dict(raw)
     else:
         config = experiment.ExperimentConfig()
     if getattr(args, "seed", None) is not None:

@@ -105,6 +105,9 @@ class DesModel:
         d, scale = self.dsel.feature_count, self.scale
         if scale is not None and not scale.col_min.shape == scale.col_max.shape == (d,):
             raise ValueError(f"scale must have {d} columns")
+        if meta.weights[~self.mask].any() or (
+                meta.offsets is not None and meta.offsets[~self.mask].any()):
+            raise ValueError("selector weights and offsets must be zero outside the mask")
 
     @property
     def pool(self) -> ClassifierPool:

@@ -103,20 +103,12 @@ class ExperimentConfig:
     reference_method: str = FRAMEWORK_METHOD
     seed: int = 0
 
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, default=list)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        raw = json.loads(text)
-        return cls.from_dict(raw)
-
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         """Build a config from parsed JSON and ``validate`` it. A config that
         is not an object, a value of the wrong type or out of range, or an
-        unknown key inside a section raises ValueError; unknown top-level keys
-        are ignored."""
+        unknown key inside a section, ``seed`` included, raises ValueError;
+        unknown top-level keys are ignored."""
         if not isinstance(raw, dict):
             raise ValueError(f"a config must be a JSON object, got {type(raw).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
@@ -148,6 +140,8 @@ class ExperimentConfig:
             # the reference split: see ``_load_splits``
             ("source.p2_sizes[2]", self.source.kind != "p2" or not sizes_ok
              or sizes[2] > max(self.k, self.kp), "> max(k, kp)"),
+            ("source.p2_sizes[1] * pool.size", self.source.kind != "p2" or not sizes_ok
+             or sizes[1] * self.pool.size >= 2, ">= 2"),
         )
         for name, ok, rule in checks:
             if not ok:
@@ -189,6 +183,8 @@ def _section(section_cls, values, path: str):
     if not isinstance(values, dict):
         raise ValueError(f"config section {path} must be an object")
     hints = typing.get_type_hints(section_cls)
+    if path:
+        hints.pop("seed", None)     # derived from the top-level seed, never set
     prefix = f"{path}." if path else ""
     unknown = [prefix + key for key in values if key not in hints]
     if unknown:
@@ -219,13 +215,12 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
     the meta-feature mask with global validation; train the final selector on
     the full meta-training data, masked (full width, zero outside the mask).
 
-    ``pool``, when given, takes the place of the bagged one; it should be the
-    pool that bagging the scaled train split gives (``run_experiment`` bags
-    several replications' pools at once). A pool whose width or class count
-    differs from the train split's raises ValueError. ``scale``, when given,
-    takes the place of the min-max scaling fitted on the train split, which
-    it should be (``run_experiment`` fits it to bag); one of another width
-    raises ValueError.
+    ``pool`` and ``scale`` come together or not at all. Given, they take the
+    place of the bagged pool and of the min-max scaling fitted on the train
+    split, which they should be (``run_experiment`` fits each replication's
+    scale to bag several replications' pools at once). One without the
+    other, a pool whose width or class count differs from the train
+    split's, or a scale of another width raises ValueError.
 
     Each meta-feature row is held once, in float32. The meta-training rows
     are built in the order of the search's 50/50 halving of whole samples,
@@ -233,13 +228,15 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
     final fit and ``info["meta_dataset"]`` read the rows in that order
     (sample-major, each row's sample named in ``sample_ids``).
 
-    If the consensus filter removes every meta-training or every reference
-    sample, all of that split's samples are kept, with a RuntimeWarning.
+    If the consensus filter leaves no reference sample, or under two
+    meta-training rows, that split keeps all its samples, with a RuntimeWarning.
 
     Returns (model, archive, info) where ``info`` carries the meta-dataset and
     bookkeeping counters.
     """
     config.validate()
+    if (pool is None) != (scale is None):
+        raise ValueError("pool and scale go together: give both or neither")
     if pool is not None and (pool.feature_count, pool.class_count) != (
             train.feature_count, train.class_count):
         raise ValueError(f"pool of {pool.feature_count} features and {pool.class_count} "
@@ -250,22 +247,19 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
         raise ValueError(f"scale of {scale.col_min.shape} columns for a train split "
                          f"of {train.feature_count} features")
     parts = tuple(base_seed_parts)
-    if scale is None:
+    if pool is None:
         train_scaled, scale = scale_minmax(train)
-    elif pool is None:
-        train_scaled = scale.apply_dataset(train)
+        pool = _bag([train_scaled], config.pool, [parts])[0]
     meta_scaled = scale.apply_dataset(meta_train)
     dsel_scaled = scale.apply_dataset(dsel)
-
-    if pool is None:
-        pool = _bag([train_scaled], config.pool, [_derive_int(*parts, 20)])[0]
 
     extractor = MetaFeatureExtractor(pool, dsel_scaled, k=config.k, kp=config.kp)
 
     # consensus-based sample selection on both meta-data sources; only the
     # flags are kept, the pool's labels and supports are freed at once
     keep_meta = _consensus_keep(pool.predict_batch(meta_scaled.features)[0],
-                                meta_scaled.labels, config, "meta-training")
+                                meta_scaled.labels, config, "meta-training",
+                                least=-(-2 // len(pool)))   # two rows for the final fit
     keep_dsel = _consensus_keep(extractor.dsel_pred_labels, dsel_scaled.labels,
                                 config, "reference")
 
@@ -280,9 +274,8 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
         dsel_scaled.features[dsel_idx], dsel_scaled.labels[dsel_idx],
         self_indices=dsel_idx, sample_ids=dsel_idx)
 
-    n, M = len(meta_idx), len(pool)
-    if n >= 2:
-        cut = n // 2 * M
+    cut = len(meta_idx) // 2 * len(pool)       # the search's training rows
+    if cut >= 2:
         bpso_cfg = dataclasses.replace(config.bpso, seed=_derive_int(*parts, 40))
         archive = optimize(meta_data.rows[:cut], meta_data.labels[:cut],
                            meta_data.rows[cut:], meta_data.labels[cut:],
@@ -305,20 +298,24 @@ def train_des(train: Dataset, meta_train: Dataset, dsel: Dataset,
     return model, archive, info
 
 
-def _consensus_keep(pool_labels, true_labels, config: ExperimentConfig, split: str):
+def _consensus_keep(pool_labels, true_labels, config: ExperimentConfig, split: str,
+                    least=1):
     """``engine.consensus_keep``'s flags at the config's threshold, all set,
-    with a RuntimeWarning naming ``split``, if the filter removes them all."""
+    with a RuntimeWarning naming ``split``, if fewer than ``least`` are set."""
     keep = engine.consensus_keep(pool_labels, true_labels, config.consensus_threshold)
-    if not keep.any():
-        warnings.warn(f"consensus filter removed every {split} sample; "
+    kept = np.count_nonzero(keep)
+    if kept < least:
+        left = f"left only {kept}" if kept else "removed every"
+        warnings.warn(f"consensus filter {left} {split} sample; "
                       "keeping all of them", RuntimeWarning)
         keep[:] = True
     return keep
 
 
-def _bag(trains_scaled, pool_config: PoolConfig, seeds) -> list:
+def _bag(trains_scaled, pool_config: PoolConfig, seed_parts) -> list:
     """The pools of ``train_des`` for scaled train splits of one shape, one
-    seed each, trained in one lockstep."""
+    tuple of ``train_des`` seed parts each, trained in one lockstep."""
+    seeds = [_derive_int(*parts, 20) for parts in seed_parts]
     return bagging(trains_scaled, pool_config.size, bootstrap_frac=pool_config.bootstrap_frac,
                    seed=seeds, epochs=pool_config.epochs, lr=pool_config.lr)
 
@@ -342,7 +339,7 @@ def _replications(config: ExperimentConfig):
         reps = range(group.start, group.stop)
         splits = [_load_splits(config, r, source) if r else first for r in reps]
         scaled, scales = zip(*(scale_minmax(train) for train, _, _, _ in splits))
-        pools = _bag(scaled, pc, [_derive_int(config.seed, r, 20) for r in reps])
+        pools = _bag(scaled, pc, [(config.seed, r) for r in reps])
         yield from zip(reps, splits, pools, scales)
 
 

@@ -284,6 +284,25 @@ class TestBenchmark:
             assert err[0].endswith("majority_vote, oracle")
         assert calls == [] and not out_dir.exists()
 
+    @pytest.mark.parametrize("overrides,key", [
+        ({"bpso": {"runs": 1, "seed": 5}}, "bpso.seed"),
+        ({"source": {"kind": "p2", "p2_sizes": [120, 120, 120, 150], "split": {"seed": 4}}},
+         "source.split.seed"),
+    ], ids=["bpso", "split"])
+    def test_nested_seed_is_an_error_line_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                          overrides, key):
+        # every seed is derived from the top-level one; a nested seed would
+        # have no effect, so it is an unknown key
+        calls = []
+        monkeypatch.setattr("metasel.experiment.bagging",
+                            lambda *a, **kw: calls.append(a))
+        out_dir = tmp_path / "report"
+        rc = main(["benchmark", "--config", str(small_config(tmp_path, **overrides)),
+                   "--out-dir", str(out_dir)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: unknown config key {key}"]
+        assert calls == [] and not out_dir.exists()
+
     def test_byte_identical_over_reruns(self, tmp_path):
         cfg = small_config(tmp_path)
         a, b = tmp_path / "ra", tmp_path / "rb"

@@ -306,6 +306,19 @@ class TestOneOwner:
         with pytest.raises(ValueError, match=message):
             DesModel(**parts)
 
+    def test_a_selector_reading_outside_the_mask_is_refused(self):
+        # classification extracts the mask's columns alone, so such a
+        # selector would be cut without a word
+        parts = self.parts()
+        mask = np.arange(67) < 30
+        DesModel(**{**parts, "mask": mask})
+        for weights, offsets in ((np.ones(67), None), (np.zeros(67), np.ones(67)),
+                                 (np.where(mask, 1.0, 0.0), np.where(mask, 0.0, 1e-300))):
+            with pytest.raises(ValueError, match="zero outside the mask"):
+                DesModel(**{**parts, "mask": mask, "meta": MetaClassifier(weights, 0.0, offsets)})
+        DesModel(**{**parts, "mask": mask,
+                    "meta": MetaClassifier(np.where(mask, 1.0, 0.0), 0.0, np.where(mask, 2.0, 0.0))})
+
 
 class TestQueryBlocks:
     @settings(max_examples=25, deadline=None)

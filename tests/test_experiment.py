@@ -23,7 +23,7 @@ from metasel.experiment import (DataSource, ExperimentConfig, FRAMEWORK_METHOD,
                                 frequency_band, frequency_report, load_model,
                                 run_experiment, save_model, train_des,
                                 write_report_csvs)
-from metasel.metaclassifier import MetaClassifier
+from metasel.metaclassifier import MetaClassifier, train_meta
 from metasel.metafeatures import FeatureLayout, MetaFeatureExtractor
 from metasel.pool import ClassifierPool, bagging
 
@@ -40,19 +40,17 @@ def small_p2_config(seed=3, replications=1):
 
 
 class TestConfig:
-    def test_json_round_trip(self):
-        cfg = small_p2_config()
-        again = ExperimentConfig.from_json(cfg.to_json())
-        assert again.source.p2_sizes == cfg.source.p2_sizes
-        assert again.bpso.swarm_size == cfg.bpso.swarm_size
-        assert again.methods == cfg.methods
-        assert again.seed == cfg.seed
-
     def test_unknown_section_key_named(self):
         for raw, key in (({"bpso": {"swarmsize": 3}}, "bpso.swarmsize"),
                          ({"pool": {"size": 3, "sise": 4}}, "pool.sise"),
-                         ({"source": {"split": {"trainfrac": 0.5}}}, "source.split.trainfrac")):
-            with pytest.raises(ValueError, match=key.replace(".", r"\.")):
+                         ({"source": {"split": {"trainfrac": 0.5}}}, "source.split.trainfrac"),
+                         # every seed is derived from the top-level one, so a
+                         # section has no seed key, whatever its value
+                         ({"bpso": {"seed": 5}}, "bpso.seed"),
+                         ({"bpso": {"seed": True}}, "bpso.seed"),
+                         ({"source": {"split": {"seed": 4}}}, "source.split.seed"),
+                         ({"source": {"split": {"seed": 0.5}}}, "source.split.seed")):
+            with pytest.raises(ValueError, match="^unknown config key " + key.replace(".", r"\.") + "$"):
                 ExperimentConfig.from_dict(raw)
         with pytest.raises(ValueError, match="section bpso must be an object"):
             ExperimentConfig.from_dict({"bpso": 3})
@@ -72,19 +70,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="section source must be an object"):
             ExperimentConfig.from_dict({"source": [60, 60]})
         cfg = ExperimentConfig.from_dict({"source": {"kind": "p2", "p2_sizes": [60, 61, 62, 63],
-                                                     "split": {"seed": 4}}})
+                                                     "split": {"meta_frac_of_train": 0.4}}})
         assert cfg.source.p2_sizes == (60, 61, 62, 63)
-        assert cfg.source.split.seed == 4 and cfg.source.path is None
+        assert cfg.source.split.meta_frac_of_train == 0.4 and cfg.source.path is None
 
     def test_wrong_typed_value_named(self):
         for raw, key in (({"bpso": {"swarm_size": "3"}}, "bpso.swarm_size"),
                          ({"bpso": {"runs": 2.0}}, "bpso.runs"),
-                         ({"bpso": {"seed": True}}, "bpso.seed"),
                          ({"bpso": {"transfer": 1}}, "bpso.transfer"),
                          ({"pool": {"lr": "0.1"}}, "pool.lr"),
                          ({"source": {"p2_sizes": 500}}, "source.p2_sizes"),
                          ({"source": {"path": 3}}, "source.path"),
-                         ({"source": {"split": {"seed": 0.5}}}, "source.split.seed"),
+                         ({"source": {"split": {"train_frac": "0.5"}}}, "source.split.train_frac"),
                          ({"k": "7"}, "k"),
                          ({"selection_threshold": None}, "selection_threshold"),
                          ({"methods": "ola"}, "methods")):
@@ -121,6 +118,9 @@ class TestConfig:
         ({"source": {"p2_sizes": [60, 60, 6, 60]}}, "source.p2_sizes[2]"),
         ({"k": 3, "kp": 9, "source": {"p2_sizes": [60, 60, 8, 60]}}, "source.p2_sizes[2]"),
         ({"seed": -1}, "seed"),
+        # the final selector fit needs two meta-training rows
+        ({"pool": {"size": 1}, "source": {"p2_sizes": [60, 1, 60, 60]}},
+         "source.p2_sizes[1] * pool.size"),
     ])
     def test_out_of_range_value_named(self, raw, key):
         with pytest.raises(ValueError, match=re.escape(key) + " must be"):
@@ -152,7 +152,7 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict({
             "k": 1, "kp": 1, "consensus_threshold": 1, "selection_threshold": 0,
             "replications": 1, "pool": {"size": 1, "bootstrap_frac": 1, "epochs": 1, "lr": 1e-9},
-            "source": {"p2_sizes": [1, 1, 2, 1]}})
+            "source": {"p2_sizes": [1, 2, 2, 1]}})
         assert cfg.consensus_threshold == 1 and cfg.pool.bootstrap_frac == 1
         with pytest.raises(ValueError, match="consensus_threshold"):
             ExperimentConfig.from_dict({"consensus_threshold": float("nan")})
@@ -160,7 +160,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="v_max must be positive"):
             BpsoConfig(inertia=float("nan")).validate()
         with pytest.raises(ValueError, match="v_max must be positive"):
-            ExperimentConfig.from_json('{"bpso": {"c1": NaN}}')
+            ExperimentConfig.from_dict(json.loads('{"bpso": {"c1": NaN}}'))
 
     def test_defaults_mirror_protocol(self):
         cfg = ExperimentConfig()
@@ -207,18 +207,6 @@ class TestTrainDes:
                       ExperimentConfig(k=-3, pool=PoolConfig(size=5)))
         assert calls == []
 
-    def test_given_pool_is_the_bagged_one(self):
-        cfg = small_p2_config()
-        train, meta, dsel = generate_p2(150, 1), generate_p2(150, 2), generate_p2(150, 3)
-        a, archive_a, _ = train_des(train, meta, dsel, cfg, (cfg.seed, 0))
-        pool = bagging(scale_minmax(train)[0], cfg.pool.size,
-                       seed=experiment._derive_int(cfg.seed, 0, 20))
-        with mock.patch.object(experiment, "bagging", side_effect=AssertionError):
-            b, archive_b, _ = train_des(train, meta, dsel, cfg, (cfg.seed, 0), pool=pool)
-        assert b.pool is pool
-        assert a.pool.weights.tobytes() == pool.weights.tobytes()
-        assert np.array_equal(a.mask, b.mask) and archive_a.trace == archive_b.trace
-
     def test_replications_pass_the_pool_and_scale_train_des_fits(self):
         # run_experiment scales each train split once, to bag, and hands
         # train_des that pool and scale: they must be the ones train_des
@@ -241,33 +229,37 @@ class TestTrainDes:
             assert (info_a["meta_dataset"].rows.tobytes()
                     == info_b["meta_dataset"].rows.tobytes())
 
-    def test_given_scale_without_pool_bags_the_split_it_scales(self):
+    def test_half_given_pool_and_scale_rejected_before_bagging(self, monkeypatch):
+        # a pool is bagged from the split its scale scales, so one is given
+        # with the other or not at all
+        calls = []
+        monkeypatch.setattr(experiment, "bagging", lambda *a, **kw: calls.append(a))
         cfg = small_p2_config()
-        train, meta, dsel = generate_p2(150, 1), generate_p2(150, 2), generate_p2(150, 3)
-        a, _, _ = train_des(train, meta, dsel, cfg, (cfg.seed, 0))
-        scale = scale_minmax(train)[1]
-        with mock.patch.object(experiment, "scale_minmax", side_effect=AssertionError):
-            b, _, _ = train_des(train, meta, dsel, cfg, (cfg.seed, 0), scale=scale)
-        assert a.pool.weights.tobytes() == b.pool.weights.tobytes()
-        assert np.array_equal(a.mask, b.mask)
-        assert a.meta.weights.tobytes() == b.meta.weights.tobytes()
+        train, meta, dsel = generate_p2(60, 1), generate_p2(60, 2), generate_p2(60, 3)
+        pool = ClassifierPool(np.random.default_rng(0).normal(size=(4, 2, 3)), np.ones(4))
+        for given_ in ({"pool": pool}, {"scale": scale_minmax(train)[1]}):
+            with pytest.raises(ValueError, match="^pool and scale go together"):
+                train_des(train, meta, dsel, cfg, (cfg.seed, 0), **given_)
+        assert calls == []
 
     def test_scale_of_another_width_rejected(self):
         cfg = small_p2_config()
         train, meta, dsel = generate_p2(60, 1), generate_p2(60, 2), generate_p2(60, 3)
+        pool = ClassifierPool(np.random.default_rng(0).normal(size=(4, 2, 3)), np.ones(4))
         for width in (1, 3):
             scale = ScaleParams(np.zeros(width), np.ones(width))
             with pytest.raises(ValueError, match="scale of .* for a train split"):
-                train_des(train, meta, dsel, cfg, (cfg.seed, 0), scale=scale)
+                train_des(train, meta, dsel, cfg, (cfg.seed, 0), pool=pool, scale=scale)
 
     def test_pool_of_another_shape_rejected(self):
         cfg = small_p2_config()
         train, meta, dsel = generate_p2(60, 1), generate_p2(60, 2), generate_p2(60, 3)
+        scale = scale_minmax(train)[1]
         rng = np.random.default_rng(0)
         for L, d in ((3, 2), (2, 3)):
             pool = ClassifierPool(rng.normal(size=(4, L, d + 1)), np.ones(4))
             with pytest.raises(ValueError, match="pool of .* for a train split"):
-                train_des(train, meta, dsel, cfg, (cfg.seed, 0), pool=pool)
+                train_des(train, meta, dsel, cfg, (cfg.seed, 0), pool=pool, scale=scale)
 
     def test_search_halves_are_views_of_the_meta_rows(self, monkeypatch):
         cfg = small_p2_config()
@@ -322,6 +314,20 @@ class TestTrainDes:
         finally:
             tracemalloc.stop()
         assert peak - held < info["meta_dataset"].rows.nbytes
+
+    def test_selector_reading_outside_the_mask_refused(self):
+        # classification extracts the mask's columns alone, so a selector
+        # weighing other columns would be cut without a word
+        cfg = ExperimentConfig(pool=PoolConfig(size=8),
+                               bpso=BpsoConfig(runs=1, swarm_size=6, max_generations=3))
+        train, meta, dsel = (generate_p2(120, [5, i]) for i in (1, 2, 3))
+        model, _, info = train_des(train, meta, dsel, cfg, (5,))
+        assert 0 < model.mask.sum() < model.mask.size
+        rows, labels = info["meta_dataset"].rows, info["meta_dataset"].labels
+        with pytest.raises(ValueError, match="zero outside the mask"):
+            dataclasses.replace(model, meta=train_meta(rows, labels))
+        masked = dataclasses.replace(model, meta=train_meta(rows, labels).masked(model.mask))
+        assert masked.meta.weights.tobytes() == model.meta.weights.tobytes()
 
     def test_consensus_fallbacks_warn(self):
         # a threshold of 0 removes every sample of both splits
@@ -452,6 +458,28 @@ class TestRunExperiment:
         cfg = small_p2_config(replications=0)
         with pytest.raises(ValueError, match="replication"):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("seed,warning", [
+        (0, "too few meta-training samples for mask search"),
+        (1, "too few meta-training samples for mask search"),
+        (2, "consensus filter left only 1 meta-training sample; keeping all of them"),
+    ])
+    def test_pool_of_one_trains(self, seed, warning):
+        # a pool of one gives one meta-row per sample: the search runs only
+        # on a training half of two rows or more, and the filter keeps every
+        # sample when it leaves one, as the final fit needs two rows (each
+        # seed raised "need at least two training rows" after bagging)
+        cfg = ExperimentConfig(source=DataSource(kind="p2", p2_sizes=(40, 6, 20, 20)),
+                               pool=PoolConfig(size=1, epochs=2),
+                               bpso=BpsoConfig(runs=1, swarm_size=4, max_generations=2),
+                               replications=1, seed=seed)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = run_experiment(cfg)
+        assert any(str(w.message).startswith(warning) for w in caught)
+        # the full mask where the search could not run
+        assert report.masks.all() == (seed < 2)
+        assert np.isfinite(report.accuracies).all()
 
 
 class TestMulticlassPipeline:
@@ -715,6 +743,8 @@ class TestPersistence:
         (lambda a, h: a.update(dsel_features=a["dsel_features"][:, :1]), "not a readable"),
         (lambda a, h: h.update(k=10_000), "cannot exceed"),
         (lambda a, h: h.update(selection_threshold=1.0), "selection threshold"),
+        # a mask narrower than the selector's columns
+        (lambda a, h: a["mask"].fill(False), "zero outside the mask"),
     ])
     def test_crafted_file_refused(self, model_bytes, tmp_path, damage, message):
         (tmp_path / "ok.bin").write_bytes(model_bytes)
